@@ -1,0 +1,6 @@
+"""The repository's benchmark: seeded workloads driven through public entry points.
+
+Run ``python3 perfbench/run.py --workload <name> --seed <n> --seconds <s>
+--trace <0|1>`` from the repository root; ``BENCHMARK.json`` lists the
+workloads and metrics.
+"""
