@@ -2,7 +2,7 @@ PYTHON ?= python
 PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 export PYTHONPATH
 
-.PHONY: test test-differential test-service test-chaos bench bench-smoke bench-queueing bench-engines bench-sharded bench-service bench-recovery bench-precompute bench-commit profile-precompute ci
+.PHONY: test test-differential test-service test-chaos bench bench-smoke bench-queueing bench-engines bench-sharded bench-service bench-recovery bench-precompute bench-commit profile-precompute perf perf-trace ci
 
 # Tier-1 verification: the full test + benchmark suite.
 test:
@@ -102,3 +102,24 @@ bench-commit:
 # store-backed second window instead of the cold build.
 profile-precompute:
 	$(PYTHON) benchmarks/profile_precompute.py
+
+# The repo's benchmark (perfbench/, declared in BENCHMARK.json): each of the
+# three workloads end to end for SECONDS seconds at seed SEED, untraced.
+# Every workload prints its provenance, one line per metric and a final JSON
+# line; the target fails on the first workload whose output checks fail.
+SEED ?= 1
+SECONDS ?= 30
+PERF_WORKLOADS := figure_sweep supermarket serve
+
+perf:
+	@for workload in $(PERF_WORKLOADS); do \
+		$(PYTHON) perfbench/run.py --workload $$workload --seed $(SEED) --seconds $(SECONDS) --trace 0 || exit 1; \
+	done
+
+# The same runs with every layer boundary traced: per-layer shares and
+# counts (cold.topology.share, cold.group_index.groups, ...) instead of the
+# end-to-end metrics.
+perf-trace:
+	@for workload in $(PERF_WORKLOADS); do \
+		$(PYTHON) perfbench/run.py --workload $$workload --seed $(SEED) --seconds $(SECONDS) --trace 1 || exit 1; \
+	done

@@ -66,29 +66,19 @@ def _assignment_numba_fns():
     from repro.backends import numba_backend as nb
     from repro.kernels import engine as kernel
 
-    # Every store-building strategy gets the compiled precompute row (a no-op
-    # off the torus); the commit loops compile where they exist.
-    # ``nearest_replica`` never materialises candidate sets, so it runs the
-    # kernel engine's single vectorised pass unchanged.
+    # The d-choice commit loops compile; the replica strategies have no
+    # sequential commit phase, so they run the kernel engine unchanged.
     return {
         "two_choice": partial(
-            kernel.two_choice_kernel,
-            commit=nb.commit_least_loaded_of_sample,
-            row_kernel=nb.torus_row_kernel,
+            kernel.two_choice_kernel, commit=nb.commit_least_loaded_of_sample
         ),
         "least_loaded": partial(
-            kernel.least_loaded_kernel,
-            commit=nb.commit_least_loaded_scan,
-            row_kernel=nb.torus_row_kernel,
+            kernel.least_loaded_kernel, commit=nb.commit_least_loaded_scan
         ),
         "threshold_hybrid": partial(
-            kernel.threshold_hybrid_kernel,
-            commit=nb.commit_threshold_hybrid,
-            row_kernel=nb.torus_row_kernel,
+            kernel.threshold_hybrid_kernel, commit=nb.commit_threshold_hybrid
         ),
-        "random_replica": partial(
-            kernel.random_replica_kernel, row_kernel=nb.torus_row_kernel
-        ),
+        "random_replica": kernel.random_replica_kernel,
         "nearest_replica": kernel.nearest_replica_kernel,
     }
 
@@ -160,13 +150,7 @@ def _queueing_numba_fns():
     from repro.backends import numba_backend as nb
     from repro.kernels.queueing import queueing_kernel_window
 
-    return {
-        "window": partial(
-            queueing_kernel_window,
-            commit=nb.commit_window,
-            row_kernel=nb.torus_row_kernel,
-        )
-    }
+    return {"window": partial(queueing_kernel_window, commit=nb.commit_window)}
 
 
 def _assignment_sharded_fns(num_workers=None, mode=None):
@@ -249,7 +233,7 @@ register_engine(
     requires=("numba",),
     priority=20,
     supports_streaming=True,
-    description="@njit-compiled precompute row + commit loop",
+    description="@njit-compiled commit loop",
 )
 
 register_engine(
@@ -296,7 +280,7 @@ register_engine(
     requires=("numba",),
     priority=20,
     supports_streaming=True,
-    description="@njit-compiled precompute row + event loop",
+    description="@njit-compiled event loop",
 )
 register_engine(
     "sharded",

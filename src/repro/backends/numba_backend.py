@@ -45,10 +45,7 @@ __all__ = [
     "commit_least_loaded_scan",
     "commit_threshold_hybrid",
     "commit_window",
-    "csr_scatter_destinations",
     "repair_round_of_sample",
-    "segmented_arange",
-    "torus_row_kernel",
 ]
 
 try:  # pragma: no cover - exercised only where numba is installed
@@ -567,124 +564,3 @@ def commit_window(
     state.sum_sojourn = float(sum_sojourn)
     state.num_arrivals += m
     return out
-
-
-# -------------------------------------------------------- precompute kernels
-#
-# The same contract as the commit loops, applied one phase earlier: compiled
-# 1:1 transcriptions of the CSR segment/scatter helpers in
-# :mod:`repro.kernels.group_index` and of the torus row pass
-# (``pairwise_distances`` + in-ball filter + row-major ``np.nonzero``) that
-# dominates the group-index build.  Candidate order, integer distances and
-# the ``d <= radius`` comparison are identical to the numpy path, so the
-# produced ``GroupIndex`` is bit-identical — the differential suites hold it
-# to exact equality.
-
-
-@njit(cache=True)
-def _segmented_arange_core(counts, out):
-    pos = 0
-    for i in range(counts.shape[0]):
-        for j in range(counts[i]):
-            out[pos] = j
-            pos += 1
-
-
-def segmented_arange(counts: IntArray) -> IntArray:
-    """Compiled drop-in for :func:`repro.kernels.group_index.segmented_arange`."""
-    counts = np.asarray(counts, dtype=np.int64)
-    out = np.empty(int(counts.sum()), dtype=np.int64)
-    _segmented_arange_core(counts, out)
-    return out
-
-
-@njit(cache=True)
-def _csr_scatter_core(indptr, gids, counts, out):
-    pos = 0
-    for i in range(gids.shape[0]):
-        base = indptr[gids[i]]
-        for j in range(counts[i]):
-            out[pos] = base + j
-            pos += 1
-
-
-def csr_scatter_destinations(
-    indptr: IntArray, gids: IntArray, counts: IntArray
-) -> IntArray:
-    """Compiled drop-in for :func:`repro.kernels.group_index.csr_scatter_destinations`."""
-    indptr = np.asarray(indptr, dtype=np.int64)
-    gids = np.asarray(gids, dtype=np.int64)
-    counts = np.asarray(counts, dtype=np.int64)
-    out = np.empty(int(counts.sum()), dtype=np.int64)
-    _csr_scatter_core(indptr, gids, counts, out)
-    return out
-
-
-@njit(cache=True)
-def _torus_rows_core(ox, oy, rx, ry, replicas, side, radius, counts, nodes, dists):
-    total = 0
-    for i in range(ox.shape[0]):
-        c = 0
-        for j in range(rx.shape[0]):
-            dx = ox[i] - rx[j]
-            if dx < 0:
-                dx = -dx
-            if side - dx < dx:
-                dx = side - dx
-            dy = oy[i] - ry[j]
-            if dy < 0:
-                dy = -dy
-            if side - dy < dy:
-                dy = side - dy
-            d = dx + dy
-            if d <= radius:
-                nodes[total] = replicas[j]
-                dists[total] = d
-                total += 1
-                c += 1
-        counts[i] = c
-    return total
-
-
-def torus_row_kernel(topology, radius: float, unconstrained: bool):
-    """Compiled per-chunk candidate-row pass for :class:`Torus2D` topologies.
-
-    A ``row_kernel`` factory in the sense of
-    :func:`repro.kernels.group_index.build_group_index`: returns a
-    ``rows_fn(origins, replicas) -> (row_counts, flat_nodes, flat_dists)``
-    closure fusing the wrapped-L1 distance, the in-ball filter and the
-    row-major scatter into one compiled loop — or ``None`` for any other
-    topology, in which case the builder keeps its default numpy path.  The
-    rows come out in the exact order ``np.nonzero`` produces (row-major,
-    replicas in ascending column order), so the build stays bit-identical.
-    """
-    from repro.topology.torus import Torus2D
-
-    if not isinstance(topology, Torus2D):
-        return None
-    x, y = topology.coordinates()
-    side = np.int64(topology.side)
-    limit = np.float64(np.inf) if unconstrained else np.float64(radius)
-
-    def rows(origins: IntArray, replicas: IntArray):
-        origins = np.asarray(origins, dtype=np.int64)
-        replicas = np.asarray(replicas, dtype=np.int64)
-        cap = origins.size * replicas.size
-        counts = np.empty(origins.size, dtype=np.int64)
-        nodes = np.empty(cap, dtype=np.int64)
-        dists = np.empty(cap, dtype=np.int64)
-        total = _torus_rows_core(
-            x[origins],
-            y[origins],
-            x[replicas],
-            y[replicas],
-            replicas,
-            side,
-            limit,
-            counts,
-            nodes,
-            dists,
-        )
-        return counts, nodes[:total], dists[:total]
-
-    return rows

@@ -104,7 +104,7 @@ def render_experiment(result: ExperimentResult, *, plot: bool = True) -> str:
                 title=result.title,
             )
         )
-    sections.append(f"(trials per point: {result.trials}, elapsed: {result.elapsed_seconds:.1f}s)")
+    sections.append(f"(trials per point: {result.trials})")
     return "\n\n".join(sections)
 
 

@@ -135,7 +135,11 @@ class ExperimentResult:
         raise ExperimentError(f"no series labelled {label!r} in experiment {self.experiment_id}")
 
     def as_dict(self) -> dict[str, Any]:
-        """Plain-dict representation."""
+        """Plain-dict representation.
+
+        ``elapsed_seconds`` is left out: saved results then change only when
+        the measured curves do, not with the speed of the host.
+        """
         return {
             "experiment_id": self.experiment_id,
             "title": self.title,
@@ -144,13 +148,12 @@ class ExperimentResult:
             "y_metric": self.y_metric,
             "series": [s.as_dict() for s in self.series],
             "trials": self.trials,
-            "elapsed_seconds": self.elapsed_seconds,
             "extra": dict(self.extra),
         }
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentResult":
-        """Inverse of :meth:`as_dict`."""
+        """Inverse of :meth:`as_dict`; still reads an ``elapsed_seconds`` field."""
         return cls(
             experiment_id=str(data["experiment_id"]),
             title=str(data["title"]),

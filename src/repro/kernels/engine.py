@@ -110,7 +110,6 @@ def two_choice_kernel(
     loads: IntArray | None = None,
     store: GroupStore | None = None,
     commit=commit_least_loaded_of_sample,
-    row_kernel=None,
 ) -> AssignmentResult:
     """Batched Strategy II (proximity-aware ``d``-choice assignment).
 
@@ -118,9 +117,7 @@ def two_choice_kernel(
     signature and bit-identical semantics as
     :func:`~repro.kernels.commit.commit_least_loaded_of_sample`) — the hook
     compiled backends (:mod:`repro.backends.numba_backend`) plug into while
-    sharing all of this precompute.  ``row_kernel`` swaps the precompute's
-    per-chunk candidate-row pass the same way (see
-    :func:`~repro.kernels.group_index.build_group_index`).
+    sharing all of this precompute.
     """
     m = requests.num_requests
     n = topology.n
@@ -135,7 +132,6 @@ def two_choice_kernel(
         fallback=fallback,
         need_dists=not unconstrained,
         store=store,
-        row_kernel=row_kernel,
     )
     rng_sample, rng_tie = streams if streams is not None else spawn_generators(seed, 2)
     positions, sample_counts, sample_indptr = draw_sample_positions(
@@ -173,7 +169,6 @@ def least_loaded_kernel(
     loads: IntArray | None = None,
     store: GroupStore | None = None,
     commit=commit_least_loaded_scan,
-    row_kernel=None,
 ) -> AssignmentResult:
     """Batched omniscient baseline: least loaded replica in the ball.
 
@@ -192,7 +187,6 @@ def least_loaded_kernel(
         fallback=fallback,
         need_dists=True,
         store=store,
-        row_kernel=row_kernel,
     )
     _, rng_tie = streams if streams is not None else spawn_generators(seed, 2)
     tie_uniforms = rng_tie.random(m)
@@ -229,7 +223,6 @@ def threshold_hybrid_kernel(
     loads: IntArray | None = None,
     store: GroupStore | None = None,
     commit=commit_threshold_hybrid,
-    row_kernel=None,
 ) -> AssignmentResult:
     """Batched threshold hybrid: closest sampled candidate within the slack.
 
@@ -250,7 +243,6 @@ def threshold_hybrid_kernel(
         fallback=fallback,
         need_dists=True,
         store=store,
-        row_kernel=row_kernel,
     )
     rng_sample, rng_tie = streams if streams is not None else spawn_generators(seed, 2)
     positions, sample_counts, sample_indptr = draw_sample_positions(
@@ -282,7 +274,6 @@ def random_replica_kernel(
     streams: tuple[np.random.Generator, np.random.Generator] | None = None,
     loads: IntArray | None = None,
     store: GroupStore | None = None,
-    row_kernel=None,
 ) -> AssignmentResult:
     """One-choice baseline as a single vectorised pass (no Python loop)."""
     m = requests.num_requests
@@ -298,7 +289,6 @@ def random_replica_kernel(
         fallback=fallback,
         need_dists=not unconstrained,
         store=store,
-        row_kernel=row_kernel,
     )
     _, rng_tie = streams if streams is not None else spawn_generators(seed, 2)
     uniforms = rng_tie.random(m)

@@ -7,12 +7,22 @@ resolution are all independent of the evolving load vector.  The group index
 factors that work out of the per-request loop:
 
 1. requests are grouped by ``(origin, file)`` (``np.unique`` on a packed key);
-2. for every *file*, one batched :meth:`~repro.topology.base.Topology.
-   pairwise_distances` call serves all groups requesting it (chunked to bound
-   peak memory);
-3. in-ball filtering, fallback resolution (NEAREST / EXPAND / ERROR) and the
-   fallback bookkeeping happen group-wise, producing a CSR layout
-   ``(starts, counts, nodes[, dists])`` of candidate sets.
+2. where the topology lists ``B_r`` as a dense matrix
+   (:meth:`~repro.topology.base.Topology.ball_matrix`; on a torus
+   ``(origin + offset) mod side`` for every lattice offset) and the ball is
+   smaller than a file's replica set, a group's row is gathered from the ball
+   itself: the members the :class:`~repro.placement.cache.CacheState`
+   membership bitset says cache the file, sorted by node id, each at its
+   column's distance — ``|B_r|`` lookups instead of one distance per replica;
+3. every other group — other topologies, unconstrained or wrapping radii,
+   libraries wider than ``64 M`` files (where the ``n K / 8``-byte bitset
+   would outgrow the slot array), files with at most ``|B_r|`` replicas, and
+   ball groups with no in-ball replica — takes the replica scan: per file,
+   one batched :meth:`~repro.topology.base.Topology.pairwise_distances` call
+   serves all its groups (chunked to bound peak memory), followed by the
+   in-ball filter and fallback resolution (NEAREST / EXPAND / ERROR);
+4. both routes scatter into one CSR layout ``(starts, counts, nodes[, dists])``
+   of candidate sets, bit-identical whichever route built a row.
 
 When the radius is unconstrained and candidate distances are not needed up
 front (Strategy II resolves chosen-replica distances *after* the commit loop),
@@ -144,11 +154,6 @@ class GroupIndex:
         return self.starts[self.request_group]
 
 
-#: Generation stamp of a dead (evicted / never-allocated) slot.  The LRU
-#: eviction argmin runs over the whole slot arena, so dead slots carry the
-#: maximum stamp and can never be picked while a live slot exists.
-_DEAD = np.iinfo(np.int64).max
-
 #: Pool bytes below which compaction is never worth the copy.
 _MIN_COMPACT = 1024
 
@@ -176,7 +181,9 @@ class GroupStore:
     every hit or insertion stamps the slot with a monotone generation
     counter, and at capacity the minimum-generation (least recently touched)
     row is evicted — exactly the order the previous ``OrderedDict`` protocol
-    produced under any interleaving of gets and puts.  Replaced and evicted
+    produced under any interleaving of gets and puts.  An evicted row's slot
+    goes straight to the key that displaced it, so every allocated slot is
+    live and the eviction scan needs no dead-slot marker.  Replaced and evicted
     rows leave garbage in the pool, which is compacted away once it exceeds
     half the live payload.
     """
@@ -189,7 +196,6 @@ class GroupStore:
         "_fallback",
         "_has_dists",
         "_gen",
-        "_free",
         "_n_alloc",
         "_pool_nodes",
         "_pool_dists",
@@ -212,8 +218,7 @@ class GroupStore:
         self._counts = np.zeros(cap, dtype=np.int64)
         self._fallback = np.zeros(cap, dtype=bool)
         self._has_dists = np.zeros(cap, dtype=bool)
-        self._gen = np.full(cap, _DEAD, dtype=np.int64)
-        self._free: list[int] = []
+        self._gen = np.empty(cap, dtype=np.int64)
         self._n_alloc = 0
         self._pool_nodes = np.empty(64, dtype=np.int64)
         self._pool_dists = np.empty(64, dtype=np.int64)
@@ -249,9 +254,7 @@ class GroupStore:
         new_cap = max(need, 2 * cap)
         for name in ("_keys", "_starts", "_counts", "_gen"):
             old = getattr(self, name)
-            if name == "_gen":
-                fresh = np.full(new_cap, _DEAD, dtype=np.int64)
-            elif name == "_counts":
+            if name == "_counts":
                 fresh = np.zeros(new_cap, dtype=np.int64)
             else:
                 fresh = np.empty(new_cap, dtype=np.int64)
@@ -264,8 +267,6 @@ class GroupStore:
             setattr(self, name, fresh)
 
     def _alloc_slot(self) -> int:
-        if self._free:
-            return self._free.pop()
         self._ensure_slots(1)
         slot = self._n_alloc
         self._n_alloc = slot + 1
@@ -283,13 +284,12 @@ class GroupStore:
             fresh[: self._pool_used] = old[: self._pool_used]
             setattr(self, name, fresh)
 
-    def _evict_lru(self) -> None:
-        """Drop the least recently touched row (dead slots stamp ``_DEAD``)."""
+    def _evict_lru(self) -> int:
+        """Drop the least recently touched row; returns its slot for reuse."""
         slot = int(np.argmin(self._gen[: self._n_alloc]))
         del self._slots[int(self._keys[slot])]
         self._garbage += int(self._counts[slot])
-        self._gen[slot] = _DEAD
-        self._free.append(slot)
+        return slot
 
     def _maybe_compact(self) -> None:
         if self._garbage <= _MIN_COMPACT or 2 * self._garbage <= self._pool_used:
@@ -350,8 +350,9 @@ class GroupStore:
         slot = self._slots.get(key)
         if slot is None:
             if len(self._slots) >= self._max_groups:
-                self._evict_lru()
-            slot = self._alloc_slot()
+                slot = self._evict_lru()
+            else:
+                slot = self._alloc_slot()
             self._slots[key] = slot
             self._keys[slot] = key
         else:
@@ -446,18 +447,23 @@ class GroupStore:
                 )
             return
         starts = self._append_rows(counts, nodes, dists)
-        slot_ids = np.empty(num_keys, dtype=np.int64)
-        self._ensure_slots(num_keys)
-        slots = self._slots
-        for i, key in enumerate(keys.tolist()):
-            slot = slots.get(key)
-            if slot is None:
-                slot = self._alloc_slot()
-                slots[key] = slot
-                self._keys[slot] = key
-            else:
-                self._garbage += int(self._counts[slot])
-            slot_ids[i] = slot
+        lookup = self._slots.get
+        slot_ids = np.fromiter(
+            (lookup(key, -1) for key in keys.tolist()), dtype=np.int64, count=num_keys
+        )
+        fresh = np.flatnonzero(slot_ids < 0)
+        self._garbage += int(self._counts[slot_ids[slot_ids >= 0]].sum())
+        if fresh.size:
+            # New keys take one block at the end of the arena, in array order
+            # (the slots sequential puts would allocate).
+            self._ensure_slots(fresh.size)
+            block = np.arange(
+                self._n_alloc, self._n_alloc + fresh.size, dtype=np.int64
+            )
+            self._n_alloc += int(fresh.size)
+            slot_ids[fresh] = block
+            self._keys[block] = keys[fresh]
+            self._slots.update(zip(keys[fresh].tolist(), block.tolist()))
         self._starts[slot_ids] = starts
         self._counts[slot_ids] = counts
         self._fallback[slot_ids] = np.asarray(fallback, dtype=bool)
@@ -493,6 +499,30 @@ def _resolve_fallback_row(
             return replicas[in_ball], dist_row[in_ball]
 
 
+#: Elements (group rows x ball offsets) per ball-gather chunk; bounds the
+#: gather's temporaries to a few hundred KiB each.
+_BALL_CHUNK = 1 << 16
+
+
+def _ball_hits(
+    cache: CacheState, members: IntArray, dists: IntArray, files: IntArray
+) -> tuple[IntArray, IntArray, IntArray]:
+    """The replicas of ``files[i]`` among the ball members ``members[i]``.
+
+    ``members`` / ``dists`` come from :meth:`Topology.ball_matrix`.  Returns
+    ``(row_counts, flat_nodes, flat_dists)`` with each row's hits in
+    ascending node id — the order the replica scan yields — at their
+    column's distance.  Rows with no in-ball replica come back empty.
+    """
+    num_rows, ball_size = members.shape
+    hits = np.flatnonzero(cache.contains_many(members, files[:, None]))
+    rows = hits // ball_size
+    nodes = members.reshape(-1)[hits]
+    order = np.argsort(rows * cache.num_nodes + nodes)
+    row_counts = np.bincount(rows, minlength=num_rows)
+    return row_counts, nodes[order], dists[hits[order] % ball_size]
+
+
 def _build_rows_csr(
     topology: Topology,
     cache: CacheState,
@@ -504,7 +534,6 @@ def _build_rows_csr(
     fallback: FallbackPolicy,
     unconstrained: bool,
     chunk_size: int,
-    rows_fn=None,
 ) -> tuple[IntArray, IntArray, IntArray, np.ndarray]:
     """Fused count-then-scatter build of candidate rows for the groups ``gids``.
 
@@ -513,17 +542,18 @@ def _build_rows_csr(
     ``counts[i]`` slots of ``nodes`` / ``dists``.  The cold build hands the
     full group range; the store-backed build hands only its misses.
 
-    Per ``(file, chunk)`` one batched distance pass produces the chunk's flat
-    candidate rows (row-major, so already CSR within the chunk); the only
-    Python-level accumulation is one list append per chunk, and the final
-    arrays are assembled with a single ``np.concatenate`` + one vectorised
-    scatter via :func:`csr_scatter_destinations`.  When ``rows_fn`` is given
-    (a compiled row kernel from :func:`repro.backends.numba_backend.
-    torus_row_kernel`), it replaces the default matrix + mask + ``np.nonzero``
-    pass wholesale: ``rows_fn(origins, replicas)`` must return
-    ``(row_counts, flat_nodes, flat_dists)`` bit-identical to the default
-    path.  Fallback rows (no in-ball replica — rare) are resolved scalar in
-    both paths from the exact same integer distance row.
+    Where the topology lists ``B_r`` as a dense matrix (see
+    :meth:`Topology.ball_matrix`), groups whose file has more replicas than
+    ``B_r`` has nodes are gathered from the ball first (see
+    :func:`_ball_hits`), in chunks of at most ``_BALL_CHUNK`` elements.
+    Every group left without candidates — the rest, plus ball groups with
+    no in-ball replica — then takes the replica scan: per
+    ``(file, chunk)`` one batched distance pass produces the chunk's flat
+    candidate rows (row-major, so already CSR within the chunk), and fallback
+    rows resolve scalar from that exact integer distance row.  The only
+    Python-level accumulation is one list append per chunk; the final arrays
+    are assembled with a single ``np.concatenate`` + one vectorised scatter
+    via :func:`csr_scatter_destinations`.
     """
     num = int(gids.size)
     counts = np.zeros(num, dtype=np.int64)
@@ -534,7 +564,32 @@ def _build_rows_csr(
     piece_counts: list[IntArray] = []
     piece_nodes: list[IntArray] = []
     piece_dists: list[IntArray] = []
-    for segment in iter_file_segments(g_files[gids]):
+    ball = None
+    # The membership bitset costs n * K / 8 bytes; the ball route builds it
+    # only while that is at most the (n, M) int64 slot array, i.e. K <= 64 M.
+    if not unconstrained and cache.num_files <= 64 * cache.cache_size:
+        # No origins yet: this only asks whether B_r has a dense form, and
+        # its size.
+        ball = topology.ball_matrix(np.empty(0, dtype=np.int64), radius)
+    if ball is not None:
+        ball_size = int(ball[1].size)
+        on_ball = np.flatnonzero(cache.replication_counts()[g_files[gids]] > ball_size)
+        step = max(1, _BALL_CHUNK // ball_size)
+        for start in range(0, on_ball.size, step):
+            local = on_ball[start : start + step]
+            members, dists = topology.ball_matrix(g_origins[gids[local]], radius)
+            row_counts, flat_nodes, flat_dists = _ball_hits(
+                cache, members, dists, g_files[gids[local]]
+            )
+            counts[local] = row_counts
+            piece_pos.append(local)
+            piece_counts.append(row_counts)
+            piece_nodes.append(flat_nodes)
+            piece_dists.append(flat_dists)
+    # Everything still empty: off-ball groups and ball groups with no hit.
+    scan = np.flatnonzero(counts == 0)
+    for part in iter_file_segments(g_files[gids[scan]]):
+        segment = scan[part]
         file_id = int(g_files[gids[segment[0]]])
         replicas = cache.file_nodes(file_id)
         if replicas.size == 0:
@@ -542,29 +597,20 @@ def _build_rows_csr(
         for start in range(0, segment.size, chunk_size):
             local = segment[start : start + chunk_size]
             chunk_origins = g_origins[gids[local]]
-            matrix: IntArray | None = None
-            if rows_fn is not None:
-                row_counts, flat_nodes, flat_dists = rows_fn(chunk_origins, replicas)
+            matrix = topology.pairwise_distances(chunk_origins, replicas)
+            if unconstrained:
+                mask = np.ones(matrix.shape, dtype=bool)
             else:
-                matrix = topology.pairwise_distances(chunk_origins, replicas)
-                if unconstrained:
-                    mask = np.ones(matrix.shape, dtype=bool)
-                else:
-                    mask = matrix <= radius
-                row_counts = mask.sum(axis=1).astype(np.int64)
-                rows, cols = np.nonzero(mask)  # row-major: chunk order
-                flat_nodes = replicas[cols]
-                flat_dists = matrix[rows, cols].astype(np.int64)
+                mask = matrix <= radius
+            row_counts = mask.sum(axis=1).astype(np.int64)
+            rows, cols = np.nonzero(mask)  # row-major: chunk order
+            flat_nodes = replicas[cols]
+            flat_dists = matrix[rows, cols].astype(np.int64)
             for row in np.flatnonzero(row_counts == 0):
                 pos = int(local[row])
                 origin = int(g_origins[gids[pos]])
-                dist_row = (
-                    matrix[row]
-                    if matrix is not None
-                    else topology.distances_from(origin, replicas)
-                )
                 cand, cand_d = _resolve_fallback_row(
-                    fallback, radius, origin, file_id, replicas, dist_row
+                    fallback, radius, origin, file_id, replicas, matrix[row]
                 )
                 flags[pos] = True
                 counts[pos] = cand.size
@@ -601,7 +647,6 @@ def build_group_index(
     need_dists: bool = True,
     chunk_size: int = 4096,
     store: GroupStore | None = None,
-    row_kernel=None,
 ) -> GroupIndex:
     """Build the CSR candidate index for ``requests`` in batched passes.
 
@@ -628,13 +673,6 @@ def build_group_index(
         populates the store in one batch ``put_many``, and leaves the
         hit/miss counters untouched.  Ignored in shared (aliasing) mode, which
         does no per-group work to begin with.
-    row_kernel:
-        Optional factory ``row_kernel(topology, radius, unconstrained) ->
-        rows_fn | None`` providing a compiled replacement for the per-chunk
-        distance + filter pass (see :func:`repro.backends.numba_backend.
-        torus_row_kernel`).  A factory returning ``None`` (unsupported
-        topology) silently falls back to the default numpy path; the produced
-        index is bit-identical either way.
 
     Raises
     ------
@@ -666,10 +704,6 @@ def build_group_index(
             request_group=request_group,
         )
 
-    rows_fn = None
-    if row_kernel is not None:
-        rows_fn = row_kernel(topology, radius, unconstrained)
-
     if store is not None and len(store):
         keys = g_origins * np.int64(requests.num_files) + g_files
         hit_mask, hit_counts, hit_nodes, hit_dists, hit_flags = store.get_many(keys)
@@ -685,7 +719,6 @@ def build_group_index(
                 fallback=fallback,
                 unconstrained=unconstrained,
                 chunk_size=chunk_size,
-                rows_fn=rows_fn,
             )
             store.put_many(
                 keys[miss_gids], miss_counts, miss_nodes, miss_dists, miss_flags
@@ -734,7 +767,6 @@ def build_group_index(
         fallback=fallback,
         unconstrained=unconstrained,
         chunk_size=chunk_size,
-        rows_fn=rows_fn,
     )
     if store is not None:
         keys = g_origins * np.int64(requests.num_files) + g_files

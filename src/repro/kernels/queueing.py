@@ -323,7 +323,6 @@ def queueing_kernel_window(
     store: GroupStore | None = None,
     node_weights: np.ndarray | None = None,
     commit=commit_window,
-    row_kernel=None,
 ) -> tuple[IntArray, IntArray]:
     """Serve one time window ``[state's cursor, window_end)`` batched.
 
@@ -355,7 +354,6 @@ def queueing_kernel_window(
             fallback=FallbackPolicy.NEAREST,
             need_dists=not unconstrained,
             store=store,
-            row_kernel=row_kernel,
         )
         counts = index.request_counts()
         if node_weights is None:

@@ -10,6 +10,9 @@ the two directions of the index are both precomputed:
 * a CSR-like file→nodes index listing, for every file, the *distinct* servers
   caching it (duplicates within one server collapse to a single replica since
   a request only cares whether the file is present).
+
+A bit-packed ``(node, file)`` membership table backs the vectorised
+:meth:`CacheState.contains_many`; it is built on first use only.
 """
 
 from __future__ import annotations
@@ -22,6 +25,9 @@ from repro.exceptions import PlacementError
 from repro.types import IntArray
 
 __all__ = ["CacheState"]
+
+#: ``_BIT[i]`` selects bit ``i`` of a byte (little bit order, as packed below).
+_BIT = (1 << np.arange(8)).astype(np.uint8)
 
 
 class CacheState:
@@ -55,6 +61,7 @@ class CacheState:
         self._num_files = int(num_files)
         self._n, self._cache_size = slots.shape
         self._fingerprint: str | None = None
+        self._membership: np.ndarray | None = None
         self._build_file_index()
 
     # ------------------------------------------------------------------ index
@@ -64,9 +71,14 @@ class CacheState:
         node_ids = np.repeat(np.arange(n, dtype=np.int64), m)
         file_ids = self._slots.reshape(-1)
         # Collapse duplicate (node, file) pairs: a server caching a file twice
-        # is still a single replica from the request's point of view.
-        pair_keys = file_ids * n + node_ids
-        unique_keys = np.unique(pair_keys)
+        # is still a single replica from the request's point of view.  A sort
+        # plus an adjacent-difference mask, because numpy 2.x's hash-based
+        # np.unique is over an order of magnitude slower on these int64 keys.
+        pair_keys = np.sort(file_ids * n + node_ids)
+        distinct = np.empty(pair_keys.size, dtype=bool)
+        distinct[0] = True
+        np.not_equal(pair_keys[1:], pair_keys[:-1], out=distinct[1:])
+        unique_keys = pair_keys[distinct]
         files_sorted = unique_keys // n
         nodes_sorted = unique_keys % n
         counts = np.bincount(files_sorted, minlength=self._num_files)
@@ -176,6 +188,25 @@ class CacheState:
         self._check_node(node)
         self._check_file(file_id)
         return bool(np.any(self._slots[int(node)] == int(file_id)))
+
+    def contains_many(self, nodes: IntArray, file_ids: IntArray) -> np.ndarray:
+        """Vectorised :meth:`contains` over broadcast ``nodes`` / ``file_ids``.
+
+        Looks each pair up in a bit-packed ``(node, file)`` membership table
+        of ``n * K / 8`` bytes, built on first use and cached.  Ids are not
+        range-checked: callers pass valid node and file ids.
+        """
+        if self._membership is None:
+            rows = np.arange(self._n, dtype=np.int64) * self._num_files
+            pairs = np.repeat(rows, self._cache_size) + self._slots.reshape(-1)
+            table = np.zeros((self._n * self._num_files + 7) // 8, dtype=np.uint8)
+            np.bitwise_or.at(table, pairs >> 3, _BIT[pairs & 7])
+            table.setflags(write=False)
+            self._membership = table
+        index = np.asarray(nodes, dtype=np.int64) * self._num_files + file_ids
+        member = self._membership.take(index >> 3)
+        member &= _BIT.take(index & 7)
+        return member != 0
 
     def node_membership_matrix(self) -> np.ndarray:
         """Dense boolean ``(n, K)`` matrix of cache membership.

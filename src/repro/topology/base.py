@@ -190,6 +190,21 @@ class Topology(ABC):
         flat_dists = np.concatenate(dists) if dists else np.empty(0, dtype=np.int64)
         return indptr, flat_members, flat_dists
 
+    def ball_matrix(
+        self, origins: IntArray, radius: float
+    ) -> tuple[IntArray, IntArray] | None:
+        """``B_r`` of every origin as one dense matrix, where that is exact.
+
+        Returns ``(members, dists)`` when every ball has the same shape:
+        ``members[i]`` lists each node of ``B_r(origins[i])`` once (unsorted)
+        and ``dists[j]`` is the hop distance of column ``j`` from its row's
+        origin.  Since ``dists`` does not depend on the origins, an empty
+        ``origins`` yields ``|B_r|`` up front.  The generic topology has no
+        such shape and returns ``None``; :class:`~repro.topology.torus.
+        Torus2D` overrides this.
+        """
+        return None
+
     def ball(self, node: int, radius: float) -> IntArray:
         """Return ``B_r(node)``: ids of all servers within ``radius`` hops.
 

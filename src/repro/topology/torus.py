@@ -10,6 +10,8 @@ used in the paper's Lemma 1 and Theorem 2 proofs).
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from repro.exceptions import TopologyError
@@ -19,6 +21,24 @@ from repro.topology.neighborhood import ball_size_torus
 from repro.types import IntArray
 
 __all__ = ["Torus2D"]
+
+
+@lru_cache(maxsize=None)
+def _lattice_ball_offsets(radius: int) -> tuple[IntArray, IntArray, IntArray]:
+    """Offsets ``(dx, dy)`` of the L1 lattice ball of integer ``radius``.
+
+    Returns ``(dx, dy, norms)``: the ``2 r (r + 1) + 1`` offsets with
+    ``|dx| + |dy| <= radius`` and their L1 norms, computed once per radius
+    and shared read-only.
+    """
+    span = np.arange(-radius, radius + 1, dtype=np.int64)
+    gx, gy = np.meshgrid(span, span, indexing="ij")
+    inside = np.abs(gx) + np.abs(gy) <= radius
+    dx, dy = gx[inside], gy[inside]
+    norms = np.abs(dx) + np.abs(dy)
+    for array in (dx, dy, norms):
+        array.setflags(write=False)
+    return dx, dy, norms
 
 
 class Torus2D(Topology):
@@ -106,32 +126,53 @@ class Torus2D(Topology):
         )
 
     # ------------------------------------------------------------------ balls
+    def ball_matrix(
+        self, origins: IntArray, radius: float
+    ) -> tuple[IntArray, IntArray] | None:
+        """Every ``B_r(origins[i])`` as row ``i`` of one dense matrix.
+
+        For a finite ``radius`` below the diameter with ``2 floor(r) < side``,
+        ``(x + dx, y + dy)`` taken modulo ``side`` visits every node of
+        ``B_r((x, y))`` exactly once, at hop distance ``|dx| + |dy|``, for
+        the ``2 r (r + 1) + 1`` lattice offsets ``(dx, dy)`` of ``floor(r)``:
+        column ``j`` of ``members`` applies offset ``j`` and ``dists[j]`` is
+        its L1 norm.  Other radii return ``None``: the offsets overlap
+        through the wrap-around, or the ball is the whole torus.
+        """
+        if radius < 0 or np.isinf(radius) or radius >= self.diameter:
+            return None
+        r = int(radius)
+        if 2 * r >= self._side:
+            return None
+        dx, dy, norms = _lattice_ball_offsets(r)
+        origins = self.validate_nodes(origins)
+        side = self._side
+        # Wrap each origin's 2r + 1 columns and rows once, then gather them
+        # per offset: no modulo over every (origin, offset) pair.
+        span = np.arange(-r, r + 1, dtype=np.int64)
+        wrapped_x = (self._x[origins][:, None] + span) % side
+        wrapped_y = (self._y[origins][:, None] + span) % side * side
+        return wrapped_y[:, dy + r] + wrapped_x[:, dx + r], norms
+
     def ball(self, node: int, radius: float) -> IntArray:
         """L1 ball around ``node``; overridden for speed on large tori.
 
         Instead of scanning all ``n`` nodes, enumerate the at most
-        ``2r(r+1)+1`` lattice offsets directly when the ball is small relative
-        to the torus.
+        ``2r(r+1)+1`` lattice offsets directly (see :meth:`ball_matrix`)
+        when the ball is small relative to the torus.
         """
         self.validate_nodes(node)
         if radius < 0:
             raise TopologyError(f"radius must be non-negative, got {radius}")
         if np.isinf(radius) or radius >= self.diameter:
             return np.arange(self._n, dtype=np.int64)
-        r = int(radius)
-        if 2 * r >= self._side:
+        ball = self.ball_matrix(np.array([node], dtype=np.int64), radius)
+        if ball is None:
             # Wrap-around overlaps make direct offset enumeration double-count;
             # fall back to the generic distance scan.
             dist = self.distances_from(int(node))
-            return np.flatnonzero(dist <= r).astype(np.int64)
-        dx = np.arange(-r, r + 1, dtype=np.int64)
-        dy = np.arange(-r, r + 1, dtype=np.int64)
-        gx, gy = np.meshgrid(dx, dy, indexing="ij")
-        mask = np.abs(gx) + np.abs(gy) <= r
-        ox = (self._x[node] + gx[mask]) % self._side
-        oy = (self._y[node] + gy[mask]) % self._side
-        nodes = oy * self._side + ox
-        return np.sort(nodes.astype(np.int64))
+            return np.flatnonzero(dist <= int(radius)).astype(np.int64)
+        return np.sort(ball[0][0])
 
     def ball_size(self, node: int, radius: float) -> int:
         """Closed-form ball size on the torus (identical for every node)."""

@@ -105,63 +105,6 @@ class TestAssignmentTranscriptions:
         _assert_identical(NearestReplicaStrategy, seed=46)
 
 
-class TestPrecomputeTranscriptions:
-    """The compiled CSR/row kernels against their numpy originals."""
-
-    def test_segmented_arange_matches_kernels(self):
-        from repro.backends import numba_backend as nb
-        from repro.kernels import group_index as gi
-
-        for counts in ([], [0], [3], [2, 0, 3], [1, 1, 1, 5, 0, 2]):
-            counts = np.asarray(counts, dtype=np.int64)
-            np.testing.assert_array_equal(
-                nb.segmented_arange(counts), gi.segmented_arange(counts)
-            )
-
-    def test_csr_scatter_matches_kernels(self):
-        from repro.backends import numba_backend as nb
-        from repro.kernels import group_index as gi
-
-        rng = np.random.default_rng(5)
-        counts_by_gid = rng.integers(0, 4, size=12).astype(np.int64)
-        indptr = np.concatenate(
-            [np.zeros(1, dtype=np.int64), np.cumsum(counts_by_gid)]
-        )
-        gids = rng.permutation(12).astype(np.int64)[:7]
-        counts = counts_by_gid[gids]
-        np.testing.assert_array_equal(
-            nb.csr_scatter_destinations(indptr, gids, counts),
-            gi.csr_scatter_destinations(indptr, gids, counts),
-        )
-
-    @pytest.mark.parametrize("radius,unconstrained", [(2.0, False), (6.0, False), (0.0, True)])
-    def test_torus_rows_match_numpy_pass(self, radius, unconstrained):
-        from repro.backends.numba_backend import torus_row_kernel
-
-        topology = Torus2D(49)
-        rows = torus_row_kernel(topology, radius, unconstrained)
-        assert rows is not None
-        rng = np.random.default_rng(9)
-        origins = rng.integers(0, 49, size=20).astype(np.int64)
-        replicas = np.sort(rng.choice(49, size=11, replace=False)).astype(np.int64)
-        counts, nodes, dists = rows(origins, replicas)
-
-        matrix = topology.pairwise_distances(origins, replicas)
-        mask = (
-            np.ones(matrix.shape, dtype=bool) if unconstrained else matrix <= radius
-        )
-        row_idx, cols = np.nonzero(mask)
-        np.testing.assert_array_equal(counts, mask.sum(axis=1))
-        np.testing.assert_array_equal(nodes, replicas[cols])
-        np.testing.assert_array_equal(dists, matrix[row_idx, cols])
-
-    def test_non_torus_topology_gets_no_row_kernel(self):
-        from repro.backends.numba_backend import torus_row_kernel
-        from repro.topology.ring import Ring
-
-        assert torus_row_kernel(Ring(12), 2.0, False) is None
-
-
 def _supermarket(**kwargs):
     return QueueingSimulation(
         topology=Torus2D(64),

@@ -63,6 +63,15 @@ class TestRunner:
         point = small_result.series[0].points[0]
         assert PointResult.from_dict(point.as_dict()) == point
 
+    def test_dict_carries_no_wall_clock_time(self, small_result):
+        assert "elapsed_seconds" not in small_result.as_dict()
+
+    def test_from_dict_reads_old_elapsed_field(self, small_result):
+        old = {**small_result.as_dict(), "elapsed_seconds": 2.5}
+        rebuilt = ExperimentResult.from_dict(old)
+        assert rebuilt.elapsed_seconds == 2.5
+        assert rebuilt.as_dict() == small_result.as_dict()
+
 
 class TestReport:
     def test_render_table_alignment(self):
@@ -139,6 +148,7 @@ class TestReport:
     def test_render_experiment_with_plot(self, small_result):
         text = render_experiment(small_result, plot=True)
         assert "legend:" in text
+        assert "elapsed" not in text
 
     def test_render_parametric_experiment(self):
         spec = figure5_spec(radii=[1, 3], cache_sizes=[2], num_nodes=100, num_files=20, trials=1)

@@ -1,14 +1,16 @@
-"""Differential suite for the precompute rewrite: every build path bit-identical.
+"""Differential suite for the precompute: every build path bit-identical.
 
-The fused cold build, the batch store-backed warm/mixed paths and the
-compiled row kernel (running pure Python here when numba is absent) must all
+The fused cold build and the batch store-backed warm/mixed paths must all
 produce the exact same :class:`~repro.kernels.group_index.GroupIndex` as a
 scalar per-group model of the paper's candidate semantics — one
 ``distances_from`` row per ``(origin, file)`` group, the in-ball filter, and
 the shared :func:`~repro.kernels.group_index._resolve_fallback_row` policy.
-The grid covers radius ∈ {2, 8, inf} × fallback ∈ {NEAREST, EXPAND, ERROR}
-plus the shared (aliasing) mode; the radius-2 points do trigger fallback
-groups, so the ERROR cells assert every path raises.
+The grid covers radius ∈ {2, 2.5, 8, inf} × fallback ∈ {NEAREST, EXPAND,
+ERROR} plus the shared (aliasing) mode, on systems chosen so that both row
+routes run: the torus ball-offset gather (files with more replicas than
+``|B_r|``) and the replica scan (everything else, including ball groups with
+no in-ball replica).  The radius-2 points do trigger fallback groups, so the
+ERROR cells assert every path raises.
 """
 
 from __future__ import annotations
@@ -16,9 +18,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.backends.numba_backend import torus_row_kernel
 from repro.catalog.library import FileLibrary
+from repro.catalog.popularity import create_popularity
 from repro.exceptions import StrategyError
+from repro.kernels import group_index
 from repro.kernels.group_index import (
     GroupStore,
     _resolve_fallback_row,
@@ -27,20 +30,39 @@ from repro.kernels.group_index import (
 )
 from repro.placement.proportional import ProportionalPlacement
 from repro.strategies.base import FallbackPolicy
+from repro.topology.grid import Grid2D
 from repro.topology.torus import Torus2D
 from repro.workload.generators import UniformOriginWorkload
 
-RADII = [2.0, 8.0, np.inf]
+RADII = [2.0, 2.5, 8.0, np.inf]
 POLICIES = [FallbackPolicy.NEAREST, FallbackPolicy.EXPAND, FallbackPolicy.ERROR]
 
 
-@pytest.fixture(scope="module")
-def system():
-    topology = Torus2D(256)  # side 16 — radius 8 stays a real constraint
-    library = FileLibrary(20)
-    cache = ProportionalPlacement(3).place(topology, library, seed=0)
+def _make_system(topology, library, cache_size=3):
+    cache = ProportionalPlacement(cache_size).place(topology, library, seed=0)
     requests = UniformOriginWorkload(400).generate(topology, library, seed=1)
     return topology, cache, requests
+
+
+#: Side 16: radius 8 wraps (2r = side), so only r <= 7 takes the ball route;
+#: ~38 replicas per file against |B_2| = 13, with many empty balls at r = 2.
+#: Side 17: 2r = side - 1 at r = 8, the largest radius the ball route takes;
+#: every file has more than |B_8| = 145 replicas.
+#: Zipf: replica counts from 5 to 179, so one build splits at |B_2| = 13.
+#: Grid: no wrap-around, never on the ball route.
+SYSTEMS = {
+    "torus16": lambda: _make_system(Torus2D(256), FileLibrary(20)),
+    "torus17": lambda: _make_system(Torus2D(289), FileLibrary(4)),
+    "torus16-zipf": lambda: _make_system(
+        Torus2D(256), FileLibrary(20, create_popularity("zipf", 20, gamma=1.2))
+    ),
+    "grid16": lambda: _make_system(Grid2D(256), FileLibrary(20)),
+}
+
+
+@pytest.fixture(scope="module", params=list(SYSTEMS))
+def system(request):
+    return SYSTEMS[request.param]()
 
 
 def _model_build(topology, cache, requests, *, radius, fallback):
@@ -92,7 +114,7 @@ def _assert_matches_model(index, model):
 
 
 def _build_paths(topology, cache, requests, *, radius, fallback):
-    """Every new build path, labelled: fused cold, store cold/warm/mixed, row kernel."""
+    """Every build path, labelled: fused cold, store warm, store mixed."""
     kwargs = dict(radius=radius, fallback=fallback, need_dists=True)
     yield "plain", lambda: build_group_index(topology, cache, requests, **kwargs)
 
@@ -111,22 +133,6 @@ def _build_paths(topology, cache, requests, *, radius, fallback):
         return build_group_index(topology, cache, requests, store=store, **kwargs)
 
     yield "store-mixed", store_mixed
-
-    yield "row-kernel", lambda: build_group_index(
-        topology, cache, requests, row_kernel=torus_row_kernel, **kwargs
-    )
-
-    def row_kernel_store():
-        store = GroupStore()
-        half = requests.subset(np.arange(requests.num_requests // 2))
-        build_group_index(
-            topology, cache, half, store=store, row_kernel=torus_row_kernel, **kwargs
-        )
-        return build_group_index(
-            topology, cache, requests, store=store, row_kernel=torus_row_kernel, **kwargs
-        )
-
-    yield "row-kernel-store", row_kernel_store
 
 
 @pytest.mark.parametrize("fallback", POLICIES, ids=lambda p: p.name.lower())
@@ -151,16 +157,86 @@ def test_all_paths_match_scalar_model(system, radius, fallback):
         _assert_matches_model(build(), model)
 
 
-def test_radius_two_exercises_fallback(system):
+def test_radius_two_exercises_fallback():
     """The grid's radius-2 cells are only meaningful if fallback fires."""
-    topology, cache, requests = system
+    topology, cache, requests = SYSTEMS["torus16"]()
     index = build_group_index(
         topology, cache, requests, radius=2.0, fallback=FallbackPolicy.NEAREST
     )
     assert bool(index.fallback.any())
 
 
-def test_shared_mode_aliases_cache_and_ignores_row_kernel(system):
+def _no_call(*args, **kwargs):
+    raise AssertionError("this route must not run here")
+
+
+def test_ball_route_serves_every_group_with_an_in_ball_replica(monkeypatch):
+    """Side 17, r = 8: every file beats |B_8| and every ball holds a replica,
+    so the replica scan never runs."""
+    topology, cache, requests = SYSTEMS["torus17"]()
+    assert bool((cache.replication_counts() > topology.ball_size(0, 8)).all())
+    model = _model_build(
+        topology, cache, requests, radius=8.0, fallback=FallbackPolicy.ERROR
+    )
+    monkeypatch.setattr(topology, "pairwise_distances", _no_call)
+    index = build_group_index(
+        topology, cache, requests, radius=8.0, fallback=FallbackPolicy.ERROR
+    )
+    _assert_matches_model(index, model)
+
+
+def test_zipf_system_splits_between_routes(monkeypatch):
+    """One build of the mixed system sends exactly the files with more
+    replicas than |B_2| through the ball route, and the rest to the scan."""
+    topology, cache, requests = SYSTEMS["torus16-zipf"]()
+    replication = cache.replication_counts()
+    requested = np.unique(requests.files)
+    ball_size = topology.ball_size(0, 2)
+    on_ball = requested[replication[requested] > ball_size]
+    assert 0 < on_ball.size < requested.size
+    seen = []
+    ball_hits = group_index._ball_hits
+
+    def spy(cache, members, dists, files):
+        seen.append(files)
+        return ball_hits(cache, members, dists, files)
+
+    monkeypatch.setattr(group_index, "_ball_hits", spy)
+    build_group_index(
+        topology, cache, requests, radius=2.0, fallback=FallbackPolicy.NEAREST
+    )
+    np.testing.assert_array_equal(np.unique(np.concatenate(seen)), on_ball)
+
+
+@pytest.mark.parametrize(
+    "topology,radius,num_files,cache_size",
+    [
+        (Grid2D(256), 2.0, 4, 3),
+        (Torus2D(256), 8.0, 4, 3),  # 2r = side: offsets would overlap
+        (Torus2D(289), 16.0, 4, 3),  # the diameter: unconstrained
+        (Torus2D(1024), 1.0, 100, 1),  # ~10 replicas > |B_1|, but K > 64 M
+    ],
+    ids=["grid", "torus-wrapping", "torus-diameter", "torus-wide-library"],
+)
+def test_replica_scan_only_outside_valid_balls(
+    monkeypatch, topology, radius, num_files, cache_size
+):
+    """Off the torus, where the ball wraps onto itself, or where the
+    membership bitset would outgrow the slot array, rows come from the
+    replica scan alone and still match the model."""
+    library = FileLibrary(num_files)
+    _, cache, requests = _make_system(topology, library, cache_size)
+    model = _model_build(
+        topology, cache, requests, radius=radius, fallback=FallbackPolicy.NEAREST
+    )
+    monkeypatch.setattr(group_index, "_ball_hits", _no_call)
+    index = build_group_index(
+        topology, cache, requests, radius=radius, fallback=FallbackPolicy.NEAREST
+    )
+    _assert_matches_model(index, model)
+
+
+def test_shared_mode_aliases_cache(system):
     """Unconstrained + no dists: candidate sets alias the cache CSR exactly."""
     topology, cache, requests = system
     index = build_group_index(
@@ -170,7 +246,6 @@ def test_shared_mode_aliases_cache_and_ignores_row_kernel(system):
         radius=np.inf,
         fallback=FallbackPolicy.NEAREST,
         need_dists=False,
-        row_kernel=torus_row_kernel,
     )
     indptr, shared_nodes = cache.file_index()
     assert index.nodes is shared_nodes  # aliased, not copied
@@ -184,15 +259,16 @@ def test_shared_mode_aliases_cache_and_ignores_row_kernel(system):
     assert not index.fallback.any()
 
 
-def test_row_kernel_matches_default_under_store_eviction(system):
+@pytest.mark.parametrize("radius", [2.0, 8.0], ids=lambda r: f"r={r:g}")
+def test_store_eviction_matches_default(system, radius):
     """A tiny store (constant eviction churn) still yields identical indexes."""
     topology, cache, requests = system
-    kwargs = dict(radius=8.0, fallback=FallbackPolicy.NEAREST, need_dists=True)
+    kwargs = dict(radius=radius, fallback=FallbackPolicy.NEAREST, need_dists=True)
     plain = build_group_index(topology, cache, requests, **kwargs)
     store = GroupStore(max_groups=16)
     for _ in range(3):
         churned = build_group_index(
-            topology, cache, requests, store=store, row_kernel=torus_row_kernel, **kwargs
+            topology, cache, requests, store=store, **kwargs
         )
         np.testing.assert_array_equal(churned.nodes, plain.nodes)
         np.testing.assert_array_equal(churned.dists, plain.dists)

@@ -165,3 +165,58 @@ class TestLargeRandomConsistency:
             assert np.all(np.diff(nodes) > 0)
             if nodes.size:
                 assert nodes.min() >= 0 and nodes.max() < 60
+
+
+class TestIndexAgainstUniqueOracle:
+    """The sort-based file index against a plain ``np.unique`` oracle."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_file_index_and_replication_counts(self, seed):
+        rng = np.random.default_rng(seed)
+        n, m, k = 50, 6, 40
+        # Files 0..29 only, drawn from a few values per node so nodes hold
+        # duplicates; files 30..39 are cached nowhere.
+        slots = rng.integers(0, 30, size=(n, m))
+        slots[:, m // 2 :] = slots[:, : m - m // 2]
+        state = CacheState(slots, k)
+        pairs = np.unique(
+            slots.reshape(-1) * n + np.repeat(np.arange(n), m)
+        )
+        files, nodes = pairs // n, pairs % n
+        counts = np.bincount(files, minlength=k)
+        indptr, flat_nodes = state.file_index()
+        np.testing.assert_array_equal(
+            indptr, np.concatenate([[0], np.cumsum(counts)])
+        )
+        np.testing.assert_array_equal(flat_nodes, nodes)
+        np.testing.assert_array_equal(state.replication_counts(), counts)
+        assert np.all(state.replication_counts()[30:] == 0)
+
+
+class TestContainsMany:
+    def test_matches_scalar_contains_everywhere(self):
+        state = small_state()
+        nodes, files = np.meshgrid(np.arange(4), np.arange(5), indexing="ij")
+        got = state.contains_many(nodes, files)
+        assert got.dtype == bool and got.shape == (4, 5)
+        for node in range(4):
+            for file_id in range(5):
+                assert got[node, file_id] == state.contains(node, file_id)
+
+    def test_broadcasts_one_file_per_row(self):
+        state = small_state()
+        nodes = np.asarray([[0, 1, 2, 3], [3, 2, 1, 0]])
+        files = np.asarray([[1], [3]])
+        np.testing.assert_array_equal(
+            state.contains_many(nodes, files),
+            [[True, True, False, False], [True, True, False, False]],
+        )
+
+    def test_random_states_match_membership_matrix(self):
+        rng = np.random.default_rng(4)
+        slots = rng.integers(0, 13, size=(37, 5))  # n * K not a multiple of 8
+        state = CacheState(slots, 13)
+        nodes, files = np.meshgrid(np.arange(37), np.arange(13), indexing="ij")
+        np.testing.assert_array_equal(
+            state.contains_many(nodes, files), state.node_membership_matrix()
+        )

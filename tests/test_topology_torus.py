@@ -160,6 +160,23 @@ class TestBalls:
         np.testing.assert_array_equal(torus.ball(40, r), expected)
         assert torus.ball_size(40, r) == expected.size == ball_size_torus(r, 9)
 
+    @pytest.mark.parametrize("side,radius", [(9, 4.0), (10, 2.5), (17, 8.0)])
+    def test_ball_matrix_rows_are_balls(self, side, radius):
+        """Each row lists B_r of its origin once, at the column distances."""
+        torus = Torus2D.from_side(side)
+        origins = np.array([0, side - 1, side * side // 2, side * side - 1])
+        members, dists = torus.ball_matrix(origins, radius)
+        assert members.shape == (origins.size, torus.ball_size(0, radius))
+        for origin, row in zip(origins, members):
+            np.testing.assert_array_equal(np.sort(row), torus.ball(origin, radius))
+            np.testing.assert_array_equal(torus.distances_from(origin, row), dists)
+
+    def test_ball_matrix_only_where_offsets_are_exact(self):
+        torus = Torus2D(81)  # side 9, diameter 8
+        assert torus.ball_matrix(np.empty(0, dtype=np.int64), 4)[0].shape == (0, 41)
+        for radius in (5, 8, np.inf, -1):  # wraps onto itself, or everything
+            assert torus.ball_matrix(np.array([0]), radius) is None
+
     def test_negative_radius_raises(self):
         with pytest.raises(TopologyError):
             Torus2D(25).ball(0, -1)
