@@ -3,7 +3,10 @@
 Every benchmark module regenerates one evaluation artifact of the paper
 (figure or theorem-check table) at a scaled-down size, prints the resulting
 table/plot to stdout (run pytest with ``-s`` to see it), and stores the raw
-results as JSON/CSV under ``benchmarks/results/``.
+results as JSON/CSV under ``benchmarks/results/``.  Those artifacts are
+deterministic and tracked.  Wall-clock reports (speedup tables, latency and
+recovery rates) change on every run, so they go to the untracked
+``.benchmarks/timings/`` instead.
 
 Two environment variables control the fidelity:
 
@@ -20,6 +23,7 @@ import platform
 from pathlib import Path
 
 RESULTS_DIR = Path(__file__).parent / "results"
+TIMINGS_DIR = Path(__file__).parent.parent / ".benchmarks" / "timings"
 
 
 def host_header() -> str:
@@ -51,3 +55,9 @@ def results_dir() -> Path:
     """Directory where benchmark artifacts (JSON/CSV/text) are written."""
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     return RESULTS_DIR
+
+
+def timings_dir() -> Path:
+    """Untracked directory where wall-clock reports are written."""
+    TIMINGS_DIR.mkdir(parents=True, exist_ok=True)
+    return TIMINGS_DIR

@@ -1,11 +1,11 @@
 """Speedup gates for the speculate-and-repair batch commit.
 
-Two claims, one artifact (``benchmarks/results/commit_speedup.txt``):
+Two claims, one artifact (``.benchmarks/timings/commit_speedup.txt``):
 
 * **the vectorised commit wins where the scalar loop was the bottleneck** —
   on the strategy II commit shape at paper scale (n = 65536 servers,
   m = 5 n requests, d = 2 distinct candidates each), the ``batch`` engine's
-  commit must beat the ``kernel`` engine's pure-Python loop by ≥ 2×
+  commit must beat the pure-Python loop of :mod:`repro.kernels.commit` by ≥ 2×
   (``REPRO_BENCH_COMMIT_FLOOR`` overrides the floor), bit-identically;
 * **the dual-view load vector retires the O(n)-per-window round-trip** —
   serving 16-request windows against the same n = 65536 network, the scalar
@@ -82,8 +82,8 @@ def commit_timings(strategy_two_sample):
     nodes, counts, indptr, uniforms = strategy_two_sample
     results = {}
 
-    def run_kernel():
-        results["kernel"] = scalar.commit_least_loaded_of_sample(
+    def run_scalar():
+        results["scalar"] = scalar.commit_least_loaded_of_sample(
             NUM_NODES, nodes, counts, indptr, uniforms
         )
 
@@ -92,11 +92,11 @@ def commit_timings(strategy_two_sample):
             NUM_NODES, nodes, counts, indptr, uniforms
         )
 
-    run_kernel()  # warm-up (list conversions, allocator)
+    run_scalar()  # warm-up (list conversions, allocator)
     run_batch()
-    timings = {"kernel": _best_of(run_kernel), "batch": _best_of(run_batch)}
+    timings = {"scalar": _best_of(run_scalar), "batch": _best_of(run_batch)}
     # Fast because it computes the same thing, not something else.
-    np.testing.assert_array_equal(results["batch"], results["kernel"])
+    np.testing.assert_array_equal(results["batch"], results["scalar"])
     return timings, bc.get_last_stats()
 
 
@@ -146,16 +146,16 @@ def window_timings():
     return timings
 
 
-def test_bench_commit_report(commit_timings, window_timings, artifact_dir):
+def test_bench_commit_report(commit_timings, window_timings, timing_dir):
     timings, stats = commit_timings
-    commit_speedup = timings["kernel"] / timings["batch"]
+    commit_speedup = timings["scalar"] / timings["batch"]
     window_speedup = window_timings["array round-trip"] / window_timings["LoadVector"]
     lines = [
         host_header(),
         f"strategy II commit @ n={NUM_NODES}, m={NUM_REQUESTS} (d=2)",
-        f"kernel (scalar loop)   {timings['kernel'] * 1e3:9.1f} ms",
+        f"scalar loop            {timings['scalar'] * 1e3:9.1f} ms",
         f"batch  (speculative)   {timings['batch'] * 1e3:9.1f} ms   "
-        f"{commit_speedup:5.1f}x vs kernel",
+        f"{commit_speedup:5.1f}x vs scalar loop",
         f"batch rounds={stats.rounds} chunks={stats.chunks} "
         f"vectorised={stats.committed_vectorised} scalar={stats.committed_scalar}",
         "",
@@ -167,16 +167,16 @@ def test_bench_commit_report(commit_timings, window_timings, artifact_dir):
     ]
     report = "\n".join(lines)
     print("\n" + report)
-    (artifact_dir / "commit_speedup.txt").write_text(report)
+    (timing_dir / "commit_speedup.txt").write_text(report)
 
 
 def test_bench_commit_gate(commit_timings):
     """batch must beat the pure-Python commit loop at paper scale."""
     timings, _ = commit_timings
-    speedup = timings["kernel"] / timings["batch"]
+    speedup = timings["scalar"] / timings["batch"]
     floor = _commit_floor()
     assert speedup >= floor, (
-        f"batch commit only {speedup:.2f}x over kernel at n={NUM_NODES}, "
+        f"batch commit only {speedup:.2f}x over the scalar loop at n={NUM_NODES}, "
         f"m={NUM_REQUESTS} (floor {floor}x)"
     )
 

@@ -102,7 +102,7 @@ def _loop_warm_build(topology, cache, requests, store: GroupStore) -> GroupIndex
     )
 
 
-def test_bench_precompute_warm_speedup(system, artifact_dir):
+def test_bench_precompute_warm_speedup(system, timing_dir):
     """Batch warm build ≥ 3× over the loop-based pre-PR build at n = 4096."""
     topology, cache, requests = system
     kwargs = dict(radius=RADIUS, fallback=FallbackPolicy.NEAREST, need_dists=True)
@@ -145,7 +145,7 @@ def test_bench_precompute_warm_speedup(system, artifact_dir):
         f"warm speedup  {speedup:.1f}x (floor {floor:g}x)\n"
     )
     print("\n" + report)
-    (artifact_dir / "precompute_speedup.txt").write_text(report)
+    (timing_dir / "precompute_speedup.txt").write_text(report)
     assert speedup >= floor, (
         f"warm group-index build only {speedup:.1f}x over the loop baseline"
     )

@@ -60,7 +60,7 @@ def supermarket():
     )
 
 
-def test_bench_queueing_kernel_speedup_over_reference(supermarket, artifact_dir):
+def test_bench_queueing_kernel_speedup_over_reference(supermarket, timing_dir):
     """The queueing kernel must beat the scalar reference by ≥ 3× at scale.
 
     The reference pass dominates the runtime so it is timed once; the kernel
@@ -90,7 +90,7 @@ def test_bench_queueing_kernel_speedup_over_reference(supermarket, artifact_dir)
         f"speedup   {speedup:.1f}x\n"
     )
     print("\n" + report)
-    (artifact_dir / "queueing_speedup.txt").write_text(report)
+    (timing_dir / "queueing_speedup.txt").write_text(report)
     assert speedup >= 3.0, (
         f"queueing kernel only {speedup:.1f}x faster than reference"
     )

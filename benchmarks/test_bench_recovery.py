@@ -5,7 +5,7 @@ committed requests (the PR 6/7 benchmark scale) is written the way the
 server writes it — micro-batches plus periodic checkpoints — then recovered
 with :func:`repro.service.journal.recover_session`, which replays every
 batch through a fresh session and verifies every checkpoint fingerprint.
-The artifact ``benchmarks/results/recovery.txt`` records the replay rate
+The artifact ``.benchmarks/timings/recovery.txt`` records the replay rate
 (req/s) and the end-to-end recovery wall-clock next to the standard host
 header; ``REPRO_BENCH_RECOVERY_FLOOR`` (req/s, default 2000) guards the
 replay rate.
@@ -77,7 +77,7 @@ def write_journal(path):
     return session
 
 
-def test_bench_recovery_replay_rate(tmp_path, artifact_dir):
+def test_bench_recovery_replay_rate(tmp_path, timing_dir):
     """Recover n=4096 from a journal; assert the replay-rate floor."""
     path = tmp_path / "wal"
     write_start = time.perf_counter()
@@ -109,7 +109,7 @@ def test_bench_recovery_replay_rate(tmp_path, artifact_dir):
         f"replay     {replay_rate:.0f} req/s\n"
     )
     print("\n" + artifact)
-    (artifact_dir / "recovery.txt").write_text(artifact)
+    (timing_dir / "recovery.txt").write_text(artifact)
 
     assert replay_rate >= RATE_FLOOR, (
         f"replayed only {replay_rate:.0f} req/s (floor {RATE_FLOOR:g} req/s)"

@@ -11,7 +11,7 @@ stack):
 * **Throughput/latency** — an open-loop ``run_loadgen`` pass measures the
   achieved rate and the client-observed p50/p99, asserts the rate floor
   (``REPRO_BENCH_SERVICE_FLOOR`` requests/s, default 50) and writes
-  ``benchmarks/results/service_latency.txt`` with the host header.
+  ``.benchmarks/timings/service_latency.txt`` with the host header.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ def test_bench_service_concurrent_clients_bit_identical():
     print(f"\n{NUM_CLIENTS} concurrent clients committed in {flushes} micro-batches")
 
 
-def test_bench_service_throughput_and_latency(artifact_dir):
+def test_bench_service_throughput_and_latency(timing_dir):
     """Open-loop load sustains the rate floor; p50/p99 go into the artifact."""
 
     async def scenario():
@@ -103,7 +103,7 @@ def test_bench_service_throughput_and_latency(artifact_dir):
     artifact = (
         f"{host_header()}\n"
         f"dispatch service @ n={NUM_NODES}, K={NUM_FILES}, strategy="
-        f"proximity_two_choice(r=3), engine=kernel, in-process loopback\n"
+        f"proximity_two_choice(r=3), engine=auto, in-process loopback\n"
         f"open-loop load: target {report.target_rate:g} req/s for "
         f"{LOAD_DURATION:g}s, {NUM_CLIENTS} connections, Zipf(0.8) files\n"
         f"offered   {report.offered} requests\n"
@@ -119,7 +119,7 @@ def test_bench_service_throughput_and_latency(artifact_dir):
         f"{metrics['dispatch_latency']['p99_ms']:.3f} ms\n"
     )
     print("\n" + artifact)
-    (artifact_dir / "service_latency.txt").write_text(artifact)
+    (timing_dir / "service_latency.txt").write_text(artifact)
 
     assert report.errors == 0, f"{report.errors} failed dispatches"
     assert report.completed == report.offered

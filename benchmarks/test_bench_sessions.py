@@ -49,7 +49,7 @@ REUSE_TRIALS = 8
 REUSE_SEED = 42
 
 
-def test_bench_session_artifact_reuse_beats_rebuild(artifact_dir):
+def test_bench_session_artifact_reuse_beats_rebuild(timing_dir):
     """``run_trials`` with artifact reuse must beat the per-trial-rebuild path.
 
     Both paths run the exact same child seeds, so their per-trial results are
@@ -84,7 +84,7 @@ def test_bench_session_artifact_reuse_beats_rebuild(artifact_dir):
         f"speedup           {speedup:.2f}x\n"
     )
     print("\n" + report)
-    (artifact_dir / "session_reuse.txt").write_text(report)
+    (timing_dir / "session_reuse.txt").write_text(report)
     assert speedup >= 1.15, (
         f"artifact reuse only {speedup:.2f}x faster than per-trial rebuild"
     )

@@ -55,7 +55,8 @@ async def serve_and_verify(seed: int = 9) -> None:
     """Burst NUM_CLIENTS concurrent dispatches, then replay them offline."""
     async with DispatchServer(make_session(), flush_interval=0.01) as server:
         host, port = server.address
-        print(f"dispatch server on http://{host}:{port} ({server.kind}/kernel)")
+        engine = server.publisher.engine
+        print(f"dispatch server on http://{host}:{port} ({server.kind}/{engine})")
 
         rng = np.random.default_rng(seed)
         origins = rng.integers(0, NUM_NODES, size=NUM_CLIENTS)

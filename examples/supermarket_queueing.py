@@ -6,7 +6,7 @@ that the same load-balancing behaviour carries over to the dynamic setting in
 which requests arrive as a Poisson process and each server works through a
 queue.  This example runs that dynamic system on the fastest queueing engine
 registered on this machine (``engine="auto"`` resolves through
-``repro.backends`` — the event-batched kernel by default, its
+``repro.backends`` — the event-batched ``batch`` engine by default, its
 ``@njit``-compiled variant where numba is importable; every engine is
 bit-identical to the scalar reference) and demonstrates the two surfaces
 added for it:

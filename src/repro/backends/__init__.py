@@ -6,7 +6,7 @@ This package is the seam every compute backend plugs into:
   capabilities, availability, ``"auto"`` resolution and the uniform
   :class:`~repro.exceptions.UnknownEngineError`.
 * :mod:`repro.backends.builtin` — registration of the built-in engines
-  (``reference``, ``kernel``, ``numba``), loaded lazily on first resolution.
+  (``reference``, ``batch``, ``numba``), loaded lazily on first resolution.
 * :mod:`repro.backends.numba_backend` — ``@njit``-compiled commit loops for
   both stacks, available when ``import numba`` succeeds.
 

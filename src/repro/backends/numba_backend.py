@@ -28,7 +28,7 @@ to a no-op decorator — so the transcriptions themselves stay testable
 (``tests/test_backends_numba_fallback.py`` runs them in pure Python against
 the reference engine).  The registry, however, only offers the ``numba``
 engine when ``import numba`` succeeds; without it, ``"auto"`` falls back to
-the ``kernel`` engine and explicit ``engine="numba"`` requests raise
+the ``batch`` engine and explicit ``engine="numba"`` requests raise
 :class:`~repro.exceptions.UnknownEngineError`.
 """
 

@@ -1,10 +1,9 @@
 """The engine registry: one place that owns backend names and capabilities.
 
-Before this layer existed, engine selection was a raw ``"kernel"`` /
-``"reference"`` string copy-pasted through every surface of the package, each
-with its own tuple of valid names and its own error message — which made
-adding a backend (numba today, Cython or multiprocess variants later) a
-17-file change.  The registry centralises all of it:
+Before this layer existed, engine selection was a raw engine-name string
+copy-pasted through every surface of the package, each with its own tuple of
+valid names and its own error message — which made adding a backend (numba
+today, Cython later) a 17-file change.  The registry centralises all of it:
 
 * :func:`register_engine` declares a backend once: its name, its **family**
   (``"assignment"`` for the static d-choice stack, ``"queueing"`` for the
@@ -17,34 +16,24 @@ adding a backend (numba today, Cython or multiprocess variants later) a
   (``CacheNetworkSimulation.run``, ``open_session``, ``run_trials``, the
   CLI's shared ``--engine`` flag, …).  Unknown or unavailable specs raise
   :class:`~repro.exceptions.UnknownEngineError` with a uniform message
-  listing what is registered.
-* Engines registered with a ``configure`` hook additionally accept
-  **option specs** of the form ``"name:options"`` (e.g. ``"sharded:4"`` or
-  ``"sharded:2:stale"``): resolution splits at the first colon, validates
-  the options through the hook, and returns a derived :class:`Engine`
-  whose ``name`` keeps the full spec — so sessions pin and record exactly
-  what the user asked for, and re-resolving a recorded name round-trips.
+  listing what is registered.  Engines take no options: a spec is a name.
 
-Built-in engines (``reference``, ``kernel``, and ``numba`` when importable)
+Built-in engines (``reference``, ``batch``, and ``numba`` when importable)
 are registered lazily on first resolution by :mod:`repro.backends.builtin`;
 this module itself imports nothing heavy, so any layer may depend on it
 without creating import cycles.
 
 Every registered engine of a family is held to the same **bit-identity
 obligation**: for any seed it must produce exactly the results of the
-family's ``reference`` engine (the in-process differential suites
-parametrise their engine list from this registry, so registering a backend
-automatically puts it under test; multi-process engines — ``in_process =
-False`` — are covered by their own dedicated suites, e.g.
-``tests/test_backends_sharded_differential.py``, and may additionally offer
-documented relaxed modes such as the sharded engine's bounded-staleness
-mode).
+family's ``reference`` engine (the differential suites parametrise their
+engine list from this registry, so registering a backend automatically puts
+it under test).
 """
 
 from __future__ import annotations
 
 import importlib.util
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from repro.exceptions import UnknownEngineError
@@ -100,21 +89,6 @@ class Engine:
     supports_streaming: bool
     description: str
     loader: Callable[[], Mapping[str, Callable]]
-    #: Whether the engine runs inside the calling process.  Multi-process
-    #: engines set this false; the in-process differential suites skip them
-    #: (they have dedicated suites) and ``repro engines`` surfaces their
-    #: resolved worker count via ``runtime_info``.
-    in_process: bool = True
-    #: Optional hook turning an option string (the part after the first
-    #: colon of a ``"name:options"`` spec) into a loader for the configured
-    #: operation table.  Must validate eagerly and raise ``ValueError`` for
-    #: malformed options.
-    configure: Callable[[str], Callable[[], Mapping[str, Callable]]] | None = field(
-        default=None, repr=False
-    )
-    #: Optional zero-argument hook returning a short human-readable runtime
-    #: note (e.g. the resolved worker count) for ``repro engines``.
-    runtime_info: Callable[[], str] | None = field(default=None, repr=False)
     _fns: Mapping[str, Callable] | None = field(default=None, repr=False)
 
     @property
@@ -173,9 +147,6 @@ def register_engine(
     priority: int = 0,
     supports_streaming: bool = True,
     description: str = "",
-    in_process: bool = True,
-    configure: Callable[[str], Callable[[], Mapping[str, Callable]]] | None = None,
-    runtime_info: Callable[[], str] | None = None,
 ) -> Engine:
     """Register an execution backend under ``name`` for ``family``.
 
@@ -201,22 +172,11 @@ def register_engine(
         hooks (``streams`` / ``loads`` / ``store``) used by the session layer.
     description:
         One line for ``repro engines`` output.
-    in_process:
-        False for engines that spawn worker processes; see :class:`Engine`.
-    configure:
-        Option-spec hook; see :class:`Engine`.  An engine without it rejects
-        ``"name:options"`` specs.
-    runtime_info:
-        Runtime-note hook for ``repro engines``; see :class:`Engine`.
     """
     if not name or not isinstance(name, str):
         raise UnknownEngineError(f"engine name must be a non-empty string, got {name!r}")
     if name == AUTO:
         raise UnknownEngineError(f"engine name {AUTO!r} is reserved for resolution")
-    if ":" in name:
-        raise UnknownEngineError(
-            f"engine name {name!r} may not contain ':' (reserved for option specs)"
-        )
     table = _family_table(family)
     loader = commit_fns if callable(commit_fns) else (lambda fns=commit_fns: fns)
     engine = Engine(
@@ -227,9 +187,6 @@ def register_engine(
         supports_streaming=bool(supports_streaming),
         description=description,
         loader=loader,
-        in_process=bool(in_process),
-        configure=configure,
-        runtime_info=runtime_info,
     )
     table[name] = engine
     return engine
@@ -289,14 +246,10 @@ def resolve_engine(spec: "str | EngineSpec | None", family: str) -> Engine:
     """Resolve an engine spec to its registered :class:`Engine`.
 
     ``spec`` may be ``"auto"`` / ``None`` (the fastest available engine of
-    the family), an explicit engine name, a ``"name:options"`` option spec
-    (for engines registered with a ``configure`` hook, e.g.
-    ``"sharded:4:stale"`` — the derived engine's ``name`` keeps the full
-    spec so it round-trips through session snapshots), or an
-    :class:`EngineSpec`.  Raises
+    the family), an explicit engine name, or an :class:`EngineSpec`.  Raises
     :class:`~repro.exceptions.UnknownEngineError` — always listing what is
-    registered — for unknown names, malformed options, unavailable
-    backends, and family mismatches.
+    registered — for unknown names, unavailable backends, and family
+    mismatches.
     """
     _ensure_builtins()
     table = _family_table(family)
@@ -321,15 +274,6 @@ def resolve_engine(spec: "str | EngineSpec | None", family: str) -> Engine:
             f"registered {family} engines: {_registered_summary(family)}"
         )
     engine = table.get(spec)
-    options: str | None = None
-    if engine is None and ":" in spec:
-        base, _, options = spec.partition(":")
-        engine = table.get(base)
-        if engine is not None and engine.configure is None:
-            raise UnknownEngineError(
-                f"{family} engine {base!r} takes no options (got {spec!r}); "
-                f"registered: {_registered_summary(family)}"
-            )
     if engine is None:
         raise UnknownEngineError(
             f"unknown {family} engine {spec!r}; registered: {_registered_summary(family)}"
@@ -339,17 +283,6 @@ def resolve_engine(spec: "str | EngineSpec | None", family: str) -> Engine:
             f"{family} engine {spec!r} is not available here "
             f"({engine.unavailable_reason}); registered: {_registered_summary(family)}"
         )
-    if options is not None:
-        try:
-            loader = engine.configure(options)
-        except ValueError as exc:
-            raise UnknownEngineError(
-                f"invalid options {options!r} for {family} engine "
-                f"{engine.name!r}: {exc}"
-            ) from exc
-        # A derived copy pinned to the full spec; not stored in the table, so
-        # every resolution of the same spec re-validates and re-configures.
-        engine = replace(engine, name=spec, loader=loader, _fns=None)
     return engine
 
 

@@ -634,8 +634,6 @@ def _command_engines(args: argparse.Namespace) -> int:
         for order, engine in enumerate(registered_engines(family), start=1):
             if engine.available:
                 status, note = "yes", engine.description
-                if engine.runtime_info is not None:
-                    note = f"{note}; {engine.runtime_info()}"
             else:
                 status, note = "no", engine.unavailable_reason
             rows.append(

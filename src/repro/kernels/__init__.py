@@ -23,8 +23,9 @@ vector* and splits assignment into:
 RNG-stream contract
 -------------------
 
-Both engines (batched ``"kernel"`` and scalar ``"reference"``) derive the same
-two independent streams from the strategy seed::
+Every engine (the batched ``"batch"`` and ``"numba"`` and the scalar
+``"reference"``) derives the same two independent streams from the strategy
+seed::
 
     rng_sample, rng_tie = spawn_generators(seed, 2)
 
@@ -38,9 +39,9 @@ two independent streams from the strategy seed::
   consumed whether or not a tie occurs; whenever ``t`` options tie, the winner
   is option ``floor(u * t)`` in candidate order.
 
-Because ``Generator.random(k)`` consumes exactly ``k`` doubles, the kernel
-engine can draw each stream in one batched call while the reference engine
-draws scalar-wise, and both observe identical values — which is why the two
+Because ``Generator.random(k)`` consumes exactly ``k`` doubles, the batched
+entry points can draw each stream in one call while the reference engine
+draws scalar-wise, and both observe identical values — which is why the
 engines produce **bit-identical** :class:`~repro.strategies.base.
 AssignmentResult` arrays for any seed (enforced by
 ``tests/test_kernels_differential.py``).
@@ -63,10 +64,12 @@ implemented by the event-batched and scalar engines in
 ``tests/test_kernels_queueing_differential.py``.
 
 Engine *selection* lives one layer up, in :mod:`repro.backends`: the
-registry maps engine names (``reference`` / ``kernel`` / ``numba`` / …) to
-the callables in this package, and the batched entry points expose
-``commit=`` hooks so compiled backends reuse the whole precompute while
-swapping only the sequential loops.
+registry maps engine names (``reference`` / ``batch`` / ``numba``) to the
+callables in this package, and the batched entry points expose ``commit=``
+hooks so the ``batch`` and ``numba`` engines reuse the whole precompute while
+swapping only the sequential loops.  The default ``commit=`` is the
+pure-Python loop of :mod:`repro.kernels.commit`: ``batch``'s fallback and the
+source the numba loops transcribe.
 """
 
 from repro.kernels.commit import (

@@ -39,10 +39,10 @@ chunks.
 Every function here is a drop-in for its namesake in
 :mod:`repro.kernels.commit` / :mod:`repro.kernels.queueing` — same
 signatures, bit-identical outputs for any input — and is registered as the
-``batch`` engine (option spec ``batch[:rounds]``, where ``rounds`` caps the
-repair rounds per chunk before the scalar fallback).  When numba is
-importable, the repair round of the ``of_sample`` family runs as a single
-compiled pass (:func:`repro.backends.numba_backend.repair_round_of_sample`).
+``batch`` engine; :data:`DEFAULT_MAX_ROUNDS` caps the repair rounds per chunk
+before the scalar fallback.  When numba is importable, the repair round of
+the ``of_sample`` family runs as a single compiled pass
+(:func:`repro.backends.numba_backend.repair_round_of_sample`).
 
 The queueing variant batches the arrivals between consecutive departures:
 arrivals strictly before the next due departure are speculated in one round,
@@ -72,11 +72,10 @@ __all__ = [
     "commit_threshold_hybrid",
     "commit_window",
     "get_last_stats",
-    "parse_options",
 ]
 
-#: Repair rounds per chunk before the scalar fallback (the ``batch:rounds``
-#: option overrides this).
+#: Repair rounds per chunk before the scalar fallback (read at call time, so
+#: tests lower or lift the cap by patching it).
 DEFAULT_MAX_ROUNDS = 32
 
 #: A round committing fewer than ``active >> _PROGRESS_SHIFT`` requests
@@ -123,26 +122,6 @@ def _reset_stats() -> BatchCommitStats:
     global _LAST_STATS
     _LAST_STATS = BatchCommitStats()
     return _LAST_STATS
-
-
-def parse_options(options: str | None) -> int | None:
-    """Parse the ``batch[:rounds]`` option spec; ``None`` means the default.
-
-    Raises :class:`ValueError` on anything but a positive integer round cap,
-    so the registry rejects malformed specs at resolution time.
-    """
-    if options is None or options == "":
-        return None
-    try:
-        rounds = int(options)
-    except ValueError:
-        raise ValueError(
-            "batch engine options must be 'batch[:rounds]' with a positive "
-            f"integer round cap, got {options!r}"
-        ) from None
-    if rounds < 1:
-        raise ValueError(f"batch round cap must be >= 1, got {rounds}")
-    return rounds
 
 
 # ------------------------------------------------------------------ plumbing
@@ -317,14 +296,14 @@ def _speculate_hybrid(loads, nd, dd, counts, iptr, u, threshold):
 
 
 # ------------------------------------------------------------- chunk drivers
-def _drain_chunk_uniform(loads, nodes, width, lo, hi, uniforms, out, first, max_rounds, stats):
+def _drain_chunk_uniform(loads, nodes, width, lo, hi, uniforms, out, first, stats):
     """Repair rounds over a fixed-width chunk; returns the uncommitted ids."""
     req = np.arange(lo, hi, dtype=np.int64)
     cand = nodes[lo * width : hi * width].reshape(-1, width)
     u = uniforms[lo:hi]
     rounds = 0
     while req.size:
-        if rounds >= max_rounds:
+        if rounds >= DEFAULT_MAX_ROUNDS:
             return req
         active = req.size
         wcol = _pick_uniform(loads, cand, u)
@@ -347,7 +326,7 @@ def _drain_chunk_uniform(loads, nodes, width, lo, hi, uniforms, out, first, max_
     return req
 
 
-def _drain_chunk_pairs(loads, nodes, lo, hi, uniforms, out, stamp, max_rounds, stats):
+def _drain_chunk_pairs(loads, nodes, lo, hi, uniforms, out, stamp, stats):
     """Width-2 repair rounds in flat 1-D ops (the paper's d = 2 hot shape).
 
     Semantically identical to :func:`_drain_chunk_uniform` at ``width == 2``
@@ -370,7 +349,7 @@ def _drain_chunk_pairs(loads, nodes, lo, hi, uniforms, out, stamp, max_rounds, s
     rows_rev = np.repeat(np.arange(width - 1, -1, -1, dtype=np.int64), 2)
     rounds = 0
     while req.size:
-        if rounds >= max_rounds:
+        if rounds >= DEFAULT_MAX_ROUNDS:
             return req
         active = req.size
         l0 = loads[c0]
@@ -408,7 +387,7 @@ def _drain_chunk_pairs(loads, nodes, lo, hi, uniforms, out, stamp, max_rounds, s
 
 def _drain_chunk_csr(
     loads, nodes, dists, starts0, counts0, lo, hi, uniforms, out, first,
-    max_rounds, stats, speculate, fused=None,
+    stats, speculate, fused=None,
 ):
     """Repair rounds over a variable-width chunk; returns the uncommitted ids.
 
@@ -421,7 +400,7 @@ def _drain_chunk_csr(
     u = uniforms[lo:hi]
     rounds = 0
     while req.size:
-        if rounds >= max_rounds:
+        if rounds >= DEFAULT_MAX_ROUNDS:
             return req
         active = req.size
         iptr = _layout(counts)
@@ -485,15 +464,12 @@ def commit_least_loaded_of_sample(
     sample_indptr: IntArray,
     tie_uniforms: np.ndarray,
     initial_loads: IntArray | None = None,
-    *,
-    max_rounds: int | None = None,
 ) -> IntArray:
     """Batch drop-in for :func:`repro.kernels.commit.commit_least_loaded_of_sample`."""
     m = int(sample_counts.size)
     stats = _reset_stats()
     if m == 0:
         return np.empty(0, dtype=np.int64)
-    rounds = DEFAULT_MAX_ROUNDS if max_rounds is None else int(max_rounds)
     loads, writeback = _resolve_loads(num_nodes, initial_loads)
     out = np.empty(m, dtype=np.int64)
     wmin = int(sample_counts.min())
@@ -513,17 +489,17 @@ def commit_least_loaded_of_sample(
         if wmin == wmax == 2 and fused is None:
             leftover = _drain_chunk_pairs(
                 loads, sample_nodes, lo, hi, tie_uniforms, out,
-                _pairs_scratch(int(num_nodes)), rounds, stats,
+                _pairs_scratch(int(num_nodes)), stats,
             )
         elif wmin == wmax and fused is None:
             leftover = _drain_chunk_uniform(
                 loads, sample_nodes, wmin, lo, hi, tie_uniforms, out, first,
-                rounds, stats,
+                stats,
             )
         else:
             leftover = _drain_chunk_csr(
                 loads, sample_nodes, None, starts0, sample_counts, lo, hi,
-                tie_uniforms, out, first, rounds, stats,
+                tie_uniforms, out, first, stats,
                 _speculate_of_sample, fused=fused,
             )
         if leftover.size:
@@ -550,15 +526,12 @@ def commit_least_loaded_scan(
     request_counts: IntArray,
     tie_uniforms: np.ndarray,
     initial_loads: IntArray | None = None,
-    *,
-    max_rounds: int | None = None,
 ) -> IntArray:
     """Batch drop-in for :func:`repro.kernels.commit.commit_least_loaded_scan`."""
     m = int(request_starts.size)
     stats = _reset_stats()
     if m == 0:
         return np.empty(0, dtype=np.int64)
-    rounds = DEFAULT_MAX_ROUNDS if max_rounds is None else int(max_rounds)
     loads, writeback = _resolve_loads(num_nodes, initial_loads)
     out = np.empty(m, dtype=np.int64)
     if int(request_counts.max()) == 1:
@@ -576,7 +549,7 @@ def commit_least_loaded_scan(
         stats.chunks += 1
         leftover = _drain_chunk_csr(
             loads, cand_nodes, cand_dists, request_starts, request_counts,
-            lo, hi, tie_uniforms, out, first, rounds, stats, speculate,
+            lo, hi, tie_uniforms, out, first, stats, speculate,
         )
         if leftover.size:
             stats.fallbacks += 1
@@ -603,15 +576,12 @@ def commit_threshold_hybrid(
     threshold: float,
     tie_uniforms: np.ndarray,
     initial_loads: IntArray | None = None,
-    *,
-    max_rounds: int | None = None,
 ) -> IntArray:
     """Batch drop-in for :func:`repro.kernels.commit.commit_threshold_hybrid`."""
     m = int(sample_indptr.size) - 1
     stats = _reset_stats()
     if m == 0:
         return np.empty(0, dtype=np.int64)
-    rounds = DEFAULT_MAX_ROUNDS if max_rounds is None else int(max_rounds)
     loads, writeback = _resolve_loads(num_nodes, initial_loads)
     out = np.empty(m, dtype=np.int64)
     counts = np.diff(sample_indptr)
@@ -634,7 +604,7 @@ def commit_threshold_hybrid(
         stats.chunks += 1
         leftover = _drain_chunk_csr(
             loads, sample_nodes, sample_dists, starts0, counts, lo, hi,
-            tie_uniforms, out, first, rounds, stats, speculate,
+            tie_uniforms, out, first, stats, speculate,
         )
         if leftover.size:
             stats.fallbacks += 1
@@ -659,8 +629,6 @@ def commit_window(
     sample_nodes: IntArray,
     sample_counts: IntArray,
     sample_indptr: IntArray,
-    *,
-    max_rounds: int | None = None,
 ) -> IntArray:
     """Batch drop-in for :func:`repro.kernels.queueing.commit_window`.
 
@@ -669,11 +637,10 @@ def commit_window(
     through a scalar mini-loop replaying the event loop's exact float
     accounting.  Heavy traffic shortens the segments until speculation stops
     paying, at which point the remainder of the window falls back to the
-    scalar event loop.  ``max_rounds`` is accepted for option-spec parity;
-    the queueing round structure is governed by departures, so the low
-    progress fallback (not a round cap) bounds the adversarial case.
+    scalar event loop.  The queueing round structure is governed by
+    departures, so the low-progress fallback (not a round cap) bounds the
+    adversarial case.
     """
-    del max_rounds
     from repro.kernels import queueing as _queueing
 
     m = int(times.size)

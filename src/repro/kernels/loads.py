@@ -18,8 +18,8 @@ vector, which is exactly how the commit loops use it.
 
 The class also quacks enough like an ndarray (``__array__``, ``__iadd__``,
 slice assignment) that existing engine code — ``loads += np.bincount(...)``,
-the sharded backend's ``np.asarray(loads)`` / ``loads[:] = shared`` write-back
-— works unchanged when handed a :class:`LoadVector` instead of a bare array.
+``np.asarray(loads)``, ``loads[:] = other`` — works unchanged when handed a
+:class:`LoadVector` instead of a bare array.
 """
 
 from __future__ import annotations

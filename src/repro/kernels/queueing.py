@@ -1,7 +1,7 @@
 """Event-batched queueing engines (the dynamic supermarket model's kernels).
 
 The discrete-event supermarket simulation has the same shape the static
-strategies had before the kernel engine: per arrival, one topology query,
+strategies had before the batched kernels: per arrival, one topology query,
 several small-array numpy operations and up to three RNG calls — pure
 dispatch overhead around a tiny amount of sequential work.  This module
 applies the PR-1 precompute/commit split to the event loop:
@@ -26,8 +26,9 @@ applies the PR-1 precompute/commit split to the event loop:
 Queueing RNG-stream contract
 ----------------------------
 
-Both engines (batched ``"kernel"`` and scalar ``"reference"``) derive the
-same three independent streams from the dispatch seed::
+Every engine (the event-batched ``"batch"`` and ``"numba"`` and the scalar
+``"reference"``) derives the same three independent streams from the
+dispatch seed::
 
     rng_sample, rng_tie, rng_service = spawn_generators(dispatch_seed, 3)
 

@@ -3,7 +3,7 @@
 These are the pre-kernel per-request implementations, restructured only in how
 they consume randomness so that they follow the RNG-stream contract documented
 in ``repro/kernels/__init__.py``.  They exist for differential testing: the
-batched kernel engine must produce bit-identical results to this module for
+batched engines must produce bit-identical results to this module for
 every seed, and when the two disagree the reference engine is authoritative —
 it is the direct transcription of the paper's process definitions, with no
 batching, CSR indexing or vectorised sampling to hide a bug in.

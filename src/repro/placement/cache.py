@@ -146,7 +146,7 @@ class CacheState:
 
         Row ``f`` is ``nodes[indptr[f]:indptr[f + 1]]`` — the same sorted
         replica list :meth:`file_nodes` returns, exposed wholesale so the
-        kernel engine can address every replica set without per-file calls.
+        batched kernels can address every replica set without per-file calls.
         Both arrays are read-only views; do not mutate them.
         """
         return self._file_index_ptr, self._file_index_nodes

@@ -8,7 +8,7 @@ generator (:func:`~repro.service.loadgen.run_loadgen`).  Exposed on the CLI
 as ``repro serve`` and ``repro loadgen``.
 """
 
-from repro.service.chaos import ChaosClient, ServerChaos, kill_shard_worker
+from repro.service.chaos import ChaosClient, ServerChaos
 from repro.service.client import DispatchClient, DispatchServiceError, DispatchTimeout
 from repro.service.journal import (
     DispatchJournal,
@@ -62,7 +62,6 @@ __all__ = [
     "StateSnapshot",
     "StreamingStats",
     "build_session_from_spec",
-    "kill_shard_worker",
     "read_journal",
     "recover_session",
     "run_loadgen",

@@ -3,7 +3,7 @@
 Chaos here is *seeded*, never random-by-default: every scenario a test (or
 ``make test-chaos``) runs is reproducible bit for bit, which is what lets
 the suite end each scenario in an equality assertion instead of a shrug.
-Three injection surfaces:
+Two injection surfaces:
 
 * :class:`ServerChaos` — hooks the :class:`~repro.service.server.
   DispatchServer` writer.  ``stall_after_batches`` wedges the writer for
@@ -19,8 +19,6 @@ Three injection surfaces:
   client sees a transport error and retries — exactly the ambiguity
   idempotency keys resolve), or delayed.  Only dispatch POSTs are
   perturbed; reads stay clean.
-* :func:`kill_shard_worker` — SIGKILLs one worker of a sharded fleet, for
-  supervision tests (detection, bounded respawn, bit-identical re-run).
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from typing import Any
 
 from repro.service.client import DispatchClient
 
-__all__ = ["ChaosClient", "ServerChaos", "kill_shard_worker"]
+__all__ = ["ChaosClient", "ServerChaos"]
 
 
 class ServerChaos:
@@ -154,16 +152,3 @@ class ChaosClient(DispatchClient):
             raise ConnectionResetError("chaos: response dropped after commit")
         return result
 
-
-def kill_shard_worker(runtime, shard: int) -> None:
-    """SIGKILL one worker process of a sharded fleet (supervision tests).
-
-    ``runtime`` is a :class:`repro.backends.sharded._ShardedRuntime`; the
-    kill is joined so the death is observable (``dead_workers``) before the
-    caller proceeds.
-    """
-    process = runtime.processes[shard]
-    if process.pid is None:
-        raise RuntimeError(f"shard {shard} was never started")
-    os.kill(process.pid, signal.SIGKILL)
-    process.join(timeout=5.0)

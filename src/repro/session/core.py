@@ -465,7 +465,7 @@ class CacheNetworkSession:
                     raise StrategyError(
                         f"engine {self._strategy.engine!r} cannot serve incrementally; "
                         "open the session with a streaming-capable engine "
-                        "(e.g. 'kernel') for windowed serving"
+                        "(e.g. 'batch') for windowed serving"
                     )
                 result = self._strategy.assign(
                     self._topology, self._cache, requests, seed=self._rng_strategy

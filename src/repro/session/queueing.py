@@ -142,7 +142,7 @@ class QueueingSession:
     engine:
         Execution-engine spec, resolved once through the backend registry
         (family ``"queueing"``): ``"auto"`` (default, fastest available),
-        an explicit name (``"kernel"``, ``"reference"``, ``"numba"``), or an
+        an explicit name (``"batch"``, ``"reference"``, ``"numba"``), or an
         :class:`~repro.backends.registry.EngineSpec`.  The session pins the
         resolved engine for its lifetime; all engines support windowed
         serving and are bit-identical for any seed.
@@ -402,12 +402,6 @@ class QueueingSession:
             store=self._store,
             node_weights=self._node_weights,
         )
-        if decisions is None:
-            raise ConfigurationError(
-                f"engine {self._engine!r} does not report per-arrival dispatch "
-                "decisions; open the session with an in-process engine "
-                "(e.g. 'kernel') to use dispatch_batch"
-            )
         self._served_until = window_end
         self._windows += 1
         return decisions

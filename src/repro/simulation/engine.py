@@ -77,7 +77,7 @@ class CacheNetworkSimulation:
         When set, overrides the assignment strategy's execution engine with
         any spec the backend registry (:mod:`repro.backends.registry`)
         resolves: ``"auto"`` (fastest available), an explicit name such as
-        ``"kernel"``, ``"reference"`` or ``"numba"``, or an
+        ``"batch"``, ``"reference"`` or ``"numba"``, or an
         :class:`~repro.backends.registry.EngineSpec`.  Resolution happens
         here, once; all engines are bit-identical for the same seed, so this
         never changes simulated results — only how fast they are computed.

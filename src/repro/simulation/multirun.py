@@ -72,7 +72,7 @@ def run_trials(
         each trial, e.g. for logging long sweeps.
     assignment_engine:
         Optional execution-engine override — any spec the backend registry
-        resolves (``"auto"``, ``"kernel"``, ``"reference"``, ``"numba"``,
+        resolves (``"auto"``, ``"batch"``, ``"reference"``, ``"numba"``,
         …).  Resolved once, before the first trial; results are bit-identical
         between engines for the same seed.
     artifacts:

@@ -6,7 +6,7 @@ picklable :class:`~repro.simulation.config.SimulationConfig` — (b) keeping
 trials statistically independent and reproducible — solved by spawning
 per-trial :class:`numpy.random.SeedSequence` children in the parent and
 sending the entropy to workers — and (c) not paying the component build per
-trial now that the kernel engine made individual trials cheap.  The last
+trial now that the batched kernels made individual trials cheap.  The last
 point is why workers receive *batches* of trials: each worker task builds the
 components once (a :class:`~repro.simulation.engine.CacheNetworkSimulation`
 with its own :class:`~repro.session.artifacts.ArtifactCache`) and runs its

@@ -23,10 +23,11 @@ Execution engines
 the backend registry (:mod:`repro.backends.registry`), all implementing the
 **queueing RNG-stream contract** documented in :mod:`repro.kernels.queueing`:
 
-* ``engine="kernel"`` — the event-batched engine: candidate sets resolve
+* ``engine="batch"`` — the event-batched engine: candidate sets resolve
   through the memoised group index, all sampling / tie-break / service
   randomness is drawn in three batched calls, and the remaining sequential
-  event loop runs over plain Python ints and floats;
+  event loop speculates over the arrivals between departures, falling back
+  to a loop over plain Python ints and floats;
 * ``engine="numba"`` (when numba is importable) — the same precompute with
   the event loop compiled by ``@njit``;
 * ``engine="reference"`` — the scalar per-arrival transcription, kept boring
@@ -34,7 +35,7 @@ the backend registry (:mod:`repro.backends.registry`), all implementing the
 * ``engine="auto"`` (default) — the fastest available of the above.
 
 All engines are **bit-identical** for any seed (enforced by
-``tests/test_kernels_queueing_differential.py``); the kernel engine is ~10×
+``tests/test_kernels_queueing_differential.py``); the batch engine is ~10×
 faster than reference at figure scale.  ``run`` is itself a thin wrapper over
 :class:`~repro.session.queueing.QueueingSession` serving one window, so a
 one-shot run is also bit-identical to any window-partitioned session serving

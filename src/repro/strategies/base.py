@@ -214,7 +214,7 @@ class AssignmentStrategy(ABC):
 
     #: Resolved execution-engine name; subclasses overwrite this in
     #: ``__init__`` via :meth:`_resolve_engine_spec`.
-    _engine: str = "kernel"
+    _engine: str = "batch"
 
     @staticmethod
     def _resolve_engine_spec(engine) -> str:
@@ -223,7 +223,7 @@ class AssignmentStrategy(ABC):
 
     @property
     def engine(self) -> str:
-        """Resolved execution-engine name (e.g. ``"kernel"``)."""
+        """Resolved execution-engine name (e.g. ``"batch"``)."""
         return self._engine
 
     @property

@@ -60,7 +60,7 @@ class ProximityTwoChoiceStrategy(AssignmentStrategy):
     engine:
         Execution-engine spec, resolved once through the backend registry
         (:mod:`repro.backends.registry`): ``"auto"`` (default, the fastest
-        available backend), an explicit name such as ``"kernel"``,
+        available backend), an explicit name such as ``"batch"``,
         ``"reference"`` or ``"numba"``, or an
         :class:`~repro.backends.registry.EngineSpec`.  All engines produce
         bit-identical results for the same seed.

@@ -12,9 +12,7 @@ hold for the bounded grid as well).  This subpackage provides:
   one, the "no proximity structure" reference,
 * vectorised distance kernels in :mod:`repro.topology.distance`,
 * ball-enumeration helpers in :mod:`repro.topology.neighborhood`,
-* a :func:`~repro.topology.factory.create_topology` convenience factory,
-* spatial tiling for the sharded multiprocess backend in
-  :mod:`repro.topology.partition`.
+* a :func:`~repro.topology.factory.create_topology` convenience factory.
 """
 
 from repro.topology.base import Topology
@@ -24,7 +22,6 @@ from repro.topology.ring import Ring
 from repro.topology.complete import CompleteTopology
 from repro.topology.factory import create_topology, available_topologies
 from repro.topology.neighborhood import ball_size_torus, ball_nodes
-from repro.topology.partition import TilePartition, tile_partition
 from repro.topology import distance
 
 __all__ = [
@@ -37,7 +34,5 @@ __all__ = [
     "available_topologies",
     "ball_size_torus",
     "ball_nodes",
-    "TilePartition",
-    "tile_partition",
     "distance",
 ]

@@ -127,7 +127,7 @@ class Topology(ABC):
 
         ``targets = None`` means all servers.  The batched counterpart of
         :meth:`distances_from` for analysis and bulk-query callers; the
-        kernel engine's group index goes through :meth:`pairwise_distances`
+        batched kernels' group index goes through :meth:`pairwise_distances`
         directly with explicit replica targets.
         """
         nodes = self.validate_nodes(nodes)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.backends import registry
 from repro.backends.builtin import _assignment_numba_fns, _queueing_numba_fns
 from repro.backends.registry import register_engine
 from repro.catalog.library import FileLibrary
@@ -36,9 +35,8 @@ ENGINE = "numba-loops"  # the numba operation tables, jitted or not
 
 
 @pytest.fixture(autouse=True)
-def numba_loops_engine():
-    """Register the numba tables as a scratch engine; restore the registry."""
-    saved = {family: dict(table) for family, table in registry._REGISTRY.items()}
+def numba_loops_engine(scratch_registry):
+    """Register the numba tables as a scratch engine for one test."""
     register_engine(
         ENGINE,
         family="assignment",
@@ -53,12 +51,6 @@ def numba_loops_engine():
         priority=-10,
         description="numba transcriptions, pure-Python when numba is absent",
     )
-    try:
-        yield
-    finally:
-        for family, table in registry._REGISTRY.items():
-            table.clear()
-            table.update(saved[family])
 
 
 def _system(num_nodes=49, num_files=20, cache_size=3, num_requests=300):

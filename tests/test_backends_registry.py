@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.backends import registry
 from repro.backends.registry import (
     EngineSpec,
     available_engines,
@@ -16,29 +15,16 @@ from repro.backends.registry import (
 from repro.exceptions import StrategyError, UnknownEngineError
 
 
-@pytest.fixture
-def scratch_registry():
-    """Snapshot the global registry and restore it after the test."""
-    saved = {family: dict(table) for family, table in registry._REGISTRY.items()}
-    try:
-        yield
-    finally:
-        for family, table in registry._REGISTRY.items():
-            table.clear()
-            table.update(saved[family])
-
-
 class TestBuiltins:
     def test_builtin_engines_registered_for_both_families(self):
         for family in ("assignment", "queueing"):
             names = [engine.name for engine in registered_engines(family)]
-            assert "kernel" in names
-            assert "reference" in names
-            assert "numba" in names  # listed even when not importable
+            # numba is listed even when not importable.
+            assert names == ["numba", "batch", "reference"]
 
     def test_available_engines_order_is_priority_descending(self):
         names = available_engines("assignment")
-        assert names.index("kernel") < names.index("reference")
+        assert names.index("batch") < names.index("reference")
 
     def test_numba_availability_matches_importability(self):
         try:
@@ -52,14 +38,14 @@ class TestBuiltins:
 
     def test_assignment_reference_is_not_streaming(self):
         assert not resolve_engine("reference", "assignment").supports_streaming
-        assert resolve_engine("kernel", "assignment").supports_streaming
+        assert resolve_engine("batch", "assignment").supports_streaming
 
     def test_queueing_engines_all_stream(self):
         for engine in registered_engines("queueing"):
             assert engine.supports_streaming
 
     def test_commit_fns_expose_the_expected_operations(self):
-        assignment = resolve_engine("kernel", "assignment").commit_fns
+        assignment = resolve_engine("batch", "assignment").commit_fns
         assert set(assignment) == {
             "two_choice",
             "least_loaded",
@@ -67,7 +53,7 @@ class TestBuiltins:
             "random_replica",
             "nearest_replica",
         }
-        queueing = resolve_engine("kernel", "queueing").commit_fns
+        queueing = resolve_engine("batch", "queueing").commit_fns
         assert set(queueing) == {"window"}
 
 
@@ -81,7 +67,7 @@ class TestResolution:
         assert resolve_engine_name("reference", "queueing") == "reference"
 
     def test_engine_spec_object_resolves(self):
-        assert resolve_engine_name(EngineSpec("kernel"), "assignment") == "kernel"
+        assert resolve_engine_name(EngineSpec("batch"), "assignment") == "batch"
         assert (
             resolve_engine_name(EngineSpec("auto", family="queueing"), "queueing")
             == available_engines("queueing")[0]
@@ -89,13 +75,19 @@ class TestResolution:
 
     def test_engine_spec_family_mismatch_rejected(self):
         with pytest.raises(UnknownEngineError, match="family"):
-            resolve_engine(EngineSpec("kernel", family="queueing"), "assignment")
+            resolve_engine(EngineSpec("batch", family="queueing"), "assignment")
 
-    def test_unknown_name_lists_registered_engines(self):
-        with pytest.raises(UnknownEngineError) as excinfo:
-            resolve_engine("warp", "assignment")
+    @pytest.mark.parametrize("family", ["assignment", "queueing"])
+    @pytest.mark.parametrize(
+        # Names of deleted engines and "name:options" specs are unknown too.
+        "spec",
+        ["warp", "kernel", "sharded", "sharded:2:stale", "batch:8", "warp:4"],
+    )
+    def test_unknown_name_lists_registered_engines(self, spec, family):
+        with pytest.raises(UnknownEngineError, match="unknown") as excinfo:
+            resolve_engine(spec, family)
         message = str(excinfo.value)
-        assert "kernel" in message and "reference" in message
+        assert all(name in message for name in ("numba", "batch", "reference"))
 
     def test_unknown_engine_error_is_a_strategy_error(self):
         # Pre-registry callers catch StrategyError; the subclassing keeps them
@@ -105,7 +97,7 @@ class TestResolution:
 
     def test_unknown_family_rejected(self):
         with pytest.raises(UnknownEngineError, match="family"):
-            resolve_engine("kernel", "graphs")
+            resolve_engine("batch", "graphs")
 
     def test_non_string_spec_rejected(self):
         with pytest.raises(UnknownEngineError):
@@ -158,71 +150,14 @@ class TestRegistration:
 
     def test_custom_engine_usable_by_strategies(self, scratch_registry):
         # A backend registered under the assignment family is immediately
-        # selectable by every strategy surface: alias the kernel table.
-        kernel_fns = dict(resolve_engine("kernel", "assignment").commit_fns)
+        # selectable by every strategy surface: alias the batch table.
+        batch_fns = dict(resolve_engine("batch", "assignment").commit_fns)
         register_engine(
-            "kernel-alias", family="assignment", commit_fns=kernel_fns, priority=-1
+            "batch-alias", family="assignment", commit_fns=batch_fns, priority=-1
         )
         from repro.strategies.proximity_two_choice import ProximityTwoChoiceStrategy
 
-        strategy = ProximityTwoChoiceStrategy(radius=2, engine="kernel-alias")
-        assert strategy.engine == "kernel-alias"
+        strategy = ProximityTwoChoiceStrategy(radius=2, engine="batch-alias")
+        assert strategy.engine == "batch-alias"
         assert strategy.engine_supports_streaming
 
-
-class TestOptionSpecs:
-    def test_colon_in_registered_name_rejected(self):
-        with pytest.raises(UnknownEngineError, match="option specs"):
-            register_engine("bad:name", family="assignment", commit_fns={})
-
-    def test_options_on_an_engine_without_configure_rejected(self):
-        with pytest.raises(UnknownEngineError, match="takes no options"):
-            resolve_engine("kernel:4", "queueing")
-
-    def test_configure_hook_derives_a_pinned_engine(self, scratch_registry):
-        seen = []
-
-        def configure(options):
-            if not options.isdigit():
-                raise ValueError(f"expected a worker count, got {options!r}")
-            seen.append(options)
-            return lambda: {"window": ("configured", int(options))}
-
-        register_engine(
-            "tiled",
-            family="queueing",
-            commit_fns={"window": ("default", 0)},
-            configure=configure,
-            priority=-5,
-        )
-        engine = resolve_engine("tiled:4", "queueing")
-        # The derived engine keeps the full spec as its name (what sessions
-        # pin and record), and its table reflects the options.
-        assert engine.name == "tiled:4"
-        assert engine.commit_fns["window"] == ("configured", 4)
-        assert seen == ["4"]
-        # The bare name still resolves to the unconfigured default.
-        assert resolve_engine("tiled", "queueing").commit_fns["window"] == (
-            "default",
-            0,
-        )
-        # A recorded spec round-trips through another resolution.
-        assert resolve_engine_name(engine.name, "queueing") == "tiled:4"
-
-    def test_malformed_options_raise_unknown_engine_error(self, scratch_registry):
-        def configure(options):
-            raise ValueError(f"bad options {options!r}")
-
-        register_engine(
-            "tiled",
-            family="queueing",
-            commit_fns={},
-            configure=configure,
-            priority=-5,
-        )
-        with pytest.raises(UnknownEngineError, match="invalid options"):
-            resolve_engine("tiled:nope", "queueing")
-
-    def test_unknown_base_with_options_lists_registered(self):
-        with pytest.raises(UnknownEngineError, match="unknown"):
-            resolve_engine("warp:4", "assignment")

@@ -208,11 +208,11 @@ class TestSupermarketCommand:
         assert "Qmax" in out
 
     def test_engines_report_identical_tables(self, capsys):
-        main(self.BASE + ["--rates", "0.5", "--engine", "kernel"])
-        kernel_out = capsys.readouterr().out.replace("engine=kernel", "")
+        main(self.BASE + ["--rates", "0.5", "--engine", "batch"])
+        batch_out = capsys.readouterr().out.replace("engine=batch", "")
         main(self.BASE + ["--rates", "0.5", "--engine", "reference"])
         reference_out = capsys.readouterr().out.replace("engine=reference", "")
-        assert kernel_out == reference_out
+        assert batch_out == reference_out
 
     def test_rejects_non_positive_stream_windows(self, capsys):
         code = main(self.BASE + ["--stream-windows", "0"])
@@ -241,20 +241,19 @@ class TestEnginesCommand:
         out = capsys.readouterr().out
         assert "assignment engines" in out
         assert "queueing engines" in out
-        # The always-present builtin engines appear with availability info.
-        assert "kernel" in out and "reference" in out
-        # numba is registered either way; without the module the reason it is
-        # skipped must be spelled out.
-        assert "numba" in out
+        # Exactly the three builtin engines per family, under a header row;
+        # numba is registered either way.
+        first_cells = [
+            line.split("|")[0].strip() for line in out.splitlines() if "|" in line
+        ]
+        assert first_cells == ["engine", "numba", "batch", "reference"] * 2
+        # Without the module the reason numba is skipped must be spelled out.
         try:
             import numba  # noqa: F401
         except ImportError:
             assert "numba: not importable" in out
-        # Auto resolution order is inspectable: the priority column plus the
-        # multi-process engine's resolved worker count.
+        # Auto resolution order is inspectable: the priority column.
         assert "priority" in out
-        assert "sharded" in out
-        assert "workers by default" in out
 
     def test_json_mode_is_machine_readable(self, capsys):
         import json
@@ -265,9 +264,12 @@ class TestEnginesCommand:
         assert isinstance(payload, list) and payload
         families = {entry["family"] for entry in payload}
         assert families == {"assignment", "queueing"}
-        names = {(entry["family"], entry["name"]) for entry in payload}
-        assert ("assignment", "kernel") in names
-        assert ("queueing", "reference") in names
+        names = [(entry["family"], entry["name"]) for entry in payload]
+        assert names == [
+            (family, name)
+            for family in ("assignment", "queueing")
+            for name in ("numba", "batch", "reference")
+        ]
         for entry in payload:
             assert set(entry) == {
                 "family",
@@ -305,7 +307,7 @@ class TestEnginesCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert "unknown assignment engine 'warp'" in err
-        assert "kernel" in err and "reference" in err
+        assert "batch" in err and "reference" in err
 
 
 class TestFiguresCommand:

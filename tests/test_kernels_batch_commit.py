@@ -13,8 +13,8 @@ Three layers of guarantees:
   repair-round transcription in :mod:`repro.backends.numba_backend` agrees
   with the numpy round it replaces (runs as plain Python without numba);
 * **the registry surface** — ``batch`` is a first-class engine for both
-  families with the ``batch[:rounds]`` option spec, rejected specs raise at
-  resolution time, and ``repro engines`` lists it in text and JSON mode.
+  families, ranked between ``reference`` and ``numba``, and ``repro
+  engines`` lists it in text and JSON mode.
 
 The cross-engine differential suites (``tests/test_kernels_differential.py``,
 ``tests/test_kernels_queueing_differential.py``) parametrise over the
@@ -34,9 +34,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.backends import numba_backend as nb
-from repro.backends.registry import engines_payload, resolve_engine, resolve_engine_name
+from repro.backends.registry import engines_payload, resolve_engine
 from repro.cli import main
-from repro.exceptions import UnknownEngineError
 from repro.kernels import batch_commit as bc
 from repro.kernels import commit as scalar
 from repro.kernels import queueing as q
@@ -153,13 +152,12 @@ class TestAdversarialCollisions:
         np.testing.assert_array_equal(lb, la)
 
     @pytest.mark.parametrize("max_rounds", [1, 2, 32])
-    def test_round_cap_forces_fallback_identically(self, max_rounds):
+    def test_round_cap_forces_fallback_identically(self, max_rounds, monkeypatch):
+        monkeypatch.setattr(bc, "DEFAULT_MAX_ROUNDS", max_rounds)
         rng = np.random.default_rng(5)
         m, n = 300, 8  # tiny n => massive contention
         nodes, counts, indptr = _random_csr(rng, m, n, 2, 3)
-        _assert_of_sample_identical(
-            n, nodes, counts, indptr, rng.random(m), max_rounds=max_rounds
-        )
+        _assert_of_sample_identical(n, nodes, counts, indptr, rng.random(m))
 
     def test_forced_single_candidate_fast_path(self):
         rng = np.random.default_rng(6)
@@ -170,6 +168,44 @@ class TestAdversarialCollisions:
         )
         stats = bc.get_last_stats()
         assert stats.committed_vectorised == m and stats.rounds == 0
+
+
+# ------------------------------------------------------------------ round cap
+class TestRoundCap:
+    """With the progress fallback off, ``DEFAULT_MAX_ROUNDS`` is every chunk
+    driver's only exit: it bounds the repair rounds and hands the remainder
+    to the scalar loop without changing a single pick."""
+
+    @pytest.mark.parametrize("max_rounds", [1, 2, 32])
+    @pytest.mark.parametrize("layout", ["pairs", "uniform", "scan", "hybrid"])
+    def test_cap_bounds_rounds_and_falls_back_identically(
+        self, layout, max_rounds, monkeypatch
+    ):
+        monkeypatch.setattr(bc, "DEFAULT_MAX_ROUNDS", max_rounds)
+        monkeypatch.setattr(bc, "_PROGRESS_SHIFT", 63)
+        rng = np.random.default_rng(10)
+        m, n = 300, 8  # a few commits per round => even 32 rounds bind
+        width = 2 if layout == "pairs" else 3
+        nodes, counts, indptr = _random_csr(rng, m, n, width, width)
+        dists = rng.integers(0, 3, size=nodes.size).astype(np.int64)
+        uniforms = rng.random(m)
+        if layout in ("pairs", "uniform"):
+            _assert_of_sample_identical(n, nodes, counts, indptr, uniforms)
+        elif layout == "scan":
+            starts = indptr[:-1]
+            expected = scalar.commit_least_loaded_scan(
+                n, nodes, dists, starts, counts, uniforms
+            )
+            actual = bc.commit_least_loaded_scan(n, nodes, dists, starts, counts, uniforms)
+            np.testing.assert_array_equal(actual, expected)
+        else:
+            expected = scalar.commit_threshold_hybrid(n, nodes, dists, indptr, 0.5, uniforms)
+            actual = bc.commit_threshold_hybrid(n, nodes, dists, indptr, 0.5, uniforms)
+            np.testing.assert_array_equal(actual, expected)
+        stats = bc.get_last_stats()
+        assert stats.rounds <= stats.chunks * max_rounds
+        assert stats.fallbacks >= 1
+        assert stats.committed_vectorised + stats.committed_scalar == m
 
 
 # -------------------------------------------------- windowed load persistence
@@ -239,10 +275,11 @@ class TestRepairRounds:
 
     def test_all_one_node_rounds_equal_chain(self, monkeypatch):
         self._disable_fallback(monkeypatch)
+        monkeypatch.setattr(bc, "DEFAULT_MAX_ROUNDS", 10**6)
         m = 60
         nodes, counts, indptr = _uniform_csr([[0, 1]] * m)
         uniforms = np.random.default_rng(9).random(m)
-        _assert_of_sample_identical(4, nodes, counts, indptr, uniforms, max_rounds=10**6)
+        _assert_of_sample_identical(4, nodes, counts, indptr, uniforms)
         stats = bc.get_last_stats()
         assert stats.rounds == m  # the chain *is* the window
         assert stats.fallbacks == 0 and stats.committed_vectorised == m
@@ -257,8 +294,8 @@ class TestRepairRounds:
         # round commits exactly the head of every live group, so the repair
         # rounds equal the largest group — the longest per-node collision
         # chain.  hypothesis drives the group-size profile.
-        old_shift = bc._PROGRESS_SHIFT
-        bc._PROGRESS_SHIFT = 63
+        old_shift, old_cap = bc._PROGRESS_SHIFT, bc.DEFAULT_MAX_ROUNDS
+        bc._PROGRESS_SHIFT, bc.DEFAULT_MAX_ROUNDS = 63, 10**6
         try:
             rng = np.random.default_rng(seed)
             pairs = []
@@ -269,15 +306,13 @@ class TestRepairRounds:
             nodes, counts, indptr = _uniform_csr(pairs)
             uniforms = rng.random(len(pairs))
             n = 2 * len(sizes)
-            _assert_of_sample_identical(
-                n, nodes, counts, indptr, uniforms, max_rounds=10**6
-            )
+            _assert_of_sample_identical(n, nodes, counts, indptr, uniforms)
             stats = bc.get_last_stats()
             longest_chain = max(sizes)
             assert stats.rounds == longest_chain
             assert stats.fallbacks == 0
         finally:
-            bc._PROGRESS_SHIFT = old_shift
+            bc._PROGRESS_SHIFT, bc.DEFAULT_MAX_ROUNDS = old_shift, old_cap
 
     def test_low_contention_needs_few_rounds(self, monkeypatch):
         self._disable_fallback(monkeypatch)
@@ -453,35 +488,15 @@ class TestLoadVector:
 # -------------------------------------------------------------- registry/CLI
 class TestEngineRegistration:
     @pytest.mark.parametrize("family", ["assignment", "queueing"])
-    def test_registered_with_priority_between_kernel_and_numba(self, family):
-        engine = resolve_engine("batch", family)
-        assert engine.available and engine.in_process
+    def test_registered_with_priority_between_reference_and_numba(self, family):
+        assert resolve_engine("batch", family).available
         payload = {e["name"]: e for e in engines_payload(family)}
-        assert payload["kernel"]["priority"] < payload["batch"]["priority"] < payload["numba"]["priority"]
+        assert payload["reference"]["priority"] < payload["batch"]["priority"] < payload["numba"]["priority"]
         assert payload["batch"]["supports_streaming"] is True
-
-    @pytest.mark.parametrize("family", ["assignment", "queueing"])
-    def test_option_spec_round_trips(self, family):
-        assert resolve_engine_name("batch:8", family) == "batch:8"
-        with pytest.raises(UnknownEngineError, match="invalid options"):
-            resolve_engine("batch:junk", family)
-        with pytest.raises(UnknownEngineError, match="invalid options"):
-            resolve_engine("batch:0", family)
-
-    def test_parse_options(self):
-        assert bc.parse_options(None) is None
-        assert bc.parse_options("") is None
-        assert bc.parse_options("16") == 16
-        with pytest.raises(ValueError):
-            bc.parse_options("fast")
-        with pytest.raises(ValueError):
-            bc.parse_options("-3")
 
     def test_cli_engines_lists_batch(self, capsys):
         assert main(["engines"]) == 0
-        out = capsys.readouterr().out
-        assert "batch" in out
-        assert "batch[:rounds]" in out
+        assert "batch" in capsys.readouterr().out
 
     def test_cli_engines_json_lists_batch(self, capsys):
         assert main(["engines", "--json"]) == 0
@@ -491,4 +506,3 @@ class TestEngineRegistration:
             row = rows[(family, "batch")]
             assert row["available"] is True
             assert row["priority"] == 15
-            assert "batch[:rounds]" in row["description"]

@@ -7,8 +7,11 @@ across every topology, fallback policy and number of choices.  The engine
 list is parametrised from the backend registry
 (:mod:`repro.backends.registry`), so a newly registered backend (e.g.
 ``numba`` where importable) is automatically held to the same guarantee.
-These tests are the enforcement of that guarantee; when they fail, the
-reference engine is authoritative.
+A test-local ``python-commit`` row adds the batched entry points of
+:mod:`repro.kernels.engine` with their default pure-Python ``commit=`` loop,
+which is the ``batch`` engine's fallback and the source of the numba
+transcriptions.  These tests are the enforcement of that guarantee; when
+they fail, the reference engine is authoritative.
 """
 
 from __future__ import annotations
@@ -37,14 +40,18 @@ from repro.workload.generators import UniformOriginWorkload
 
 TOPOLOGIES = [Torus2D(49), Grid2D(49), Ring(40), CompleteTopology(30)]
 
+#: The kernel entry points with their default pure-Python commit loop,
+#: registered for this module by conftest's ``python_commit_engine``.
+PYTHON_COMMIT = "python-commit"
+
 #: Engine list from the registry: every available engine (numba included
-#: where importable) is compared against the authoritative reference.
-# In-process engines only: multi-process backends (sharded) have their own
-# dedicated differential suite, tests/test_backends_sharded_differential.py.
-ENGINES = [
-    e.name for e in registered_engines("assignment") if e.available and e.in_process
-]
+#: where importable), plus the pure-Python commit row, is compared against
+#: the authoritative reference.
+ENGINES = [e.name for e in registered_engines("assignment") if e.available]
+ENGINES.append(PYTHON_COMMIT)
 NON_REFERENCE_ENGINES = [name for name in ENGINES if name != "reference"]
+
+pytestmark = pytest.mark.usefixtures("python_commit_engine")
 
 
 def _system(topology, num_files=20, cache_size=3, num_requests=250):
@@ -255,9 +262,9 @@ class TestEdgeCases:
 
 class TestEngineWiring:
     def test_with_engine_returns_copy(self):
-        strategy = ProximityTwoChoiceStrategy(radius=4, engine="kernel")
+        strategy = ProximityTwoChoiceStrategy(radius=4, engine="batch")
         reference = strategy.with_engine("reference")
-        assert strategy.engine == "kernel"
+        assert strategy.engine == "batch"
         assert reference.engine == "reference"
         assert reference.radius == strategy.radius
 
@@ -282,13 +289,13 @@ class TestEngineWiring:
             strategy="proximity_two_choice",
             strategy_params={"radius": 3},
         )
-        kernel = run_single_trial(config, seed=9)
+        auto = run_single_trial(config, seed=9)
         reference = run_single_trial(config, seed=9, assignment_engine="reference")
         np.testing.assert_array_equal(
-            kernel.assignment.servers, reference.assignment.servers
+            auto.assignment.servers, reference.assignment.servers
         )
         np.testing.assert_array_equal(
-            kernel.assignment.distances, reference.assignment.distances
+            auto.assignment.distances, reference.assignment.distances
         )
 
     def test_strategy_params_engine_passthrough(self):
@@ -299,8 +306,8 @@ class TestEngineWiring:
             strategy="proximity_two_choice",
             strategy_params={"radius": 3, "engine": "reference"},
         )
-        kernel = run_single_trial(config, seed=10)
-        reference = run_single_trial(config, seed=10, assignment_engine="kernel")
+        from_params = run_single_trial(config, seed=10)
+        overridden = run_single_trial(config, seed=10, assignment_engine="batch")
         np.testing.assert_array_equal(
-            kernel.assignment.servers, reference.assignment.servers
+            from_params.assignment.servers, overridden.assignment.servers
         )

@@ -16,7 +16,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.exceptions import JournalError
+from repro.exceptions import JournalError, UnknownEngineError
 from repro.service.journal import (
     DispatchJournal,
     JournalBatch,
@@ -31,7 +31,7 @@ SEED = 1789
 QUEUEING_SPEC = {
     "kind": "queueing",
     "seed": SEED,
-    "engine": "kernel",
+    "engine": "batch",
     "topology": "torus",
     "nodes": 49,
     "files": 20,
@@ -232,6 +232,15 @@ class TestBuildSessionFromSpec:
     def test_missing_spec_raises(self):
         with pytest.raises(JournalError, match="no session spec"):
             build_session_from_spec(None)
+
+    @pytest.mark.parametrize("kind", ["queueing", "assignment"])
+    @pytest.mark.parametrize("engine", ["kernel", "batch:8"])
+    def test_deleted_engine_spec_raises(self, kind, engine):
+        # Older journals may name a deleted engine or a "name:options" spec;
+        # rebuilding their session fails up front and lists what exists.
+        with pytest.raises(UnknownEngineError, match="registered") as excinfo:
+            build_session_from_spec(dict(SPECS[kind], engine=engine))
+        assert "batch" in str(excinfo.value) and "reference" in str(excinfo.value)
 
 
 class TestRecovery:

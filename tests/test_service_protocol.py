@@ -52,7 +52,7 @@ class TestRoundTrips:
             SnapshotResponse(
                 version=3,
                 age_seconds=0.04,
-                engine="kernel",
+                engine="batch",
                 kind="queueing",
                 state={"num_arrivals": 10, "served_until": 1.25},
             ),
@@ -149,9 +149,9 @@ class TestMalformedPayloads:
         "payload",
         [
             {},
-            {"version": 1, "age_seconds": -0.1, "engine": "kernel", "kind": "x", "state": {}},
+            {"version": 1, "age_seconds": -0.1, "engine": "batch", "kind": "x", "state": {}},
             {"version": 1, "age_seconds": 0.0, "engine": 3, "kind": "x", "state": {}},
-            {"version": 1, "age_seconds": 0.0, "engine": "kernel", "kind": "x", "state": []},
+            {"version": 1, "age_seconds": 0.0, "engine": "batch", "kind": "x", "state": []},
         ],
     )
     def test_snapshot_response_rejects(self, payload):

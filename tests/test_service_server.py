@@ -49,7 +49,7 @@ def make_session(kind: str):
         PoissonArrivalProcess(rate_per_node=0.5),
         radius=3.0,
         seed=SEED,
-        engine="kernel",
+        engine="batch",
     )
 
 
@@ -356,7 +356,7 @@ class TestHealthAndMetrics:
             await server.shutdown()
             assert health["status"] == "ok"
             assert health["kind"] == "queueing"
-            assert health["engine"] == "kernel"
+            assert health["engine"] == "batch"
             assert health["nodes"] == NUM_NODES
             assert health["files"] == NUM_FILES
             engines = health["engines"]

@@ -53,7 +53,7 @@ def make_queueing_session():
         PoissonArrivalProcess(rate_per_node=0.5),
         radius=3.0,
         seed=SEED,
-        engine="kernel",
+        engine="batch",
     )
 
 
@@ -146,7 +146,7 @@ class TestSnapshotPublisher:
         assert response.version == 1
         assert response.age_seconds == pytest.approx(0.5)
         assert response.kind == "queueing"
-        assert response.engine == "kernel"
+        assert response.engine == "batch"
         assert "wall_time" in response.state
 
 

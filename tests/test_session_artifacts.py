@@ -440,13 +440,13 @@ class TestMixedEngineArtifacts:
             radius=3.0,
             artifacts=artifacts,
         )
-        kernel = simulation.run(10.0, seed=3, engine="kernel")
+        batch = simulation.run(10.0, seed=3, engine="batch")
         rows_after_first = artifacts.stats()["group_rows"]
         reference = simulation.run(10.0, seed=3, engine="reference")
-        kernel_again = simulation.run(10.0, seed=3, engine="kernel")
+        batch_again = simulation.run(10.0, seed=3, engine="batch")
         # Engine-independent and identical results over the shared cache...
-        assert kernel == reference == kernel_again
-        # ...while the second kernel run hit (not re-built) the rows of the
+        assert batch == reference == batch_again
+        # ...while the second batch run hit (not re-built) the rows of the
         # first: one store, no row growth, recorded hits.
         stats = artifacts.stats()
         assert stats["stores"] == 1
@@ -469,17 +469,17 @@ class TestMixedEngineArtifacts:
             strategy_params={"radius": 3},
         )
         artifacts = ArtifactCache()
-        kernel = run_trials(
-            config, 3, seed=5, assignment_engine="kernel", artifacts=artifacts
+        batch = run_trials(
+            config, 3, seed=5, assignment_engine="batch", artifacts=artifacts
         )
         reference = run_trials(
             config, 3, seed=5, assignment_engine="reference", artifacts=artifacts
         )
-        np.testing.assert_array_equal(kernel.max_loads, reference.max_loads)
+        np.testing.assert_array_equal(batch.max_loads, reference.max_loads)
         np.testing.assert_array_equal(
-            kernel.communication_costs, reference.communication_costs
+            batch.communication_costs, reference.communication_costs
         )
-        np.testing.assert_array_equal(kernel.fallback_rates, reference.fallback_rates)
+        np.testing.assert_array_equal(batch.fallback_rates, reference.fallback_rates)
         # The deterministic placement crossed the engine boundary via the
         # shared cache instead of being re-placed.
         assert artifacts.stats()["placement_misses"] == 1

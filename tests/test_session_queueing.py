@@ -44,7 +44,7 @@ def _components():
     )
 
 
-def _session(radius=3.0, engine="kernel", artifacts=None, **kwargs):
+def _session(radius=3.0, engine="batch", artifacts=None, **kwargs):
     topology, library, placement, arrivals = _components()
     return QueueingSession(
         topology,
@@ -59,7 +59,7 @@ def _session(radius=3.0, engine="kernel", artifacts=None, **kwargs):
     )
 
 
-def _one_shot(radius=3.0, engine="kernel", **kwargs):
+def _one_shot(radius=3.0, engine="batch", **kwargs):
     topology, library, placement, arrivals = _components()
     return QueueingSimulation(
         topology=topology,
@@ -71,8 +71,14 @@ def _one_shot(radius=3.0, engine="kernel", **kwargs):
     ).run(HORIZON, seed=SEED, engine=engine)
 
 
+#: The built-in engines plus conftest's ``python-commit`` (the pure-Python
+#: event loop that ``batch`` falls back to).
+WINDOW_ENGINES = ["batch", "python-commit", "reference"]
+
+
+@pytest.mark.usefixtures("python_commit_engine")
 @pytest.mark.parametrize("partition", PARTITIONS.values(), ids=PARTITIONS.keys())
-@pytest.mark.parametrize("engine", ["kernel", "reference"])
+@pytest.mark.parametrize("engine", WINDOW_ENGINES)
 class TestWindowPartitionDifferential:
     def test_windowed_bit_identical_to_one_shot(self, engine, partition):
         one_shot = _one_shot(engine=engine)
@@ -91,12 +97,12 @@ class TestWindowPartitionDifferential:
 
 
 def test_engines_agree_through_windows():
-    kernel = _session(engine="kernel")
+    batch = _session(engine="batch")
     reference = _session(engine="reference")
     for until in (3.0, 9.5, 24.0):
-        kernel.serve(until)
+        batch.serve(until)
         reference.serve(until)
-        assert kernel.result() == reference.result()
+        assert batch.result() == reference.result()
 
 
 def test_weighted_windowed_bit_identical():
@@ -304,7 +310,7 @@ class TestOpenQueueingSession:
             topology, library, placement, arrivals, seed=SEED, radius=3.0
         )
         opened.serve(HORIZON)
-        # _one_shot pins the kernel engine, so this equality also holds the
+        # _one_shot pins the batch engine, so this equality also holds the
         # auto-resolved engine to the bit-identity contract.
         assert opened.result() == _one_shot()
         assert opened.engine == resolve_engine_name("auto", "queueing")

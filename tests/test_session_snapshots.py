@@ -50,7 +50,7 @@ def make_queueing_session():
         PoissonArrivalProcess(rate_per_node=0.6),
         radius=3.0,
         seed=SEED,
-        engine="kernel",
+        engine="batch",
     )
 
 
@@ -140,7 +140,7 @@ class TestQueueingSessionSnapshot:
     def test_fresh_session_snapshot_keys_and_zeros(self):
         snapshot = make_queueing_session().snapshot()
         assert set(snapshot) == self.EXPECTED_KEYS
-        assert snapshot["engine"] == "kernel"
+        assert snapshot["engine"] == "batch"
         assert snapshot["num_windows"] == 0
         assert snapshot["served_until"] == 0.0
         assert snapshot["num_arrivals"] == 0

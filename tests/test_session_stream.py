@@ -1,12 +1,13 @@
-"""Differential tests: windowed session serving vs the one-shot kernel engine.
+"""Differential tests: windowed session serving vs one-shot assignment.
 
 The acceptance property of the session redesign: serving *any* window
 partition of a request batch through a :class:`CacheNetworkSession` is
-bit-identical (same servers, distances and fallback mask) to the one-shot
-kernel engine for the same seed — across all five strategies.  The session
-carries the strategy's ``(rng_sample, rng_tie)`` pair and the load vector
-across windows, so the partition boundaries must be invisible to the
-assignment process.
+bit-identical (same servers, distances and fallback mask) to one-shot
+assignment on the same engine and seed — across all five strategies, on the
+default engine and on the pure-Python commit loops that ``batch`` falls back
+to.  The session carries the strategy's ``(rng_sample, rng_tie)`` pair and the
+load vector across windows, so the partition boundaries must be invisible to
+the assignment process.
 """
 
 from __future__ import annotations
@@ -102,10 +103,13 @@ def _assert_results_identical(a: AssignmentResult, b: AssignmentResult) -> None:
 @pytest.mark.parametrize("partition", PARTITIONS.values(), ids=PARTITIONS.keys())
 @pytest.mark.parametrize("strategy_key", STRATEGY_FACTORIES.keys())
 class TestWindowPartitionDifferential:
+    #: The engine spec every strategy runs on.
+    engine = "auto"
+
     def test_serve_stream_bit_identical_to_one_shot(self, strategy_key, partition):
         factory = STRATEGY_FACTORIES[strategy_key]
-        requests, one_shot = _one_shot(factory())
-        session = _session(factory())
+        requests, one_shot = _one_shot(factory().with_engine(self.engine))
+        session = _session(factory().with_engine(self.engine))
         windows = _split(requests, partition)
         served = list(session.serve_stream(windows, resolve_uncached=False))
         assert len(served) == len(partition)
@@ -114,8 +118,8 @@ class TestWindowPartitionDifferential:
 
     def test_cumulative_state_matches_merged_assignment(self, strategy_key, partition):
         factory = STRATEGY_FACTORIES[strategy_key]
-        requests, one_shot = _one_shot(factory())
-        session = _session(factory())
+        requests, one_shot = _one_shot(factory().with_engine(self.engine))
+        session = _session(factory().with_engine(self.engine))
         list(session.serve_stream(_split(requests, partition), resolve_uncached=False))
         snapshot = session.snapshot()
         assert snapshot.num_windows == len(partition)
@@ -126,6 +130,15 @@ class TestWindowPartitionDifferential:
         )
         assert snapshot.fallback_rate == pytest.approx(one_shot.fallback_rate())
         np.testing.assert_array_equal(snapshot.loads, one_shot.loads())
+
+
+@pytest.mark.usefixtures("python_commit_engine")
+class TestPythonCommitWindowPartition(TestWindowPartitionDifferential):
+    """The same partitions through conftest's ``python-commit`` engine: the
+    pure-Python commit loops that ``batch`` falls back to must also carry
+    the load vector across windows."""
+
+    engine = "python-commit"
 
 
 class TestSessionStateMachine:

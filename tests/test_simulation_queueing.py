@@ -122,7 +122,7 @@ class TestEdgeBranches:
     def test_empty_arrival_horizon(self):
         # A horizon so short that (almost surely) nothing arrives: all
         # metrics must come out as clean zeros, on both engines.
-        for engine in ("kernel", "reference"):
+        for engine in ("batch", "reference"):
             result = build(rate=0.5).run(horizon=1e-12, seed=0, engine=engine)
             assert result.num_arrivals == 0
             assert result.num_completed == 0
@@ -137,9 +137,9 @@ class TestEdgeBranches:
         # sample stream is never consumed; the run must still be well-formed
         # and engine-identical.
         simulation = build(num_choices=50, rate=0.4)
-        kernel = simulation.run(horizon=10.0, seed=6)
-        assert kernel == simulation.run(horizon=10.0, seed=6, engine="reference")
-        assert kernel.num_arrivals > 0
+        auto = simulation.run(horizon=10.0, seed=6)
+        assert auto == simulation.run(horizon=10.0, seed=6, engine="reference")
+        assert auto.num_arrivals > 0
 
     def test_no_replica_error_propagates(self):
         # File 1 exists in the library but is cached nowhere.
@@ -156,7 +156,7 @@ class TestEdgeBranches:
             arrivals=PoissonArrivalProcess(0.5),
             radius=2,
         )
-        for engine in ("kernel", "reference"):
+        for engine in ("batch", "reference"):
             with pytest.raises(NoReplicaError):
                 simulation.run(horizon=10.0, seed=0, engine=engine)
 
