@@ -32,17 +32,18 @@ bench-queueing:
 
 # The engine-registry suites alone: both differential suites (parametrised
 # over every engine the registry reports available, batch and — where
-# importable — numba included, plus the pure-Python commit loop), the
-# precompute suite, the numba-transcription fallback suite, the batch-commit
+# importable — numba included; the static suite adds the pure-Python commit
+# loop, which the queueing batch engine already is), the precompute suite,
+# the numba-transcription fallback suite, the batch-commit
 # adversarial/property suite and the registry unit tests.  The CI numba job
 # runs exactly this plus its bench gates.
 test-differential:
 	$(PYTHON) -m pytest tests/test_kernels_differential.py tests/test_kernels_queueing_differential.py tests/test_kernels_precompute_differential.py tests/test_backends_numba_fallback.py tests/test_backends_registry.py tests/test_kernels_batch_commit.py -q
 
-# Cross-engine comparison (reference/batch/numba where available, plus the
-# pure-Python queueing event loop) on both stacks at n = 4096; writes
-# .benchmarks/timings/engine_speedup.txt and gates the numba queueing event
-# loop >= 1.5x over the pure-Python one when numba is importable.
+# Cross-engine comparison (reference/batch/numba where available) on both
+# stacks at n = 4096; writes .benchmarks/timings/engine_speedup.txt and gates
+# the numba queueing event loop >= 1.5x over batch's pure-Python event loop
+# when numba is importable.
 bench-engines:
 	$(PYTHON) -m pytest benchmarks/test_bench_engines.py -q -s --benchmark-disable
 

@@ -8,12 +8,11 @@
   over a horizon of ~7 × 10⁴ arrivals,
 
 asserts all engines bit-identical as a by-product, and writes the timing
-table to ``.benchmarks/timings/engine_speedup.txt``.  The queueing table adds
-a ``python-loop`` row: the event-batched window with its default pure-Python
-event loop, registered for this module only.  Where numba is importable, the
-compiled queueing event loop is additionally *gated*: it must beat that
-pure-Python loop by ≥ 1.5× at this scale (compilation time excluded — the
-first run warms the jit cache).
+table to ``.benchmarks/timings/engine_speedup.txt``.  Where numba is
+importable, the compiled queueing event loop is additionally *gated*: it must
+beat ``batch``, whose queueing commit is the pure-Python event loop, by
+≥ 1.5× at this scale (compilation time excluded — the first run warms the jit
+cache).
 """
 
 from __future__ import annotations
@@ -25,10 +24,8 @@ import numpy as np
 import pytest
 
 from _bench_utils import host_header
-from repro.backends import registry
-from repro.backends.registry import available_engines, register_engine
+from repro.backends.registry import available_engines
 from repro.catalog.library import FileLibrary
-from repro.kernels.queueing import queueing_kernel_window
 from repro.placement.partition import PartitionPlacement
 from repro.session.artifacts import ArtifactCache
 from repro.simulation.queueing import QueueingSimulation
@@ -47,9 +44,6 @@ HORIZON = 20.0
 SEED = 2
 
 NUMBA_MISSING = importlib.util.find_spec("numba") is None
-
-#: The queueing window with its default pure-Python event loop.
-PYTHON_LOOP = "python-loop"
 
 
 def _best_of(fn, repeats=3) -> float:
@@ -83,19 +77,7 @@ def supermarket():
 
 
 @pytest.fixture(scope="module")
-def python_loop_engine():
-    register_engine(
-        PYTHON_LOOP,
-        family="queueing",
-        commit_fns={"window": queueing_kernel_window},
-        priority=-1,
-    )
-    yield
-    del registry._REGISTRY["queueing"][PYTHON_LOOP]
-
-
-@pytest.fixture(scope="module")
-def engine_report(static_system, supermarket, python_loop_engine):
+def engine_report(static_system, supermarket):
     """Time every available engine once per stack; shared by the tests below."""
     topology, cache, requests = static_system
     timings: dict[str, dict[str, float]] = {"static": {}, "queueing": {}}
@@ -168,10 +150,10 @@ def test_bench_engines_report(engine_report, timing_dir):
 
 @pytest.mark.skipif(NUMBA_MISSING, reason="numba not importable")
 def test_bench_engines_numba_queueing_gate(engine_report):
-    """The compiled event loop must beat the Python one ≥ 1.5× at n = 4096."""
+    """The compiled event loop must beat the Python one (``batch``) ≥ 1.5× at n = 4096."""
     timings, _ = engine_report
-    speedup = timings["queueing"][PYTHON_LOOP] / timings["queueing"]["numba"]
+    speedup = timings["queueing"]["batch"] / timings["queueing"]["numba"]
     assert speedup >= 1.5, (
-        f"numba queueing engine only {speedup:.2f}x over the Python loop at "
+        f"numba queueing engine only {speedup:.2f}x over batch's Python loop at "
         f"n={NUM_NODES}, utilisation {RATE}"
     )

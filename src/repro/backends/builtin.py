@@ -8,10 +8,12 @@ engine     priority implementation
 reference  0        scalar per-request / per-arrival loops — the direct
                     transcription of the paper's process definitions and the
                     authority when engines disagree
-batch      15       batched numpy precompute with the speculate-and-repair
-                    vectorised commit (:mod:`repro.kernels.batch_commit`),
-                    whose fallback is the pure-Python commit loop of
-                    :mod:`repro.kernels.commit` / :mod:`repro.kernels.queueing`
+batch      15       batched numpy precompute; assignment commits through the
+                    speculate-and-repair vectorised commit
+                    (:mod:`repro.kernels.batch_commit`, whose fallback is the
+                    pure-Python loop of :mod:`repro.kernels.commit`), queueing
+                    through the pure-Python event loop of
+                    :mod:`repro.kernels.queueing`
 numba      20       the same precompute with ``@njit``-compiled commit
                     loops; listed always, selectable only where ``numba``
                     imports
@@ -100,6 +102,8 @@ def _queueing_batch_fns():
     from repro.kernels import batch_commit as bc
     from repro.kernels.queueing import queueing_kernel_window
 
+    # bc.commit_window is the event loop of kernels.queueing, bound by its
+    # batch_commit name so a wrapper installed there sees every call.
     return {"window": partial(queueing_kernel_window, commit=bc.commit_window)}
 
 
@@ -150,7 +154,7 @@ register_engine(
     commit_fns=_queueing_batch_fns,
     priority=15,
     supports_streaming=True,
-    description="event-batched precompute + speculative inter-departure batches",
+    description="event-batched precompute + pure-Python event loop",
 )
 register_engine(
     "numba",

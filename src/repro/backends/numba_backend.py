@@ -11,12 +11,13 @@ arrays with no topology queries and no RNG calls, which is exactly the shape
   :func:`commit_threshold_hybrid`) keep the signatures of their pure-Python
   originals, so :mod:`repro.kernels.engine` runs unchanged with the compiled
   loop swapped in through its ``commit`` hook;
-* the queueing event loop (:func:`commit_window`) replaces the ``heapq``
-  departure heap with an array-based binary heap ordered by the same
-  ``(time, id)`` key — event ids are unique, so pop order (and therefore
-  every float accumulation) is identical to ``heapq``'s, and the heap array
-  written back to :class:`~repro.kernels.queueing.QueueingState` satisfies
-  the ``heapq`` invariant for whoever drains it next.
+* the queueing event loop (:func:`commit_window`, which the ``batch``
+  engine runs as plain Python) replaces the ``heapq`` departure heap with
+  an array-based binary heap ordered by the same ``(time, id)`` key — event
+  ids are unique, so pop order (and therefore every float accumulation) is
+  identical to ``heapq``'s, and the heap array written back to
+  :class:`~repro.kernels.queueing.QueueingState` satisfies the ``heapq``
+  invariant for whoever drains it next.
 
 Bit-identity is the contract, not a hope: the loops perform the same integer
 comparisons, the same ``floor(u * t)`` tie rule and the same float additions
@@ -45,7 +46,6 @@ __all__ = [
     "commit_least_loaded_scan",
     "commit_threshold_hybrid",
     "commit_window",
-    "repair_round_of_sample",
 ]
 
 try:  # pragma: no cover - exercised only where numba is installed
@@ -122,87 +122,6 @@ def commit_least_loaded_of_sample(
         out,
     )
     return out
-
-
-@njit(cache=True)
-def _repair_round_core(loads, nodes, indptr, uniforms, first, sentinel, picks, safe):
-    num_active = indptr.shape[0] - 1
-    # Pass 1: earliest active toucher per node (reverse order so the lowest
-    # request position wins on duplicates).
-    for s in range(num_active - 1, -1, -1):
-        for j in range(indptr[s], indptr[s + 1]):
-            first[nodes[j]] = s
-    # Pass 2: winner + first-toucher safety; safe winners commit in place.
-    # A safe request's candidates are untouched by every earlier active, so
-    # the in-loop bumps cannot reach the loads it reads — its pick equals the
-    # frozen-loads pick the numpy rounds compute.
-    for s in range(num_active):
-        start = indptr[s]
-        end = indptr[s + 1]
-        ok = first[nodes[start]] == s
-        best = loads[nodes[start]]
-        ties = 1
-        pick = start
-        for j in range(start + 1, end):
-            node = nodes[j]
-            if first[node] != s:
-                ok = False
-            load = loads[node]
-            if load < best:
-                best = load
-                ties = 1
-                pick = j
-            elif load == best:
-                ties += 1
-        if ties > 1:
-            k = int(uniforms[s] * ties)
-            for j in range(start, end):
-                if loads[nodes[j]] == best:
-                    if k == 0:
-                        pick = j
-                        break
-                    k -= 1
-        picks[s] = pick
-        safe[s] = ok
-        if ok:
-            loads[nodes[pick]] += 1
-    # Pass 3: restore the scratch sentinel for the next round.
-    for j in range(nodes.shape[0]):
-        first[nodes[j]] = sentinel
-
-
-def repair_round_of_sample(
-    loads: IntArray,
-    nodes: IntArray,
-    indptr: IntArray,
-    uniforms: np.ndarray,
-    first: IntArray,
-    sentinel: int,
-):
-    """One compiled speculate-and-repair round of the of_sample family.
-
-    The fused form of a :mod:`repro.kernels.batch_commit` round: speculative
-    winner per CSR segment, first-toucher safety, and the load bumps of the
-    safe set — one pass instead of a dozen vector operations.  ``first`` is
-    the caller's per-node scratch (filled with ``sentinel``; restored before
-    returning).  Returns ``(picks, safe)`` where ``picks`` holds flat
-    candidate positions (only meaningful where ``safe``) and the safe
-    winners' loads are already bumped.
-    """
-    num_active = int(indptr.size) - 1
-    picks = np.empty(num_active, dtype=np.int64)
-    safe = np.empty(num_active, dtype=np.bool_)
-    _repair_round_core(
-        loads,
-        nodes,
-        indptr,
-        uniforms,
-        first,
-        np.int64(sentinel),
-        picks,
-        safe,
-    )
-    return picks, safe
 
 
 @njit(cache=True)

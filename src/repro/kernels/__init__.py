@@ -67,9 +67,11 @@ Engine *selection* lives one layer up, in :mod:`repro.backends`: the
 registry maps engine names (``reference`` / ``batch`` / ``numba``) to the
 callables in this package, and the batched entry points expose ``commit=``
 hooks so the ``batch`` and ``numba`` engines reuse the whole precompute while
-swapping only the sequential loops.  The default ``commit=`` is the
-pure-Python loop of :mod:`repro.kernels.commit`: ``batch``'s fallback and the
-source the numba loops transcribe.
+swapping only the sequential loops.  The default ``commit=`` is a pure-Python
+loop — :mod:`repro.kernels.commit` for the static strategies (``batch``'s
+fallback) and :func:`repro.kernels.queueing.commit_window` for the
+supermarket model (``batch``'s event loop) — and the source the numba loops
+transcribe.
 """
 
 from repro.kernels.commit import (

@@ -34,34 +34,31 @@ at scalar speed, bit-identical by construction.
 Requests are processed in chunks (roughly ``n / 4`` requests per speculation
 scope) so the collision rate per round stays low; each chunk drains
 completely before the next begins, preserving sequential semantics across
-chunks.
+chunks.  A window takes one of three routes: *forced* when every candidate
+set has one member (winners are load-independent, one pass commits all),
+*pairs* for the paper's d = 2 sample (flat width-2 rounds), and *CSR* for
+any other widths (and for every least-loaded or hybrid window).
 
-Every function here is a drop-in for its namesake in
-:mod:`repro.kernels.commit` / :mod:`repro.kernels.queueing` — same
-signatures, bit-identical outputs for any input — and is registered as the
-``batch`` engine; :data:`DEFAULT_MAX_ROUNDS` caps the repair rounds per chunk
-before the scalar fallback.  When numba is importable, the repair round of
-the ``of_sample`` family runs as a single compiled pass
-(:func:`repro.backends.numba_backend.repair_round_of_sample`).
-
-The queueing variant batches the arrivals between consecutive departures:
-arrivals strictly before the next due departure are speculated in one round,
-and the *safe prefix* is committed through a scalar mini-loop that replays
-the exact float accounting of :func:`repro.kernels.queueing.commit_window`
-(the metric accumulators are order-dependent, so only prefixes commit).
-Heavy traffic makes those segments short; after a few consecutive short or
-low-progress rounds the window falls back to the scalar event loop.
+The three static functions here are drop-ins for their namesakes in
+:mod:`repro.kernels.commit` — same signatures, bit-identical outputs for any
+input — and are registered as the ``batch`` engine of the assignment family;
+:data:`DEFAULT_MAX_ROUNDS` caps the repair rounds per chunk before the scalar
+fallback.  The queueing ``batch`` engine runs the plain event loop
+:func:`repro.kernels.queueing.commit_window`, re-exported here under the same
+name.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.kernels import commit as _scalar
 from repro.kernels.loads import LoadVector
+
+# Queueing ``batch`` runs the plain event loop; perfbench's tracer wraps this name.
+from repro.kernels.queueing import commit_window
 from repro.types import IntArray
 
 __all__ = [
@@ -83,24 +80,20 @@ DEFAULT_MAX_ROUNDS = 32
 #: aggressiveness by raising this).
 _PROGRESS_SHIFT = 4
 
-#: Queueing: speculation lookahead (arrivals per round) and the segment /
-#: commit sizes below which speculation is judged not to pay.
-_LOOKAHEAD = 4096
-_QUEUE_MIN_SEGMENT = 8
-_QUEUE_MIN_COMMITS = 8
-
 _SENTINEL = np.int64(2**62)
 _SCRATCH: dict[int, np.ndarray] = {}
 
 
 @dataclass
 class BatchCommitStats:
-    """Diagnostics of the most recent batch commit call (see :func:`get_last_stats`).
+    """Diagnostics of the most recent static batch commit (see :func:`get_last_stats`).
 
-    ``rounds`` counts speculative repair rounds; ``chunks`` the speculation
-    scopes; ``committed_vectorised`` / ``committed_scalar`` how many requests
-    each path retired; ``fallbacks`` how many times the scalar fallback
-    (round cap or low progress) was taken.
+    Only the three static d-choice commits record stats; the queueing
+    :func:`commit_window` leaves them untouched.  ``rounds`` counts
+    speculative repair rounds; ``chunks`` the speculation scopes;
+    ``committed_vectorised`` / ``committed_scalar`` how many requests each
+    path retired; ``fallbacks`` how many times the scalar fallback (round cap
+    or low progress) was taken.
     """
 
     rounds: int = 0
@@ -114,7 +107,7 @@ _LAST_STATS = BatchCommitStats()
 
 
 def get_last_stats() -> BatchCommitStats:
-    """Stats of the most recent batch commit call (diagnostic, not thread-safe)."""
+    """Stats of the most recent static batch commit (diagnostic, not thread-safe)."""
     return _LAST_STATS
 
 
@@ -185,49 +178,7 @@ def _chunk_size(num_nodes: int) -> int:
     return max(2048, num_nodes // 4)
 
 
-_NUMBA_ROUND = None
-_NUMBA_CHECKED = False
-
-
-def _numba_round():
-    """The compiled repair round of the of_sample family, when importable."""
-    global _NUMBA_ROUND, _NUMBA_CHECKED
-    if not _NUMBA_CHECKED:
-        _NUMBA_CHECKED = True
-        try:
-            from repro.backends import numba_backend as nb
-        except ImportError:  # pragma: no cover - backends always importable
-            nb = None
-        if nb is not None and nb.NUMBA_AVAILABLE:
-            _NUMBA_ROUND = nb.repair_round_of_sample
-    return _NUMBA_ROUND
-
-
 # ------------------------------------------------------------ round building
-def _pick_uniform(loads: IntArray, cand: np.ndarray, u: np.ndarray) -> IntArray:
-    """Winning column per row of a fixed-width candidate matrix."""
-    gathered = loads[cand]
-    best = gathered.min(axis=1)
-    is_min = gathered == best[:, None]
-    ties = is_min.sum(axis=1)
-    k = (u * ties).astype(np.int64)
-    csum = np.cumsum(is_min, axis=1)
-    return np.argmax(csum == (k + 1)[:, None], axis=1)
-
-
-def _safe_uniform(first: np.ndarray, cand: np.ndarray) -> np.ndarray:
-    """First-toucher safety per row of a fixed-width candidate matrix."""
-    num_active = cand.shape[0]
-    flat = cand.ravel()
-    rows = np.repeat(np.arange(num_active, dtype=np.int64), cand.shape[1])
-    first[flat[::-1]] = rows[::-1]
-    try:
-        seg_first = first[cand].min(axis=1)
-    finally:
-        first[flat] = _SENTINEL
-    return seg_first == np.arange(num_active)
-
-
 def _safe_csr(first: np.ndarray, nd: IntArray, counts: IntArray, seg_starts: IntArray) -> np.ndarray:
     """First-toucher safety per segment of a compact CSR candidate layout."""
     num_active = counts.size
@@ -296,41 +247,11 @@ def _speculate_hybrid(loads, nd, dd, counts, iptr, u, threshold):
 
 
 # ------------------------------------------------------------- chunk drivers
-def _drain_chunk_uniform(loads, nodes, width, lo, hi, uniforms, out, first, stats):
-    """Repair rounds over a fixed-width chunk; returns the uncommitted ids."""
-    req = np.arange(lo, hi, dtype=np.int64)
-    cand = nodes[lo * width : hi * width].reshape(-1, width)
-    u = uniforms[lo:hi]
-    rounds = 0
-    while req.size:
-        if rounds >= DEFAULT_MAX_ROUNDS:
-            return req
-        active = req.size
-        wcol = _pick_uniform(loads, cand, u)
-        safe = _safe_uniform(first, cand)
-        safe_idx = np.flatnonzero(safe)
-        loads[cand[safe_idx, wcol[safe_idx]]] += 1
-        committed = req[safe_idx]
-        out[committed] = committed * width + wcol[safe_idx]
-        rounds += 1
-        stats.rounds += 1
-        stats.committed_vectorised += safe_idx.size
-        if safe_idx.size == active:
-            return req[:0]
-        keep = ~safe
-        req = req[keep]
-        cand = cand[keep]
-        u = u[keep]
-        if safe_idx.size < max(1, active >> _PROGRESS_SHIFT):
-            return req
-    return req
-
-
 def _drain_chunk_pairs(loads, nodes, lo, hi, uniforms, out, stamp, stats):
     """Width-2 repair rounds in flat 1-D ops (the paper's d = 2 hot shape).
 
-    Semantically identical to :func:`_drain_chunk_uniform` at ``width == 2``
-    but avoids every 2-D fancy index / axis-1 reduction: with two candidates
+    Semantically identical to :func:`_drain_chunk_csr` at ``width == 2``
+    but avoids every CSR gather and segmented reduction: with two candidates
     the tie rule collapses to ``u >= 1/2`` and segment minima to a single
     :func:`numpy.minimum`.  The first-toucher scatter writes epoch stamps
     (``base + row``) through a pre-reversed index so the lowest row wins with
@@ -387,13 +308,9 @@ def _drain_chunk_pairs(loads, nodes, lo, hi, uniforms, out, stamp, stats):
 
 def _drain_chunk_csr(
     loads, nodes, dists, starts0, counts0, lo, hi, uniforms, out, first,
-    stats, speculate, fused=None,
+    stats, speculate,
 ):
-    """Repair rounds over a variable-width chunk; returns the uncommitted ids.
-
-    ``fused`` (the compiled repair round, of_sample only) replaces the
-    speculate + safety pair with one pass that also bumps the safe winners.
-    """
+    """Repair rounds over a variable-width chunk; returns the uncommitted ids."""
     req = np.arange(lo, hi, dtype=np.int64)
     base = starts0[lo:hi]
     counts = counts0[lo:hi]
@@ -410,15 +327,11 @@ def _drain_chunk_csr(
             np.arange(total, dtype=np.int64) - np.repeat(seg_starts, counts)
         )
         nd = nodes[flat_src]
-        if fused is not None:
-            pick_local, safe = fused(loads, nd, iptr, u, first, int(_SENTINEL))
-            safe_idx = np.flatnonzero(safe)
-        else:
-            dd = dists[flat_src] if dists is not None else None
-            pick_local = speculate(loads, nd, dd, counts, iptr, u)
-            safe = _safe_csr(first, nd, counts, seg_starts)
-            safe_idx = np.flatnonzero(safe)
-            loads[nd[pick_local[safe_idx]]] += 1
+        dd = dists[flat_src] if dists is not None else None
+        pick_local = speculate(loads, nd, dd, counts, iptr, u)
+        safe = _safe_csr(first, nd, counts, seg_starts)
+        safe_idx = np.flatnonzero(safe)
+        loads[nd[pick_local[safe_idx]]] += 1
         out[req[safe_idx]] = flat_src[pick_local[safe_idx]]
         rounds += 1
         stats.rounds += 1
@@ -481,26 +394,19 @@ def commit_least_loaded_of_sample(
         return out
     first = _scratch(int(num_nodes))
     chunk = _chunk_size(int(num_nodes))
-    fused = _numba_round()
     starts0 = sample_indptr[:-1]
     for lo in range(0, m, chunk):
         hi = min(m, lo + chunk)
         stats.chunks += 1
-        if wmin == wmax == 2 and fused is None:
+        if wmin == wmax == 2:
             leftover = _drain_chunk_pairs(
                 loads, sample_nodes, lo, hi, tie_uniforms, out,
                 _pairs_scratch(int(num_nodes)), stats,
             )
-        elif wmin == wmax and fused is None:
-            leftover = _drain_chunk_uniform(
-                loads, sample_nodes, wmin, lo, hi, tie_uniforms, out, first,
-                stats,
-            )
         else:
             leftover = _drain_chunk_csr(
                 loads, sample_nodes, None, starts0, sample_counts, lo, hi,
-                tie_uniforms, out, first, stats,
-                _speculate_of_sample, fused=fused,
+                tie_uniforms, out, first, stats, _speculate_of_sample,
             )
         if leftover.size:
             stats.fallbacks += 1
@@ -617,159 +523,4 @@ def commit_threshold_hybrid(
             out[leftover] = flat_src[picks]
     if writeback is not None:
         writeback[:] = loads
-    return out
-
-
-# ---------------------------------------------------------- public: queueing
-def commit_window(
-    state,
-    times,
-    services,
-    tie_uniforms,
-    sample_nodes: IntArray,
-    sample_counts: IntArray,
-    sample_indptr: IntArray,
-) -> IntArray:
-    """Batch drop-in for :func:`repro.kernels.queueing.commit_window`.
-
-    Speculates over the arrivals strictly before the next due departure (one
-    repair round per inter-departure segment) and commits the safe *prefix*
-    through a scalar mini-loop replaying the event loop's exact float
-    accounting.  Heavy traffic shortens the segments until speculation stops
-    paying, at which point the remainder of the window falls back to the
-    scalar event loop.  The queueing round structure is governed by
-    departures, so the low-progress fallback (not a round cap) bounds the
-    adversarial case.
-    """
-    from repro.kernels import queueing as _queueing
-
-    m = int(times.size)
-    stats = _reset_stats()
-    out = np.empty(m, dtype=np.int64)
-    if m == 0:
-        state.num_arrivals += 0
-        return out
-    num_nodes = len(state.queue_lengths)
-    queue = np.asarray(state.queue_lengths, dtype=np.int64)
-    busy = np.asarray(state.busy_until, dtype=np.float64)
-    times_arr = np.asarray(times, dtype=np.float64)
-    times_l = times_arr.tolist()
-    services_l = np.asarray(services, dtype=np.float64).tolist()
-    nodes_l = sample_nodes.tolist()
-    events = state.events
-    clock = state.clock
-    in_system = state.in_system
-    area = state.area_queue
-    completed = state.completed
-    max_queue = state.max_queue
-    sum_wait = state.sum_wait
-    sum_sojourn = state.sum_sojourn
-    event_id = state.next_event_id
-    push = heapq.heappush
-    pop = heapq.heappop
-    pairwise = sample_nodes.size == 2 * m and int(sample_counts.min()) == 2
-    first = _scratch(num_nodes)
-
-    def write_back():
-        state.queue_lengths = queue.tolist()
-        state.busy_until = busy.tolist()
-        state.next_event_id = event_id
-        state.clock = float(clock)
-        state.in_system = in_system
-        state.area_queue = float(area)
-        state.completed = completed
-        state.max_queue = max_queue
-        state.sum_wait = float(sum_wait)
-        state.sum_sojourn = float(sum_sojourn)
-
-    p = 0
-    lowp = 0
-    smallseg = 0
-    while p < m:
-        now_p = times_l[p]
-        while events and events[0][0] <= now_p:
-            dep_time, _, dep_server = pop(events)
-            area += in_system * (dep_time - clock)
-            clock = dep_time
-            queue[dep_server] -= 1
-            in_system -= 1
-            completed += 1
-        if events:
-            hi = p + int(
-                np.searchsorted(times_arr[p : p + _LOOKAHEAD], events[0][0], side="left")
-            )
-            if hi == p:  # defensive: the drain above guarantees times[p] < top
-                hi = p + 1
-        else:
-            hi = min(m, p + _LOOKAHEAD)
-        active = hi - p
-        if pairwise:
-            cand = sample_nodes[2 * p : 2 * hi].reshape(active, 2)
-            wcol = _pick_uniform(queue, cand, tie_uniforms[p:hi])
-            safe = _safe_uniform(first, cand)
-            picks = 2 * np.arange(p, hi, dtype=np.int64) + wcol
-        else:
-            counts = sample_counts[p:hi]
-            iptr = _layout(counts)
-            flat0 = int(sample_indptr[p])
-            nd = sample_nodes[flat0 : flat0 + int(iptr[-1])]
-            pick_local = _speculate_of_sample(queue, nd, None, counts, iptr, tie_uniforms[p:hi])
-            safe = _safe_csr(first, nd, counts, iptr[:-1])
-            picks = pick_local + flat0
-        stats.rounds += 1
-        prefix = active if bool(safe.all()) else int(np.argmin(safe))
-        picks_l = picks.tolist()
-        committed = 0
-        for idx in range(prefix):
-            i = p + idx
-            now = times_l[i]
-            if events and events[0][0] <= now:
-                break
-            area += in_system * (now - clock)
-            clock = now
-            pick = picks_l[idx]
-            server = nodes_l[pick]
-            svc_start = busy[server]
-            if svc_start < now:
-                svc_start = now
-            finish = svc_start + services_l[i]
-            busy[server] = finish
-            sum_wait += svc_start - now
-            sum_sojourn += finish - now
-            load = int(queue[server]) + 1
-            queue[server] = load
-            in_system += 1
-            if load > max_queue:
-                max_queue = load
-            push(events, (float(finish), event_id, server))
-            event_id += 1
-            out[i] = pick
-            committed += 1
-        p += committed
-        stats.committed_vectorised += committed
-        smallseg = smallseg + 1 if active < _QUEUE_MIN_SEGMENT else 0
-        lowp = (
-            lowp + 1
-            if (committed < _QUEUE_MIN_COMMITS and active >= 2 * _QUEUE_MIN_COMMITS)
-            else 0
-        )
-        if (smallseg >= 3 or lowp >= 2) and p < m:
-            write_back()
-            state.num_arrivals += p
-            stats.fallbacks += 1
-            stats.committed_scalar += m - p
-            flat0 = int(sample_indptr[p])
-            sub = _queueing.commit_window(
-                state,
-                times_arr[p:],
-                np.asarray(services, dtype=np.float64)[p:],
-                np.asarray(tie_uniforms, dtype=np.float64)[p:],
-                sample_nodes[flat0:],
-                sample_counts[p:],
-                sample_indptr[p:] - flat0,
-            )
-            out[p:] = sub + flat0
-            return out
-    write_back()
-    state.num_arrivals += m
     return out

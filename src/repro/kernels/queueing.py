@@ -203,9 +203,11 @@ def commit_window(
 
     Returns, per arrival, the flat index of the winning server into
     ``sample_nodes`` so the caller gathers hop distances vectorised.  This is
-    the default ``commit`` implementation of :func:`queueing_kernel_window`;
-    compiled backends (:mod:`repro.backends.numba_backend`) provide
-    bit-identical replacements with the same signature.
+    the default ``commit`` implementation of :func:`queueing_kernel_window`
+    and the ``batch`` engine's event loop (re-exported as
+    :func:`repro.kernels.batch_commit.commit_window`); compiled backends
+    (:mod:`repro.backends.numba_backend`) provide bit-identical replacements
+    with the same signature.
     """
     m = int(times.size)
     out = [0] * m

@@ -26,8 +26,7 @@ the backend registry (:mod:`repro.backends.registry`), all implementing the
 * ``engine="batch"`` — the event-batched engine: candidate sets resolve
   through the memoised group index, all sampling / tie-break / service
   randomness is drawn in three batched calls, and the remaining sequential
-  event loop speculates over the arrivals between departures, falling back
-  to a loop over plain Python ints and floats;
+  event loop runs over plain Python ints and floats;
 * ``engine="numba"`` (when numba is importable) — the same precompute with
   the event loop compiled by ``@njit``;
 * ``engine="reference"`` — the scalar per-arrival transcription, kept boring

@@ -27,7 +27,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (kernels import us)
     from repro.kernels.group_index import GroupStore
 
 from repro.backends.registry import resolve_engine, resolve_engine_name
-from repro.exceptions import NoReplicaError, StrategyError
+from repro.exceptions import StrategyError
 from repro.placement.cache import CacheState
 from repro.rng import SeedLike
 from repro.topology.base import Topology
@@ -323,14 +323,6 @@ class AssignmentStrategy(ABC):
             raise StrategyError(
                 f"requests assume {requests.num_files} files but cache has {cache.num_files}"
             )
-
-    @staticmethod
-    def _require_replicas(cache: CacheState, file_id: int) -> IntArray:
-        """Return the replica set of ``file_id``, raising if it is empty."""
-        replicas = cache.file_nodes(file_id)
-        if replicas.size == 0:
-            raise NoReplicaError(file_id)
-        return replicas
 
     def as_dict(self) -> dict[str, object]:
         """JSON-serialisable description (used by the experiment harness)."""

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from repro.analysis.regimes import classify_regime
 
 __all__ = [
@@ -77,7 +75,3 @@ def strategy2_max_load_prediction(
     if report.regime == "example4_full_memory_tiny_radius":
         return log_n / loglog_n
     return log_n
-
-
-def _radius_or_diameter(n: int, radius: float) -> float:
-    return math.sqrt(n) if np.isinf(radius) else float(radius)

@@ -40,14 +40,15 @@ def module_registry():
 
 @pytest.fixture(scope="module")
 def python_commit_engine(module_registry):
-    """Register ``"python-commit"`` in both families for the test module.
+    """Register ``"python-commit"`` in the assignment family for the test module.
 
-    Its tables are the kernel entry points with their default pure-Python
+    Its table is the kernel entry points with their default pure-Python
     commit loops — the ``batch`` engine's fallback and the source of the
-    numba transcriptions — which no built-in engine runs on its own.
+    numba transcriptions — which no built-in engine runs on its own.  (The
+    queueing family needs no such row: its ``batch`` engine *is* the
+    pure-Python event loop.)
     """
     from repro.kernels import engine as kernel
-    from repro.kernels.queueing import queueing_kernel_window
 
     name = "python-commit"
     registry.register_engine(
@@ -60,12 +61,6 @@ def python_commit_engine(module_registry):
             "random_replica": kernel.random_replica_kernel,
             "nearest_replica": kernel.nearest_replica_kernel,
         },
-        priority=-1,
-    )
-    registry.register_engine(
-        name,
-        family="queueing",
-        commit_fns={"window": queueing_kernel_window},
         priority=-1,
     )
     return name

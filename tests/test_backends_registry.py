@@ -13,6 +13,7 @@ from repro.backends.registry import (
     resolve_engine_name,
 )
 from repro.exceptions import StrategyError, UnknownEngineError
+from repro.kernels.queueing import commit_window
 
 
 class TestBuiltins:
@@ -55,6 +56,8 @@ class TestBuiltins:
         }
         queueing = resolve_engine("batch", "queueing").commit_fns
         assert set(queueing) == {"window"}
+        # The queueing batch engine runs the plain event loop.
+        assert queueing["window"].keywords["commit"] is commit_window
 
 
 class TestResolution:

@@ -2,16 +2,18 @@
 
 Three layers of guarantees:
 
-* **bit-identity** — :mod:`repro.kernels.batch_commit` must match the scalar
-  loops of :mod:`repro.kernels.commit` / :mod:`repro.kernels.queueing`
+* **bit-identity** — the static commits of :mod:`repro.kernels.batch_commit`
+  must match the scalar loops of :mod:`repro.kernels.commit`
   element-for-element on any input, including the adversarial windows where
   speculation is maximally wrong (every request fighting over one candidate
-  pair, all-shared candidate sets, heavy ties at tie-uniform boundaries);
+  pair, all-shared candidate sets, heavy ties at tie-uniform boundaries), on
+  every route (forced, pairs, CSR); its queueing ``commit_window`` — the
+  event loop of :mod:`repro.kernels.queueing`, which ``batch`` runs — must
+  match a per-arrival transcription of the reference dispatcher on both of
+  its routes (pairs, any widths), state included;
 * **the repair-round structure** — with the progress fallback disabled, the
   number of repair rounds on disjoint contention groups is exactly (and in
-  general at most) the longest per-node collision chain, and the compiled
-  repair-round transcription in :mod:`repro.backends.numba_backend` agrees
-  with the numpy round it replaces (runs as plain Python without numba);
+  general at most) the longest per-node collision chain;
 * **the registry surface** — ``batch`` is a first-class engine for both
   families, ranked between ``reference`` and ``numba``, and ``repro
   engines`` lists it in text and JSON mode.
@@ -20,12 +22,14 @@ The cross-engine differential suites (``tests/test_kernels_differential.py``,
 ``tests/test_kernels_queueing_differential.py``) parametrise over the
 registry and therefore already hold ``batch`` to reference equality on every
 strategy and topology; this file adds the adversarial and structural cases
-those suites cannot express.
+those suites cannot express.  ``tests/test_backends_registry.py`` pins that
+the queueing ``batch`` table commits through that event loop.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import json
 
 import numpy as np
@@ -33,7 +37,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backends import numba_backend as nb
 from repro.backends.registry import engines_payload, resolve_engine
 from repro.cli import main
 from repro.kernels import batch_commit as bc
@@ -169,6 +172,21 @@ class TestAdversarialCollisions:
         stats = bc.get_last_stats()
         assert stats.committed_vectorised == m and stats.rounds == 0
 
+    @pytest.mark.parametrize("dmin, dmax", [(3, 3), (4, 4), (1, 5)], ids=["3", "4", "1to5"])
+    def test_csr_route_any_widths(self, dmin, dmax):
+        # Every window that is neither forced nor all-pairs takes the CSR
+        # driver: fixed widths above two, and mixed widths with singletons.
+        # m spans two chunks, so loads must carry across the chunk boundary.
+        rng = np.random.default_rng(15)
+        m, n = 3000, 96
+        nodes, counts, indptr = _random_csr(rng, m, n, dmin, dmax)
+        init = rng.integers(0, 4, size=n)
+        _assert_of_sample_identical(n, nodes, counts, indptr, rng.random(m), init=init)
+        stats = bc.get_last_stats()
+        assert stats.chunks == 2 and stats.rounds >= 1
+        assert stats.committed_vectorised > 0
+        assert stats.committed_vectorised + stats.committed_scalar == m
+
 
 # ------------------------------------------------------------------ round cap
 class TestRoundCap:
@@ -177,7 +195,7 @@ class TestRoundCap:
     to the scalar loop without changing a single pick."""
 
     @pytest.mark.parametrize("max_rounds", [1, 2, 32])
-    @pytest.mark.parametrize("layout", ["pairs", "uniform", "scan", "hybrid"])
+    @pytest.mark.parametrize("layout", ["pairs", "width3", "scan", "hybrid"])
     def test_cap_bounds_rounds_and_falls_back_identically(
         self, layout, max_rounds, monkeypatch
     ):
@@ -189,7 +207,7 @@ class TestRoundCap:
         nodes, counts, indptr = _random_csr(rng, m, n, width, width)
         dists = rng.integers(0, 3, size=nodes.size).astype(np.int64)
         uniforms = rng.random(m)
-        if layout in ("pairs", "uniform"):
+        if layout in ("pairs", "width3"):
             _assert_of_sample_identical(n, nodes, counts, indptr, uniforms)
         elif layout == "scan":
             starts = indptr[:-1]
@@ -324,58 +342,66 @@ class TestRepairRounds:
         assert stats.rounds <= 8  # sparse collisions resolve almost at once
         assert stats.committed_scalar == 0
 
-    def test_repair_round_transcription_matches_numpy(self):
-        # The @njit repair round (plain Python here when numba is absent)
-        # must agree with the numpy round on safety, safe picks and loads.
-        rng = np.random.default_rng(11)
-        n, m = 12, 80
-        nodes, counts, indptr = _random_csr(rng, m, n, 2, 3)
-        uniforms = rng.random(m)
-        loads_fused = rng.integers(0, 2, size=n).astype(np.int64)
-        loads_numpy = loads_fused.copy()
-        sentinel = int(bc._SENTINEL)
-        first = np.full(n, sentinel, dtype=np.int64)
-        picks, safe = nb.repair_round_of_sample(
-            loads_fused, nodes, indptr, uniforms, first, sentinel
-        )
-        assert np.all(first == sentinel), "scratch must be restored"
-        pick_np = bc._speculate_of_sample(loads_numpy, nodes, None, counts, indptr, uniforms)
-        safe_np = bc._safe_csr(first, nodes, counts, indptr[:-1])
-        loads_numpy[nodes[pick_np[np.flatnonzero(safe_np)]]] += 1
-        np.testing.assert_array_equal(safe, safe_np)
-        np.testing.assert_array_equal(picks[safe], pick_np[safe_np])
-        np.testing.assert_array_equal(loads_fused, loads_numpy)
-        assert bool(safe[0]), "the head of the active set is always safe"
-
 
 # --------------------------------------------------------- queueing windows
 def _fresh_state(n):
     return q.QueueingState(queue_lengths=[0] * n, busy_until=[0.0] * n, events=[])
 
 
-def _queueing_case(seed, n, m, rate_per_server):
+def _queueing_case(seed, n, m, rate_per_server, dmin=2, dmax=2):
     rng = np.random.default_rng(seed)
     times = np.cumsum(rng.exponential(1.0 / (rate_per_server * n), size=m))
     services = rng.exponential(1.0, size=m)
     uniforms = rng.random(m)
-    pairs = np.empty((m, 2), dtype=np.int64)
-    for i in range(m):
-        pairs[i] = rng.choice(n, size=2, replace=False)
-    nodes, counts, indptr = _uniform_csr(pairs)
-    return times, services, uniforms, nodes, counts, indptr
+    return (times, services, uniforms, *_random_csr(rng, m, n, dmin, dmax))
+
+
+def _scalar_window(state, times, services, uniforms, nodes, counts, indptr):
+    """Per-arrival transcription of the reference dispatcher's commit step."""
+    picks = []
+    for i, now in enumerate(times.tolist()):
+        q.drain_departures(state, now)
+        state.area_queue += state.in_system * (now - state.clock)
+        state.clock = now
+        segment = range(int(indptr[i]), int(indptr[i + 1]))
+        loads = [state.queue_lengths[int(nodes[j])] for j in segment]
+        tied = [j for j, load in zip(segment, loads) if load == min(loads)]
+        pick = tied[int(float(uniforms[i]) * len(tied))]
+        server = int(nodes[pick])
+        svc_start = max(state.busy_until[server], now)
+        finish = svc_start + float(services[i])
+        state.busy_until[server] = finish
+        state.sum_wait += svc_start - now
+        state.sum_sojourn += finish - now
+        state.queue_lengths[server] += 1
+        state.in_system += 1
+        state.max_queue = max(state.max_queue, state.queue_lengths[server])
+        heapq.heappush(state.events, (finish, state.next_event_id, server))
+        state.next_event_id += 1
+        picks.append(pick)
+    state.num_arrivals += len(picks)
+    return np.asarray(picks, dtype=np.int64)
+
+
+def _assert_window_identical(sa, sb, case, msg=""):
+    expected = _scalar_window(sa, *case)
+    actual = bc.commit_window(sb, *case)
+    np.testing.assert_array_equal(actual, expected, err_msg=msg)
+    assert dataclasses.asdict(sa) == dataclasses.asdict(sb), msg
 
 
 class TestQueueingWindow:
+    """``batch_commit.commit_window`` is the event loop ``batch`` runs."""
+
     @pytest.mark.parametrize("rate", [0.2, 0.95, 2.0])
     def test_window_identical_to_scalar(self, rate):
-        times, services, uniforms, nodes, counts, indptr = _queueing_case(
-            12, 48, 600, rate
-        )
-        sa, sb = _fresh_state(48), _fresh_state(48)
-        expected = q.commit_window(sa, times, services, uniforms, nodes, counts, indptr)
-        actual = bc.commit_window(sb, times, services, uniforms, nodes, counts, indptr)
-        np.testing.assert_array_equal(actual, expected)
-        assert dataclasses.asdict(sa) == dataclasses.asdict(sb)
+        case = _queueing_case(12, 48, 600, rate)
+        _assert_window_identical(_fresh_state(48), _fresh_state(48), case)
+
+    def test_mixed_widths_identical_to_scalar(self):
+        # Widths 1..4 keep the loop off its d = 2 fast path.
+        case = _queueing_case(16, 48, 600, 0.95, dmin=1, dmax=4)
+        _assert_window_identical(_fresh_state(48), _fresh_state(48), case)
 
     def test_multi_window_state_carries(self):
         n = 64
@@ -388,47 +414,30 @@ class TestQueueingWindow:
             t0 = float(times[-1])
             services = rng.exponential(1.0, size=m)
             uniforms = rng.random(m)
-            pairs = np.empty((m, 2), dtype=np.int64)
-            for i in range(m):
-                pairs[i] = rng.choice(n, size=2, replace=False)
-            nodes, counts, indptr = _uniform_csr(pairs)
-            expected = q.commit_window(sa, times, services, uniforms, nodes, counts, indptr)
-            actual = bc.commit_window(sb, times, services, uniforms, nodes, counts, indptr)
-            np.testing.assert_array_equal(actual, expected, err_msg=f"window {w}")
+            case = (times, services, uniforms, *_random_csr(rng, m, n, 2, 2))
+            _assert_window_identical(sa, sb, case, f"window {w}")
             q.drain_departures(sa, t0)
             q.drain_departures(sb, t0)
-            assert dataclasses.asdict(sa) == dataclasses.asdict(sb), f"window {w}"
+        assert dataclasses.asdict(sa) == dataclasses.asdict(sb)
 
     def test_adversarial_one_pair_arrivals(self):
-        # Every arrival contends on the same pair: speculation commits only
-        # prefixes of length ~1, so the low-progress fallback must hand the
-        # remainder to the scalar event loop — bit-identically.
+        # Every arrival contends on the same pair and nothing departs inside
+        # the window: each arrival joins the shorter queue, so the pair
+        # stays balanced to within one.
         m, n = 300, 8
         rng = np.random.default_rng(14)
         times = np.cumsum(rng.exponential(0.001, size=m))
-        services = np.full(m, 1e9)  # nothing departs inside the window
-        uniforms = rng.random(m)
-        nodes, counts, indptr = _uniform_csr([[2, 5]] * m)
-        sa, sb = _fresh_state(n), _fresh_state(n)
-        expected = q.commit_window(sa, times, services, uniforms, nodes, counts, indptr)
-        actual = bc.commit_window(sb, times, services, uniforms, nodes, counts, indptr)
-        np.testing.assert_array_equal(actual, expected)
-        assert dataclasses.asdict(sa) == dataclasses.asdict(sb)
-        assert bc.get_last_stats().fallbacks == 1
+        case = (times, np.full(m, 1e9), rng.random(m), *_uniform_csr([[2, 5]] * m))
+        sb = _fresh_state(n)
+        _assert_window_identical(_fresh_state(n), sb, case)
+        assert sb.queue_lengths[2] + sb.queue_lengths[5] == m
+        assert abs(sb.queue_lengths[2] - sb.queue_lengths[5]) <= 1
 
     def test_empty_window(self):
-        sa, sb = _fresh_state(4), _fresh_state(4)
         empty_f = np.empty(0)
         empty_i = np.empty(0, dtype=np.int64)
-        expected = q.commit_window(
-            sa, empty_f, empty_f, empty_f, empty_i, empty_i, np.zeros(1, dtype=np.int64)
-        )
-        actual = bc.commit_window(
-            sb, empty_f, empty_f, empty_f, empty_i, empty_i, np.zeros(1, dtype=np.int64)
-        )
-        np.testing.assert_array_equal(actual, expected)
-        assert dataclasses.asdict(sa) == dataclasses.asdict(sb)
-
+        case = (empty_f, empty_f, empty_f, empty_i, empty_i, np.zeros(1, dtype=np.int64))
+        _assert_window_identical(_fresh_state(4), _fresh_state(4), case)
 
 # ------------------------------------------------------------- load vector
 class TestLoadVector:

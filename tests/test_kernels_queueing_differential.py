@@ -6,10 +6,9 @@ three-stream RNG contract (see ``repro/kernels/queueing.py``), so for any
 :class:`~repro.simulation.queueing.QueueingResult` — every float field bit
 for bit, not approximately.  The engine list is parametrised from the backend
 registry, so a newly registered backend (e.g. ``numba`` where importable) is
-automatically held to the same guarantee.  A test-local ``python-commit``
-row adds :func:`~repro.kernels.queueing.queueing_kernel_window` with its
-default pure-Python event loop, which is the ``batch`` engine's fallback and
-the source of the numba transcription.  When engines disagree, the reference
+automatically held to the same guarantee.  The ``batch`` row runs the
+pure-Python event loop :func:`~repro.kernels.queueing.commit_window`, the
+source of the numba transcription.  When engines disagree, the reference
 engine is authoritative.
 """
 
@@ -34,18 +33,10 @@ from repro.workload.arrivals import PoissonArrivalProcess
 
 TOPOLOGIES = [Torus2D(64), Grid2D(49), Ring(40), CompleteTopology(30)]
 
-#: The queueing kernel window with its default pure-Python event loop,
-#: registered for this module by conftest's ``python_commit_engine``.
-PYTHON_COMMIT = "python-commit"
-
 #: Engine list from the registry: every available engine (numba included
-#: where importable), plus the pure-Python event-loop row, is compared
-#: against the authoritative reference.
+#: where importable) is compared against the authoritative reference.
 ENGINES = [e.name for e in registered_engines("queueing") if e.available]
-ENGINES.append(PYTHON_COMMIT)
 NON_REFERENCE_ENGINES = [name for name in ENGINES if name != "reference"]
-
-pytestmark = pytest.mark.usefixtures("python_commit_engine")
 
 
 def _simulation(

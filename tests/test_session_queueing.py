@@ -71,12 +71,10 @@ def _one_shot(radius=3.0, engine="batch", **kwargs):
     ).run(HORIZON, seed=SEED, engine=engine)
 
 
-#: The built-in engines plus conftest's ``python-commit`` (the pure-Python
-#: event loop that ``batch`` falls back to).
-WINDOW_ENGINES = ["batch", "python-commit", "reference"]
+#: The built-in engines (``batch`` runs the pure-Python event loop).
+WINDOW_ENGINES = ["batch", "reference"]
 
 
-@pytest.mark.usefixtures("python_commit_engine")
 @pytest.mark.parametrize("partition", PARTITIONS.values(), ids=PARTITIONS.keys())
 @pytest.mark.parametrize("engine", WINDOW_ENGINES)
 class TestWindowPartitionDifferential:
@@ -91,6 +89,15 @@ class TestWindowPartitionDifferential:
     def test_unconstrained_windowed_bit_identical(self, engine, partition):
         one_shot = _one_shot(radius=np.inf, engine=engine)
         session = _session(radius=np.inf, engine=engine)
+        for until in partition:
+            session.serve(until)
+        assert session.result() == one_shot
+
+    def test_three_choice_windowed_bit_identical(self, engine, partition):
+        # d = 3 keeps the event loop off its d = 2 fast path, so the
+        # variable-width route must carry the state across the boundaries.
+        one_shot = _one_shot(engine=engine, num_choices=3)
+        session = _session(engine=engine, num_choices=3)
         for until in partition:
             session.serve(until)
         assert session.result() == one_shot
