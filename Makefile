@@ -92,9 +92,9 @@ bench-precompute:
 bench-commit:
 	$(PYTHON) -m pytest benchmarks/test_bench_commit.py -m bench_smoke -q -s --benchmark-disable
 
-# cProfile over the Strategy II precompute (group-index build + batched
-# distance matrices) at n = 4096; prints the top-10 by cumulative time and
-# writes benchmarks/results/precompute_profile.txt.  Pass --warm (via
+# cProfile over the Strategy II precompute (group-index build: ball gather
+# and flat replica scan) at n = 4096; prints the top-10 by cumulative time and
+# writes .benchmarks/timings/precompute_profile.txt.  Pass --warm (via
 # `python benchmarks/profile_precompute.py --warm`) to profile the
 # store-backed second window instead of the cold build.
 profile-precompute:

@@ -2,18 +2,18 @@
 
 ``make profile-precompute`` runs the Strategy II precompute at the
 figure-scale n = 4096 under ``cProfile`` and prints the top entries by
-cumulative time — the quickest way to see whether the group-index build, the
-batched ``pairwise_distances`` calls or the CSR scatter dominates before
-touching the kernels.
+cumulative time — the quickest way to see whether the ball gather, the flat
+replica scan's ``distances_between`` calls or the CSR scatter dominates
+before touching the kernels.
 
 ``--warm`` profiles the *second* window instead: the same request batch
 rebuilt against a populated :class:`~repro.kernels.group_index.GroupStore`,
 i.e. the store-backed ``get_many`` path every streaming window, trial wave
 and ``repro serve`` micro-batch converges to once its working set recurs.
 
-Either way the top entries are also written to
-``benchmarks/results/precompute_profile.txt`` with the standard ``host:``
-header, so profile snapshots can be compared across machines and PRs.
+Either way the top entries are also written to the untracked
+``.benchmarks/timings/precompute_profile.txt`` with the standard ``host:``
+header: a wall-clock profile changes on every run, so it is not an artifact.
 
 Usage::
 
@@ -28,7 +28,7 @@ import cProfile
 import io
 import pstats
 
-from _bench_utils import host_header, results_dir
+from _bench_utils import host_header, timings_dir
 
 from repro.catalog.library import FileLibrary
 from repro.kernels.group_index import GroupStore, build_group_index
@@ -97,7 +97,7 @@ def main() -> int:
     stats.sort_stats(pstats.SortKey.CUMULATIVE).print_stats(args.top)
     report = f"{header}\n{buffer.getvalue()}"
     print(report)
-    (results_dir() / "precompute_profile.txt").write_text(report)
+    (timings_dir() / "precompute_profile.txt").write_text(report)
     return 0
 
 

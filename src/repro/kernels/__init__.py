@@ -8,8 +8,10 @@ vector* and splits assignment into:
 
 **Precompute phase** (pure numpy, batch level)
     Group requests by ``(origin, file)`` (:mod:`repro.kernels.group_index`),
-    compute in-ball candidate sets once per group via batched
-    ``pairwise_distances`` in a CSR layout, resolve fallbacks group-wise, and
+    compute in-ball candidate sets once per group in a CSR layout — gathered
+    from the torus ball where it is smaller than the replica set, otherwise
+    by one flat, chunked ``distances_between`` scan over every
+    ``(group, replica)`` pair — resolve fallbacks over the same scan, and
     draw all ``d``-choice samples up front with a vectorised shifted-uniform
     pass — the ``O(d)``-randomness equivalent of a Gumbel-top-k draw
     (:mod:`repro.kernels.sampling`).

@@ -17,10 +17,12 @@ factors that work out of the per-request loop:
 3. every other group — other topologies, unconstrained or wrapping radii,
    libraries wider than ``64 M`` files (where the ``n K / 8``-byte bitset
    would outgrow the slot array), files with at most ``|B_r|`` replicas, and
-   ball groups with no in-ball replica — takes the replica scan: per file,
-   one batched :meth:`~repro.topology.base.Topology.pairwise_distances` call
-   serves all its groups (chunked to bound peak memory), followed by the
-   in-ball filter and fallback resolution (NEAREST / EXPAND / ERROR);
+   ball groups with no in-ball replica — takes one flat replica scan: the
+   ``(group, replica)`` pairs of all these groups, expanded from the cache's
+   file→nodes CSR in group-aligned chunks, one element-wise
+   :meth:`~repro.topology.base.Topology.distances_between` call per chunk,
+   the in-ball filter, and fallback resolution (NEAREST / EXPAND / ERROR)
+   vectorised over the empty rows' segments;
 4. both routes scatter into one CSR layout ``(starts, counts, nodes[, dists])``
    of candidate sets, bit-identical whichever route built a row.
 
@@ -474,31 +476,6 @@ class GroupStore:
         self._clock += num_keys
 
 
-def _resolve_fallback_row(
-    policy: FallbackPolicy,
-    radius: float,
-    origin: int,
-    file_id: int,
-    replicas: IntArray,
-    dist_row: IntArray,
-) -> tuple[IntArray, IntArray]:
-    """Candidates and distances for one group whose ball holds no replica."""
-    if policy is FallbackPolicy.ERROR:
-        raise StrategyError(
-            f"no replica of file {file_id} within radius {radius} of node {origin}"
-        )
-    if policy is FallbackPolicy.NEAREST:
-        nearest = int(np.argmin(dist_row))
-        return replicas[nearest : nearest + 1], dist_row[nearest : nearest + 1]
-    # EXPAND: double the radius until at least one replica is inside.
-    expanded = max(radius, 1.0)
-    while True:
-        expanded *= 2.0
-        in_ball = dist_row <= expanded
-        if np.any(in_ball):
-            return replicas[in_ball], dist_row[in_ball]
-
-
 #: Elements (group rows x ball offsets) per ball-gather chunk; bounds the
 #: gather's temporaries to a few hundred KiB each.
 _BALL_CHUNK = 1 << 16
@@ -523,6 +500,96 @@ def _ball_hits(
     return row_counts, nodes[order], dists[hits[order] % ball_size]
 
 
+#: Pairs (group x replica) per replica-scan chunk; bounds each of the scan's
+#: int64 temporaries to 128 KiB.  A group with more replicas than this is a
+#: chunk of its own.
+_SCAN_PAIRS = 1 << 14
+
+
+def _scan_rows(
+    topology: Topology,
+    cache: CacheState,
+    origins: IntArray,
+    files: IntArray,
+    *,
+    radius: float,
+    fallback: FallbackPolicy,
+) -> tuple[IntArray, list[IntArray], list[IntArray], np.ndarray]:
+    """Candidate rows of the groups ``(origins[i], files[i])`` from every replica.
+
+    Returns ``(row_counts, nodes_parts, dists_parts, fallback_flags)``: the
+    rows in group order, each row's replicas ascending, as per-chunk parts
+    whose concatenation is one contiguous CSR slab.  Every file must have a
+    replica.  The ``(group, replica)`` pairs are expanded from the
+    :meth:`CacheState.file_index` CSR in group-aligned chunks of at most
+    ``_SCAN_PAIRS`` pairs, one :meth:`Topology.distances_between` call per
+    chunk.  A radius of at least the diameter keeps every replica.  A row
+    left empty by the in-ball filter resolves over its segment of the chunk:
+    NEAREST keeps the first minimum in replica order (``np.argmin``'s tie
+    rule), EXPAND keeps ``d <= e`` for the smallest ``e = max(r, 1) * 2**k``
+    (``k >= 1``) that reaches the minimum, and ERROR raises.
+    """
+    indptr, replicas = cache.file_index()
+    first = indptr[files]
+    sizes = indptr[files + 1] - first
+    pair_ends = np.cumsum(sizes)
+    pair_starts = pair_ends - sizes
+    row_counts = np.empty(files.size, dtype=np.int64)
+    flags = np.zeros(files.size, dtype=bool)
+    nodes_parts: list[IntArray] = []
+    dists_parts: list[IntArray] = []
+    lo = 0
+    while lo < files.size:
+        base = pair_starts[lo]
+        hi = int(np.searchsorted(pair_ends, base + _SCAN_PAIRS, side="right"))
+        hi = max(hi, lo + 1)
+        row_sizes = sizes[lo:hi]
+        flat = np.repeat(first[lo:hi], row_sizes) + segmented_arange(row_sizes)
+        cand = replicas[flat]
+        dist = topology.distances_between(np.repeat(origins[lo:hi], row_sizes), cand)
+        keep = dist <= radius
+        # Every row has a replica, so no segment is empty and reduceat sums
+        # exactly each row's pairs.
+        counts = np.add.reduceat(keep, pair_starts[lo:hi] - base)
+        empty = np.flatnonzero(counts == 0)
+        if empty.size:
+            if fallback is FallbackPolicy.ERROR:
+                row = lo + int(empty[0])
+                raise StrategyError(
+                    f"no replica of file {int(files[row])} within radius "
+                    f"{radius} of node {int(origins[row])}"
+                )
+            # The empty rows' pairs, as contiguous non-empty segments: a
+            # reduceat over a subset of the chunk's segment starts would
+            # span the segments in between.
+            on_empty = np.flatnonzero(np.repeat(counts == 0, row_sizes))
+            seg_sizes = row_sizes[empty]
+            seg_starts = np.cumsum(seg_sizes) - seg_sizes
+            seg_dist = dist[on_empty]
+            seg_min = np.minimum.reduceat(seg_dist, seg_starts)
+            if fallback is FallbackPolicy.NEAREST:
+                at_min = np.flatnonzero(seg_dist == np.repeat(seg_min, seg_sizes))
+                # Every segment holds its minimum, so the first hit at or
+                # after a segment's start is that segment's first minimum.
+                keep[on_empty[at_min[np.searchsorted(at_min, seg_starts)]]] = True
+                counts[empty] = 1
+            else:  # EXPAND: double the radius until a replica is inside.
+                expanded = np.full(empty.size, 2.0 * max(radius, 1.0))
+                short = expanded < seg_min
+                while short.any():
+                    expanded[short] *= 2.0
+                    short = expanded < seg_min
+                reached = seg_dist <= np.repeat(expanded, seg_sizes)
+                keep[on_empty] = reached
+                counts[empty] = np.add.reduceat(reached, seg_starts)
+            flags[lo + empty] = True
+        row_counts[lo:hi] = counts
+        nodes_parts.append(cand[keep])
+        dists_parts.append(dist[keep])
+        lo = hi
+    return row_counts, nodes_parts, dists_parts, flags
+
+
 def _build_rows_csr(
     topology: Topology,
     cache: CacheState,
@@ -533,32 +600,32 @@ def _build_rows_csr(
     radius: float,
     fallback: FallbackPolicy,
     unconstrained: bool,
-    chunk_size: int,
 ) -> tuple[IntArray, IntArray, IntArray, np.ndarray]:
     """Fused count-then-scatter build of candidate rows for the groups ``gids``.
 
     Returns ``(counts, nodes, dists, fallback_flags)`` in ``gids`` order as one
     contiguous CSR slab: group ``gids[i]``'s candidates are the next
     ``counts[i]`` slots of ``nodes`` / ``dists``.  The cold build hands the
-    full group range; the store-backed build hands only its misses.
+    full group range; the store-backed build hands only its misses.  A file
+    cached nowhere raises :class:`NoReplicaError` before any distance work.
 
     Where the topology lists ``B_r`` as a dense matrix (see
     :meth:`Topology.ball_matrix`), groups whose file has more replicas than
     ``B_r`` has nodes are gathered from the ball first (see
     :func:`_ball_hits`), in chunks of at most ``_BALL_CHUNK`` elements.
     Every group left without candidates — the rest, plus ball groups with
-    no in-ball replica — then takes the replica scan: per
-    ``(file, chunk)`` one batched distance pass produces the chunk's flat
-    candidate rows (row-major, so already CSR within the chunk), and fallback
-    rows resolve scalar from that exact integer distance row.  The only
-    Python-level accumulation is one list append per chunk; the final arrays
-    are assembled with a single ``np.concatenate`` + one vectorised scatter
-    via :func:`csr_scatter_destinations`.
+    no in-ball replica — then takes one flat replica scan (see
+    :func:`_scan_rows`), fallback resolution included.  Both routes' per-chunk
+    rows are assembled with a single ``np.concatenate`` + one vectorised
+    scatter via :func:`csr_scatter_destinations`.
     """
-    num = int(gids.size)
-    counts = np.zeros(num, dtype=np.int64)
-    flags = np.zeros(num, dtype=bool)
-    # Per-chunk flat pieces, addressed by position within ``gids``; scattered
+    files = g_files[gids]
+    replication = cache.replication_counts()[files]
+    if not replication.all():
+        raise NoReplicaError(int(files[replication == 0].min()))
+    counts = np.zeros(gids.size, dtype=np.int64)
+    flags = np.zeros(gids.size, dtype=bool)
+    # Per-route flat pieces, addressed by position within ``gids``; scattered
     # into place once all counts are known.
     piece_pos: list[IntArray] = []
     piece_counts: list[IntArray] = []
@@ -573,13 +640,13 @@ def _build_rows_csr(
         ball = topology.ball_matrix(np.empty(0, dtype=np.int64), radius)
     if ball is not None:
         ball_size = int(ball[1].size)
-        on_ball = np.flatnonzero(cache.replication_counts()[g_files[gids]] > ball_size)
+        on_ball = np.flatnonzero(replication > ball_size)
         step = max(1, _BALL_CHUNK // ball_size)
         for start in range(0, on_ball.size, step):
             local = on_ball[start : start + step]
             members, dists = topology.ball_matrix(g_origins[gids[local]], radius)
             row_counts, flat_nodes, flat_dists = _ball_hits(
-                cache, members, dists, g_files[gids[local]]
+                cache, members, dists, files[local]
             )
             counts[local] = row_counts
             piece_pos.append(local)
@@ -588,41 +655,21 @@ def _build_rows_csr(
             piece_dists.append(flat_dists)
     # Everything still empty: off-ball groups and ball groups with no hit.
     scan = np.flatnonzero(counts == 0)
-    for part in iter_file_segments(g_files[gids[scan]]):
-        segment = scan[part]
-        file_id = int(g_files[gids[segment[0]]])
-        replicas = cache.file_nodes(file_id)
-        if replicas.size == 0:
-            raise NoReplicaError(file_id)
-        for start in range(0, segment.size, chunk_size):
-            local = segment[start : start + chunk_size]
-            chunk_origins = g_origins[gids[local]]
-            matrix = topology.pairwise_distances(chunk_origins, replicas)
-            if unconstrained:
-                mask = np.ones(matrix.shape, dtype=bool)
-            else:
-                mask = matrix <= radius
-            row_counts = mask.sum(axis=1).astype(np.int64)
-            rows, cols = np.nonzero(mask)  # row-major: chunk order
-            flat_nodes = replicas[cols]
-            flat_dists = matrix[rows, cols].astype(np.int64)
-            for row in np.flatnonzero(row_counts == 0):
-                pos = int(local[row])
-                origin = int(g_origins[gids[pos]])
-                cand, cand_d = _resolve_fallback_row(
-                    fallback, radius, origin, file_id, replicas, matrix[row]
-                )
-                flags[pos] = True
-                counts[pos] = cand.size
-                piece_pos.append(np.asarray([pos], dtype=np.int64))
-                piece_counts.append(np.asarray([cand.size], dtype=np.int64))
-                piece_nodes.append(cand.astype(np.int64))
-                piece_dists.append(cand_d.astype(np.int64))
-            counts[local] = np.where(row_counts > 0, row_counts, counts[local])
-            piece_pos.append(local.astype(np.int64))
-            piece_counts.append(row_counts)
-            piece_nodes.append(flat_nodes)
-            piece_dists.append(flat_dists)
+    if scan.size:
+        row_counts, nodes_parts, dists_parts, row_flags = _scan_rows(
+            topology,
+            cache,
+            g_origins[gids[scan]],
+            files[scan],
+            radius=radius,
+            fallback=fallback,
+        )
+        counts[scan] = row_counts
+        flags[scan] = row_flags
+        piece_pos.append(scan)
+        piece_counts.append(row_counts)
+        piece_nodes += nodes_parts
+        piece_dists += dists_parts
     ends = np.cumsum(counts)
     indptr = np.concatenate([np.zeros(1, dtype=np.int64), ends])
     total = int(indptr[-1])
@@ -645,7 +692,6 @@ def build_group_index(
     radius: float = np.inf,
     fallback: FallbackPolicy = FallbackPolicy.NEAREST,
     need_dists: bool = True,
-    chunk_size: int = 4096,
     store: GroupStore | None = None,
 ) -> GroupIndex:
     """Build the CSR candidate index for ``requests`` in batched passes.
@@ -661,8 +707,6 @@ def build_group_index(
         When false *and* the radius is unconstrained, candidate distances are
         skipped entirely and the cache's shared file→nodes CSR is aliased
         instead of materialising per-group candidate arrays.
-    chunk_size:
-        Maximum number of group rows per batched distance matrix.
     store:
         Optional :class:`GroupStore` memoising materialised candidate rows
         across calls.  The caller is responsible for handing over a store that
@@ -718,7 +762,6 @@ def build_group_index(
                 radius=radius,
                 fallback=fallback,
                 unconstrained=unconstrained,
-                chunk_size=chunk_size,
             )
             store.put_many(
                 keys[miss_gids], miss_counts, miss_nodes, miss_dists, miss_flags
@@ -766,7 +809,6 @@ def build_group_index(
         radius=radius,
         fallback=fallback,
         unconstrained=unconstrained,
-        chunk_size=chunk_size,
     )
     if store is not None:
         keys = g_origins * np.int64(requests.num_files) + g_files

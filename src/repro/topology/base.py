@@ -127,8 +127,8 @@ class Topology(ABC):
 
         ``targets = None`` means all servers.  The batched counterpart of
         :meth:`distances_from` for analysis and bulk-query callers; the
-        batched kernels' group index goes through :meth:`pairwise_distances`
-        directly with explicit replica targets.
+        batched kernels' group index scans its ``(origin, replica)`` pairs
+        with :meth:`distances_between` instead.
         """
         nodes = self.validate_nodes(nodes)
         if targets is None:
@@ -166,7 +166,7 @@ class Topology(ABC):
         answer a batch of neighbourhood queries in one shot instead of one
         ``ball`` call per node (used by analysis/neighbourhood consumers; the
         assignment kernels intersect balls with replica sets via
-        :meth:`pairwise_distances` instead).
+        :meth:`ball_matrix` and :meth:`distances_between` instead).
         """
         nodes = self.validate_nodes(nodes)
         if radius < 0:

@@ -75,8 +75,8 @@ def torus_l1_matrix(
 ) -> IntArray:
     """Full ``len(a) x len(b)`` wrapped-L1 distance matrix on the torus.
 
-    This is the kernel of the group-index precompute and of Strategy I: rows
-    are request origins, columns are replica locations of a single file.  The
+    This is the kernel of Strategy I's nearest-replica pass: rows are request
+    origins, columns are replica locations of a single file.  The
     per-axis work runs through ``out=`` ufuncs so a chunk allocates three
     matrices (result + two scratch) instead of eight.
     """

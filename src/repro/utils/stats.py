@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as sps
 
 from repro.rng import SeedLike, as_generator
 
@@ -65,6 +64,10 @@ def mean_confidence_interval(
     sem = float(arr.std(ddof=1) / np.sqrt(arr.size))
     if sem == 0.0:
         return mean, mean, mean
+    # Imported here: scipy.stats costs about a second to import, and nothing
+    # else on the CLI's import path needs it.
+    from scipy import stats as sps
+
     half = float(sps.t.ppf(0.5 + confidence / 2.0, df=arr.size - 1) * sem)
     return mean, mean - half, mean + half
 

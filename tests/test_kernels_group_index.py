@@ -93,7 +93,7 @@ class TestGroupIndex:
         )
         np.testing.assert_array_equal(index.files[index.request_group], requests.files)
 
-    def test_missing_file_raises(self):
+    def test_missing_file_raises(self, monkeypatch):
         torus = Torus2D(25)
         slots = np.zeros((25, 1), dtype=np.int64)
         cache = CacheState(slots, num_files=2)
@@ -103,10 +103,17 @@ class TestGroupIndex:
             num_nodes=25,
             num_files=2,
         )
-        for need_dists in (True, False):
+
+        def no_distances(*args, **kwargs):
+            raise AssertionError("NoReplicaError must come before distance work")
+
+        # At radius 2 file 0 (25 replicas > |B_2| = 13) takes the ball route
+        # and file 1 (none) would take the replica scan.
+        monkeypatch.setattr(torus, "distances_between", no_distances)
+        for radius, need_dists in ((np.inf, True), (np.inf, False), (2.0, True)):
             with pytest.raises(NoReplicaError):
                 build_group_index(
-                    torus, cache, requests, radius=np.inf, need_dists=need_dists
+                    torus, cache, requests, radius=radius, need_dists=need_dists
                 )
 
 

@@ -3,14 +3,16 @@
 The fused cold build and the batch store-backed warm/mixed paths must all
 produce the exact same :class:`~repro.kernels.group_index.GroupIndex` as a
 scalar per-group model of the paper's candidate semantics — one
-``distances_from`` row per ``(origin, file)`` group, the in-ball filter, and
-the shared :func:`~repro.kernels.group_index._resolve_fallback_row` policy.
-The grid covers radius ∈ {2, 2.5, 8, inf} × fallback ∈ {NEAREST, EXPAND,
-ERROR} plus the shared (aliasing) mode, on systems chosen so that both row
-routes run: the torus ball-offset gather (files with more replicas than
-``|B_r|``) and the replica scan (everything else, including ball groups with
-no in-ball replica).  The radius-2 points do trigger fallback groups, so the
-ERROR cells assert every path raises.
+``distances_from`` row per ``(origin, file)`` group, then the reference
+engine's in-ball filter and fallback policy
+(:func:`~repro.kernels.reference._filter_ball`, the authority).  The grid
+covers radius ∈ {2, 2.5, 8, inf} × fallback ∈ {NEAREST, EXPAND, ERROR} ×
+replica-scan chunk budget ∈ {1, 7, default} plus the shared (aliasing)
+mode, on systems chosen so that both row routes run: the torus ball-offset
+gather (files with more replicas than ``|B_r|``) and the flat replica scan
+(everything else, including ball groups with no in-ball replica).  The
+radius-2 points do trigger fallback groups, some with a tied nearest
+distance, so the ERROR cells assert every path raises.
 """
 
 from __future__ import annotations
@@ -22,12 +24,8 @@ from repro.catalog.library import FileLibrary
 from repro.catalog.popularity import create_popularity
 from repro.exceptions import StrategyError
 from repro.kernels import group_index
-from repro.kernels.group_index import (
-    GroupStore,
-    _resolve_fallback_row,
-    build_group_index,
-    group_requests,
-)
+from repro.kernels.group_index import GroupStore, build_group_index, group_requests
+from repro.kernels.reference import _filter_ball
 from repro.placement.proportional import ProportionalPlacement
 from repro.strategies.base import FallbackPolicy
 from repro.topology.grid import Grid2D
@@ -75,18 +73,12 @@ def _model_build(topology, cache, requests, *, radius, fallback):
     for gid, (origin, file_id) in enumerate(zip(g_origins, g_files)):
         replicas = cache.file_nodes(int(file_id))
         dist_row = topology.distances_from(int(origin), replicas)
-        mask = (
-            np.ones(dist_row.shape, dtype=bool)
-            if unconstrained
-            else dist_row <= radius
-        )
-        if np.any(mask):
-            cand, cand_d = replicas[mask], dist_row[mask]
+        if unconstrained:
+            cand, cand_d = replicas, dist_row
         else:
-            cand, cand_d = _resolve_fallback_row(
+            cand, cand_d, flags[gid] = _filter_ball(
                 fallback, radius, int(origin), int(file_id), replicas, dist_row
             )
-            flags[gid] = True
         counts[gid] = cand.size
         nodes_rows.append(cand)
         dists_rows.append(cand_d)
@@ -135,9 +127,18 @@ def _build_paths(topology, cache, requests, *, radius, fallback):
     yield "store-mixed", store_mixed
 
 
+@pytest.mark.parametrize(
+    "scan_pairs", [1, 7, None], ids=["scan=1", "scan=7", "scan=default"]
+)
 @pytest.mark.parametrize("fallback", POLICIES, ids=lambda p: p.name.lower())
 @pytest.mark.parametrize("radius", RADII, ids=lambda r: f"r={r:g}")
-def test_all_paths_match_scalar_model(system, radius, fallback):
+def test_all_paths_match_scalar_model(
+    monkeypatch, system, radius, fallback, scan_pairs
+):
+    if scan_pairs is not None:
+        # Budgets below a group's replica count give each group its own
+        # chunk; the default packs many groups into each chunk.
+        monkeypatch.setattr(group_index, "_SCAN_PAIRS", scan_pairs)
     topology, cache, requests = system
     try:
         model = _model_build(
@@ -158,12 +159,21 @@ def test_all_paths_match_scalar_model(system, radius, fallback):
 
 
 def test_radius_two_exercises_fallback():
-    """The grid's radius-2 cells are only meaningful if fallback fires."""
+    """The grid's radius-2 cells are only meaningful if fallback fires, and
+    NEAREST's tie rule (the first minimum in replica order) only if some
+    fallback group has more than one replica at its nearest distance."""
     topology, cache, requests = SYSTEMS["torus16"]()
     index = build_group_index(
         topology, cache, requests, radius=2.0, fallback=FallbackPolicy.NEAREST
     )
     assert bool(index.fallback.any())
+    tied = 0
+    for gid in np.flatnonzero(index.fallback):
+        dist_row = topology.distances_from(
+            int(index.origins[gid]), cache.file_nodes(int(index.files[gid]))
+        )
+        tied += int(np.count_nonzero(dist_row == dist_row.min()) > 1)
+    assert tied > 0
 
 
 def _no_call(*args, **kwargs):
@@ -178,7 +188,7 @@ def test_ball_route_serves_every_group_with_an_in_ball_replica(monkeypatch):
     model = _model_build(
         topology, cache, requests, radius=8.0, fallback=FallbackPolicy.ERROR
     )
-    monkeypatch.setattr(topology, "pairwise_distances", _no_call)
+    monkeypatch.setattr(topology, "distances_between", _no_call)
     index = build_group_index(
         topology, cache, requests, radius=8.0, fallback=FallbackPolicy.ERROR
     )

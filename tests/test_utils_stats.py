@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -49,6 +54,24 @@ class TestMeanConfidenceInterval:
             _, low, high = mean_confidence_interval(samples, 0.95)
             hits += low <= 0.0 <= high
         assert hits / reps > 0.85
+
+    def test_cli_import_leaves_scipy_stats_unloaded(self):
+        # scipy.stats takes about a second to import, so the t quantile
+        # imports it on first use rather than on every process start.
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(src), env.get("PYTHONPATH")])
+        )
+        code = "import sys, repro.cli; assert 'scipy.stats' not in sys.modules"
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
 
 
 class TestSummarizeSamples:
