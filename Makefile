@@ -33,12 +33,13 @@ bench-queueing:
 # The engine-registry suites alone: both differential suites (parametrised
 # over every engine the registry reports available, batch and — where
 # importable — numba included; the static suite adds the pure-Python commit
-# loop, which the queueing batch engine already is), the precompute suite,
-# the numba-transcription fallback suite, the batch-commit
-# adversarial/property suite and the registry unit tests.  The CI numba job
-# runs exactly this plus its bench gates.
+# loop, which the queueing batch engine already is), the static
+# window-partition suite (on "auto" — numba where importable — and on
+# reference), the precompute suite, the numba-transcription fallback suite,
+# the batch-commit adversarial/property suite and the registry unit tests.
+# The CI numba job runs exactly this plus its bench gates.
 test-differential:
-	$(PYTHON) -m pytest tests/test_kernels_differential.py tests/test_kernels_queueing_differential.py tests/test_kernels_precompute_differential.py tests/test_backends_numba_fallback.py tests/test_backends_registry.py tests/test_kernels_batch_commit.py -q
+	$(PYTHON) -m pytest tests/test_kernels_differential.py tests/test_kernels_queueing_differential.py tests/test_session_stream.py tests/test_kernels_precompute_differential.py tests/test_backends_numba_fallback.py tests/test_backends_registry.py tests/test_kernels_batch_commit.py -q
 
 # Cross-engine comparison (reference/batch/numba where available) on both
 # stacks at n = 4096; writes .benchmarks/timings/engine_speedup.txt and gates
@@ -83,11 +84,9 @@ bench-recovery:
 bench-precompute:
 	$(PYTHON) -m pytest benchmarks/test_bench_precompute.py -m bench_smoke -q -s --benchmark-disable
 
-# Vectorised-commit speedup gates: the batch engine's speculate-and-repair
+# Vectorised-commit speedup gate: the batch engine's speculate-and-repair
 # commit must beat the pure-Python commit loop by >= 2x on the strategy II
-# shape at n = 65536, m = 5n (REPRO_BENCH_COMMIT_FLOOR), and the dual-view
-# LoadVector must retire the O(n)-per-window load round-trip by >= 3x on
-# 16-request windows (REPRO_BENCH_LOADVEC_FLOOR); writes
+# shape at n = 65536, m = 5n (REPRO_BENCH_COMMIT_FLOOR); writes
 # .benchmarks/timings/commit_speedup.txt.
 bench-commit:
 	$(PYTHON) -m pytest benchmarks/test_bench_commit.py -m bench_smoke -q -s --benchmark-disable

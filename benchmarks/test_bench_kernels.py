@@ -105,13 +105,6 @@ def test_bench_kernel_group_index_build(benchmark, large_system):
     )
 
 
-def test_bench_kernel_batched_balls(benchmark):
-    torus = Torus2D(10000)
-    rng = np.random.default_rng(0)
-    nodes = rng.integers(0, torus.n, size=2000)
-    benchmark(lambda: torus.balls(nodes, 8))
-
-
 def test_bench_kernel_two_choice_large_radius(benchmark, large_system):
     torus, _, cache, requests = large_system
     strategy = ProximityTwoChoiceStrategy(radius=8)

@@ -119,7 +119,6 @@ register_engine(
     family="assignment",
     commit_fns=_assignment_reference_fns,
     priority=0,
-    supports_streaming=False,
     description="scalar per-request loop (differential-testing authority)",
 )
 register_engine(
@@ -127,7 +126,6 @@ register_engine(
     family="assignment",
     commit_fns=_assignment_batch_fns,
     priority=15,
-    supports_streaming=True,
     description="batched precompute + speculate-and-repair vectorised commit",
 )
 register_engine(
@@ -136,7 +134,6 @@ register_engine(
     commit_fns=_assignment_numba_fns,
     requires=("numba",),
     priority=20,
-    supports_streaming=True,
     description="@njit-compiled commit loop",
 )
 
@@ -145,7 +142,6 @@ register_engine(
     family="queueing",
     commit_fns=_queueing_reference_fns,
     priority=0,
-    supports_streaming=True,
     description="scalar per-arrival event loop (differential-testing authority)",
 )
 register_engine(
@@ -153,7 +149,6 @@ register_engine(
     family="queueing",
     commit_fns=_queueing_batch_fns,
     priority=15,
-    supports_streaming=True,
     description="event-batched precompute + pure-Python event loop",
 )
 register_engine(
@@ -162,6 +157,5 @@ register_engine(
     commit_fns=_queueing_numba_fns,
     requires=("numba",),
     priority=20,
-    supports_streaming=True,
     description="@njit-compiled event loop",
 )

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels.loads import as_load_array
 from repro.types import FloatArray, IntArray
 
 __all__ = [
@@ -111,7 +110,7 @@ def commit_least_loaded_of_sample(
     loads = (
         np.zeros(int(num_nodes), dtype=np.int64)
         if initial_loads is None
-        else as_load_array(initial_loads)
+        else initial_loads
     )
     out = np.empty(m, dtype=np.int64)
     _least_loaded_of_sample_core(
@@ -177,7 +176,7 @@ def commit_least_loaded_scan(
     loads = (
         np.zeros(int(num_nodes), dtype=np.int64)
         if initial_loads is None
-        else as_load_array(initial_loads)
+        else initial_loads
     )
     out = np.empty(m, dtype=np.int64)
     _least_loaded_scan_core(
@@ -246,7 +245,7 @@ def commit_threshold_hybrid(
     loads = (
         np.zeros(int(num_nodes), dtype=np.int64)
         if initial_loads is None
-        else as_load_array(initial_loads)
+        else initial_loads
     )
     out = np.empty(m, dtype=np.int64)
     _threshold_hybrid_core(

@@ -86,7 +86,6 @@ class Engine:
     family: str
     priority: int
     requires: tuple[str, ...]
-    supports_streaming: bool
     description: str
     loader: Callable[[], Mapping[str, Callable]]
     _fns: Mapping[str, Callable] | None = field(default=None, repr=False)
@@ -145,7 +144,6 @@ def register_engine(
     commit_fns: Mapping[str, Callable] | Callable[[], Mapping[str, Callable]],
     requires: tuple[str, ...] | str = (),
     priority: int = 0,
-    supports_streaming: bool = True,
     description: str = "",
 ) -> Engine:
     """Register an execution backend under ``name`` for ``family``.
@@ -160,6 +158,9 @@ def register_engine(
     commit_fns:
         The operation table, or a zero-argument callable returning it
         (preferred: keeps registration free of implementation imports).
+        Every assignment operation takes the kernel entry-point signature,
+        including the window keywords ``streams`` / ``loads`` / ``store``
+        that sessions serve through.
     requires:
         Module names that must be importable for the engine to be available;
         unavailable engines stay listed (``repro engines`` shows why) but are
@@ -167,9 +168,6 @@ def register_engine(
     priority:
         ``"auto"`` resolution order: the highest-priority available engine
         wins.
-    supports_streaming:
-        Whether the engine's commit callables accept the incremental-serving
-        hooks (``streams`` / ``loads`` / ``store``) used by the session layer.
     description:
         One line for ``repro engines`` output.
     """
@@ -184,7 +182,6 @@ def register_engine(
         family=family,
         priority=int(priority),
         requires=(requires,) if isinstance(requires, str) else tuple(requires),
-        supports_streaming=bool(supports_streaming),
         description=description,
         loader=loader,
     )
@@ -209,7 +206,7 @@ def engines_payload(family: str | None = None) -> list[dict]:
 
     One entry per registered engine: family, name, availability with the
     skip reason for engines that cannot run here, ``"auto"`` resolution
-    order, priority and streaming capability.  Consumed by
+    order and priority.  Consumed by
     ``repro engines --json``, the dispatch service's ``/healthz`` payload
     and any script that needs to pick an engine without parsing tables.
     """
@@ -225,7 +222,6 @@ def engines_payload(family: str | None = None) -> list[dict]:
                     "skip_reason": engine.unavailable_reason,
                     "priority": engine.priority,
                     "auto_order": order,
-                    "supports_streaming": engine.supports_streaming,
                     "description": engine.description,
                 }
             )

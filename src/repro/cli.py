@@ -32,9 +32,11 @@ Three subcommands cover the common workflows without writing Python:
 ``repro engines``
     List the execution backends registered for each engine family, their
     ``"auto"`` resolution order, and — for backends that cannot run here —
-    the reason they are skipped (e.g. ``numba: not importable``).  With
-    ``--json``, emit the same information as a machine-readable document
-    (the payload ``GET /healthz`` embeds).
+    the reason they are skipped (e.g. ``numba: not importable``).  Every
+    listed engine serves both one-shot runs and windowed sessions
+    (``repro stream``, ``repro serve``).  With ``--json``, emit the same
+    information as a machine-readable document (the payload
+    ``GET /healthz`` embeds).
 
 ``repro serve``
     Open one live session (static d-choice or queueing) and serve placement
@@ -642,7 +644,6 @@ def _command_engines(args: argparse.Namespace) -> int:
                     "auto order": order,
                     "priority": engine.priority,
                     "available": status,
-                    "streaming": "yes" if engine.supports_streaming else "no",
                     "note": note,
                 }
             )
@@ -651,7 +652,8 @@ def _command_engines(args: argparse.Namespace) -> int:
     print(
         "engine specs: 'auto' resolves to the first available engine in auto "
         "order;\nexplicit names select one backend (unavailable ones are "
-        "rejected with the reason above)."
+        "rejected with the reason above).\nEvery engine serves one-shot runs "
+        "and windowed sessions with bit-identical results."
     )
     return 0
 

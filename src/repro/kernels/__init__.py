@@ -54,10 +54,12 @@ transcription of the paper's process definitions.
 
 Because both streams are consumed strictly per request, the contract extends
 to *windowed* serving for free: carrying the same ``(rng_sample, rng_tie)``
-pair and a persistent load vector across successive request windows (the
-``streams`` / ``loads`` keyword arguments of every kernel entry point, used by
+pair and a persistent int64 load vector across successive request windows
+(the ``streams`` / ``loads`` keyword arguments that every engine's entry
+points take, the scalar reference included, and that
+:meth:`~repro.strategies.base.AssignmentStrategy.assign` forwards for
 :mod:`repro.session`) reproduces the one-shot run over the concatenated
-windows bit for bit.
+windows bit for bit, on every engine.
 
 The dynamic (supermarket-model) simulation has its own three-stream variant
 of this contract — sample / tie / service, consumed strictly per arrival —

@@ -55,7 +55,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.kernels import commit as _scalar
-from repro.kernels.loads import LoadVector
 
 # Queueing ``batch`` runs the plain event loop; perfbench's tracer wraps this name.
 from repro.kernels.queueing import commit_window
@@ -159,8 +158,6 @@ def _resolve_loads(num_nodes, initial_loads):
     """The int64 working load array plus the object to write back into."""
     if initial_loads is None:
         return np.zeros(int(num_nodes), dtype=np.int64), None
-    if isinstance(initial_loads, LoadVector):
-        return initial_loads.as_array(), None
     if isinstance(initial_loads, np.ndarray) and initial_loads.dtype == np.int64:
         return initial_loads, None
     work = np.asarray(initial_loads, dtype=np.int64).copy()

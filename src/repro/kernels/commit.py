@@ -5,7 +5,11 @@ precompute phase; what remains — for every request, inspect the loads of its
 (pre-sampled) candidates, pick a winner, bump its load — is inherently
 sequential and lives here.  The loops deliberately run over plain Python lists
 of ints: per-iteration work is a handful of list index operations, with no
-numpy scalar boxing, no topology queries and no RNG calls.
+numpy scalar boxing, no topology queries and no RNG calls.  A caller's int64
+load vector (``initial_loads``) is converted to a list on entry and written
+back on exit, an O(n) round-trip per call; the registered engines commit
+whole windows through :mod:`repro.kernels.batch_commit` or numba and reach
+these loops only as ``batch``'s fallback.
 
 Tie-breaking consumes one pre-drawn uniform ``u`` per request (drawn whether
 or not a tie occurs, so the stream position never depends on the loads): if
@@ -22,7 +26,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels.loads import LoadVector
 from repro.types import IntArray
 
 __all__ = [
@@ -33,18 +36,9 @@ __all__ = [
 
 
 def _borrow_loads(num_nodes, initial_loads):
-    """The working load list plus whether it must be copied back on exit.
-
-    A :class:`~repro.kernels.loads.LoadVector` hands out its live list view —
-    mutating it *is* updating the vector, so neither the O(n) ``tolist()`` on
-    entry nor the O(n) write-back on exit happens; that is what makes tiny
-    windows against large networks cheap.  Bare arrays keep the original
-    round-trip contract.
-    """
+    """The working load list plus whether it must be copied back on exit."""
     if initial_loads is None:
         return [0] * int(num_nodes), False
-    if isinstance(initial_loads, LoadVector):
-        return initial_loads.as_list(), False
     return initial_loads.tolist(), True
 
 

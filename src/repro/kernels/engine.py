@@ -23,7 +23,8 @@ Incremental (session) serving
 
 Every entry point also accepts three optional keyword arguments used by the
 session layer (:mod:`repro.session`) to serve a request *stream* window by
-window:
+window (the scalar entry points of :mod:`repro.kernels.reference` take the
+same three, so every engine serves windows):
 
 * ``streams`` — a pre-spawned ``(rng_sample, rng_tie)`` pair used instead of
   deriving fresh streams from ``seed``.  Because the contract consumes
@@ -73,6 +74,10 @@ __all__ = [
     "random_replica_kernel",
     "nearest_replica_kernel",
 ]
+
+#: Strategy I's bound on the group rows of one per-file distance matrix:
+#: peak memory is about this many rows times the file's replica count.
+_NEAREST_CHUNK_ROWS = 4096
 
 
 def _empty_result(n: int, strategy_name: str) -> AssignmentResult:
@@ -318,7 +323,6 @@ def nearest_replica_kernel(
     seed: SeedLike,
     *,
     allow_origin_fallback: bool,
-    chunk_size: int,
     strategy_name: str,
     streams: tuple[np.random.Generator, np.random.Generator] | None = None,
     loads: IntArray | None = None,
@@ -327,10 +331,10 @@ def nearest_replica_kernel(
     """Strategy I as a single vectorised pass over grouped requests.
 
     Unlike the load-aware kernels this never materialises full candidate
-    sets: per file (chunked to ``chunk_size`` group rows) only each group's
-    minimum distance and its tied nearest replicas survive the distance
-    matrix, so peak memory stays bounded by one chunk — matching the
-    pre-kernel behaviour of the strategy.
+    sets: per file (chunked to ``_NEAREST_CHUNK_ROWS`` group rows) only each
+    group's minimum distance and its tied nearest replicas survive the
+    distance matrix, so peak memory stays bounded by one chunk — matching
+    the pre-kernel behaviour of the strategy.
     """
     m = requests.num_requests
     n = topology.n
@@ -353,8 +357,8 @@ def nearest_replica_kernel(
                 raise NoReplicaError(file_id)
             missing[segment] = True
             continue
-        for start in range(0, segment.size, chunk_size):
-            gids = segment[start : start + chunk_size]
+        for start in range(0, segment.size, _NEAREST_CHUNK_ROWS):
+            gids = segment[start : start + _NEAREST_CHUNK_ROWS]
             matrix = topology.pairwise_distances(g_origins[gids], replicas)
             row_min = matrix.min(axis=1)
             is_min = matrix == row_min[:, None]

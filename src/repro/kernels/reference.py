@@ -8,6 +8,18 @@ every seed, and when the two disagree the reference engine is authoritative —
 it is the direct transcription of the paper's process definitions, with no
 batching, CSR indexing or vectorised sampling to hide a bug in.
 
+The paper's processes run one request at a time, so a request stream served
+in windows is the same process.  Every function here therefore takes the
+window keywords of the batched entry points (:mod:`repro.kernels.engine`):
+``streams`` replaces the ``(rng_sample, rng_tie)`` pair derived from
+``seed``, ``loads`` is an int64 load vector updated in place (the
+load-independent baselines add their assignments to it), and ``store`` is
+accepted for signature parity and ignored — the scalar loop recomputes every
+request's candidates.  Candidates are load-independent, so every request's
+are resolved before the first draw: a window that raises (a file cached
+nowhere, or ``FallbackPolicy.ERROR`` with an empty ball) leaves the caller's
+streams and loads untouched, as it does on the batched engines.
+
 Keep this module boring.  Optimisations belong in :mod:`repro.kernels.engine`;
 the only non-obvious transformation retained here is resolving chosen-replica
 distances for the unconstrained Strategy II / one-choice paths in one batched
@@ -20,6 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import NoReplicaError, StrategyError
+from repro.kernels.group_index import GroupStore
 from repro.placement.cache import CacheState
 from repro.rng import SeedLike, spawn_generators
 from repro.strategies.base import AssignmentResult, FallbackPolicy
@@ -36,11 +49,61 @@ __all__ = [
 ]
 
 
-def _replica_cache(cache: CacheState, requests: RequestBatch) -> dict[int, IntArray]:
+def _replica_cache(
+    cache: CacheState, requests: RequestBatch, allow_missing: bool = False
+) -> dict[int, IntArray]:
+    """Replicas of every requested file.
+
+    Unless ``allow_missing``, a file cached nowhere raises
+    :class:`NoReplicaError` (the smallest such file, as the group index does)
+    before any distance work or draw.
+    """
     out: dict[int, IntArray] = {}
     for file_id in np.unique(requests.files):
-        out[int(file_id)] = cache.file_nodes(int(file_id))
+        replicas = cache.file_nodes(int(file_id))
+        if replicas.size == 0 and not allow_missing:
+            raise NoReplicaError(int(file_id))
+        out[int(file_id)] = replicas
     return out
+
+
+def _candidate_sets(
+    topology: Topology,
+    cache: CacheState,
+    requests: RequestBatch,
+    radius: float,
+    fallback: FallbackPolicy,
+    need_dists: bool,
+) -> tuple[list[IntArray], list[IntArray | None], np.ndarray]:
+    """Every request's candidate replicas, their distances and fallback flag.
+
+    Distances are ``None`` for an unconstrained radius when ``need_dists`` is
+    false; the topology is then never queried.
+    """
+    replicas_of = _replica_cache(cache, requests)
+    unconstrained = np.isinf(radius) or radius >= topology.diameter
+    candidates: list[IntArray] = []
+    candidate_dists: list[IntArray | None] = []
+    fallback_mask = np.zeros(requests.num_requests, dtype=bool)
+    for i in range(requests.num_requests):
+        origin = int(requests.origins[i])
+        file_id = int(requests.files[i])
+        replicas = replicas_of[file_id]
+        if unconstrained and not need_dists:
+            candidates.append(replicas)
+            candidate_dists.append(None)
+            continue
+        dists = topology.distances_from(origin, replicas)
+        if unconstrained:
+            candidates.append(replicas)
+            candidate_dists.append(dists)
+            continue
+        in_ball, in_ball_dists, fallback_mask[i] = _filter_ball(
+            fallback, radius, origin, file_id, replicas, dists
+        )
+        candidates.append(in_ball)
+        candidate_dists.append(in_ball_dists)
+    return candidates, candidate_dists, fallback_mask
 
 
 def _sample_positions(
@@ -96,31 +159,26 @@ def two_choice_reference(
     num_choices: int,
     fallback: FallbackPolicy,
     strategy_name: str,
+    streams: tuple[np.random.Generator, np.random.Generator] | None = None,
+    loads: IntArray | None = None,
+    store: GroupStore | None = None,
 ) -> AssignmentResult:
     """Scalar Strategy II under the kernel RNG-stream contract."""
-    rng_sample, rng_tie = spawn_generators(seed, 2)
+    del store
+    candidates_of, dists_of, fallback_mask = _candidate_sets(
+        topology, cache, requests, radius, fallback, need_dists=False
+    )
+    rng_sample, rng_tie = streams if streams is not None else spawn_generators(seed, 2)
     m = requests.num_requests
     n = topology.n
     servers = np.empty(m, dtype=np.int64)
     distances = np.empty(m, dtype=np.int64)
-    fallback_mask = np.zeros(m, dtype=bool)
-    loads = np.zeros(n, dtype=np.int64)
-    unconstrained = np.isinf(radius) or radius >= topology.diameter
-    replicas_of = _replica_cache(cache, requests)
+    if loads is None:
+        loads = np.zeros(n, dtype=np.int64)
 
     for i in range(m):
-        origin = int(requests.origins[i])
-        file_id = int(requests.files[i])
-        replicas = replicas_of[file_id]
-        if replicas.size == 0:
-            raise NoReplicaError(file_id)
-        if unconstrained:
-            candidates, candidate_dists = replicas, None
-        else:
-            dists = topology.distances_from(origin, replicas)
-            candidates, candidate_dists, fallback_mask[i] = _filter_ball(
-                fallback, radius, origin, file_id, replicas, dists
-            )
+        candidates = candidates_of[i]
+        candidate_dists = dists_of[i]
         selected = _sample_positions(candidates.size, num_choices, rng_sample)
         sampled = candidates[selected]
         tie_u = rng_tie.random()
@@ -155,31 +213,26 @@ def least_loaded_reference(
     radius: float,
     fallback: FallbackPolicy,
     strategy_name: str,
+    streams: tuple[np.random.Generator, np.random.Generator] | None = None,
+    loads: IntArray | None = None,
+    store: GroupStore | None = None,
 ) -> AssignmentResult:
     """Scalar omniscient baseline under the kernel RNG-stream contract."""
-    _, rng_tie = spawn_generators(seed, 2)
+    del store
+    candidates_of, dists_of, fallback_mask = _candidate_sets(
+        topology, cache, requests, radius, fallback, need_dists=True
+    )
+    _, rng_tie = streams if streams is not None else spawn_generators(seed, 2)
     m = requests.num_requests
     n = topology.n
     servers = np.empty(m, dtype=np.int64)
     distances = np.empty(m, dtype=np.int64)
-    fallback_mask = np.zeros(m, dtype=bool)
-    loads = np.zeros(n, dtype=np.int64)
-    unconstrained = np.isinf(radius) or radius >= topology.diameter
-    replicas_of = _replica_cache(cache, requests)
+    if loads is None:
+        loads = np.zeros(n, dtype=np.int64)
 
     for i in range(m):
-        origin = int(requests.origins[i])
-        file_id = int(requests.files[i])
-        replicas = replicas_of[file_id]
-        if replicas.size == 0:
-            raise NoReplicaError(file_id)
-        dists = topology.distances_from(origin, replicas)
-        if unconstrained:
-            candidates, candidate_dists = replicas, dists
-        else:
-            candidates, candidate_dists, fallback_mask[i] = _filter_ball(
-                fallback, radius, origin, file_id, replicas, dists
-            )
+        candidates = candidates_of[i]
+        candidate_dists = dists_of[i]
         tie_u = rng_tie.random()
         candidate_loads = loads[candidates]
         minimal = np.flatnonzero(candidate_loads == candidate_loads.min())
@@ -210,34 +263,28 @@ def threshold_hybrid_reference(
     threshold: float,
     fallback: FallbackPolicy,
     strategy_name: str,
+    streams: tuple[np.random.Generator, np.random.Generator] | None = None,
+    loads: IntArray | None = None,
+    store: GroupStore | None = None,
 ) -> AssignmentResult:
     """Scalar threshold hybrid under the kernel RNG-stream contract."""
-    rng_sample, rng_tie = spawn_generators(seed, 2)
+    del store
+    candidates_of, dists_of, fallback_mask = _candidate_sets(
+        topology, cache, requests, radius, fallback, need_dists=True
+    )
+    rng_sample, rng_tie = streams if streams is not None else spawn_generators(seed, 2)
     m = requests.num_requests
     n = topology.n
     servers = np.empty(m, dtype=np.int64)
     distances = np.empty(m, dtype=np.int64)
-    fallback_mask = np.zeros(m, dtype=bool)
-    loads = np.zeros(n, dtype=np.int64)
-    unconstrained = np.isinf(radius) or radius >= topology.diameter
-    replicas_of = _replica_cache(cache, requests)
+    if loads is None:
+        loads = np.zeros(n, dtype=np.int64)
 
     for i in range(m):
-        origin = int(requests.origins[i])
-        file_id = int(requests.files[i])
-        replicas = replicas_of[file_id]
-        if replicas.size == 0:
-            raise NoReplicaError(file_id)
-        dists = topology.distances_from(origin, replicas)
-        if unconstrained:
-            candidates, candidate_dists = replicas, dists
-        else:
-            candidates, candidate_dists, fallback_mask[i] = _filter_ball(
-                fallback, radius, origin, file_id, replicas, dists
-            )
+        candidates = candidates_of[i]
         selected = _sample_positions(candidates.size, num_choices, rng_sample)
         sampled = candidates[selected]
-        sampled_dists = candidate_dists[selected]
+        sampled_dists = dists_of[i][selected]
         tie_u = rng_tie.random()
         sampled_loads = loads[sampled]
         eligible = np.flatnonzero(sampled_loads <= sampled_loads.min() + threshold)
@@ -266,41 +313,36 @@ def random_replica_reference(
     radius: float,
     fallback: FallbackPolicy,
     strategy_name: str,
+    streams: tuple[np.random.Generator, np.random.Generator] | None = None,
+    loads: IntArray | None = None,
+    store: GroupStore | None = None,
 ) -> AssignmentResult:
     """Scalar one-choice baseline under the kernel RNG-stream contract."""
-    _, rng_tie = spawn_generators(seed, 2)
+    del store
+    candidates_of, dists_of, fallback_mask = _candidate_sets(
+        topology, cache, requests, radius, fallback, need_dists=False
+    )
+    _, rng_tie = streams if streams is not None else spawn_generators(seed, 2)
     m = requests.num_requests
     n = topology.n
     servers = np.empty(m, dtype=np.int64)
     distances = np.empty(m, dtype=np.int64)
-    fallback_mask = np.zeros(m, dtype=bool)
-    unconstrained = np.isinf(radius) or radius >= topology.diameter
-    replicas_of = _replica_cache(cache, requests)
 
     for i in range(m):
-        origin = int(requests.origins[i])
-        file_id = int(requests.files[i])
-        replicas = replicas_of[file_id]
-        if replicas.size == 0:
-            raise NoReplicaError(file_id)
+        candidates = candidates_of[i]
+        candidate_dists = dists_of[i]
         tie_u = rng_tie.random()
-        if unconstrained:
-            servers[i] = int(replicas[int(tie_u * replicas.size)])
-            distances[i] = -1
-        else:
-            dists = topology.distances_from(origin, replicas)
-            candidates, candidate_dists, fallback_mask[i] = _filter_ball(
-                fallback, radius, origin, file_id, replicas, dists
-            )
-            pick = int(tie_u * candidates.size)
-            servers[i] = int(candidates[pick])
-            distances[i] = int(candidate_dists[pick])
+        pick = int(tie_u * candidates.size)
+        servers[i] = int(candidates[pick])
+        distances[i] = -1 if candidate_dists is None else int(candidate_dists[pick])
 
     unresolved = distances < 0
     if np.any(unresolved):
         distances[unresolved] = topology.distances_between(
             requests.origins[unresolved], servers[unresolved]
         )
+    if loads is not None:
+        loads += np.bincount(servers, minlength=n)
     return AssignmentResult(
         servers=servers,
         distances=distances,
@@ -318,31 +360,25 @@ def nearest_replica_reference(
     *,
     allow_origin_fallback: bool,
     strategy_name: str,
-    chunk_size: int | None = None,
+    streams: tuple[np.random.Generator, np.random.Generator] | None = None,
+    loads: IntArray | None = None,
+    store: GroupStore | None = None,
 ) -> AssignmentResult:
-    """Scalar Strategy I under the kernel RNG-stream contract.
-
-    ``chunk_size`` is accepted for engine-signature parity (the batched
-    engines bound peak memory with it) and ignored — the scalar loop never
-    materialises more than one request's distances.
-    """
-    del chunk_size
-    _, rng_tie = spawn_generators(seed, 2)
+    """Scalar Strategy I under the kernel RNG-stream contract."""
+    del store
+    replicas_of = _replica_cache(cache, requests, allow_missing=allow_origin_fallback)
+    _, rng_tie = streams if streams is not None else spawn_generators(seed, 2)
     m = requests.num_requests
     n = topology.n
     servers = np.empty(m, dtype=np.int64)
     distances = np.empty(m, dtype=np.int64)
     fallback_mask = np.zeros(m, dtype=bool)
-    replicas_of = _replica_cache(cache, requests)
 
     for i in range(m):
         origin = int(requests.origins[i])
-        file_id = int(requests.files[i])
-        replicas = replicas_of[file_id]
+        replicas = replicas_of[int(requests.files[i])]
         tie_u = rng_tie.random()
         if replicas.size == 0:
-            if not allow_origin_fallback:
-                raise NoReplicaError(file_id)
             servers[i] = origin
             distances[i] = topology.diameter
             fallback_mask[i] = True
@@ -353,6 +389,8 @@ def nearest_replica_reference(
         servers[i] = int(replicas[pick])
         distances[i] = int(dists[pick])
 
+    if loads is not None:
+        loads += np.bincount(servers, minlength=n)
     return AssignmentResult(
         servers=servers,
         distances=distances,

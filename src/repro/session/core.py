@@ -42,10 +42,9 @@ from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping
 import numpy as np
 
 from repro.catalog.library import FileLibrary
-from repro.exceptions import ConfigurationError, StrategyError
+from repro.exceptions import ConfigurationError
 from repro.placement.base import PlacementStrategy
 from repro.placement.cache import CacheState
-from repro.kernels.loads import LoadVector
 from repro.rng import SeedLike, seed_provenance, spawn_generators, spawn_seeds
 from repro.session.artifacts import ArtifactCache
 from repro.strategies.base import AssignmentResult, AssignmentStrategy
@@ -259,8 +258,7 @@ class CacheNetworkSession:
         self._strategy = strategy
         # The strategy's engine was resolved (through the backend registry)
         # when the strategy was constructed or cloned via with_engine; the
-        # session pins that name — and its streaming capability — for life.
-        self._streaming_engine = strategy.engine_supports_streaming
+        # session pins that name for life.
         self._workload = workload
         self._uncached_policy = uncached_policy
         self._description = description
@@ -279,11 +277,7 @@ class CacheNetworkSession:
         self._cache = self._artifacts.placement(
             placement, topology, library, placement_seed
         )
-        # Dual-view load vector: the scalar commit loops borrow its list
-        # view, vectorised engines its array view, with at most one O(n)
-        # conversion when the serving engine changes representation — tiny
-        # windows against large networks no longer pay O(n) per window.
-        self._loads = LoadVector(topology.n)
+        self._loads = np.zeros(topology.n, dtype=np.int64)
         self.reset()
 
     # -------------------------------------------------------------- properties
@@ -345,7 +339,7 @@ class CacheNetworkSession:
 
     def loads(self) -> IntArray:
         """Copy of the persistent per-server load vector."""
-        return self._loads.readonly_array().copy()
+        return self._loads.copy()
 
     # ---------------------------------------------------------------- lifecycle
     @staticmethod
@@ -437,44 +431,32 @@ class CacheNetworkSession:
                     self._rng_workload,
                     self._uncached_policy,
                 )
-            if self._streaming_engine:
-                if self._streams is None:
-                    self._streams = tuple(spawn_generators(self._rng_strategy, 2))
-                signature = self._strategy.store_signature(self._topology)
-                use_store = signature is not None and (
-                    self._store_eligible or self._windows > 0
-                )
-                store = (
-                    self._artifacts.group_store(self._topology, self._cache, signature)
-                    if use_store
-                    else None
-                )
-                result = self._strategy.serve(
-                    self._topology,
-                    self._cache,
-                    requests,
-                    streams=self._streams,
-                    loads=self._loads,
-                    store=store,
-                )
-            else:
-                # The scalar reference engine only knows one-shot assignment;
-                # a single whole-stream window keeps it usable for
-                # differential testing through the session API.
-                if self._windows:
-                    raise StrategyError(
-                        f"engine {self._strategy.engine!r} cannot serve incrementally; "
-                        "open the session with a streaming-capable engine "
-                        "(e.g. 'batch') for windowed serving"
-                    )
-                result = self._strategy.assign(
-                    self._topology, self._cache, requests, seed=self._rng_strategy
-                )
-                self._loads += result.loads()
+            if self._streams is None:
+                self._streams = tuple(spawn_generators(self._rng_strategy, 2))
+            signature = self._strategy.store_signature(self._topology)
+            use_store = signature is not None and (
+                self._store_eligible or self._windows > 0
+            )
+            store = (
+                self._artifacts.group_store(self._topology, self._cache, signature)
+                if use_store
+                else None
+            )
+            result = self._strategy.assign(
+                self._topology,
+                self._cache,
+                requests,
+                streams=self._streams,
+                loads=self._loads,
+                store=store,
+            )
             # Every load bump this window happened at one of the window's
             # winning servers, so the cumulative maximum only needs an
             # O(window) pass — not an O(n) scan of the whole load vector.
-            self._max_load = self._loads.max_at(result.servers, self._max_load)
+            if result.num_requests:
+                self._max_load = max(
+                    self._max_load, int(self._loads[result.servers].max())
+                )
         self._windows += 1
         self._total_requests += result.num_requests
         self._total_hops += result.total_hops()
@@ -543,7 +525,7 @@ class CacheNetworkSession:
         import json
 
         digest = hashlib.sha256()
-        digest.update(self._loads.readonly_array().tobytes())
+        digest.update(self._loads.tobytes())
         meta = {
             "windows": self._windows,
             "requests": self._total_requests,
@@ -564,7 +546,7 @@ class CacheNetworkSession:
         """The session's cumulative state as an immutable snapshot."""
         total = self._total_requests
         return SessionSnapshot(
-            loads=self._loads.readonly_array().copy(),
+            loads=self._loads.copy(),
             num_windows=self._windows,
             num_requests=total,
             max_load=self._max_load,

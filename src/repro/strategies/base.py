@@ -226,11 +226,6 @@ class AssignmentStrategy(ABC):
         """Resolved execution-engine name (e.g. ``"batch"``)."""
         return self._engine
 
-    @property
-    def engine_supports_streaming(self) -> bool:
-        """Whether this strategy's engine can serve incrementally."""
-        return resolve_engine(self._engine, "assignment").supports_streaming
-
     def with_engine(self, engine) -> "AssignmentStrategy":
         """Return a copy of this strategy running on ``engine``.
 
@@ -249,40 +244,43 @@ class AssignmentStrategy(ABC):
         return resolve_engine(self._engine, "assignment").commit_fns[self._engine_op]
 
     @abstractmethod
+    def _engine_kwargs(self) -> dict[str, object]:
+        """This strategy's parameters, as keywords of its engine operation."""
+
     def assign(
         self,
         topology: Topology,
         cache: CacheState,
         requests: RequestBatch,
         seed: SeedLike = None,
-    ) -> AssignmentResult:
-        """Assign every request of ``requests`` to a caching server."""
-
-    # -------------------------------------------------------------- incremental
-    def serve(
-        self,
-        topology: Topology,
-        cache: CacheState,
-        requests: RequestBatch,
         *,
-        streams: tuple[np.random.Generator, np.random.Generator],
-        loads: IntArray,
+        streams: tuple[np.random.Generator, np.random.Generator] | None = None,
+        loads: IntArray | None = None,
         store: "GroupStore | None" = None,
     ) -> AssignmentResult:
-        """Assign one *window* of a request stream (session execution).
+        """Assign every request of ``requests`` to a caching server.
 
-        Unlike :meth:`assign`, which derives fresh RNG streams from its seed
-        and starts from an empty network, ``serve`` consumes the caller's
-        persistent ``(rng_sample, rng_tie)`` pair and commits against (and
-        updates) the caller's persistent ``loads`` vector, so successive calls
-        reproduce the one-shot assignment of the concatenated windows bit for
-        bit.  ``store`` optionally memoises group-index precompute across
-        windows.  Only engines whose backend declares streaming support
-        (``supports_streaming`` in the registry) can serve incrementally; the
-        scalar reference engine exists for one-shot differential testing.
+        Called with a seed alone, this is one-shot assignment: the engine
+        derives fresh ``(rng_sample, rng_tie)`` streams from ``seed`` and
+        starts from an empty network.  The window keywords serve one *window*
+        of a request stream instead (session execution): ``streams`` is the
+        caller's persistent stream pair, used in place of ``seed``; ``loads``
+        is the caller's persistent int64 load vector, committed against and
+        updated in place; ``store`` optionally memoises group-index
+        precompute across windows.  Successive windows reproduce the one-shot
+        assignment of their concatenation bit for bit, on every engine.
         """
-        raise StrategyError(
-            f"strategy {self.name!r} does not support incremental serving"
+        self._check_compatibility(topology, cache, requests)
+        return self._engine_fn()(
+            topology,
+            cache,
+            requests,
+            seed,
+            strategy_name=self.name,
+            streams=streams,
+            loads=loads,
+            store=store,
+            **self._engine_kwargs(),
         )
 
     def store_signature(self, topology: Topology) -> tuple | None:
@@ -297,15 +295,6 @@ class AssignmentStrategy(ABC):
         return None
 
     # ------------------------------------------------------------ shared utils
-    def _require_streaming_engine(self) -> None:
-        """Guard for :meth:`serve`: the engine must support incremental serving."""
-        if not self.engine_supports_streaming:
-            raise StrategyError(
-                f"incremental serving requires a streaming-capable engine, but "
-                f"this strategy runs on engine={self._engine!r}, which only "
-                "supports one-shot assignment"
-            )
-
     @staticmethod
     def _check_compatibility(
         topology: Topology, cache: CacheState, requests: RequestBatch

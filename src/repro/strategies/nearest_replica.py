@@ -17,16 +17,7 @@ survives as ``engine="reference"`` and is bit-identical for the same seed.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.placement.cache import CacheState
-from repro.rng import SeedLike
-from repro.strategies.base import (
-    AssignmentResult,
-    AssignmentStrategy,
-)
-from repro.topology.base import Topology
-from repro.workload.request import RequestBatch
+from repro.strategies.base import AssignmentStrategy
 
 __all__ = ["NearestReplicaStrategy"]
 
@@ -42,10 +33,6 @@ class NearestReplicaStrategy(AssignmentStrategy):
         fetch from outside the cache network).  When false (the default) such
         a request raises :class:`~repro.exceptions.NoReplicaError`, matching
         the paper's assumption that every file has at least one replica.
-    chunk_size:
-        Maximum number of group rows of the per-file distance matrix
-        materialised at once; bounds peak memory to roughly
-        ``chunk_size x max_replication`` integers.
     engine:
         Execution-engine spec resolved through the backend registry
         (``"auto"`` by default); bit-identical results on every engine.
@@ -57,13 +44,9 @@ class NearestReplicaStrategy(AssignmentStrategy):
     def __init__(
         self,
         allow_origin_fallback: bool = False,
-        chunk_size: int = 4096,
         engine: str = "auto",
     ) -> None:
-        if chunk_size <= 0:
-            raise ValueError(f"chunk_size must be positive, got {chunk_size}")
         self._allow_origin_fallback = bool(allow_origin_fallback)
-        self._chunk_size = int(chunk_size)
         self._engine = self._resolve_engine_spec(engine)
 
     @property
@@ -71,48 +54,8 @@ class NearestReplicaStrategy(AssignmentStrategy):
         """Whether uncached files are served by the origin instead of raising."""
         return self._allow_origin_fallback
 
-    def assign(
-        self,
-        topology: Topology,
-        cache: CacheState,
-        requests: RequestBatch,
-        seed: SeedLike = None,
-    ) -> AssignmentResult:
-        self._check_compatibility(topology, cache, requests)
-        return self._engine_fn()(
-            topology,
-            cache,
-            requests,
-            seed,
-            allow_origin_fallback=self._allow_origin_fallback,
-            chunk_size=self._chunk_size,
-            strategy_name=self.name,
-        )
-
-    def serve(
-        self,
-        topology: Topology,
-        cache: CacheState,
-        requests: RequestBatch,
-        *,
-        streams,
-        loads,
-        store=None,
-    ) -> AssignmentResult:
-        self._require_streaming_engine()
-        self._check_compatibility(topology, cache, requests)
-        return self._engine_fn()(
-            topology,
-            cache,
-            requests,
-            None,
-            allow_origin_fallback=self._allow_origin_fallback,
-            chunk_size=self._chunk_size,
-            strategy_name=self.name,
-            streams=streams,
-            loads=loads,
-            store=store,
-        )
+    def _engine_kwargs(self) -> dict[str, object]:
+        return {"allow_origin_fallback": self._allow_origin_fallback}
 
     def as_dict(self) -> dict[str, object]:
         return {

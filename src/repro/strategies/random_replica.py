@@ -18,15 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import StrategyError
-from repro.placement.cache import CacheState
-from repro.rng import SeedLike
-from repro.strategies.base import (
-    AssignmentResult,
-    AssignmentStrategy,
-    FallbackPolicy,
-)
+from repro.strategies.base import AssignmentStrategy, FallbackPolicy
 from repro.topology.base import Topology
-from repro.workload.request import RequestBatch
 
 __all__ = ["RandomReplicaStrategy"]
 
@@ -63,49 +56,8 @@ class RandomReplicaStrategy(AssignmentStrategy):
         """Fallback policy for requests with an empty candidate set."""
         return self._fallback
 
-    def assign(
-        self,
-        topology: Topology,
-        cache: CacheState,
-        requests: RequestBatch,
-        seed: SeedLike = None,
-    ) -> AssignmentResult:
-        self._check_compatibility(topology, cache, requests)
-        run = self._engine_fn()
-        return run(
-            topology,
-            cache,
-            requests,
-            seed,
-            radius=self._radius,
-            fallback=self._fallback,
-            strategy_name=self.name,
-        )
-
-    def serve(
-        self,
-        topology: Topology,
-        cache: CacheState,
-        requests: RequestBatch,
-        *,
-        streams,
-        loads,
-        store=None,
-    ) -> AssignmentResult:
-        self._require_streaming_engine()
-        self._check_compatibility(topology, cache, requests)
-        return self._engine_fn()(
-            topology,
-            cache,
-            requests,
-            None,
-            radius=self._radius,
-            fallback=self._fallback,
-            strategy_name=self.name,
-            streams=streams,
-            loads=loads,
-            store=store,
-        )
+    def _engine_kwargs(self) -> dict[str, object]:
+        return {"radius": self._radius, "fallback": self._fallback}
 
     def store_signature(self, topology: Topology) -> tuple | None:
         unconstrained = np.isinf(self._radius) or self._radius >= topology.diameter

@@ -120,23 +120,6 @@ class Topology(ABC):
             self._row_cache.popitem(last=False)
         return row
 
-    def distances_from_many(
-        self, nodes: IntArray, targets: IntArray | None = None
-    ) -> IntArray:
-        """Stacked distance rows: ``(len(nodes), len(targets))`` in one call.
-
-        ``targets = None`` means all servers.  The batched counterpart of
-        :meth:`distances_from` for analysis and bulk-query callers; the
-        batched kernels' group index scans its ``(origin, replica)`` pairs
-        with :meth:`distances_between` instead.
-        """
-        nodes = self.validate_nodes(nodes)
-        if targets is None:
-            targets = np.arange(self._n, dtype=np.int64)
-        else:
-            targets = self.validate_nodes(targets)
-        return self.pairwise_distances(nodes, targets)
-
     def distances_between(self, nodes_a: IntArray, nodes_b: IntArray) -> IntArray:
         """Element-wise distances ``d(a_i, b_i)`` for two equal-length arrays.
 
@@ -155,40 +138,6 @@ class Topology(ABC):
             matrix = self.pairwise_distances(sources, nodes_b[sl])
             out[sl] = matrix[inverse, np.arange(inverse.size)]
         return out
-
-    def balls(self, nodes: IntArray, radius: float) -> tuple[IntArray, IntArray, IntArray]:
-        """Batched ball query: ``B_r`` of every node in CSR layout.
-
-        Returns ``(indptr, members, dists)`` where the members (and their hop
-        distances) of ``B_r(nodes[i])`` are
-        ``members[indptr[i]:indptr[i + 1]]``.  One vectorised distance matrix
-        per chunk serves all requested balls, so grid/ring/torus/complete all
-        answer a batch of neighbourhood queries in one shot instead of one
-        ``ball`` call per node (used by analysis/neighbourhood consumers; the
-        assignment kernels intersect balls with replica sets via
-        :meth:`ball_matrix` and :meth:`distances_between` instead).
-        """
-        nodes = self.validate_nodes(nodes)
-        if radius < 0:
-            raise TopologyError(f"radius must be non-negative, got {radius}")
-        counts = np.empty(nodes.size, dtype=np.int64)
-        members: list[IntArray] = []
-        dists: list[IntArray] = []
-        chunk = max(1, (2**22) // max(1, self._n))  # ~32 MB of int64 per chunk
-        for start in range(0, nodes.size, chunk):
-            sl = slice(start, start + chunk)
-            matrix = self.distances_from_many(nodes[sl])
-            mask = matrix <= radius
-            counts[sl] = mask.sum(axis=1)
-            rows, cols = np.nonzero(mask)
-            members.append(cols.astype(np.int64))
-            dists.append(matrix[rows, cols])
-        indptr = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(counts)])
-        flat_members = (
-            np.concatenate(members) if members else np.empty(0, dtype=np.int64)
-        )
-        flat_dists = np.concatenate(dists) if dists else np.empty(0, dtype=np.int64)
-        return indptr, flat_members, flat_dists
 
     def ball_matrix(
         self, origins: IntArray, radius: float

@@ -37,14 +37,6 @@ class TestBuiltins:
         for family in ("assignment", "queueing"):
             assert ("numba" in available_engines(family)) == importable
 
-    def test_assignment_reference_is_not_streaming(self):
-        assert not resolve_engine("reference", "assignment").supports_streaming
-        assert resolve_engine("batch", "assignment").supports_streaming
-
-    def test_queueing_engines_all_stream(self):
-        for engine in registered_engines("queueing"):
-            assert engine.supports_streaming
-
     def test_commit_fns_expose_the_expected_operations(self):
         assignment = resolve_engine("batch", "assignment").commit_fns
         assert set(assignment) == {
@@ -162,5 +154,4 @@ class TestRegistration:
 
         strategy = ProximityTwoChoiceStrategy(radius=2, engine="batch-alias")
         assert strategy.engine == "batch-alias"
-        assert strategy.engine_supports_streaming
 

@@ -142,6 +142,25 @@ class TestStreamCommand:
         assert main(argv) == 0
         assert capsys.readouterr().out == first
 
+    def test_reference_engine_streams_the_batch_table(self, capsys):
+        # The scalar reference engine serves every window, not just the
+        # first, and agrees with batch apart from the engine= token.
+        argv = [
+            "stream",
+            "--nodes", "49",
+            "--files", "20",
+            "--cache", "3",
+            "--radius", "3",
+            "--windows", "3",
+        ]
+        assert main(argv + ["--engine", "batch"]) == 0
+        batch_out = capsys.readouterr().out
+        assert main(argv + ["--engine", "reference"]) == 0
+        reference_out = capsys.readouterr().out
+        assert "engine=reference" in reference_out
+        assert "served 147 requests in 3 windows" in reference_out
+        assert reference_out.replace("engine=reference", "engine=batch") == batch_out
+
     def test_stream_rejects_non_positive_windows(self, capsys):
         code = main(
             [
@@ -278,7 +297,6 @@ class TestEnginesCommand:
                 "skip_reason",
                 "priority",
                 "auto_order",
-                "supports_streaming",
                 "description",
             }
             assert isinstance(entry["available"], bool)

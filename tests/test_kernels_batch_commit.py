@@ -1,4 +1,4 @@
-"""The speculate-and-repair batch commit engine and the dual-view load vector.
+"""The speculate-and-repair batch commit engine.
 
 Three layers of guarantees:
 
@@ -42,7 +42,6 @@ from repro.cli import main
 from repro.kernels import batch_commit as bc
 from repro.kernels import commit as scalar
 from repro.kernels import queueing as q
-from repro.kernels.loads import LoadVector, as_load_array
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -234,7 +233,7 @@ class TestLoadPersistence:
         nodes, counts, indptr = _random_csr(rng, m, n, 2, 3)
         uniforms = rng.random(m)
         one_shot = bc.commit_least_loaded_of_sample(n, nodes, counts, indptr, uniforms)
-        loads = LoadVector(n)
+        loads = np.zeros(n, dtype=np.int64)
         cut = 173
         first_half = bc.commit_least_loaded_of_sample(
             n,
@@ -254,16 +253,13 @@ class TestLoadPersistence:
         )
         np.testing.assert_array_equal(first_half, one_shot[:cut])
         np.testing.assert_array_equal(second_half + indptr[cut], one_shot[cut:])
-        np.testing.assert_array_equal(
-            loads.readonly_array(),
-            np.bincount(nodes[one_shot], minlength=n),
-        )
+        np.testing.assert_array_equal(loads, np.bincount(nodes[one_shot], minlength=n))
 
     def test_load_vector_shared_between_scalar_and_batch(self):
         # A session switching engines mid-stream must see one load history.
         rng = np.random.default_rng(8)
         n = 32
-        loads = LoadVector(n)
+        loads = np.zeros(n, dtype=np.int64)
         reference = np.zeros(n, dtype=np.int64)
         for step, fn in enumerate(
             [
@@ -280,7 +276,7 @@ class TestLoadPersistence:
             )
             actual = fn(n, nodes, counts, indptr, uniforms, loads)
             np.testing.assert_array_equal(actual, expected, err_msg=f"step {step}")
-        np.testing.assert_array_equal(loads.readonly_array(), reference)
+        np.testing.assert_array_equal(loads, reference)
 
 
 # ------------------------------------------------------ repair-round structure
@@ -439,60 +435,6 @@ class TestQueueingWindow:
         case = (empty_f, empty_f, empty_f, empty_i, empty_i, np.zeros(1, dtype=np.int64))
         _assert_window_identical(_fresh_state(4), _fresh_state(4), case)
 
-# ------------------------------------------------------------- load vector
-class TestLoadVector:
-    def test_authority_flips_lazily(self):
-        lv = LoadVector(4)
-        lst = lv.as_list()
-        lst[2] = 7  # mutating the borrowed list IS mutating the vector
-        assert lv.as_list() is lst
-        arr = lv.as_array()
-        assert arr[2] == 7
-        arr[1] = 3
-        assert lv.as_list()[1] == 3
-
-    def test_readonly_array_keeps_list_authoritative(self):
-        lv = LoadVector(3)
-        lst = lv.as_list()
-        lst[0] = 5
-        view = lv.readonly_array()
-        assert view[0] == 5
-        lst[0] = 9  # list stays authoritative after the monitoring read
-        assert lv.readonly_array()[0] == 9
-
-    def test_max_at_both_views(self):
-        lv = LoadVector(6)
-        lv.as_list()[3] = 4
-        servers = np.array([3, 1], dtype=np.int64)
-        assert lv.max_at(servers) == 4
-        assert lv.max_at(servers, floor=9) == 9
-        lv.as_array()
-        assert lv.max_at(servers) == 4
-        assert lv.max_at(np.empty(0, dtype=np.int64), floor=2) == 2
-
-    def test_ndarray_interop(self):
-        lv = LoadVector(5)
-        lv += np.ones(5, dtype=np.int64)
-        lv[2] = 4
-        assert lv[2] == 4
-        assert len(lv) == 5
-        np.testing.assert_array_equal(np.asarray(lv), [1, 1, 4, 1, 1])
-        lv.fill(0)
-        assert int(np.asarray(lv).sum()) == 0
-
-    def test_as_load_array(self):
-        lv = LoadVector(3)
-        assert as_load_array(lv) is lv.as_array()
-        arr = np.arange(3, dtype=np.int64)
-        assert as_load_array(arr) is arr
-        np.testing.assert_array_equal(as_load_array([1, 2]), [1, 2])
-
-    def test_init_requires_size_or_array(self):
-        with pytest.raises(ValueError):
-            LoadVector()
-        lv = LoadVector(array=np.array([2, 1], dtype=np.int32))
-        assert lv.as_array().dtype == np.int64
-
 
 # -------------------------------------------------------------- registry/CLI
 class TestEngineRegistration:
@@ -501,7 +443,6 @@ class TestEngineRegistration:
         assert resolve_engine("batch", family).available
         payload = {e["name"]: e for e in engines_payload(family)}
         assert payload["reference"]["priority"] < payload["batch"]["priority"] < payload["numba"]["priority"]
-        assert payload["batch"]["supports_streaming"] is True
 
     def test_cli_engines_lists_batch(self, capsys):
         assert main(["engines"]) == 0

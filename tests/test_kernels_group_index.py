@@ -1,9 +1,8 @@
 """Unit tests of the kernel precompute building blocks.
 
 Covers the CSR request-group index (candidate sets, fallback resolution,
-shared vs materialised mode), the batched sampling pass, and the new batched
-topology APIs (``balls``, ``distances_from_many``, ``distances_between`` and
-the LRU distance-row cache).
+shared vs materialised mode), the batched sampling pass, and the batched
+topology APIs (``distances_between`` and the LRU distance-row cache).
 """
 
 from __future__ import annotations
@@ -154,19 +153,6 @@ class TestBatchedTopologyAPI:
         "topology", [Torus2D(49), Grid2D(49), Ring(40), CompleteTopology(30)],
         ids=lambda t: t.name,
     )
-    def test_balls_match_scalar_ball(self, topology):
-        nodes = np.asarray([0, 3, topology.n - 1], dtype=np.int64)
-        indptr, members, dists = topology.balls(nodes, 2)
-        for i, node in enumerate(nodes):
-            got = members[indptr[i] : indptr[i + 1]]
-            np.testing.assert_array_equal(np.sort(got), topology.ball(int(node), 2))
-            expected = topology.distances_from(int(node), got)
-            np.testing.assert_array_equal(dists[indptr[i] : indptr[i + 1]], expected)
-
-    @pytest.mark.parametrize(
-        "topology", [Torus2D(49), Grid2D(49), Ring(40), CompleteTopology(30)],
-        ids=lambda t: t.name,
-    )
     def test_distances_between_elementwise(self, topology):
         rng = np.random.default_rng(4)
         a = rng.integers(0, topology.n, size=200)
@@ -181,13 +167,6 @@ class TestBatchedTopologyAPI:
             # The generic implementation validates shapes; lattice overrides
             # would broadcast, so check the base class directly.
             Ring(10).distances_between(np.asarray([1, 2]), np.asarray([3]))
-
-    def test_distances_from_many_matches_rows(self):
-        torus = Torus2D(49)
-        nodes = np.asarray([5, 11], dtype=np.int64)
-        matrix = torus.distances_from_many(nodes)
-        for i, node in enumerate(nodes):
-            np.testing.assert_array_equal(matrix[i], torus.distances_from(int(node)))
 
     def test_distance_row_cache_hits_and_evicts(self):
         torus = Torus2D(49)

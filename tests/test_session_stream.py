@@ -4,8 +4,8 @@ The acceptance property of the session redesign: serving *any* window
 partition of a request batch through a :class:`CacheNetworkSession` is
 bit-identical (same servers, distances and fallback mask) to one-shot
 assignment on the same engine and seed — across all five strategies, on the
-default engine and on the pure-Python commit loops that ``batch`` falls back
-to.  The session carries the strategy's ``(rng_sample, rng_tie)`` pair and the
+default engine, on the scalar ``reference`` engine and on the pure-Python
+commit loops that ``batch`` falls back to.  The session carries the strategy's ``(rng_sample, rng_tie)`` pair and the
 load vector across windows, so the partition boundaries must be invisible to
 the assignment process.
 """
@@ -141,7 +141,47 @@ class TestPythonCommitWindowPartition(TestWindowPartitionDifferential):
     engine = "python-commit"
 
 
+class TestReferenceWindowPartition(TestWindowPartitionDifferential):
+    """The same partitions on the scalar ``reference`` engine, the authority:
+    the paper's one-request-at-a-time process serves windows too."""
+
+    engine = "reference"
+
+
 class TestSessionStateMachine:
+    @pytest.mark.parametrize("engine", ["auto", "reference"])
+    def test_failed_window_leaves_state_untouched(self, engine):
+        # Under FallbackPolicy.ERROR a request with an empty ball fails its
+        # window.  Every engine resolves candidates before drawing or
+        # committing, so the session serves on as if that window never came.
+        def session():
+            return _session(
+                ProximityTwoChoiceStrategy(radius=1, fallback="error", engine=engine)
+            )
+
+        failing, clean = session(), session()
+        topology, cache = failing.topology, failing.cache
+        good, bad = [], None
+        for origin in range(topology.n):
+            for file_id in range(cache.num_files):
+                near = topology.distances_from(origin, cache.file_nodes(file_id)) <= 1
+                if near.any():
+                    good.append((origin, file_id))
+                elif bad is None:
+                    bad = (origin, file_id)
+        assert bad is not None and len(good) >= 60
+        first, second = good[:30], good[30:60]
+        for served in (failing, clean):
+            served.dispatch_batch(*zip(*first))
+        digest = failing.state_digest()
+        with pytest.raises(StrategyError):
+            failing.dispatch_batch(*zip(*(second + [bad])))
+        assert failing.state_digest() == digest
+        _assert_results_identical(
+            failing.dispatch_batch(*zip(*second)), clean.dispatch_batch(*zip(*second))
+        )
+        np.testing.assert_array_equal(failing.loads(), clean.loads())
+
     def test_reset_replays_identically(self):
         session = _session(ProximityTwoChoiceStrategy(radius=3))
         requests = session.generate_workload()
@@ -177,26 +217,6 @@ class TestSessionStateMachine:
         assert windows[1].cumulative_requests == 250
         assert windows[1].cumulative_max_load >= windows[0].cumulative_max_load
         assert windows[1].summary()["num_requests"] == 150
-
-    def test_reference_engine_serves_one_shot_only(self):
-        requests, one_shot = _one_shot(ProximityTwoChoiceStrategy(radius=3))
-        session = _session(ProximityTwoChoiceStrategy(radius=3, engine="reference"))
-        window = session.serve(requests, resolve_uncached=False)
-        _assert_results_identical(window.assignment, one_shot)
-        with pytest.raises(StrategyError):
-            session.serve(requests, resolve_uncached=False)
-
-    def test_strategy_serve_rejects_reference_engine(self):
-        topology, library, placement, workload = _components()
-        strategy = ProximityTwoChoiceStrategy(radius=3, engine="reference")
-        with pytest.raises(StrategyError):
-            strategy.serve(
-                topology,
-                library,
-                None,
-                streams=None,
-                loads=None,
-            )
 
     def test_session_without_workload_rejects_workload_calls(self):
         topology, library, placement, _ = _components()

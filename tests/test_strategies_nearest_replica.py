@@ -7,6 +7,7 @@ import pytest
 
 from repro.catalog.library import FileLibrary
 from repro.exceptions import NoReplicaError, StrategyError
+from repro.kernels import engine as kernel_engine
 from repro.placement.cache import CacheState
 from repro.placement.partition import PartitionPlacement
 from repro.placement.proportional import ProportionalPlacement
@@ -84,13 +85,23 @@ class TestCorrectness:
         result = NearestReplicaStrategy().assign(torus, cache, empty, seed=0)
         assert result.num_requests == 0
 
-    def test_chunked_processing_matches_unchunked(self, torus, library, cache):
+    @pytest.mark.parametrize(
+        "chunk_rows", [1, 7, None], ids=["chunk=1", "chunk=7", "chunk=default"]
+    )
+    def test_chunked_processing_matches_reference(
+        self, monkeypatch, torus, library, cache, chunk_rows
+    ):
+        if chunk_rows is not None:
+            # One group per chunk, several chunks per file, or (default) one
+            # chunk per file: the scalar reference has no chunks at all.
+            monkeypatch.setattr(kernel_engine, "_NEAREST_CHUNK_ROWS", chunk_rows)
         requests = UniformOriginWorkload(300).generate(torus, library, seed=8)
-        small_chunks = NearestReplicaStrategy(chunk_size=7).assign(torus, cache, requests, seed=9)
-        big_chunks = NearestReplicaStrategy(chunk_size=4096).assign(torus, cache, requests, seed=9)
-        # Distances (costs) are identical regardless of chunking; server choice
-        # may differ only where ties exist, so compare distances.
-        np.testing.assert_array_equal(small_chunks.distances, big_chunks.distances)
+        chunked = NearestReplicaStrategy().assign(torus, cache, requests, seed=9)
+        reference = NearestReplicaStrategy(engine="reference").assign(
+            torus, cache, requests, seed=9
+        )
+        np.testing.assert_array_equal(chunked.servers, reference.servers)
+        np.testing.assert_array_equal(chunked.distances, reference.distances)
 
 
 class TestTieBreaking:
@@ -142,10 +153,6 @@ class TestValidationAndConfig:
         requests = UniformOriginWorkload(10).generate(torus, library, seed=0)
         with pytest.raises(StrategyError):
             NearestReplicaStrategy().assign(torus, other_cache, requests, seed=0)
-
-    def test_invalid_chunk_size(self):
-        with pytest.raises(ValueError):
-            NearestReplicaStrategy(chunk_size=0)
 
     def test_as_dict(self):
         data = NearestReplicaStrategy(allow_origin_fallback=True).as_dict()
