@@ -12,6 +12,7 @@ paper's model:
 
 from __future__ import annotations
 
+import hashlib
 from abc import ABC, abstractmethod
 from typing import Sequence
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from repro.catalog.zipf import zipf_pmf
 from repro.exceptions import ConfigurationError
-from repro.rng import SeedLike, as_generator
+from repro.rng import SeedLike, as_generator, choice_from_pmf
 from repro.types import FloatArray, IntArray
 from repro.utils.validation import check_in_range, check_positive_int, check_probability_vector
 
@@ -56,9 +57,15 @@ class PopularityDistribution(ABC):
 
     # ------------------------------------------------------------- sampling
     def sample(self, size: int | tuple[int, ...], seed: SeedLike = None) -> IntArray:
-        """Draw file indices (0-based) i.i.d. from the profile."""
-        rng = as_generator(seed)
-        return rng.choice(self._num_files, size=size, p=self.pmf()).astype(np.int64)
+        """Draw file indices (0-based) i.i.d. from the profile.
+
+        Returns an int64 array of shape ``size``.  The draws are
+        :func:`~repro.rng.choice_from_pmf`'s: exactly the values
+        ``Generator.choice`` draws with this profile as ``p``, one
+        ``Generator.random`` double per file, from a guide-table lookup
+        instead of a full CDF search per draw.
+        """
+        return choice_from_pmf(as_generator(seed), self.pmf(), size)
 
     def probability(self, file_id: int) -> float:
         """Request probability of a single file (0-based index)."""
@@ -191,7 +198,9 @@ class CustomPopularity(PopularityDistribution):
 
     def as_dict(self) -> dict[str, object]:
         data = super().as_dict()
-        data["pmf_hash"] = hash(self._pmf.tobytes())
+        # A content digest, not the salted built-in hash(): the same pmf
+        # must describe identically in every process.
+        data["pmf_hash"] = hashlib.blake2b(self._pmf.tobytes(), digest_size=16).hexdigest()
         return data
 
 

@@ -66,29 +66,36 @@ class CacheState:
 
     # ------------------------------------------------------------------ index
     def _build_file_index(self) -> None:
-        """Build the CSR-like file -> distinct caching nodes index."""
-        n, m = self._n, self._cache_size
-        node_ids = np.repeat(np.arange(n, dtype=np.int64), m)
-        file_ids = self._slots.reshape(-1)
-        # Collapse duplicate (node, file) pairs: a server caching a file twice
-        # is still a single replica from the request's point of view.  A sort
-        # plus an adjacent-difference mask, because numpy 2.x's hash-based
-        # np.unique is over an order of magnitude slower on these int64 keys.
-        pair_keys = np.sort(file_ids * n + node_ids)
-        distinct = np.empty(pair_keys.size, dtype=bool)
+        """Build the CSR-like file -> distinct caching nodes index.
+
+        Each slot becomes one packed key ``file << s | node`` with
+        ``s = (n - 1).bit_length()``, so ascending keys order the pairs by
+        file, then node.  The keys are int32 whenever ``K << s < 2**31`` and
+        int64 otherwise; numpy sorts the narrower keys about twice as fast.
+        A sort plus an adjacent-difference mask collapses duplicate
+        ``(node, file)`` pairs — a server caching a file twice is still a
+        single replica from the request's point of view.  Row ``f`` of the
+        CSR starts at the first distinct key ``>= f << s``, and
+        ``& (2**s - 1)`` unpacks each key's node.
+        """
+        n = self._n
+        shift = (n - 1).bit_length()
+        key_type = np.int32 if self._num_files << shift < 2**31 else np.int64
+        keys = self._slots.astype(key_type)
+        keys <<= shift
+        keys |= np.arange(n, dtype=key_type)[:, None]
+        keys = keys.reshape(-1)
+        keys.sort()
+        distinct = np.empty(keys.size, dtype=bool)
         distinct[0] = True
-        np.not_equal(pair_keys[1:], pair_keys[:-1], out=distinct[1:])
-        unique_keys = pair_keys[distinct]
-        files_sorted = unique_keys // n
-        nodes_sorted = unique_keys % n
-        counts = np.bincount(files_sorted, minlength=self._num_files)
-        self._file_index_ptr = np.concatenate(
-            [np.zeros(1, dtype=np.int64), np.cumsum(counts, dtype=np.int64)]
-        )
-        self._file_index_nodes = nodes_sorted.astype(np.int64)
+        np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+        keys = keys[distinct]
+        row_starts = np.arange(self._num_files + 1, dtype=key_type) << shift
+        self._file_index_ptr = keys.searchsorted(row_starts).astype(np.int64)
+        self._file_index_nodes = (keys & ((1 << shift) - 1)).astype(np.int64)
         self._file_index_ptr.setflags(write=False)
         self._file_index_nodes.setflags(write=False)
-        self._replication = counts.astype(np.int64)
+        self._replication = np.diff(self._file_index_ptr)
 
     # ------------------------------------------------------------- properties
     @property
@@ -169,11 +176,12 @@ class CacheState:
         return int(self.node_files(node).size)
 
     def distinct_counts(self) -> IntArray:
-        """Vector of ``t(u)`` for every server (length ``n``)."""
-        sorted_slots = np.sort(self._slots, axis=1)
-        changes = np.ones(self._slots.shape, dtype=bool)
-        changes[:, 1:] = sorted_slots[:, 1:] != sorted_slots[:, :-1]
-        return changes.sum(axis=1).astype(np.int64)
+        """Vector of ``t(u)`` for every server (length ``n``).
+
+        Counted from the file index: each distinct ``(node, file)`` pair
+        appears there exactly once.
+        """
+        return np.bincount(self._file_index_nodes, minlength=self._n)
 
     def common_files(self, u: int, v: int) -> IntArray:
         """``T(u, v)``: distinct files cached at both ``u`` and ``v``."""

@@ -9,19 +9,25 @@ communication-cost regimes of Theorem 3.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.catalog.library import FileLibrary
 from repro.placement.base import PlacementStrategy
 from repro.placement.cache import CacheState
-from repro.rng import SeedLike, as_generator
+from repro.rng import SeedLike
 from repro.topology.base import Topology
 
 __all__ = ["ProportionalPlacement"]
 
 
 class ProportionalPlacement(PlacementStrategy):
-    """Independent proportional-to-popularity placement with replacement."""
+    """Independent proportional-to-popularity placement with replacement.
+
+    :meth:`place` fills the ``(n, M)`` slot array with one
+    :meth:`~repro.catalog.library.FileLibrary.sample_files` call, so the
+    slots are the popularity profile's draws in row-major order (one
+    ``Generator.random`` double per slot; see
+    :func:`~repro.rng.choice_from_pmf`), and :class:`CacheState` builds the
+    file index from them.  It makes no RNG call of its own.
+    """
 
     name = "proportional"
 
@@ -29,10 +35,5 @@ class ProportionalPlacement(PlacementStrategy):
         self, topology: Topology, library: FileLibrary, seed: SeedLike = None
     ) -> CacheState:
         self.validate(library)
-        rng = as_generator(seed)
-        n = topology.n
-        pmf = library.popularity_vector()
-        slots = rng.choice(
-            library.num_files, size=(n, self._cache_size), p=pmf, replace=True
-        ).astype(np.int64)
+        slots = library.sample_files((topology.n, self._cache_size), seed)
         return CacheState(slots, library.num_files)

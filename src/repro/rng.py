@@ -6,6 +6,11 @@ here keeps simulations reproducible: a single integer seed given to the
 top-level runner deterministically derives independent child generators for
 placement, workload generation and each Monte-Carlo trial via
 :class:`numpy.random.SeedSequence` spawning.
+
+Every draw of a file id from a popularity profile — cache placement, request
+and arrival files, uncached-file resampling, the load generator — goes
+through :func:`choice_from_pmf`, an exact and faster stand-in for
+``Generator.choice`` with probabilities ``p``.
 """
 
 from __future__ import annotations
@@ -21,10 +26,17 @@ __all__ = [
     "spawn_seeds",
     "derive_generator",
     "seed_provenance",
+    "choice_from_pmf",
 ]
 
 #: Anything accepted as a seed by the helpers in this module.
 SeedLike = Union[None, int, Sequence[int], np.random.SeedSequence, np.random.Generator]
+
+#: ``Generator.choice``'s tolerance on ``|sum(p) - 1|`` for a float64 ``p``.
+_PMF_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
+
+#: Draws :func:`choice_from_pmf` maps per pass (256 KiB per float64 temporary).
+_CHOICE_CHUNK = 1 << 15
 
 
 def as_generator(seed: SeedLike = None) -> np.random.Generator:
@@ -130,3 +142,68 @@ def derive_generator(seed: SeedLike, *keys: Iterable[int] | int) -> np.random.Ge
     else:
         entropy = [int(s) for s in seed]
     return np.random.default_rng(np.random.SeedSequence(entropy + flat if entropy else flat))
+
+
+def choice_from_pmf(
+    rng: np.random.Generator, pmf: Sequence[float] | np.ndarray, size: int | tuple[int, ...]
+) -> np.ndarray:
+    """Draw indices i.i.d. from ``pmf``, exactly as ``Generator.choice`` does.
+
+    The result equals ``rng.choice(len(pmf), size, p=...)`` with ``pmf`` as
+    the probabilities: the same int64 array of shape ``size``, and ``rng``
+    is left at the same stream position.  Like ``Generator.choice``, it
+    consumes one ``rng.random`` double ``u`` per draw and returns the number
+    of normalised-CDF entries ``<= u``.  ``pmf`` is converted to float64 and
+    validated as ``Generator.choice`` validates a float64 ``p`` (1-D, no
+    NaN, non-negative, sum within ``sqrt(eps)`` of one), raising
+    :class:`ValueError` otherwise.
+
+    ``Generator.choice`` binary-searches the whole CDF once per unsorted
+    uniform.  Here a guide table does most of that work: with ``G`` the
+    smallest power of two ``>= K``, ``u * G`` and every bucket edge ``b / G``
+    are exact, so the bucket ``floor(u * G)`` brackets the answer between the
+    CDF entries at its two edges.  A draw whose bucket holds at most one CDF
+    entry is finished by one comparison; the rest take a vectorised binary
+    search bounded by the widest bucket.
+    """
+    p = np.ascontiguousarray(pmf, dtype=np.float64)
+    if p.ndim != 1:
+        raise ValueError("p must be 1-dimensional")
+    total = p.sum()
+    if np.isnan(total):
+        raise ValueError("Probabilities contain NaN")
+    if np.any(p < 0):
+        raise ValueError("Probabilities are not non-negative")
+    if abs(total - 1.0) > _PMF_ATOL:  # also rejects an empty pmf
+        raise ValueError("Probabilities do not sum to 1")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    u = rng.random(size)
+
+    g = 1 << (cdf.size - 1).bit_length()
+    edges = np.arange(g + 1, dtype=np.float64) / g
+    lo = cdf.searchsorted(edges[:-1], side="right")  # #{cdf <= b / G}
+    hi = cdf.searchsorted(edges[1:], side="left")  # #{cdf < (b + 1) / G}
+    width = hi - lo
+    wide_bucket = width > 1
+    steps = int(width.max()).bit_length()  # bisections that settle any bucket
+    flat = u.reshape(-1)
+    out = np.empty(flat.size, dtype=np.int64)
+    # Cache-sized chunks: every temporary below stays in L2.
+    for start in range(0, flat.size, _CHOICE_CHUNK):
+        draws = flat[start : start + _CHOICE_CHUNK]
+        bucket = (draws * g).astype(np.intp)
+        idx = lo.take(bucket)
+        idx += cdf.take(idx) <= draws  # the answer when hi - lo <= 1
+        if steps > 1:  # some bucket holds two or more CDF entries
+            wide = np.flatnonzero(wide_bucket.take(bucket))
+            target, wide_buckets = draws.take(wide), bucket.take(wide)
+            left, right = lo.take(wide_buckets), hi.take(wide_buckets)
+            for _ in range(steps):
+                mid = (left + right) >> 1
+                above = cdf.take(mid) <= target
+                left = np.where(above, mid + 1, left)
+                right = np.where(above, right, mid)
+            idx[wide] = left
+        out[start : start + _CHOICE_CHUNK] = idx
+    return out.reshape(u.shape)

@@ -218,8 +218,7 @@ async def run_loadgen(
             if config.gamma > 0
             else UniformPopularity(num_files)
         )
-        pmf = popularity.pmf()
-        files = rng.choice(num_files, size=total, p=pmf)
+        files = popularity.sample(total, rng)
 
         latency = LatencyHistogram()
         completed = 0

@@ -36,7 +36,17 @@ from repro.placement.cache import CacheState
 from repro.rng import as_generator
 from repro.topology.base import Topology
 
-__all__ = ["ArtifactCache"]
+__all__ = ["ArtifactCache", "reads_group_store"]
+
+
+def reads_group_store(engine: str) -> bool:
+    """Whether a session on the resolved ``engine`` should ask for a store.
+
+    The scalar ``reference`` engines recompute every candidate set and
+    ignore their ``store`` keyword.  A store requested for them would stay
+    empty while holding an LRU slot that a useful store could use.
+    """
+    return engine != "reference"
 
 
 def _topology_key(topology: Topology) -> tuple:

@@ -45,8 +45,14 @@ from repro.catalog.library import FileLibrary
 from repro.exceptions import ConfigurationError
 from repro.placement.base import PlacementStrategy
 from repro.placement.cache import CacheState
-from repro.rng import SeedLike, seed_provenance, spawn_generators, spawn_seeds
-from repro.session.artifacts import ArtifactCache
+from repro.rng import (
+    SeedLike,
+    choice_from_pmf,
+    seed_provenance,
+    spawn_generators,
+    spawn_seeds,
+)
+from repro.session.artifacts import ArtifactCache, reads_group_store
 from repro.strategies.base import AssignmentResult, AssignmentStrategy
 
 if TYPE_CHECKING:  # pragma: no cover - the config layer imports the engine,
@@ -101,7 +107,7 @@ def apply_uncached_policy(
         return requests, 0
     pmf /= total
     files = requests.files.copy()
-    files[uncached_set] = rng.choice(library.num_files, size=remapped, p=pmf)
+    files[uncached_set] = choice_from_pmf(rng, pmf, remapped)
     return (
         RequestBatch(
             origins=requests.origins,
@@ -272,8 +278,13 @@ class CacheNetworkSession:
         # state), and for any placement once this session streams a second
         # window.  A one-shot serve over a never-repeating randomised
         # placement skips the store entirely — population would be pure
-        # overhead.
+        # overhead.  An engine that reads no store gets none.
         self._store_eligible = placement.deterministic
+        self._store_signature = (
+            strategy.store_signature(topology)
+            if reads_group_store(strategy.engine)
+            else None
+        )
         self._cache = self._artifacts.placement(
             placement, topology, library, placement_seed
         )
@@ -433,12 +444,13 @@ class CacheNetworkSession:
                 )
             if self._streams is None:
                 self._streams = tuple(spawn_generators(self._rng_strategy, 2))
-            signature = self._strategy.store_signature(self._topology)
-            use_store = signature is not None and (
+            use_store = self._store_signature is not None and (
                 self._store_eligible or self._windows > 0
             )
             store = (
-                self._artifacts.group_store(self._topology, self._cache, signature)
+                self._artifacts.group_store(
+                    self._topology, self._cache, self._store_signature
+                )
                 if use_store
                 else None
             )

@@ -50,7 +50,7 @@ from repro.kernels.queueing import (
 )
 from repro.placement.base import PlacementStrategy
 from repro.rng import SeedLike, spawn_generators, spawn_seeds
-from repro.session.artifacts import ArtifactCache
+from repro.session.artifacts import ArtifactCache, reads_group_store
 from repro.strategies.base import FallbackPolicy
 from repro.topology.base import Topology
 from repro.utils.timer import Timer
@@ -204,7 +204,11 @@ class QueueingSession:
             FallbackPolicy.NEAREST.value,
             bool(not unconstrained),
         )
-        self._store = self._artifacts.group_store(topology, self._cache, signature)
+        self._store = (
+            self._artifacts.group_store(topology, self._cache, signature)
+            if reads_group_store(self._engine)
+            else None
+        )
         self._node_weights: np.ndarray | None = None
         if candidate_weights == "popularity":
             indptr, nodes = self._cache.file_index()

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -121,6 +126,32 @@ class TestCustomPopularity:
     def test_head_mass_invalid(self):
         with pytest.raises(ConfigurationError):
             CustomPopularity([0.5, 0.5]).head_mass(0)
+
+    def test_pmf_hash_is_the_same_in_every_process(self):
+        # str and bytes hashes are salted per process (PYTHONHASHSEED), so
+        # the description must use a content digest instead.
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = (
+            "from repro.catalog.popularity import CustomPopularity; "
+            "print(CustomPopularity([0.2, 0.3, 0.5]).as_dict()['pmf_hash'])"
+        )
+        printed = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [str(src), env.get("PYTHONPATH")])
+            )
+            done = subprocess.run(
+                [sys.executable, "-c", code],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            printed.append(done.stdout.strip())
+        assert printed[0] == printed[1]
+        assert printed[0] == CustomPopularity([0.2, 0.3, 0.5]).as_dict()["pmf_hash"]
 
 
 class TestCreatePopularity:

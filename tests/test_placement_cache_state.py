@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import PlacementError
 from repro.placement.cache import CacheState
@@ -167,6 +169,24 @@ class TestLargeRandomConsistency:
                 assert nodes.min() >= 0 and nodes.max() < 60
 
 
+def _assert_index_matches_model(state: CacheState, slots: np.ndarray, k: int) -> None:
+    """The index, replication and distinct counts against ``np.unique`` alone."""
+    n, m = slots.shape
+    pairs = np.unique(
+        np.stack([slots.reshape(-1), np.repeat(np.arange(n), m)], axis=1), axis=0
+    )  # distinct (file, node) rows, by file then node
+    replication = np.bincount(pairs[:, 0], minlength=k)
+    indptr, nodes = state.file_index()
+    for got, want in (
+        (indptr, np.concatenate([[0], np.cumsum(replication)])),
+        (nodes, pairs[:, 1]),
+        (state.replication_counts(), replication),
+        (state.distinct_counts(), [np.unique(row).size for row in slots]),
+    ):
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+
+
 class TestIndexAgainstUniqueOracle:
     """The sort-based file index against a plain ``np.unique`` oracle."""
 
@@ -191,6 +211,33 @@ class TestIndexAgainstUniqueOracle:
         np.testing.assert_array_equal(flat_nodes, nodes)
         np.testing.assert_array_equal(state.replication_counts(), counts)
         assert np.all(state.replication_counts()[30:] == 0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 300),
+        m=st.integers(1, 12),
+        k=st.integers(1, 60),
+        spread=st.integers(1, 60),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_unique_model(self, n, m, k, spread, seed):
+        # Files drawn from the first min(spread, k) ids: a small spread
+        # gives heavy duplicates within nodes and uncached tail files.
+        slots = np.random.default_rng(seed).integers(0, min(spread, k), size=(n, m))
+        _assert_index_matches_model(CacheState(slots, k), slots, k)
+
+    @pytest.mark.parametrize(
+        "n, m, k",
+        [
+            (65536, 1, 40000),  # K << 16 >= 2**31: int64 keys
+            (65537, 1, 20000),  # n one past a power of two: s = 17, int64 keys
+            (65536, 1, 32767),  # the largest K with int32 keys at s = 16
+            (2025, 100, 500),  # Figure 5 at M = 100
+        ],
+    )
+    def test_both_key_widths(self, n, m, k):
+        slots = np.random.default_rng(n + k).integers(0, k, size=(n, m))
+        _assert_index_matches_model(CacheState(slots, k), slots, k)
 
 
 class TestContainsMany:

@@ -10,7 +10,7 @@ from repro.kernels.group_index import GroupStore, build_group_index
 from repro.placement.cache import CacheState
 from repro.placement.partition import PartitionPlacement
 from repro.placement.proportional import ProportionalPlacement
-from repro.session import ArtifactCache
+from repro.session import ArtifactCache, CacheNetworkSession
 from repro.strategies.base import FallbackPolicy
 from repro.strategies.least_loaded_in_ball import LeastLoadedInBallStrategy
 from repro.strategies.nearest_replica import NearestReplicaStrategy
@@ -484,6 +484,33 @@ class TestMixedEngineArtifacts:
         # shared cache instead of being re-placed.
         assert artifacts.stats()["placement_misses"] == 1
         assert artifacts.stats()["placement_hits"] >= 5
+
+
+class TestStoreRequests:
+    """A session asks for a GroupStore only on an engine that reads one."""
+
+    @pytest.mark.parametrize("engine", ["reference", "batch"])
+    def test_windowed_strategy_ii_session(self, engine):
+        artifacts = ArtifactCache()
+        session = CacheNetworkSession(
+            Torus2D(49),
+            FileLibrary(20),
+            ProportionalPlacement(3),
+            ProximityTwoChoiceStrategy(radius=3, engine=engine),
+            UniformOriginWorkload(120),
+            seed=4,
+            artifacts=artifacts,
+        )
+        windows = session.workload_stream(window_size=30, num_windows=4)
+        assert len(list(session.serve_stream(windows))) == 4
+        stats = artifacts.stats()
+        if engine == "reference":
+            # The reference engine recomputes every candidate set, so an
+            # empty store would only hold an LRU slot.
+            assert stats["stores"] == 0
+        else:
+            assert stats["stores"] == 1
+            assert stats["group_rows"] > 0
 
 
 class TestStoreSignatures:

@@ -226,6 +226,13 @@ class TestArtifactReuse:
         stats = artifacts.stats()
         assert stats["group_hits"] > 0
 
+    def test_reference_engine_requests_no_store(self):
+        artifacts = ArtifactCache()
+        session = _session(engine="reference", artifacts=artifacts)
+        for until in (6.0, 12.0):
+            session.serve(until)
+        assert artifacts.stats()["stores"] == 0
+
     def test_store_requested_for_unconstrained_radius(self):
         artifacts = ArtifactCache()
         session = _session(radius=np.inf, artifacts=artifacts)
