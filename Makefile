@@ -2,7 +2,7 @@ PYTHON ?= python
 PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 export PYTHONPATH
 
-.PHONY: test test-differential test-service test-chaos bench bench-smoke bench-queueing bench-engines bench-service bench-recovery bench-precompute bench-commit profile-precompute perf perf-trace ci
+.PHONY: test test-differential test-service test-chaos bench bench-smoke bench-queueing bench-engines bench-service bench-recovery bench-commit profile-precompute perf perf-trace ci
 
 # Tier-1 verification: the full test + benchmark suite.  Deterministic
 # artifacts land in benchmarks/results/ (tracked, byte-identical across runs);
@@ -76,13 +76,6 @@ test-chaos:
 # .benchmarks/timings/recovery.txt.
 bench-recovery:
 	$(PYTHON) -m pytest benchmarks/test_bench_recovery.py -q -s --benchmark-disable
-
-# Precompute speedup gate: warm (store-backed) group-index build at n = 4096
-# must beat the pre-PR per-key loop build by >= 3x
-# (REPRO_BENCH_PRECOMPUTE_FLOOR overrides the floor); writes
-# .benchmarks/timings/precompute_speedup.txt.
-bench-precompute:
-	$(PYTHON) -m pytest benchmarks/test_bench_precompute.py -m bench_smoke -q -s --benchmark-disable
 
 # Vectorised-commit speedup gate: the batch engine's speculate-and-repair
 # commit must beat the pure-Python commit loop by >= 2x on the strategy II

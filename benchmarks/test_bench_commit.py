@@ -8,8 +8,8 @@ must beat the pure-Python loop of :mod:`repro.kernels.commit` by ≥ 2×
 (``REPRO_BENCH_COMMIT_FLOOR`` overrides the floor), bit-identically.
 
 The gate times the commit phase in isolation — the precompute is engine-
-independent and already measured by ``bench-precompute`` /
-``bench-engines``.  Carries the ``bench_smoke`` marker so ``make
+independent and already measured by ``bench-engines`` and, end to end, by
+the perfbench workloads.  Carries the ``bench_smoke`` marker so ``make
 bench-commit`` (and the CI default job) runs without pytest-benchmark
 calibration overhead.
 """

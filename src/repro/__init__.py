@@ -22,7 +22,6 @@ figure-by-figure reproduction harness.
 
 from repro._version import __version__
 from repro.backends import (
-    EngineSpec,
     available_engines,
     register_engine,
     resolve_engine,
@@ -90,7 +89,6 @@ from repro.workload import (
 __all__ = [
     "__version__",
     # backends
-    "EngineSpec",
     "available_engines",
     "register_engine",
     "resolve_engine",

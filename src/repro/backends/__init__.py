@@ -30,7 +30,6 @@ parametrise their engine lists from this registry).
 from repro.backends.registry import (
     FAMILIES,
     Engine,
-    EngineSpec,
     available_engines,
     register_engine,
     registered_engines,
@@ -41,7 +40,6 @@ from repro.backends.registry import (
 __all__ = [
     "FAMILIES",
     "Engine",
-    "EngineSpec",
     "available_engines",
     "register_engine",
     "registered_engines",

@@ -11,10 +11,10 @@ today, Cython later) a 17-file change.  The registry centralises all of it:
   modules it ``requires`` (import-gated availability), and its ``priority``
   in the ``"auto"`` resolution order.
 * :func:`resolve_engine` turns a user-facing spec — ``"auto"`` (fastest
-  available), an explicit name, or an :class:`EngineSpec` — into the
-  registered :class:`Engine`, exactly once at each surface boundary
-  (``CacheNetworkSimulation.run``, ``open_session``, ``run_trials``, the
-  CLI's shared ``--engine`` flag, …).  Unknown or unavailable specs raise
+  available) or an explicit name — into the registered :class:`Engine`,
+  exactly once at each surface boundary (``CacheNetworkSimulation.run``,
+  ``open_session``, ``run_trials``, the CLI's shared ``--engine`` flag, …).
+  Unknown or unavailable specs raise
   :class:`~repro.exceptions.UnknownEngineError` with a uniform message
   listing what is registered.  Engines take no options: a spec is a name.
 
@@ -41,7 +41,6 @@ from repro.exceptions import UnknownEngineError
 __all__ = [
     "FAMILIES",
     "Engine",
-    "EngineSpec",
     "available_engines",
     "engines_payload",
     "register_engine",
@@ -55,20 +54,6 @@ FAMILIES = ("assignment", "queueing")
 
 #: The spec resolving to the fastest available engine of a family.
 AUTO = "auto"
-
-
-@dataclass(frozen=True)
-class EngineSpec:
-    """A structured engine request, interchangeable with a plain name string.
-
-    ``name`` is a registered engine name or ``"auto"``; ``family``, when set,
-    asserts which family the spec is meant for — resolving it against another
-    family raises, which catches e.g. a queueing-only engine name leaking
-    into an assignment surface.
-    """
-
-    name: str
-    family: str | None = None
 
 
 @dataclass
@@ -238,25 +223,17 @@ def _registered_summary(family: str) -> str:
     return ", ".join(parts) if parts else "<none>"
 
 
-def resolve_engine(spec: "str | EngineSpec | None", family: str) -> Engine:
+def resolve_engine(spec: str | None, family: str) -> Engine:
     """Resolve an engine spec to its registered :class:`Engine`.
 
     ``spec`` may be ``"auto"`` / ``None`` (the fastest available engine of
-    the family), an explicit engine name, or an :class:`EngineSpec`.  Raises
+    the family) or an explicit engine name.  Raises
     :class:`~repro.exceptions.UnknownEngineError` — always listing what is
-    registered — for unknown names, unavailable backends, and family
-    mismatches.
+    registered — for unknown names, non-string specs and unavailable
+    backends.
     """
     _ensure_builtins()
     table = _family_table(family)
-    if isinstance(spec, EngineSpec):
-        if spec.family is not None and spec.family != family:
-            raise UnknownEngineError(
-                f"engine spec {spec.name!r} targets family {spec.family!r} but was "
-                f"resolved for family {family!r}; registered {family} engines: "
-                f"{_registered_summary(family)}"
-            )
-        spec = spec.name
     if spec is None or spec == AUTO:
         for engine in registered_engines(family):
             if engine.available:
@@ -266,7 +243,7 @@ def resolve_engine(spec: "str | EngineSpec | None", family: str) -> Engine:
         )
     if not isinstance(spec, str):
         raise UnknownEngineError(
-            f"engine must be a name, 'auto' or an EngineSpec, got {spec!r}; "
+            f"engine must be a name or 'auto', got {spec!r}; "
             f"registered {family} engines: {_registered_summary(family)}"
         )
     engine = table.get(spec)
@@ -282,6 +259,6 @@ def resolve_engine(spec: "str | EngineSpec | None", family: str) -> Engine:
     return engine
 
 
-def resolve_engine_name(spec: "str | EngineSpec | None", family: str) -> str:
+def resolve_engine_name(spec: str | None, family: str) -> str:
     """Shortcut: the resolved engine's concrete name (never ``"auto"``)."""
     return resolve_engine(spec, family).name

@@ -658,44 +658,6 @@ def _command_engines(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_serve_session(args: argparse.Namespace):
-    """The live session ``repro serve`` wraps (static or queueing)."""
-    if args.queueing:
-        from repro.catalog.library import FileLibrary
-        from repro.catalog.popularity import create_popularity
-        from repro.placement.factory import create_placement
-        from repro.session import open_queueing_session
-        from repro.topology.factory import create_topology
-        from repro.workload import PoissonArrivalProcess
-
-        popularity_params: dict[str, object] = {}
-        if args.popularity == "zipf":
-            if args.gamma is None:
-                print("error: --gamma is required with --popularity zipf", file=sys.stderr)
-                return None
-            popularity_params = {"gamma": args.gamma}
-        return open_queueing_session(
-            create_topology(args.topology, args.nodes),
-            FileLibrary(
-                args.files,
-                create_popularity(args.popularity, args.files, **popularity_params),
-            ),
-            create_placement(args.placement, args.cache),
-            # The service drives arrival times itself (the virtual clock); the
-            # process here only parameterises the utilisation warning.
-            PoissonArrivalProcess(rate_per_node=0.5),
-            seed=args.seed,
-            service_rate=args.mu,
-            radius=np.inf if args.radius is None else args.radius,
-            num_choices=args.choices,
-            engine=args.engine,
-        )
-    config = _build_point_config(args)
-    if config is None:
-        return None
-    return open_session(config, seed=args.seed, assignment_engine=args.engine)
-
-
 def _serve_spec(args: argparse.Namespace) -> dict[str, object]:
     """The declarative session spec journaled so --recover can rebuild it."""
     return {
@@ -721,7 +683,12 @@ def _command_serve(args: argparse.Namespace) -> int:
 
     from repro.service import DispatchServer
     from repro.service.chaos import ServerChaos
-    from repro.service.journal import DispatchJournal, JournalError, recover_session
+    from repro.service.journal import (
+        DispatchJournal,
+        JournalError,
+        build_session_from_spec,
+        recover_session,
+    )
 
     if args.recover is None and None in (args.nodes, args.files, args.cache):
         print(
@@ -755,14 +722,18 @@ def _command_serve(args: argparse.Namespace) -> int:
             flush=True,
         )
     else:
-        session = _build_serve_session(args)
-        if session is None:
+        if args.popularity == "zipf" and args.gamma is None:
+            print("error: --gamma is required with --popularity zipf", file=sys.stderr)
             return 2
+        # The journal header records this spec, and --recover rebuilds the
+        # session from it through the same function.
+        spec = _serve_spec(args)
+        session = build_session_from_spec(spec)
         if args.journal is not None:
             journal = DispatchJournal.create(
                 args.journal,
-                kind="queueing" if args.queueing else "assignment",
-                spec=_serve_spec(args),
+                kind=spec["kind"],
+                spec=spec,
                 seed=args.seed,
                 fsync=args.journal_fsync,
                 checkpoint_every=args.journal_checkpoint,

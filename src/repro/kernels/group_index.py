@@ -156,12 +156,20 @@ class GroupIndex:
         return self.starts[self.request_group]
 
 
-#: Pool bytes below which compaction is never worth the copy.
-_MIN_COMPACT = 1024
+def _grown(array: np.ndarray, used: int, need: int) -> np.ndarray:
+    """``array`` with room for ``need`` elements and its first ``used`` kept.
+
+    Capacity at least doubles on every growth, so appends are amortised O(1).
+    """
+    if need <= array.size:
+        return array
+    fresh = np.empty(max(need, 2 * array.size), dtype=array.dtype)
+    fresh[:used] = array[:used]
+    return fresh
 
 
 class GroupStore:
-    """Batch-first memo of materialised candidate rows, one group per key.
+    """Insert-only bounded memo of materialised candidate rows, one group per key.
 
     A store is only valid for one combination of cache state, topology,
     ``radius``, ``fallback`` and ``need_dists`` — callers (the session layer's
@@ -173,37 +181,26 @@ class GroupStore:
 
     Storage is array-native: all retained rows live in one flat CSR pool
     (``nodes`` / ``dists`` int64 slabs) addressed by per-slot
-    ``starts`` / ``counts`` arrays, so the batch interface —
-    :meth:`get_many` / :meth:`put_many` — moves whole windows with a handful
-    of vectorised gathers instead of one Python call per group.  The scalar
-    ``get`` / ``put`` protocol is preserved on top of the same pool and is
-    the semantic reference for the batch calls.
+    ``starts`` / ``counts`` arrays, so :meth:`get_many` / :meth:`put_many`
+    move whole windows with a handful of vectorised gathers instead of one
+    Python call per group.
 
-    Entries are capped at ``max_groups`` with least-recently-used eviction:
-    every hit or insertion stamps the slot with a monotone generation
-    counter, and at capacity the minimum-generation (least recently touched)
-    row is evicted — exactly the order the previous ``OrderedDict`` protocol
-    produced under any interleaving of gets and puts.  An evicted row's slot
-    goes straight to the key that displaced it, so every allocated slot is
-    live and the eviction scan needs no dead-slot marker.  Replaced and evicted
-    rows leave garbage in the pool, which is compacted away once it exceeds
-    half the live payload.
+    Rows are appended once and never replaced, evicted or compacted.  Once
+    ``max_groups`` rows are held the store retains nothing more: a group it
+    does not hold is rebuilt whenever a window asks for it, exactly as any
+    miss is.  Rows do not depend on the load vector, so which groups a store
+    holds changes no output, only which windows pay for their build.
     """
 
     __slots__ = (
         "_slots",
-        "_keys",
         "_starts",
         "_counts",
         "_fallback",
-        "_has_dists",
-        "_gen",
         "_n_alloc",
         "_pool_nodes",
         "_pool_dists",
         "_pool_used",
-        "_garbage",
-        "_clock",
         "_max_groups",
         "hits",
         "misses",
@@ -214,19 +211,13 @@ class GroupStore:
             raise ValueError(f"max_groups must be positive, got {max_groups}")
         self._max_groups = int(max_groups)
         self._slots: dict[int, int] = {}
-        cap = 16
-        self._keys = np.empty(cap, dtype=np.int64)
-        self._starts = np.zeros(cap, dtype=np.int64)
-        self._counts = np.zeros(cap, dtype=np.int64)
-        self._fallback = np.zeros(cap, dtype=bool)
-        self._has_dists = np.zeros(cap, dtype=bool)
-        self._gen = np.empty(cap, dtype=np.int64)
+        self._starts = np.empty(16, dtype=np.int64)
+        self._counts = np.empty(16, dtype=np.int64)
+        self._fallback = np.empty(16, dtype=bool)
         self._n_alloc = 0
         self._pool_nodes = np.empty(64, dtype=np.int64)
         self._pool_dists = np.empty(64, dtype=np.int64)
         self._pool_used = 0
-        self._garbage = 0
-        self._clock = 0
         self.hits = 0
         self.misses = 0
 
@@ -242,133 +233,6 @@ class GroupStore:
         """The retained packed group keys (unordered; for tests/diagnostics)."""
         return list(self._slots)
 
-    # ------------------------------------------------------------- internals
-    def _tick(self) -> int:
-        tick = self._clock
-        self._clock = tick + 1
-        return tick
-
-    def _ensure_slots(self, extra: int) -> None:
-        need = self._n_alloc + extra
-        cap = self._keys.size
-        if need <= cap:
-            return
-        new_cap = max(need, 2 * cap)
-        for name in ("_keys", "_starts", "_counts", "_gen"):
-            old = getattr(self, name)
-            if name == "_counts":
-                fresh = np.zeros(new_cap, dtype=np.int64)
-            else:
-                fresh = np.empty(new_cap, dtype=np.int64)
-            fresh[:cap] = old
-            setattr(self, name, fresh)
-        for name in ("_fallback", "_has_dists"):
-            old = getattr(self, name)
-            fresh = np.zeros(new_cap, dtype=bool)
-            fresh[:cap] = old
-            setattr(self, name, fresh)
-
-    def _alloc_slot(self) -> int:
-        self._ensure_slots(1)
-        slot = self._n_alloc
-        self._n_alloc = slot + 1
-        return slot
-
-    def _ensure_pool(self, extra: int) -> None:
-        need = self._pool_used + extra
-        cap = self._pool_nodes.size
-        if need <= cap:
-            return
-        new_cap = max(need, 2 * cap)
-        for name in ("_pool_nodes", "_pool_dists"):
-            old = getattr(self, name)
-            fresh = np.empty(new_cap, dtype=np.int64)
-            fresh[: self._pool_used] = old[: self._pool_used]
-            setattr(self, name, fresh)
-
-    def _evict_lru(self) -> int:
-        """Drop the least recently touched row; returns its slot for reuse."""
-        slot = int(np.argmin(self._gen[: self._n_alloc]))
-        del self._slots[int(self._keys[slot])]
-        self._garbage += int(self._counts[slot])
-        return slot
-
-    def _maybe_compact(self) -> None:
-        if self._garbage <= _MIN_COMPACT or 2 * self._garbage <= self._pool_used:
-            return
-        live = np.fromiter(
-            self._slots.values(), dtype=np.int64, count=len(self._slots)
-        )
-        counts = self._counts[live]
-        flat = np.repeat(self._starts[live], counts) + segmented_arange(counts)
-        self._pool_nodes = self._pool_nodes[flat]
-        self._pool_dists = self._pool_dists[flat]
-        total = int(counts.sum())
-        ends = np.cumsum(counts)
-        self._starts[live] = ends - counts
-        self._pool_used = total
-        self._garbage = 0
-
-    def _append_rows(
-        self, counts: IntArray, nodes: IntArray, dists: IntArray | None
-    ) -> IntArray:
-        """Copy a contiguous CSR slab into the pool; per-row pool starts."""
-        self._maybe_compact()
-        total = int(counts.sum())
-        self._ensure_pool(total)
-        base = self._pool_used
-        self._pool_nodes[base : base + total] = nodes
-        if dists is None:
-            self._pool_dists[base : base + total] = 0
-        else:
-            self._pool_dists[base : base + total] = dists
-        self._pool_used = base + total
-        return base + np.cumsum(counts) - counts
-
-    # --------------------------------------------------------- scalar protocol
-    def get(self, key: int) -> tuple[IntArray, IntArray | None, bool] | None:
-        """The ``(nodes, dists, fallback)`` row of packed group ``key``, if seen.
-
-        Returned arrays are views into the shared pool; callers must treat
-        them as read-only.
-        """
-        slot = self._slots.get(int(key))
-        if slot is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        self._gen[slot] = self._tick()
-        start = int(self._starts[slot])
-        stop = start + int(self._counts[slot])
-        nodes = self._pool_nodes[start:stop]
-        dists = self._pool_dists[start:stop] if self._has_dists[slot] else None
-        return nodes, dists, bool(self._fallback[slot])
-
-    def put(
-        self, key: int, nodes: IntArray, dists: IntArray | None, fallback: bool
-    ) -> None:
-        """Retain a materialised group row, evicting the LRU row at capacity."""
-        key = int(key)
-        slot = self._slots.get(key)
-        if slot is None:
-            if len(self._slots) >= self._max_groups:
-                slot = self._evict_lru()
-            else:
-                slot = self._alloc_slot()
-            self._slots[key] = slot
-            self._keys[slot] = key
-        else:
-            self._garbage += int(self._counts[slot])
-        nodes = np.asarray(nodes, dtype=np.int64)
-        row_count = np.asarray([nodes.size], dtype=np.int64)
-        start = self._append_rows(row_count, nodes, dists)
-        self._starts[slot] = start[0]
-        self._counts[slot] = nodes.size
-        self._fallback[slot] = bool(fallback)
-        self._has_dists[slot] = dists is not None
-        self._gen[slot] = self._tick()
-
-    # ---------------------------------------------------------- batch protocol
     def get_many(
         self, keys: IntArray
     ) -> tuple[np.ndarray, IntArray, IntArray, IntArray, np.ndarray]:
@@ -378,30 +242,19 @@ class GroupStore:
         ``hit_mask`` is boolean of ``keys.shape`` and the remaining arrays
         describe the hit rows *in key order* as one contiguous CSR: group
         ``i``'s candidates occupy the next ``counts[j]`` slots of ``nodes`` /
-        ``dists`` for its hit position ``j``.  Hits refresh LRU recency in
-        key order (identical to sequential :meth:`get` calls) and update the
-        ``hits`` / ``misses`` counters; rows stored without distances
-        contribute zeros to ``dists``.
+        ``dists`` for its hit position ``j``.  Updates the ``hits`` /
+        ``misses`` counters.
         """
         keys = np.asarray(keys, dtype=np.int64)
         num_keys = int(keys.size)
-        if num_keys == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return np.zeros(0, dtype=bool), empty, empty, empty, np.zeros(0, dtype=bool)
         lookup = self._slots.get
         slots = np.fromiter(
             (lookup(key, -1) for key in keys.tolist()), dtype=np.int64, count=num_keys
         )
         hit_mask = slots >= 0
         hit_slots = slots[hit_mask]
-        num_hits = int(hit_slots.size)
-        self.hits += num_hits
-        self.misses += num_keys - num_hits
-        if num_hits:
-            self._gen[hit_slots] = np.arange(
-                self._clock, self._clock + num_hits, dtype=np.int64
-            )
-            self._clock += num_hits
+        self.hits += int(hit_slots.size)
+        self.misses += num_keys - int(hit_slots.size)
         counts = self._counts[hit_slots]
         flat = np.repeat(self._starts[hit_slots], counts) + segmented_arange(counts)
         return (
@@ -417,63 +270,37 @@ class GroupStore:
         keys: IntArray,
         counts: IntArray,
         nodes: IntArray,
-        dists: IntArray | None,
+        dists: IntArray,
         fallback: np.ndarray,
     ) -> None:
-        """Retain a batch of rows given as one contiguous CSR slab.
+        """Retain a batch of new rows given as one contiguous CSR slab.
 
         ``keys[i]``'s row is the next ``counts[i]`` slots of ``nodes`` /
-        ``dists``.  Keys must be distinct within one batch (the builder's
-        ``np.unique`` grouping guarantees this).  Semantically identical to
-        sequential :meth:`put` calls in array order (the batch degrades to
-        exactly that whenever eviction could occur); on the common
-        no-eviction path the whole slab is pooled with one copy and recency
-        is stamped vectorised.
+        ``dists``.  The keys must be distinct and absent from the store:
+        :func:`build_group_index` only ever puts the groups of its
+        ``np.unique`` grouping that the store missed.  The first keys in array
+        order that fit the remaining room are kept, the rest dropped.
         """
         keys = np.asarray(keys, dtype=np.int64)
-        counts = np.asarray(counts, dtype=np.int64)
-        num_keys = int(keys.size)
-        if num_keys == 0:
+        kept = min(int(keys.size), self._max_groups - self._n_alloc)
+        if kept <= 0:
             return
-        if len(self._slots) + num_keys > self._max_groups:
-            # Eviction may interleave with the inserts; replay the scalar
-            # protocol row by row to keep LRU order exactly sequential.
-            ends = np.cumsum(counts)
-            for i, key in enumerate(keys.tolist()):
-                start, stop = int(ends[i] - counts[i]), int(ends[i])
-                self.put(
-                    key,
-                    nodes[start:stop],
-                    None if dists is None else dists[start:stop],
-                    bool(fallback[i]),
-                )
-            return
-        starts = self._append_rows(counts, nodes, dists)
-        lookup = self._slots.get
-        slot_ids = np.fromiter(
-            (lookup(key, -1) for key in keys.tolist()), dtype=np.int64, count=num_keys
-        )
-        fresh = np.flatnonzero(slot_ids < 0)
-        self._garbage += int(self._counts[slot_ids[slot_ids >= 0]].sum())
-        if fresh.size:
-            # New keys take one block at the end of the arena, in array order
-            # (the slots sequential puts would allocate).
-            self._ensure_slots(fresh.size)
-            block = np.arange(
-                self._n_alloc, self._n_alloc + fresh.size, dtype=np.int64
-            )
-            self._n_alloc += int(fresh.size)
-            slot_ids[fresh] = block
-            self._keys[block] = keys[fresh]
-            self._slots.update(zip(keys[fresh].tolist(), block.tolist()))
-        self._starts[slot_ids] = starts
-        self._counts[slot_ids] = counts
-        self._fallback[slot_ids] = np.asarray(fallback, dtype=bool)
-        self._has_dists[slot_ids] = dists is not None
-        self._gen[slot_ids] = np.arange(
-            self._clock, self._clock + num_keys, dtype=np.int64
-        )
-        self._clock += num_keys
+        counts = np.asarray(counts, dtype=np.int64)[:kept]
+        base, total = self._pool_used, int(counts.sum())
+        self._pool_nodes = _grown(self._pool_nodes, base, base + total)
+        self._pool_dists = _grown(self._pool_dists, base, base + total)
+        self._pool_nodes[base : base + total] = nodes[:total]
+        self._pool_dists[base : base + total] = dists[:total]
+        self._pool_used = base + total
+        first = self._n_alloc
+        self._n_alloc = first + kept
+        self._starts = _grown(self._starts, first, first + kept)
+        self._counts = _grown(self._counts, first, first + kept)
+        self._fallback = _grown(self._fallback, first, first + kept)
+        self._starts[first : first + kept] = base + np.cumsum(counts) - counts
+        self._counts[first : first + kept] = counts
+        self._fallback[first : first + kept] = fallback[:kept]
+        self._slots.update(zip(keys[:kept].tolist(), range(first, first + kept)))
 
 
 #: Elements (group rows x ball offsets) per ball-gather chunk; bounds the
@@ -712,8 +539,10 @@ def build_group_index(
         across calls.  The caller is responsible for handing over a store that
         was only ever used with this exact ``(topology, cache, radius,
         fallback)`` combination; groups already present in the store skip their
-        distance computation.  A fully cold store (``len(store) == 0``) is not
-        probed at all — the first window pays exactly the no-store build cost,
+        distance computation, and the missed groups are put into it (a full
+        store keeps none of them, so they are rebuilt on every call that asks
+        for them).  A fully cold store (``len(store) == 0``) is not probed at
+        all — the first window pays exactly the no-store build cost,
         populates the store in one batch ``put_many``, and leaves the
         hit/miss counters untouched.  Ignored in shared (aliasing) mode, which
         does no per-group work to begin with.

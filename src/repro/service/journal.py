@@ -428,10 +428,11 @@ def build_session_from_spec(
     """Rebuild the live session a journal header (or ``repro serve``) describes.
 
     ``spec`` is the declarative dict the CLI journals: topology/library/
-    placement shape, strategy parameters, seed and resolved engine.  Static
-    specs go through :class:`~repro.simulation.config.SimulationConfig` (the
-    same path ``repro serve`` uses); queueing specs mirror the CLI's
-    queueing-session assembly.
+    placement shape, strategy parameters, seed and engine.  ``repro serve``
+    builds its live session through this function too, so a recovered
+    session is assembled exactly as the served one was.  Static specs go
+    through :class:`~repro.simulation.config.SimulationConfig`; queueing
+    specs through :func:`~repro.session.queueing.open_queueing_session`.
     """
     if spec is None:
         raise JournalError(
@@ -464,6 +465,8 @@ def build_session_from_spec(
                 ),
             ),
             create_placement(spec.get("placement", "proportional"), spec["cache"]),
+            # The service drives arrival times itself (the virtual clock); the
+            # process here only parameterises the utilisation warning.
             PoissonArrivalProcess(rate_per_node=0.5),
             seed=seed,
             service_rate=spec.get("mu", 1.0),

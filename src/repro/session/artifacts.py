@@ -15,10 +15,13 @@ of inputs that frequently repeat:
   :class:`~repro.kernels.group_index.GroupStore` keyed on the cache state's
   content fingerprint plus the strategy's candidate parameters.
 
-The :class:`ArtifactCache` owns both memos with small LRU bounds: reuse is
-free when inputs repeat (deterministic placements, same-seed replays, sweep
-points sharing a placement) and memory stays bounded when they do not (random
-placements under fresh seeds churn through the LRU).
+The :class:`ArtifactCache` owns both memos with small LRU bounds on the number
+of placements and stores: reuse is free when inputs repeat (deterministic
+placements, same-seed replays, sweep points sharing a placement) and memory
+stays bounded when they do not (random placements under fresh seeds churn
+through the LRU).  Each store is itself insert-only and capped at its default
+``max_groups`` rows; a full store keeps serving the rows it holds and stops
+retaining new ones.
 """
 
 from __future__ import annotations
@@ -81,23 +84,15 @@ class ArtifactCache:
     max_stores:
         Retained :class:`~repro.kernels.group_index.GroupStore` objects (one
         per distinct ``(topology, cache fingerprint, candidate signature)``).
-    max_groups_per_store:
-        Entry cap of each group store (see :class:`GroupStore`).
     """
 
-    def __init__(
-        self,
-        max_placements: int = 16,
-        max_stores: int = 8,
-        max_groups_per_store: int = 1 << 20,
-    ) -> None:
+    def __init__(self, max_placements: int = 16, max_stores: int = 8) -> None:
         if max_placements <= 0:
             raise ValueError(f"max_placements must be positive, got {max_placements}")
         if max_stores <= 0:
             raise ValueError(f"max_stores must be positive, got {max_stores}")
         self._max_placements = int(max_placements)
         self._max_stores = int(max_stores)
-        self._max_groups_per_store = int(max_groups_per_store)
         self._placements: OrderedDict[Hashable, CacheState] = OrderedDict()
         self._stores: OrderedDict[Hashable, GroupStore] = OrderedDict()
         self.placement_hits = 0
@@ -155,7 +150,7 @@ class ArtifactCache:
         if store is not None:
             self._stores.move_to_end(key)
             return store
-        store = GroupStore(self._max_groups_per_store)
+        store = GroupStore()
         self._stores[key] = store
         while len(self._stores) > self._max_stores:
             self._stores.popitem(last=False)

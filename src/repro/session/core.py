@@ -588,10 +588,10 @@ def open_session(
 
     ``config`` may be a :class:`~repro.simulation.config.SimulationConfig` or
     its plain-dict form.  ``assignment_engine`` overrides the strategy's
-    execution engine — any spec the backend registry resolves (``"auto"``,
-    an explicit name, an :class:`~repro.backends.registry.EngineSpec`); it is
-    resolved here, once, and the session pins the resolved engine for its
-    lifetime (recorded in :meth:`CacheNetworkSession.snapshot`).
+    execution engine — any spec the backend registry resolves (``"auto"``
+    or an explicit name); it is resolved here, once, and the session pins the
+    resolved engine for its lifetime (recorded in
+    :meth:`CacheNetworkSession.snapshot`).
     ``artifacts`` shares a cache of placements and group-index precompute
     with other sessions of the same configuration.
     """

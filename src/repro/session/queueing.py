@@ -141,11 +141,10 @@ class QueueingSession:
         the ``d``-choice draw towards servers caching more popularity mass.
     engine:
         Execution-engine spec, resolved once through the backend registry
-        (family ``"queueing"``): ``"auto"`` (default, fastest available),
-        an explicit name (``"batch"``, ``"reference"``, ``"numba"``), or an
-        :class:`~repro.backends.registry.EngineSpec`.  The session pins the
-        resolved engine for its lifetime; all engines support windowed
-        serving and are bit-identical for any seed.
+        (family ``"queueing"``): ``"auto"`` (default, fastest available)
+        or an explicit name (``"batch"``, ``"reference"``, ``"numba"``).
+        The session pins the resolved engine for its lifetime; all engines
+        support windowed serving and are bit-identical for any seed.
     seed:
         Parent seed, spawned exactly as
         :meth:`~repro.simulation.queueing.QueueingSimulation.run` spawns it.

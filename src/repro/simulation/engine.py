@@ -76,9 +76,8 @@ class CacheNetworkSimulation:
     assignment_engine:
         When set, overrides the assignment strategy's execution engine with
         any spec the backend registry (:mod:`repro.backends.registry`)
-        resolves: ``"auto"`` (fastest available), an explicit name such as
-        ``"batch"``, ``"reference"`` or ``"numba"``, or an
-        :class:`~repro.backends.registry.EngineSpec`.  Resolution happens
+        resolves: ``"auto"`` (fastest available) or an explicit name such
+        as ``"batch"``, ``"reference"`` or ``"numba"``.  Resolution happens
         here, once; all engines are bit-identical for the same seed, so this
         never changes simulated results — only how fast they are computed.
     artifacts:

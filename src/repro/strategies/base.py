@@ -198,8 +198,7 @@ class AssignmentStrategy(ABC):
 
     Execution is delegated to a backend registered in
     :mod:`repro.backends.registry` (family ``"assignment"``).  Engine specs
-    (``"auto"``, an explicit name, or an
-    :class:`~repro.backends.registry.EngineSpec`) are resolved **once**, at
+    (``"auto"`` or an explicit name) are resolved **once**, at
     construction or :meth:`with_engine` — the strategy then carries the
     concrete engine name for its lifetime, so sessions and worker processes
     observe a pinned engine rather than re-running auto-detection.

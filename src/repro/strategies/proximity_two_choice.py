@@ -53,10 +53,9 @@ class ProximityTwoChoiceStrategy(AssignmentStrategy):
     engine:
         Execution-engine spec, resolved once through the backend registry
         (:mod:`repro.backends.registry`): ``"auto"`` (default, the fastest
-        available backend), an explicit name such as ``"batch"``,
-        ``"reference"`` or ``"numba"``, or an
-        :class:`~repro.backends.registry.EngineSpec`.  All engines produce
-        bit-identical results for the same seed.
+        available backend) or an explicit name such as ``"batch"``,
+        ``"reference"`` or ``"numba"``.  All engines produce bit-identical
+        results for the same seed.
     """
 
     name = "proximity_two_choice"

@@ -11,7 +11,7 @@ hold for the bounded grid as well).  This subpackage provides:
 * :class:`~repro.topology.complete.CompleteTopology` — every pair at distance
   one, the "no proximity structure" reference,
 * vectorised distance kernels in :mod:`repro.topology.distance`,
-* ball-enumeration helpers in :mod:`repro.topology.neighborhood`,
+* ball-size arithmetic in :mod:`repro.topology.neighborhood`,
 * a :func:`~repro.topology.factory.create_topology` convenience factory.
 """
 
@@ -21,7 +21,7 @@ from repro.topology.grid import Grid2D
 from repro.topology.ring import Ring
 from repro.topology.complete import CompleteTopology
 from repro.topology.factory import create_topology, available_topologies
-from repro.topology.neighborhood import ball_size_torus, ball_nodes
+from repro.topology.neighborhood import ball_size_torus
 from repro.topology import distance
 
 __all__ = [
@@ -33,6 +33,5 @@ __all__ = [
     "create_topology",
     "available_topologies",
     "ball_size_torus",
-    "ball_nodes",
     "distance",
 ]

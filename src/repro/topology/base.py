@@ -11,7 +11,6 @@ vectorised methods.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections import OrderedDict
 from typing import Iterable
 
 import numpy as np
@@ -20,14 +19,6 @@ from repro.exceptions import TopologyError
 from repro.types import IntArray
 
 __all__ = ["Topology"]
-
-#: Byte budget of the per-topology LRU distance-row cache.  The row count is
-#: derived from it (each row is ``n`` int64s), so small topologies cache
-#: generously while a million-node network keeps only a handful of rows.
-DEFAULT_ROW_CACHE_BYTES = 32 << 20
-
-#: Never cache more rows than this, however small the topology.
-MAX_ROW_CACHE_ROWS = 256
 
 
 class Topology(ABC):
@@ -46,10 +37,6 @@ class Topology(ABC):
         if n <= 0:
             raise TopologyError(f"number of nodes must be positive, got {n}")
         self._n = int(n)
-        self._row_cache: OrderedDict[int, IntArray] = OrderedDict()
-        self._row_cache_size = max(
-            1, min(MAX_ROW_CACHE_ROWS, DEFAULT_ROW_CACHE_BYTES // (8 * self._n))
-        )
 
     # ------------------------------------------------------------------ core
     @property
@@ -100,26 +87,6 @@ class Topology(ABC):
                 f"{nodes_a.shape} vs {nodes_b.shape}"
             )
 
-    def distance_row(self, node: int) -> IntArray:
-        """Full distance row ``d(node, ·)`` of length ``n``, LRU-cached.
-
-        Repeated scalar queries (``ball``, ``neighbors``, fallback radius
-        expansion) hit the same few rows over and over; the cache keeps the
-        ``_row_cache_size`` most recently used rows as read-only arrays.
-        """
-        key = int(node)
-        cached = self._row_cache.get(key)
-        if cached is not None:
-            self._row_cache.move_to_end(key)
-            return cached
-        self.validate_nodes(key)
-        row = np.asarray(self.distances_from(key), dtype=np.int64)
-        row.setflags(write=False)
-        self._row_cache[key] = row
-        if len(self._row_cache) > self._row_cache_size:
-            self._row_cache.popitem(last=False)
-        return row
-
     def distances_between(self, nodes_a: IntArray, nodes_b: IntArray) -> IntArray:
         """Element-wise distances ``d(a_i, b_i)`` for two equal-length arrays.
 
@@ -165,7 +132,7 @@ class Topology(ABC):
             raise TopologyError(f"radius must be non-negative, got {radius}")
         if np.isinf(radius) or radius >= self.diameter:
             return np.arange(self._n, dtype=np.int64)
-        dist = self.distance_row(int(node))
+        dist = self.distances_from(int(node))
         return np.flatnonzero(dist <= radius).astype(np.int64)
 
     def ball_size(self, node: int, radius: float) -> int:
@@ -175,7 +142,7 @@ class Topology(ABC):
     def neighbors(self, node: int) -> IntArray:
         """Servers at hop distance exactly one from ``node``."""
         self.validate_nodes(node)
-        dist = self.distance_row(int(node))
+        dist = self.distances_from(int(node))
         return np.flatnonzero(dist == 1).astype(np.int64)
 
     def degree(self, node: int) -> int:

@@ -1,4 +1,4 @@
-"""Ball-size arithmetic and neighbourhood enumeration helpers.
+"""Ball-size arithmetic helpers.
 
 The analysis in the paper repeatedly uses the size of the radius-``r`` L1 ball
 ``B_r(u)``: on an infinite lattice (equivalently a torus with ``2r < side``)
@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.types import IntArray
-
-__all__ = ["ball_size_lattice", "ball_size_torus", "ball_nodes", "minimal_radius_for_count"]
+__all__ = ["ball_size_lattice", "ball_size_torus", "minimal_radius_for_count"]
 
 
 def ball_size_lattice(radius: int) -> int:
@@ -42,15 +40,6 @@ def ball_size_torus(radius: int, side: int) -> int:
     wrapped = np.minimum(offsets, side - offsets)
     total = np.add.outer(wrapped, wrapped)
     return int(np.count_nonzero(total <= r))
-
-
-def ball_nodes(topology, node: int, radius: float) -> IntArray:
-    """Return ``B_r(node)`` for any :class:`~repro.topology.base.Topology`.
-
-    Thin convenience wrapper kept for symmetry with :func:`ball_size_torus`;
-    delegates to the topology's own (possibly optimised) ``ball`` method.
-    """
-    return topology.ball(node, radius)
 
 
 def minimal_radius_for_count(count: int) -> int:

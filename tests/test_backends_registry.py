@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.backends.registry import (
-    EngineSpec,
     available_engines,
     register_engine,
     registered_engines,
@@ -60,17 +59,6 @@ class TestResolution:
 
     def test_explicit_name_resolves_to_itself(self):
         assert resolve_engine_name("reference", "queueing") == "reference"
-
-    def test_engine_spec_object_resolves(self):
-        assert resolve_engine_name(EngineSpec("batch"), "assignment") == "batch"
-        assert (
-            resolve_engine_name(EngineSpec("auto", family="queueing"), "queueing")
-            == available_engines("queueing")[0]
-        )
-
-    def test_engine_spec_family_mismatch_rejected(self):
-        with pytest.raises(UnknownEngineError, match="family"):
-            resolve_engine(EngineSpec("batch", family="queueing"), "assignment")
 
     @pytest.mark.parametrize("family", ["assignment", "queueing"])
     @pytest.mark.parametrize(

@@ -328,6 +328,82 @@ class TestEnginesCommand:
         assert "batch" in err and "reference" in err
 
 
+class TestServeCommand:
+    @pytest.mark.parametrize("kind", [[], ["--queueing"]], ids=["static", "queueing"])
+    def test_zipf_requires_gamma(self, kind, tmp_path, capsys):
+        journal = tmp_path / "wal"
+        code = main(
+            [
+                "serve",
+                "--nodes", "16",
+                "--files", "8",
+                "--cache", "2",
+                "--port", "0",
+                "--popularity", "zipf",
+                "--journal", str(journal),
+            ]
+            + kind
+        )
+        assert code == 2
+        assert "--gamma" in capsys.readouterr().err
+        # Rejected before the session, the journal or the socket exists.
+        assert not journal.exists()
+
+    @pytest.mark.parametrize(
+        "strategy",
+        [
+            "nearest_replica",
+            "proximity_two_choice",
+            "random_replica",
+            "least_loaded_in_ball",
+            "threshold_hybrid",
+        ],
+    )
+    def test_static_session_matches_point_config(self, strategy):
+        """The spec-built session ``serve`` wraps (and ``--recover`` rebuilds)
+        is the one ``simulate`` / ``stream`` build from the same flags."""
+        import numpy as np
+
+        from repro.cli import _build_point_config, _serve_spec
+        from repro.service.journal import build_session_from_spec
+        from repro.session import open_session
+
+        args = build_parser().parse_args(
+            [
+                "serve",
+                "--nodes", "49",
+                "--files", "20",
+                "--cache", "3",
+                "--strategy", strategy,
+                "--radius", "2",
+                "--choices", "3",
+                "--popularity", "zipf",
+                "--gamma", "0.8",
+                "--seed", "5",
+            ]
+        )
+        served = build_session_from_spec(_serve_spec(args))
+        direct = open_session(
+            _build_point_config(args), seed=args.seed, assignment_engine=args.engine
+        )
+        assert served.description == direct.description
+        np.testing.assert_array_equal(
+            served.library.popularity_vector(), direct.library.popularity_vector()
+        )
+        np.testing.assert_array_equal(served.cache.slots, direct.cache.slots)
+        rng = np.random.default_rng(0)
+        cached = np.unique(served.cache.slots)
+        for _ in range(3):
+            origins = rng.integers(0, 49, size=40)
+            files = rng.choice(cached, size=40)
+            a = served.dispatch_batch(origins, files)
+            b = direct.dispatch_batch(origins, files)
+            np.testing.assert_array_equal(a.servers, b.servers)
+            np.testing.assert_array_equal(a.distances, b.distances)
+            np.testing.assert_array_equal(a.fallback_mask, b.fallback_mask)
+        assert served.state_digest() == direct.state_digest()
+
+
 class TestFiguresCommand:
     def test_single_figure_artifacts(self, tmp_path, capsys):
         code = main(

@@ -167,14 +167,3 @@ class TestBatchedTopologyAPI:
             # The generic implementation validates shapes; lattice overrides
             # would broadcast, so check the base class directly.
             Ring(10).distances_between(np.asarray([1, 2]), np.asarray([3]))
-
-    def test_distance_row_cache_hits_and_evicts(self):
-        torus = Torus2D(49)
-        row = torus.distance_row(7)
-        assert torus.distance_row(7) is row  # cached
-        assert not row.flags.writeable
-        torus._row_cache_size = 2
-        torus.distance_row(8)
-        torus.distance_row(9)  # evicts node 7
-        assert 7 not in torus._row_cache
-        np.testing.assert_array_equal(torus.distance_row(7), row)

@@ -270,8 +270,8 @@ def test_shared_mode_aliases_cache(system):
 
 
 @pytest.mark.parametrize("radius", [2.0, 8.0], ids=lambda r: f"r={r:g}")
-def test_store_eviction_matches_default(system, radius):
-    """A tiny store (constant eviction churn) still yields identical indexes."""
+def test_full_store_matches_default(system, radius):
+    """A tiny store, full after the first build, still yields identical indexes."""
     topology, cache, requests = system
     kwargs = dict(radius=radius, fallback=FallbackPolicy.NEAREST, need_dists=True)
     plain = build_group_index(topology, cache, requests, **kwargs)

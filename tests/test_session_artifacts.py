@@ -173,79 +173,46 @@ class TestGroupStore:
         )
         assert len(store) == 5
 
+    def test_unretained_groups_rebuilt_on_every_window(self):
+        # A full store serves the rows it holds and misses the rest on every
+        # later window, which rebuilds them exactly as the store-free build.
+        topology, library, cache, requests = _system()
+        kwargs = dict(radius=3.0, fallback=FallbackPolicy.NEAREST, need_dists=True)
+        plain = build_group_index(topology, cache, requests, **kwargs)
+        store = GroupStore(max_groups=5)
+        retained = None
+        for window in range(3):
+            built = build_group_index(topology, cache, requests, store=store, **kwargs)
+            np.testing.assert_array_equal(built.counts, plain.counts)
+            np.testing.assert_array_equal(built.nodes, plain.nodes)
+            np.testing.assert_array_equal(built.dists, plain.dists)
+            np.testing.assert_array_equal(built.fallback, plain.fallback)
+            assert store.hits == 5 * window
+            assert store.misses == (plain.num_groups - 5) * window
+            if retained is None:
+                retained = sorted(store.keys())
+            assert sorted(store.keys()) == retained
+
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ValueError):
             GroupStore(max_groups=0)
 
-    @staticmethod
-    def _row(key):
-        nodes = np.asarray([key], dtype=np.int64)
-        return nodes, nodes + 100, False
-
-    def test_lru_eviction_at_capacity(self):
-        # Fill to capacity, touch the oldest key, insert a new one: the
-        # least-recently-*used* key goes, not the least-recently-inserted.
-        store = GroupStore(max_groups=3)
-        for key in (1, 2, 3):
-            store.put(key, *self._row(key))
-        assert store.get(1) is not None  # refresh key 1
-        store.put(4, *self._row(4))
-        assert len(store) == 3
-        assert store.get(2) is None  # LRU, evicted
-        for key in (1, 3, 4):
-            row = store.get(key)
-            assert row is not None
-            np.testing.assert_array_equal(row[0], [key])
-
-    def test_put_of_existing_key_refreshes_recency(self):
-        store = GroupStore(max_groups=2)
-        store.put(1, *self._row(1))
-        store.put(2, *self._row(2))
-        store.put(1, *self._row(1))  # re-put: now key 2 is LRU
-        store.put(3, *self._row(3))
-        assert len(store) == 2
-        assert store.get(2) is None
-        assert store.get(1) is not None and store.get(3) is not None
-
-    def test_capacity_never_exceeded_under_churn(self):
-        store = GroupStore(max_groups=4)
-        for key in range(20):
-            store.put(key, *self._row(key))
-            assert len(store) <= 4
-        # Only the four most recent keys survive.
-        assert [key for key in range(20) if store.get(key) is not None] == [16, 17, 18, 19]
-
-
-class _ModelStore:
-    """The pre-rewrite OrderedDict protocol — the LRU-order authority."""
-
-    def __init__(self, max_groups):
-        from collections import OrderedDict
-
-        self.rows = OrderedDict()
-        self.max_groups = max_groups
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, key):
-        row = self.rows.get(key)
-        if row is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-            self.rows.move_to_end(key)
-        return row
-
-    def put(self, key, nodes, dists, fallback):
-        if key in self.rows:
-            self.rows.move_to_end(key)
-        elif len(self.rows) >= self.max_groups:
-            self.rows.popitem(last=False)
-        self.rows[key] = (nodes, dists, fallback)
+    def test_precompute_store_accounting(self):
+        """Cold probe free, warm all-hit, at n = 4096, m = 5n, K = 128, r = 8."""
+        topology = Torus2D(4096)
+        library = FileLibrary(128)
+        cache = PartitionPlacement(8).place(topology, library, seed=0)
+        requests = UniformOriginWorkload(5 * 4096).generate(topology, library, seed=3)
+        kwargs = dict(radius=8.0, fallback=FallbackPolicy.NEAREST, need_dists=True)
+        store = GroupStore()
+        cold = build_group_index(topology, cache, requests, store=store, **kwargs)
+        assert store.hits == 0 and store.misses == 0  # cold short-circuit
+        build_group_index(topology, cache, requests, store=store, **kwargs)
+        assert store.hits == cold.num_groups and store.misses == 0
 
 
 class TestGroupStoreBatch:
-    """The batch interface against the scalar OrderedDict protocol."""
+    """The batch interface against a plain-dict model of the insert-only store."""
 
     @staticmethod
     def _csr(keys, rng):
@@ -291,105 +258,131 @@ class TestGroupStoreBatch:
             assert hit_flags[j] == flags[i]
             pos += int(counts[i])
 
-    def test_batch_eviction_at_capacity_matches_sequential_puts(self):
-        rng = np.random.default_rng(1)
-        store = GroupStore(max_groups=4)
-        model = _ModelStore(max_groups=4)
-        keys, counts, nodes, dists, flags = self._csr(np.arange(10), rng)
-        store.put_many(keys, counts, nodes, dists, flags)
+    @staticmethod
+    def _rows(store, keys):
+        """``{key: (nodes, dists, flag)}`` of the hit keys, in probe order."""
+        keys = np.asarray(keys, dtype=np.int64)
+        hit_mask, counts, nodes, dists, flags = store.get_many(keys)
         ends = np.cumsum(counts)
-        for i, key in enumerate(keys):
-            sl = slice(int(ends[i] - counts[i]), int(ends[i]))
-            model.put(int(key), nodes[sl], dists[sl], bool(flags[i]))
-        assert len(store) == 4
-        assert sorted(store.keys()) == sorted(model.rows)
+        return {
+            int(key): (nodes[end - count : end], dists[end - count : end], bool(flag))
+            for key, count, end, flag in zip(keys[hit_mask], counts, ends, flags)
+        }
 
-    def test_interleaved_protocol_equivalent_to_scalar_model(self):
-        """Random interleavings of scalar/batch gets and puts: identical LRU
-        order (same survivor set under eviction), identical rows, identical
-        hit/miss ledger."""
-        rng = np.random.default_rng(2)
-        store = GroupStore(max_groups=6)
-        model = _ModelStore(max_groups=6)
-        keyspace = np.arange(16, dtype=np.int64)
-        for step in range(300):
-            op = rng.integers(0, 4)
-            if op == 0:  # scalar put
-                key = int(rng.choice(keyspace))
-                _, counts, nodes, dists, flags = self._csr([key], rng)
-                row_nodes, row_dists = nodes, dists
-                store.put(key, row_nodes, row_dists, bool(flags[0]))
-                model.put(key, row_nodes, row_dists, bool(flags[0]))
-            elif op == 1:  # scalar get
-                key = int(rng.choice(keyspace))
-                got = store.get(key)
-                expected = model.get(key)
-                assert (got is None) == (expected is None)
-                if got is not None:
-                    np.testing.assert_array_equal(got[0], expected[0])
-                    np.testing.assert_array_equal(got[1], expected[1])
-                    assert got[2] == expected[2]
-            elif op == 2:  # batch put (distinct keys)
-                batch = rng.choice(keyspace, size=rng.integers(1, 8), replace=False)
-                keys, counts, nodes, dists, flags = self._csr(batch, rng)
-                store.put_many(keys, counts, nodes, dists, flags)
-                ends = np.cumsum(counts)
-                for i, key in enumerate(keys):
-                    sl = slice(int(ends[i] - counts[i]), int(ends[i]))
-                    model.put(int(key), nodes[sl], dists[sl], bool(flags[i]))
-            else:  # batch get
-                batch = rng.choice(keyspace, size=rng.integers(1, 8), replace=True)
-                hit_mask, hit_counts, hit_nodes, hit_dists, hit_flags = (
-                    store.get_many(batch.astype(np.int64))
-                )
-                pos = 0
-                hit_j = 0
-                for j, key in enumerate(batch):
-                    expected = model.get(int(key))
-                    assert bool(hit_mask[j]) == (expected is not None)
-                    if expected is not None:
-                        count = int(hit_counts[hit_j])
-                        assert count == expected[0].size
-                        np.testing.assert_array_equal(
-                            hit_nodes[pos : pos + count], expected[0]
-                        )
-                        np.testing.assert_array_equal(
-                            hit_dists[pos : pos + count], expected[1]
-                        )
-                        assert bool(hit_flags[hit_j]) == expected[2]
-                        pos += count
-                        hit_j += 1
-            assert len(store) == len(model.rows)
-            assert sorted(store.keys()) == sorted(model.rows)
-            assert store.hits == model.hits and store.misses == model.misses
-        assert store.hits > 0 and store.misses > 0  # the walk exercised both
+    @staticmethod
+    def _assert_rows_equal(got, expected):
+        assert sorted(got) == sorted(expected)
+        for key, (nodes, dists, flag) in expected.items():
+            np.testing.assert_array_equal(got[key][0], nodes)
+            np.testing.assert_array_equal(got[key][1], dists)
+            assert got[key][2] == flag
 
-    def test_rows_survive_pool_compaction(self):
-        """Heavy replacement churn forces compaction; live rows must be intact."""
-        rng = np.random.default_rng(3)
+    def test_put_into_full_store_changes_nothing(self):
+        rng = np.random.default_rng(4)
+        store = GroupStore(max_groups=3)
+        store.put_many(*self._csr([10, 11, 12], rng))
+        before = self._rows(store, [10, 11, 12])
+        store.put_many(*self._csr([13, 14], rng))
+        assert len(store) == 3
+        assert sorted(store.keys()) == [10, 11, 12]
+        hit_mask = store.get_many(np.asarray([13, 14], dtype=np.int64))[0]
+        assert not hit_mask.any()
+        self._assert_rows_equal(self._rows(store, [10, 11, 12]), before)
+
+    def test_rows_survive_array_growth(self):
+        """Enough rows to double the slot arrays and the pool several times."""
+        rng = np.random.default_rng(5)
+        store = GroupStore(max_groups=1000)
+        expected = {}
+        for first in range(0, 400, 8):
+            keys = np.arange(first, first + 8, dtype=np.int64)
+            counts = rng.integers(0, 12, size=keys.size).astype(np.int64)
+            nodes = rng.integers(0, 10_000, size=int(counts.sum())).astype(np.int64)
+            dists = rng.integers(0, 50, size=int(counts.sum())).astype(np.int64)
+            flags = rng.random(keys.size) < 0.3
+            store.put_many(keys, counts, nodes, dists, flags)
+            ends = np.cumsum(counts)
+            for i, key in enumerate(keys.tolist()):
+                sl = slice(int(ends[i] - counts[i]), int(ends[i]))
+                expected[key] = (nodes[sl], dists[sl], bool(flags[i]))
+        assert len(store) == 400
+        self._assert_rows_equal(self._rows(store, np.arange(400)), expected)
+
+    def test_slots_never_shared_between_keys(self):
+        # Slots come from a counter, so even a key put twice (outside the
+        # absent-keys contract) cannot hand a later key the slot it holds.
         store = GroupStore(max_groups=8)
-        latest = {}
-        for step in range(500):
-            key = int(rng.integers(0, 8))
-            nodes = rng.integers(0, 1000, size=rng.integers(1, 30)).astype(np.int64)
-            dists = nodes + 1
-            store.put(key, nodes, dists, False)
-            latest[key] = (nodes, dists)
-        for key, (nodes, dists) in latest.items():
-            got = store.get(key)
-            np.testing.assert_array_equal(got[0], nodes)
-            np.testing.assert_array_equal(got[1], dists)
 
-    def test_rows_without_dists_report_none_scalar_and_zeros_batch(self):
-        store = GroupStore()
-        store.put(5, np.asarray([1, 2], dtype=np.int64), None, False)
-        nodes, dists, flag = store.get(5)
-        assert dists is None
-        hit_mask, counts, _, batch_dists, _ = store.get_many(
-            np.asarray([5], dtype=np.int64)
+        def put(keys, values):
+            values = np.asarray(values, dtype=np.int64)
+            store.put_many(
+                np.asarray(keys, dtype=np.int64),
+                np.ones(values.size, dtype=np.int64),
+                values,
+                values + 100,
+                values % 2 == 0,
+            )
+
+        put([1, 2], [11, 12])
+        put([1], [21])
+        put([3], [13])
+        self._assert_rows_equal(
+            self._rows(store, [1, 2, 3]),
+            {1: ([21], [121], False), 2: ([12], [112], True), 3: ([13], [113], False)},
         )
-        assert bool(hit_mask[0]) and int(counts[0]) == 2
-        np.testing.assert_array_equal(batch_dists, [0, 0])
+
+    def test_random_walk_matches_first_come_model(self):
+        """Random interleavings of ``get_many`` and ``put_many`` (of absent
+        keys) against a dict that keeps the first ``max_groups`` keys put:
+        identical retained keys, rows, flags and hit/miss ledger, with puts
+        that overflow the remaining room keeping their leading keys."""
+        rng = np.random.default_rng(2)
+        keyspace = np.arange(16, dtype=np.int64)
+        empty = np.empty(0, dtype=np.int64)
+        overflows = 0
+        for _ in range(20):
+            max_groups = int(rng.integers(1, 9))
+            store = GroupStore(max_groups=max_groups)
+            model = {}
+            hits = misses = 0
+            for _ in range(25):
+                if rng.random() < 0.5:
+                    absent = np.setdiff1d(keyspace, list(model))
+                    batch = rng.permutation(absent)[: rng.integers(1, 8)]
+                    keys, counts, nodes, dists, flags = self._csr(batch, rng)
+                    store.put_many(keys, counts, nodes, dists, flags)
+                    room = max_groups - len(model)
+                    overflows += keys.size > room > 0
+                    ends = np.cumsum(counts)
+                    for i, key in enumerate(keys[:room].tolist()):
+                        sl = slice(int(ends[i] - counts[i]), int(ends[i]))
+                        model[key] = (nodes[sl], dists[sl], bool(flags[i]))
+                else:
+                    batch = rng.choice(keyspace, size=rng.integers(1, 8))
+                    hit_mask, hit_counts, hit_nodes, hit_dists, hit_flags = (
+                        store.get_many(batch)
+                    )
+                    rows = [model.get(int(key)) for key in batch]
+                    np.testing.assert_array_equal(
+                        hit_mask, [row is not None for row in rows]
+                    )
+                    rows = [row for row in rows if row is not None]
+                    hits += len(rows)
+                    misses += int(batch.size) - len(rows)
+                    np.testing.assert_array_equal(
+                        hit_counts, [row[0].size for row in rows]
+                    )
+                    np.testing.assert_array_equal(
+                        hit_nodes, np.concatenate([empty] + [row[0] for row in rows])
+                    )
+                    np.testing.assert_array_equal(
+                        hit_dists, np.concatenate([empty] + [row[1] for row in rows])
+                    )
+                    np.testing.assert_array_equal(hit_flags, [row[2] for row in rows])
+                assert len(store) == len(model)
+                assert sorted(store.keys()) == sorted(model)
+                assert (store.hits, store.misses) == (hits, misses)
+        assert overflows > 0
 
 
 class TestGroupStoreRegistry:
@@ -416,6 +409,24 @@ class TestGroupStoreRegistry:
         assert artifacts.group_store(topology, cache, signature) is not (
             artifacts.group_store(topology, other, signature)
         )
+
+    def test_stats_sum_rows_and_ledger_over_stores(self):
+        topology, library, cache, requests = _system()
+        artifacts = ArtifactCache()
+        stores = []
+        for radius in (2.0, 3.0):
+            store = artifacts.group_store(topology, cache, (radius, "nearest", True))
+            kwargs = dict(radius=radius, fallback=FallbackPolicy.NEAREST, need_dists=True)
+            for _ in range(2):
+                build_group_index(topology, cache, requests, store=store, **kwargs)
+            stores.append(store)
+        stats = artifacts.stats()
+        assert stats["stores"] == 2
+        assert stats["group_rows"] == sum(len(s) for s in stores) > 0
+        assert stats["group_hits"] == sum(s.hits for s in stores)
+        # Each store's one warm pass hits every row it holds, once.
+        assert stats["group_hits"] == stats["group_rows"]
+        assert stats["group_misses"] == 0
 
 
 class TestMixedEngineArtifacts:
