@@ -30,19 +30,21 @@ bench-smoke:
 bench-queueing:
 	$(PYTHON) -m pytest benchmarks/test_bench_queueing.py -m bench_smoke -q -s --benchmark-disable
 
-# The engine-registry suites alone: both differential suites (parametrised
-# over every engine the registry reports available, batch and — where
+# The engine suites alone: both differential suites (parametrised over
+# every available engine of the fixed engine table, batch and — where
 # importable — numba included; the static suite adds the pure-Python commit
 # loop, which the queueing batch engine already is), the static
 # window-partition suite (on "auto" — numba where importable — and on
-# reference), the precompute suite, the numba-transcription fallback suite,
-# the batch-commit adversarial/property suite and the registry unit tests.
+# reference), the precompute suite, the numba-loops fallback suite (the
+# numba engine's tables run as plain Python), the batch-commit
+# adversarial/property suite and the engine-table unit tests.
 # The CI numba job runs exactly this plus its bench gates.
 test-differential:
 	$(PYTHON) -m pytest tests/test_kernels_differential.py tests/test_kernels_queueing_differential.py tests/test_session_stream.py tests/test_kernels_precompute_differential.py tests/test_backends_numba_fallback.py tests/test_backends_registry.py tests/test_kernels_batch_commit.py -q
 
-# Cross-engine comparison (reference/batch/numba where available) on both
-# stacks at n = 4096; writes .benchmarks/timings/engine_speedup.txt and gates
+# Cross-engine comparison over every available engine of the fixed engine
+# table (reference, batch, and numba where importable) on both stacks at
+# n = 4096; writes .benchmarks/timings/engine_speedup.txt and gates
 # the numba queueing event loop >= 1.5x over batch's pure-Python event loop
 # when numba is importable.
 bench-engines:

@@ -23,8 +23,7 @@ figure-by-figure reproduction harness.
 from repro._version import __version__
 from repro.backends import (
     available_engines,
-    register_engine,
-    resolve_engine,
+    resolve_engine_name,
 )
 from repro.catalog import (
     FileLibrary,
@@ -90,8 +89,7 @@ __all__ = [
     "__version__",
     # backends
     "available_engines",
-    "register_engine",
-    "resolve_engine",
+    "resolve_engine_name",
     # catalog
     "FileLibrary",
     "UniformPopularity",

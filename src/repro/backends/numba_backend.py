@@ -1,23 +1,24 @@
-"""Numba-compiled commit loops: the first payoff backend of the registry.
+"""Numba-compiled commit loops: the ``numba`` engine of both families.
 
 The sequential commit phases of both stacks — the static d-choice loops in
 :mod:`repro.kernels.commit` and the supermarket event loop in
 :mod:`repro.kernels.queueing` — deliberately operate on flat int64/float64
 arrays with no topology queries and no RNG calls, which is exactly the shape
-``numba.njit`` compiles well.  This module transcribes them 1:1:
+``numba.njit`` compiles well:
 
-* the three static commit loops
-  (:func:`commit_least_loaded_of_sample`, :func:`commit_least_loaded_scan`,
-  :func:`commit_threshold_hybrid`) keep the signatures of their pure-Python
-  originals, so :mod:`repro.kernels.engine` runs unchanged with the compiled
-  loop swapped in through its ``commit`` hook;
+* the three static loops are *not* copied here: ``njit`` compiles
+  :mod:`repro.kernels.commit`'s own loop functions, whose pure-Python
+  wrappers run the same code on lists.  :func:`commit_least_loaded_of_sample`,
+  :func:`commit_least_loaded_scan` and :func:`commit_threshold_hybrid` keep
+  the signatures of those wrappers, so :mod:`repro.kernels.engine` runs
+  unchanged with the compiled loop swapped in through its ``commit`` hook;
 * the queueing event loop (:func:`commit_window`, which the ``batch``
-  engine runs as plain Python) replaces the ``heapq`` departure heap with
-  an array-based binary heap ordered by the same ``(time, id)`` key — event
-  ids are unique, so pop order (and therefore every float accumulation) is
-  identical to ``heapq``'s, and the heap array written back to
-  :class:`~repro.kernels.queueing.QueueingState` satisfies the ``heapq``
-  invariant for whoever drains it next.
+  engine runs as plain Python) is transcribed, because it replaces the
+  ``heapq`` departure heap with an array-based binary heap ordered by the
+  same ``(time, id)`` key — event ids are unique, so pop order (and
+  therefore every float accumulation) is identical to ``heapq``'s, and the
+  heap array written back to :class:`~repro.kernels.queueing.QueueingState`
+  satisfies the ``heapq`` invariant for whoever drains it next.
 
 Bit-identity is the contract, not a hope: the loops perform the same integer
 comparisons, the same ``floor(u * t)`` tie rule and the same float additions
@@ -25,11 +26,12 @@ in the same order as the Python engines, so the differential suites hold the
 ``numba`` engine to exact equality with ``reference``.
 
 When numba is not importable the module still imports — ``@njit`` degrades
-to a no-op decorator — so the transcriptions themselves stay testable
-(``tests/test_backends_numba_fallback.py`` runs them in pure Python against
-the reference engine).  The registry, however, only offers the ``numba``
-engine when ``import numba`` succeeds; without it, ``"auto"`` falls back to
-the ``batch`` engine and explicit ``engine="numba"`` requests raise
+to a no-op decorator — so the same operation tables run as plain Python
+(``tests/test_backends_numba_fallback.py`` holds them to the reference
+engine).  The engine table (:mod:`repro.backends.registry`), however, only
+offers the ``numba`` engine where numba is importable; without it,
+``"auto"`` falls back to the ``batch`` engine and explicit
+``engine="numba"`` requests raise
 :class:`~repro.exceptions.UnknownEngineError`.
 """
 
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.kernels import commit
 from repro.types import FloatArray, IntArray
 
 __all__ = [
@@ -66,33 +69,25 @@ except ImportError:  # pragma: no cover - the default offline environment
 
 
 # ----------------------------------------------------------- static commits
-@njit(cache=True)
-def _least_loaded_of_sample_core(nodes, indptr, uniforms, loads, out):
-    m = indptr.shape[0] - 1
-    for i in range(m):
-        start = indptr[i]
-        end = indptr[i + 1]
-        best = loads[nodes[start]]
-        ties = 1
-        pick = start
-        for j in range(start + 1, end):
-            load = loads[nodes[j]]
-            if load < best:
-                best = load
-                ties = 1
-                pick = j
-            elif load == best:
-                ties += 1
-        if ties > 1:
-            k = int(uniforms[i] * ties)
-            for j in range(start, end):
-                if loads[nodes[j]] == best:
-                    if k == 0:
-                        pick = j
-                        break
-                    k -= 1
-        loads[nodes[pick]] += 1
-        out[i] = pick
+# The static loops are compiled from their one definition in
+# repro.kernels.commit (without numba, these names are those functions).
+_least_loaded_of_sample_core = njit(cache=True)(commit.least_loaded_of_sample_loop)
+_least_loaded_scan_core = njit(cache=True)(commit.least_loaded_scan_loop)
+_threshold_hybrid_core = njit(cache=True)(commit.threshold_hybrid_loop)
+
+
+def _static_commit(core, num_nodes, m, initial_loads, *inputs):
+    """Run a compiled static loop over ``inputs``: the shared wrapper body."""
+    if m == 0:
+        return np.empty(0, dtype=np.int64)
+    loads = (
+        np.zeros(int(num_nodes), dtype=np.int64)
+        if initial_loads is None
+        else initial_loads
+    )
+    out = np.empty(m, dtype=np.int64)
+    core(*inputs, loads, out)
+    return out
 
 
 def commit_least_loaded_of_sample(
@@ -104,60 +99,15 @@ def commit_least_loaded_of_sample(
     initial_loads: IntArray | None = None,
 ) -> IntArray:
     """Compiled drop-in for :func:`repro.kernels.commit.commit_least_loaded_of_sample`."""
-    m = int(sample_counts.size)
-    if m == 0:
-        return np.empty(0, dtype=np.int64)
-    loads = (
-        np.zeros(int(num_nodes), dtype=np.int64)
-        if initial_loads is None
-        else initial_loads
-    )
-    out = np.empty(m, dtype=np.int64)
-    _least_loaded_of_sample_core(
+    return _static_commit(
+        _least_loaded_of_sample_core,
+        num_nodes,
+        int(sample_counts.size),
+        initial_loads,
         np.asarray(sample_nodes, dtype=np.int64),
         np.asarray(sample_indptr, dtype=np.int64),
         np.asarray(tie_uniforms, dtype=np.float64),
-        loads,
-        out,
     )
-    return out
-
-
-@njit(cache=True)
-def _least_loaded_scan_core(nodes, dists, starts, counts, uniforms, loads, out):
-    m = starts.shape[0]
-    for i in range(m):
-        start = starts[i]
-        end = start + counts[i]
-        best_load = loads[nodes[start]]
-        best_dist = dists[start]
-        ties = 1
-        pick = start
-        for j in range(start + 1, end):
-            load = loads[nodes[j]]
-            if load < best_load:
-                best_load = load
-                best_dist = dists[j]
-                ties = 1
-                pick = j
-            elif load == best_load:
-                dist = dists[j]
-                if dist < best_dist:
-                    best_dist = dist
-                    ties = 1
-                    pick = j
-                elif dist == best_dist:
-                    ties += 1
-        if ties > 1:
-            k = int(uniforms[i] * ties)
-            for j in range(start, end):
-                if loads[nodes[j]] == best_load and dists[j] == best_dist:
-                    if k == 0:
-                        pick = j
-                        break
-                    k -= 1
-        loads[nodes[pick]] += 1
-        out[i] = pick
 
 
 def commit_least_loaded_scan(
@@ -170,63 +120,17 @@ def commit_least_loaded_scan(
     initial_loads: IntArray | None = None,
 ) -> IntArray:
     """Compiled drop-in for :func:`repro.kernels.commit.commit_least_loaded_scan`."""
-    m = int(request_starts.size)
-    if m == 0:
-        return np.empty(0, dtype=np.int64)
-    loads = (
-        np.zeros(int(num_nodes), dtype=np.int64)
-        if initial_loads is None
-        else initial_loads
-    )
-    out = np.empty(m, dtype=np.int64)
-    _least_loaded_scan_core(
+    return _static_commit(
+        _least_loaded_scan_core,
+        num_nodes,
+        int(request_starts.size),
+        initial_loads,
         np.asarray(cand_nodes, dtype=np.int64),
         np.asarray(cand_dists, dtype=np.int64),
         np.asarray(request_starts, dtype=np.int64),
         np.asarray(request_counts, dtype=np.int64),
         np.asarray(tie_uniforms, dtype=np.float64),
-        loads,
-        out,
     )
-    return out
-
-
-@njit(cache=True)
-def _threshold_hybrid_core(nodes, dists, indptr, threshold, uniforms, loads, out):
-    m = indptr.shape[0] - 1
-    for i in range(m):
-        start = indptr[i]
-        end = indptr[i + 1]
-        min_load = loads[nodes[start]]
-        for j in range(start + 1, end):
-            load = loads[nodes[j]]
-            if load < min_load:
-                min_load = load
-        limit = min_load + threshold
-        found = False
-        best_dist = dists[start]
-        ties = 0
-        pick = start
-        for j in range(start, end):
-            if loads[nodes[j]] <= limit:
-                dist = dists[j]
-                if not found or dist < best_dist:
-                    found = True
-                    best_dist = dist
-                    ties = 1
-                    pick = j
-                elif dist == best_dist:
-                    ties += 1
-        if ties > 1:
-            k = int(uniforms[i] * ties)
-            for j in range(start, end):
-                if loads[nodes[j]] <= limit and dists[j] == best_dist:
-                    if k == 0:
-                        pick = j
-                        break
-                    k -= 1
-        loads[nodes[pick]] += 1
-        out[i] = pick
 
 
 def commit_threshold_hybrid(
@@ -239,25 +143,17 @@ def commit_threshold_hybrid(
     initial_loads: IntArray | None = None,
 ) -> IntArray:
     """Compiled drop-in for :func:`repro.kernels.commit.commit_threshold_hybrid`."""
-    m = int(sample_indptr.size) - 1
-    if m == 0:
-        return np.empty(0, dtype=np.int64)
-    loads = (
-        np.zeros(int(num_nodes), dtype=np.int64)
-        if initial_loads is None
-        else initial_loads
-    )
-    out = np.empty(m, dtype=np.int64)
-    _threshold_hybrid_core(
+    return _static_commit(
+        _threshold_hybrid_core,
+        num_nodes,
+        int(sample_indptr.size) - 1,
+        initial_loads,
         np.asarray(sample_nodes, dtype=np.int64),
         np.asarray(sample_dists, dtype=np.int64),
         np.asarray(sample_indptr, dtype=np.int64),
         float(threshold),
         np.asarray(tie_uniforms, dtype=np.float64),
-        loads,
-        out,
     )
-    return out
 
 
 # --------------------------------------------------------- queueing commit

@@ -1,264 +1,217 @@
-"""The engine registry: one place that owns backend names and capabilities.
+"""The engine table: three fixed execution engines, named once.
 
-Before this layer existed, engine selection was a raw engine-name string
-copy-pasted through every surface of the package, each with its own tuple of
-valid names and its own error message — which made adding a backend (numba
-today, Cython later) a 17-file change.  The registry centralises all of it:
+Both stacks run on the same three engines, and :data:`ENGINES` lists them
+fastest first, which is also the ``"auto"`` resolution order:
 
-* :func:`register_engine` declares a backend once: its name, its **family**
-  (``"assignment"`` for the static d-choice stack, ``"queueing"`` for the
-  dynamic supermarket stack), the table of commit callables it provides, the
-  modules it ``requires`` (import-gated availability), and its ``priority``
-  in the ``"auto"`` resolution order.
-* :func:`resolve_engine` turns a user-facing spec — ``"auto"`` (fastest
-  available) or an explicit name — into the registered :class:`Engine`,
-  exactly once at each surface boundary (``CacheNetworkSimulation.run``,
-  ``open_session``, ``run_trials``, the CLI's shared ``--engine`` flag, …).
-  Unknown or unavailable specs raise
-  :class:`~repro.exceptions.UnknownEngineError` with a uniform message
-  listing what is registered.  Engines take no options: a spec is a name.
+* ``numba`` — the batched precompute with ``@njit``-compiled commit loops
+  (:mod:`repro.backends.numba_backend`); listed always, available only where
+  ``numba`` is importable (probed once, at import, without importing it);
+* ``batch`` — the batched precompute; static commits go through the
+  speculate-and-repair vectorised commit of :mod:`repro.kernels.batch_commit`,
+  the supermarket model through the pure-Python event loop;
+* ``reference`` — the scalar per-request / per-arrival loops of the paper's
+  process definitions, the authority when engines disagree.
 
-Built-in engines (``reference``, ``batch``, and ``numba`` when importable)
-are registered lazily on first resolution by :mod:`repro.backends.builtin`;
-this module itself imports nothing heavy, so any layer may depend on it
-without creating import cycles.
+Each engine serves two **families**: ``"assignment"`` (the static d-choice
+stack) and ``"queueing"`` (the dynamic supermarket stack).
 
-Every registered engine of a family is held to the same **bit-identity
-obligation**: for any seed it must produce exactly the results of the
-family's ``reference`` engine (the differential suites parametrise their
-engine list from this registry, so registering a backend automatically puts
-it under test).
+:func:`resolve_engine_name` turns a user-facing spec — ``"auto"`` (the
+fastest available engine) or an explicit name — into an engine name, once at
+each surface boundary (``CacheNetworkSimulation.run``, ``open_session``,
+``run_trials``, the CLI's shared ``--engine`` flag, …).  Unknown or
+unavailable specs raise :class:`~repro.exceptions.UnknownEngineError` with a
+uniform message listing the engines.  Engines take no options: a spec is a
+name.  :func:`engine_operations` returns one engine's operation table for one
+family, built on first use and cached.
+
+This module imports no kernel module at import time (``repro.strategies.base``
+imports it, and the kernels import that), and the ``batch`` table looks up
+:mod:`repro.kernels.batch_commit`'s commit functions when it is built, so a
+wrapper installed on those names before the first table load sees every call.
+
+Every engine of a family is held to the same **bit-identity obligation**: for
+any seed it must produce exactly the results of the family's ``reference``
+engine (the differential suites parametrise their engine list from
+:func:`available_engines`).
 """
 
 from __future__ import annotations
 
 import importlib.util
-from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Mapping
 
 from repro.exceptions import UnknownEngineError
 
 __all__ = [
+    "ENGINES",
     "FAMILIES",
-    "Engine",
     "available_engines",
+    "engine_operations",
     "engines_payload",
-    "register_engine",
-    "registered_engines",
-    "resolve_engine",
     "resolve_engine_name",
 ]
 
 #: Engine families: the static assignment stack and the dynamic queueing stack.
 FAMILIES = ("assignment", "queueing")
 
+#: Every engine with its one-line description, fastest first (the ``"auto"``
+#: order).
+ENGINES = {
+    "numba": "@njit-compiled commit loops over the batched precompute",
+    "batch": "batched precompute + vectorised commit / pure-Python event loop",
+    "reference": "scalar per-request / per-arrival loop (the authority)",
+}
+
 #: The spec resolving to the fastest available engine of a family.
 AUTO = "auto"
 
+# Probed once: ``import numba`` here would land in every process's start-up.
+_NUMBA_FOUND = importlib.util.find_spec("numba") is not None
 
-@dataclass
-class Engine:
-    """One registered execution backend of one family.
-
-    ``commit_fns`` maps operation names (e.g. ``"two_choice"`` or
-    ``"window"``) to the callables implementing them; it is materialised
-    lazily on first access so that registering a backend never imports its
-    implementation modules (the numba backend only imports — and compiles —
-    when actually selected).
-    """
-
-    name: str
-    family: str
-    priority: int
-    requires: tuple[str, ...]
-    description: str
-    loader: Callable[[], Mapping[str, Callable]]
-    _fns: Mapping[str, Callable] | None = field(default=None, repr=False)
-
-    @property
-    def available(self) -> bool:
-        """Whether every required module is importable."""
-        return self.unavailable_reason is None
-
-    @property
-    def unavailable_reason(self) -> str | None:
-        """Why this engine cannot run here (``None`` when it can)."""
-        for module in self.requires:
-            if importlib.util.find_spec(module) is None:
-                return f"{module}: not importable"
-        return None
-
-    @property
-    def commit_fns(self) -> Mapping[str, Callable]:
-        """The operation table, loading the implementation on first use."""
-        if self._fns is None:
-            self._fns = dict(self.loader())
-        return self._fns
-
-    def __repr__(self) -> str:
-        state = "available" if self.available else "unavailable"
-        return f"Engine({self.name!r}, family={self.family!r}, {state})"
+#: Operation tables by ``(engine, family)``, built on first use.
+_TABLES: dict[tuple[str, str], Mapping[str, Callable]] = {}
 
 
-_REGISTRY: dict[str, dict[str, Engine]] = {family: {} for family in FAMILIES}
-_builtins_loaded = False
-
-
-def _ensure_builtins() -> None:
-    """Register the built-in engines on first resolution (lazily, to keep
-    this module import-cycle free: ``builtin`` pulls in the kernel modules,
-    which themselves import :mod:`repro.strategies.base`)."""
-    global _builtins_loaded
-    if not _builtins_loaded:
-        _builtins_loaded = True
-        import repro.backends.builtin  # noqa: F401  (registers on import)
-
-
-def _family_table(family: str) -> dict[str, Engine]:
-    if family not in _REGISTRY:
+def _check_family(family: str) -> None:
+    if family not in FAMILIES:
         raise UnknownEngineError(
             f"unknown engine family {family!r}; expected one of {FAMILIES}"
         )
-    return _REGISTRY[family]
 
 
-def register_engine(
-    name: str,
-    *,
-    family: str = "assignment",
-    commit_fns: Mapping[str, Callable] | Callable[[], Mapping[str, Callable]],
-    requires: tuple[str, ...] | str = (),
-    priority: int = 0,
-    description: str = "",
-) -> Engine:
-    """Register an execution backend under ``name`` for ``family``.
-
-    Parameters
-    ----------
-    name:
-        Engine name; re-registering a name replaces the previous entry.
-    family:
-        ``"assignment"`` (static d-choice stack) or ``"queueing"``
-        (supermarket stack).
-    commit_fns:
-        The operation table, or a zero-argument callable returning it
-        (preferred: keeps registration free of implementation imports).
-        Every assignment operation takes the kernel entry-point signature,
-        including the window keywords ``streams`` / ``loads`` / ``store``
-        that sessions serve through.
-    requires:
-        Module names that must be importable for the engine to be available;
-        unavailable engines stay listed (``repro engines`` shows why) but are
-        skipped by ``"auto"`` and rejected when requested explicitly.
-    priority:
-        ``"auto"`` resolution order: the highest-priority available engine
-        wins.
-    description:
-        One line for ``repro engines`` output.
-    """
-    if not name or not isinstance(name, str):
-        raise UnknownEngineError(f"engine name must be a non-empty string, got {name!r}")
-    if name == AUTO:
-        raise UnknownEngineError(f"engine name {AUTO!r} is reserved for resolution")
-    table = _family_table(family)
-    loader = commit_fns if callable(commit_fns) else (lambda fns=commit_fns: fns)
-    engine = Engine(
-        name=name,
-        family=family,
-        priority=int(priority),
-        requires=(requires,) if isinstance(requires, str) else tuple(requires),
-        description=description,
-        loader=loader,
-    )
-    table[name] = engine
-    return engine
-
-
-def registered_engines(family: str) -> tuple[Engine, ...]:
-    """Every registered engine of ``family`` (available or not), fastest first."""
-    _ensure_builtins()
-    table = _family_table(family)
-    return tuple(sorted(table.values(), key=lambda e: (-e.priority, e.name)))
+def _skip_reason(name: str) -> str | None:
+    """Why engine ``name`` cannot run here (``None`` when it can)."""
+    if name == "numba" and not _NUMBA_FOUND:
+        return "numba: not importable"
+    return None
 
 
 def available_engines(family: str) -> tuple[str, ...]:
     """Names of the engines that can actually run here, fastest first."""
-    return tuple(e.name for e in registered_engines(family) if e.available)
+    _check_family(family)
+    return tuple(name for name in ENGINES if _skip_reason(name) is None)
 
 
 def engines_payload(family: str | None = None) -> list[dict]:
     """Machine-readable engine availability (JSON-safe, fastest first).
 
-    One entry per registered engine: family, name, availability with the
-    skip reason for engines that cannot run here, ``"auto"`` resolution
-    order and priority.  Consumed by
-    ``repro engines --json``, the dispatch service's ``/healthz`` payload
-    and any script that needs to pick an engine without parsing tables.
+    One entry per engine and family: family, name, availability with the
+    skip reason for engines that cannot run here, ``"auto"`` resolution order
+    and description.  Consumed by ``repro engines`` (both modes), the
+    dispatch service's ``/healthz`` payload and any script that needs to pick
+    an engine without parsing tables.
     """
-    families = FAMILIES if family is None else (family,)
+    if family is not None:
+        _check_family(family)
     payload = []
-    for fam in families:
-        for order, engine in enumerate(registered_engines(fam), start=1):
+    for fam in FAMILIES if family is None else (family,):
+        for order, (name, description) in enumerate(ENGINES.items(), start=1):
+            reason = _skip_reason(name)
             payload.append(
                 {
                     "family": fam,
-                    "name": engine.name,
-                    "available": engine.available,
-                    "skip_reason": engine.unavailable_reason,
-                    "priority": engine.priority,
+                    "name": name,
+                    "available": reason is None,
+                    "skip_reason": reason,
                     "auto_order": order,
-                    "description": engine.description,
+                    "description": description,
                 }
             )
     return payload
 
 
-def _registered_summary(family: str) -> str:
+def _summary() -> str:
     parts = []
-    for engine in registered_engines(family):
-        if engine.available:
-            parts.append(engine.name)
-        else:
-            parts.append(f"{engine.name} (unavailable: {engine.unavailable_reason})")
-    return ", ".join(parts) if parts else "<none>"
-
-
-def resolve_engine(spec: str | None, family: str) -> Engine:
-    """Resolve an engine spec to its registered :class:`Engine`.
-
-    ``spec`` may be ``"auto"`` / ``None`` (the fastest available engine of
-    the family) or an explicit engine name.  Raises
-    :class:`~repro.exceptions.UnknownEngineError` — always listing what is
-    registered — for unknown names, non-string specs and unavailable
-    backends.
-    """
-    _ensure_builtins()
-    table = _family_table(family)
-    if spec is None or spec == AUTO:
-        for engine in registered_engines(family):
-            if engine.available:
-                return engine
-        raise UnknownEngineError(
-            f"no {family} engine is available; registered: {_registered_summary(family)}"
-        )
-    if not isinstance(spec, str):
-        raise UnknownEngineError(
-            f"engine must be a name or 'auto', got {spec!r}; "
-            f"registered {family} engines: {_registered_summary(family)}"
-        )
-    engine = table.get(spec)
-    if engine is None:
-        raise UnknownEngineError(
-            f"unknown {family} engine {spec!r}; registered: {_registered_summary(family)}"
-        )
-    if not engine.available:
-        raise UnknownEngineError(
-            f"{family} engine {spec!r} is not available here "
-            f"({engine.unavailable_reason}); registered: {_registered_summary(family)}"
-        )
-    return engine
+    for name in ENGINES:
+        reason = _skip_reason(name)
+        parts.append(name if reason is None else f"{name} (unavailable: {reason})")
+    return ", ".join(parts)
 
 
 def resolve_engine_name(spec: str | None, family: str) -> str:
-    """Shortcut: the resolved engine's concrete name (never ``"auto"``)."""
-    return resolve_engine(spec, family).name
+    """Resolve an engine spec to a concrete engine name (never ``"auto"``).
+
+    ``spec`` may be ``"auto"`` / ``None`` (the fastest available engine of
+    the family) or an explicit engine name.  Raises
+    :class:`~repro.exceptions.UnknownEngineError` — always listing the
+    engines — for unknown names, non-string specs and unavailable engines.
+    """
+    _check_family(family)
+    if spec is None or spec == AUTO:
+        return available_engines(family)[0]
+    if not isinstance(spec, str):
+        raise UnknownEngineError(
+            f"engine must be a name or 'auto', got {spec!r}; "
+            f"registered {family} engines: {_summary()}"
+        )
+    if spec not in ENGINES:
+        raise UnknownEngineError(
+            f"unknown {family} engine {spec!r}; registered: {_summary()}"
+        )
+    reason = _skip_reason(spec)
+    if reason is not None:
+        raise UnknownEngineError(
+            f"{family} engine {spec!r} is not available here "
+            f"({reason}); registered: {_summary()}"
+        )
+    return spec
+
+
+def engine_operations(name: str, family: str) -> Mapping[str, Callable]:
+    """The operation table of engine ``name`` for ``family``.
+
+    The assignment table maps ``two_choice`` / ``least_loaded`` /
+    ``threshold_hybrid`` / ``random_replica`` / ``nearest_replica`` to
+    callables with the kernel entry-point signatures, window keywords
+    (``streams`` / ``loads`` / ``store``) included; the queueing table maps
+    ``window`` to a ``queueing_kernel_window``-shaped callable.  ``name`` is
+    checked as :func:`resolve_engine_name` checks it, and the table is built
+    on first use and cached.
+    """
+    key = (name, family)
+    if key not in _TABLES:
+        _TABLES[key] = _load_operations(resolve_engine_name(name, family), family)
+    return _TABLES[key]
+
+
+def _load_operations(name: str, family: str) -> dict[str, Callable]:
+    """Build engine ``name``'s table for ``family`` (availability unchecked)."""
+    from repro.kernels import engine as kernel
+    from repro.kernels import queueing
+    from repro.kernels import reference as ref
+
+    if name == "reference":
+        if family == "queueing":
+            return {"window": queueing.queueing_reference_window}
+        return {
+            "two_choice": ref.two_choice_reference,
+            "least_loaded": ref.least_loaded_reference,
+            "threshold_hybrid": ref.threshold_hybrid_reference,
+            "random_replica": ref.random_replica_reference,
+            "nearest_replica": ref.nearest_replica_reference,
+        }
+    if name == "batch":
+        from repro.kernels import batch_commit as commits
+    elif name == "numba":
+        from repro.backends import numba_backend as commits
+    else:
+        raise UnknownEngineError(f"{family} engine {name!r} has no operation table")
+    # Both engines share the kernel precompute and swap only the sequential
+    # loops; the replica strategies have no sequential commit phase.
+    if family == "queueing":
+        window = partial(queueing.queueing_kernel_window, commit=commits.commit_window)
+        return {"window": window}
+    return {
+        "two_choice": partial(
+            kernel.two_choice_kernel, commit=commits.commit_least_loaded_of_sample
+        ),
+        "least_loaded": partial(
+            kernel.least_loaded_kernel, commit=commits.commit_least_loaded_scan
+        ),
+        "threshold_hybrid": partial(
+            kernel.threshold_hybrid_kernel, commit=commits.commit_threshold_hybrid
+        ),
+        "random_replica": kernel.random_replica_kernel,
+        "nearest_replica": kernel.nearest_replica_kernel,
+    }

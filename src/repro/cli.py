@@ -30,7 +30,7 @@ Three subcommands cover the common workflows without writing Python:
     window by window with per-window statistics.
 
 ``repro engines``
-    List the execution backends registered for each engine family, their
+    List the execution engines of each engine family, their
     ``"auto"`` resolution order, and — for backends that cannot run here —
     the reason they are skipped (e.g. ``numba: not importable``).  Every
     listed engine serves both one-shot runs and windowed sessions
@@ -66,11 +66,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.backends.registry import (
-    FAMILIES,
-    registered_engines,
-    resolve_engine_name,
-)
+from repro.backends.registry import FAMILIES, engines_payload, resolve_engine_name
 from repro.experiments.figures import all_figure_specs
 from repro.experiments.io import result_to_csv, save_experiment_result
 from repro.experiments.report import render_comparison_table, render_experiment
@@ -102,15 +98,15 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     # One shared --engine flag for every simulating subcommand; names are
-    # validated by the backend registry at run time (not via argparse
-    # choices), so registering a backend automatically extends the CLI.
+    # validated by the engine table at run time (not via argparse choices),
+    # so the CLI and every other surface report engine errors alike.
     engine_flag = argparse.ArgumentParser(add_help=False)
     engine_flag.add_argument(
         "--engine",
         default="auto",
         help=(
             "execution engine (default: auto = fastest available; "
-            "see 'repro engines' for what is registered)"
+            "see 'repro engines' for what runs here)"
         ),
     )
 
@@ -256,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     supermarket.add_argument("--seed", type=int, default=0, help="random seed")
 
     engines = subparsers.add_parser(
-        "engines", help="list registered execution backends and their availability"
+        "engines", help="list the execution engines and their availability"
     )
     engines.add_argument(
         "--json",
@@ -627,26 +623,18 @@ def _command_engines(args: argparse.Namespace) -> int:
     if args.json:
         import json
 
-        from repro.backends.registry import engines_payload
-
         print(json.dumps(engines_payload(), indent=2))
         return 0
     for family in FAMILIES:
-        rows = []
-        for order, engine in enumerate(registered_engines(family), start=1):
-            if engine.available:
-                status, note = "yes", engine.description
-            else:
-                status, note = "no", engine.unavailable_reason
-            rows.append(
-                {
-                    "engine": engine.name,
-                    "auto order": order,
-                    "priority": engine.priority,
-                    "available": status,
-                    "note": note,
-                }
-            )
+        rows = [
+            {
+                "engine": row["name"],
+                "auto order": row["auto_order"],
+                "available": "yes" if row["available"] else "no",
+                "note": row["description"] if row["available"] else row["skip_reason"],
+            }
+            for row in engines_payload(family)
+        ]
         print(render_comparison_table(rows, title=f"{family} engines"))
         print()
     print(

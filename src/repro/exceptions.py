@@ -57,12 +57,12 @@ class NoReplicaError(StrategyError):
 class UnknownEngineError(StrategyError):
     """An execution-engine spec did not resolve to a usable backend.
 
-    Raised by :func:`repro.backends.registry.resolve_engine` both for names
-    that were never registered and for registered backends whose requirements
-    (e.g. ``numba``) are not importable.  The message always lists what *is*
-    registered for the family, so every surface (strategies, sessions, the
-    CLI) reports engine problems uniformly.  Subclasses
-    :class:`StrategyError` so pre-registry callers catching that still work.
+    Raised by :func:`repro.backends.registry.resolve_engine_name` both for
+    unknown names and for engines whose requirements (e.g. ``numba``) are
+    not importable.  The message always lists the engines and why any of
+    them cannot run here, so every surface (strategies, sessions, the CLI)
+    reports engine problems uniformly.  Subclasses :class:`StrategyError` so
+    callers catching that still work.
     """
 
 

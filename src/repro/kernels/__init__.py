@@ -67,15 +67,16 @@ implemented by the event-batched and scalar engines in
 :mod:`repro.kernels.queueing` and enforced by
 ``tests/test_kernels_queueing_differential.py``.
 
-Engine *selection* lives one layer up, in :mod:`repro.backends`: the
-registry maps engine names (``reference`` / ``batch`` / ``numba``) to the
-callables in this package, and the batched entry points expose ``commit=``
-hooks so the ``batch`` and ``numba`` engines reuse the whole precompute while
-swapping only the sequential loops.  The default ``commit=`` is a pure-Python
-loop — :mod:`repro.kernels.commit` for the static strategies (``batch``'s
-fallback) and :func:`repro.kernels.queueing.commit_window` for the
-supermarket model (``batch``'s event loop) — and the source the numba loops
-transcribe.
+Engine *selection* lives one layer up, in :mod:`repro.backends`: its fixed
+engine table maps the three engine names (``reference`` / ``batch`` /
+``numba``) to the callables in this package, and the batched entry points
+expose ``commit=`` hooks so the ``batch`` and ``numba`` engines reuse the
+whole precompute while swapping only the sequential loops.  The default
+``commit=`` is a pure-Python loop — :mod:`repro.kernels.commit` for the
+static strategies (``batch``'s fallback, whose loop functions the numba
+engine compiles as they are) and :func:`repro.kernels.queueing.commit_window`
+for the supermarket model (``batch``'s event loop, which the numba engine
+transcribes onto an array heap).
 """
 
 from repro.kernels.commit import (

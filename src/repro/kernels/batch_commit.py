@@ -41,11 +41,12 @@ any other widths (and for every least-loaded or hybrid window).
 
 The three static functions here are drop-ins for their namesakes in
 :mod:`repro.kernels.commit` — same signatures, bit-identical outputs for any
-input — and are registered as the ``batch`` engine of the assignment family;
-:data:`DEFAULT_MAX_ROUNDS` caps the repair rounds per chunk before the scalar
-fallback.  The queueing ``batch`` engine runs the plain event loop
-:func:`repro.kernels.queueing.commit_window`, re-exported here under the same
-name.
+input — and are the ``batch`` engine's commits in the assignment family.
+``initial_loads``, when given, is an int64 array, updated in place (``None``
+starts from an empty network).  :data:`DEFAULT_MAX_ROUNDS` caps the repair
+rounds per chunk before the scalar fallback.  The queueing ``batch`` engine
+runs the plain event loop :func:`repro.kernels.queueing.commit_window`,
+re-exported here under the same name.
 """
 
 from __future__ import annotations
@@ -155,13 +156,10 @@ def _pairs_scratch(num_nodes: int) -> np.ndarray:
 
 
 def _resolve_loads(num_nodes, initial_loads):
-    """The int64 working load array plus the object to write back into."""
+    """The int64 load array to commit into: the caller's, or fresh zeros."""
     if initial_loads is None:
-        return np.zeros(int(num_nodes), dtype=np.int64), None
-    if isinstance(initial_loads, np.ndarray) and initial_loads.dtype == np.int64:
-        return initial_loads, None
-    work = np.asarray(initial_loads, dtype=np.int64).copy()
-    return work, initial_loads
+        return np.zeros(int(num_nodes), dtype=np.int64)
+    return initial_loads
 
 
 def _layout(counts: IntArray) -> IntArray:
@@ -357,13 +355,11 @@ def _subset_csr(starts, counts, req):
     return sub_counts, sub_iptr, flat_src
 
 
-def _forced_picks(loads, nodes, picks, out, writeback, stats, m):
+def _forced_picks(loads, nodes, picks, out, stats, m):
     """Commit a window whose every candidate set has exactly one member."""
     out[:] = picks
     loads += np.bincount(nodes[picks], minlength=loads.size)
     stats.committed_vectorised += m
-    if writeback is not None:
-        writeback[:] = loads
 
 
 # ------------------------------------------------------------- public: static
@@ -380,14 +376,14 @@ def commit_least_loaded_of_sample(
     stats = _reset_stats()
     if m == 0:
         return np.empty(0, dtype=np.int64)
-    loads, writeback = _resolve_loads(num_nodes, initial_loads)
+    loads = _resolve_loads(num_nodes, initial_loads)
     out = np.empty(m, dtype=np.int64)
     wmin = int(sample_counts.min())
     wmax = int(sample_counts.max())
     if wmax == 1:
         # Forced choice (d = 1 or singleton candidate sets): winners are
         # load-independent, so the whole window commits in one pass.
-        _forced_picks(loads, sample_nodes, sample_indptr[:-1], out, writeback, stats, m)
+        _forced_picks(loads, sample_nodes, sample_indptr[:-1], out, stats, m)
         return out
     first = _scratch(int(num_nodes))
     chunk = _chunk_size(int(num_nodes))
@@ -416,8 +412,6 @@ def commit_least_loaded_of_sample(
                 tie_uniforms[leftover], initial_loads=loads,
             )
             out[leftover] = flat_src[picks]
-    if writeback is not None:
-        writeback[:] = loads
     return out
 
 
@@ -435,10 +429,10 @@ def commit_least_loaded_scan(
     stats = _reset_stats()
     if m == 0:
         return np.empty(0, dtype=np.int64)
-    loads, writeback = _resolve_loads(num_nodes, initial_loads)
+    loads = _resolve_loads(num_nodes, initial_loads)
     out = np.empty(m, dtype=np.int64)
     if int(request_counts.max()) == 1:
-        _forced_picks(loads, cand_nodes, request_starts, out, writeback, stats, m)
+        _forced_picks(loads, cand_nodes, request_starts, out, stats, m)
         return out
     shift = np.int64(int(cand_dists.max()) + 1)
     first = _scratch(int(num_nodes))
@@ -466,8 +460,6 @@ def commit_least_loaded_scan(
                 initial_loads=loads,
             )
             out[leftover] = flat_src[picks]
-    if writeback is not None:
-        writeback[:] = loads
     return out
 
 
@@ -485,7 +477,7 @@ def commit_threshold_hybrid(
     stats = _reset_stats()
     if m == 0:
         return np.empty(0, dtype=np.int64)
-    loads, writeback = _resolve_loads(num_nodes, initial_loads)
+    loads = _resolve_loads(num_nodes, initial_loads)
     out = np.empty(m, dtype=np.int64)
     counts = np.diff(sample_indptr)
     starts0 = sample_indptr[:-1]
@@ -493,7 +485,7 @@ def commit_threshold_hybrid(
         # A single candidate wins regardless of the threshold: eligible means
         # it wins, ineligible (negative slack) keeps the initial pick — which
         # is the same candidate.
-        _forced_picks(loads, sample_nodes, starts0, out, writeback, stats, m)
+        _forced_picks(loads, sample_nodes, starts0, out, stats, m)
         return out
     first = _scratch(int(num_nodes))
     chunk = _chunk_size(int(num_nodes))
@@ -518,6 +510,4 @@ def commit_threshold_hybrid(
                 sub_iptr, threshold, tie_uniforms[leftover], initial_loads=loads,
             )
             out[leftover] = flat_src[picks]
-    if writeback is not None:
-        writeback[:] = loads
     return out

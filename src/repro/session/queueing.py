@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
-from repro.backends.registry import resolve_engine
+from repro.backends.registry import engine_operations, resolve_engine_name
 from repro.catalog.library import FileLibrary
 from repro.exceptions import ConfigurationError
 from repro.kernels.queueing import (
@@ -169,7 +169,7 @@ class QueueingSession:
         artifacts: ArtifactCache | None = None,
     ) -> None:
         validate_queueing_parameters(service_rate, radius, num_choices, candidate_weights)
-        engine_info = resolve_engine(engine, "queueing")
+        engine = resolve_engine_name(engine, "queueing")
         message = utilisation_warning(arrivals, service_rate)
         if message is not None:
             import warnings
@@ -183,8 +183,8 @@ class QueueingSession:
         self._radius = float(radius)
         self._num_choices = int(num_choices)
         self._candidate_weights = candidate_weights
-        self._engine = engine_info.name
-        self._window_fn = engine_info.commit_fns["window"]
+        self._engine = engine
+        self._window_fn = engine_operations(engine, "queueing")["window"]
         self._artifacts = artifacts if artifacts is not None else ArtifactCache()
 
         placement_seed, arrivals_seed, dispatch_seed = spawn_seeds(seed, 3)

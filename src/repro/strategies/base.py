@@ -26,7 +26,7 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (kernels import us)
     from repro.kernels.group_index import GroupStore
 
-from repro.backends.registry import resolve_engine, resolve_engine_name
+from repro.backends.registry import engine_operations, resolve_engine_name
 from repro.exceptions import StrategyError
 from repro.placement.cache import CacheState
 from repro.rng import SeedLike
@@ -196,7 +196,7 @@ class AssignmentResult:
 class AssignmentStrategy(ABC):
     """Base class of request assignment strategies.
 
-    Execution is delegated to a backend registered in
+    Execution is delegated to one of the engines of
     :mod:`repro.backends.registry` (family ``"assignment"``).  Engine specs
     (``"auto"`` or an explicit name) are resolved **once**, at
     construction or :meth:`with_engine` — the strategy then carries the
@@ -207,8 +207,8 @@ class AssignmentStrategy(ABC):
     #: Short machine-readable name (set by subclasses).
     name: str = "abstract"
 
-    #: The operation this strategy runs from an engine's ``commit_fns``
-    #: table (set by subclasses).
+    #: The operation this strategy runs from its engine's operation table,
+    #: :func:`~repro.backends.registry.engine_operations` (set by subclasses).
     _engine_op: str = ""
 
     #: Resolved execution-engine name; subclasses overwrite this in
@@ -217,7 +217,7 @@ class AssignmentStrategy(ABC):
 
     @staticmethod
     def _resolve_engine_spec(engine) -> str:
-        """Resolve an engine spec to its concrete registered name."""
+        """Resolve an engine spec to its concrete engine name."""
         return resolve_engine_name(engine, "assignment")
 
     @property
@@ -229,7 +229,7 @@ class AssignmentStrategy(ABC):
         """Return a copy of this strategy running on ``engine``.
 
         ``engine`` may be any spec :func:`~repro.backends.registry.
-        resolve_engine` accepts; it is resolved here, once.  The engine only
+        resolve_engine_name` accepts; it is resolved here, once.  The engine only
         selects the implementation; results are bit-identical between engines
         for the same seed, so swapping it never changes the simulated
         distribution.
@@ -240,7 +240,7 @@ class AssignmentStrategy(ABC):
 
     def _engine_fn(self):
         """This strategy's operation on its resolved engine."""
-        return resolve_engine(self._engine, "assignment").commit_fns[self._engine_op]
+        return engine_operations(self._engine, "assignment")[self._engine_op]
 
     @abstractmethod
     def _engine_kwargs(self) -> dict[str, object]:

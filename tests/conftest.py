@@ -14,56 +14,34 @@ from repro.topology.torus import Torus2D
 from repro.workload.generators import UniformOriginWorkload
 
 
-def _restoring_registry():
-    """Snapshot the global engine registry; restore it when resumed."""
-    registry._ensure_builtins()
-    saved = {family: dict(table) for family, table in registry._REGISTRY.items()}
-    try:
-        yield
-    finally:
-        for family, table in registry._REGISTRY.items():
-            table.clear()
-            table.update(saved[family])
-
-
-@pytest.fixture
-def scratch_registry():
-    """Engines registered during the test are gone after it."""
-    yield from _restoring_registry()
-
-
 @pytest.fixture(scope="module")
-def module_registry():
-    """Engines registered during the test module are gone after it."""
-    yield from _restoring_registry()
-
-
-@pytest.fixture(scope="module")
-def python_commit_engine(module_registry):
-    """Register ``"python-commit"`` in the assignment family for the test module.
+def python_commit_engine():
+    """Add a ``"python-commit"`` assignment engine for the test module.
 
     Its table is the kernel entry points with their default pure-Python
-    commit loops — the ``batch`` engine's fallback and the source of the
-    numba transcriptions — which no built-in engine runs on its own.  (The
-    queueing family needs no such row: its ``batch`` engine *is* the
-    pure-Python event loop.)
+    commit loops — the ``batch`` engine's fallback and the functions the
+    numba engine compiles — which no engine runs on its own.  The row is
+    patched into the engine table and its table cache, and removed when the
+    module ends.  (The queueing family needs no such row: its ``batch``
+    engine *is* the pure-Python event loop.)
     """
     from repro.kernels import engine as kernel
 
     name = "python-commit"
-    registry.register_engine(
-        name,
-        family="assignment",
-        commit_fns={
-            "two_choice": kernel.two_choice_kernel,
-            "least_loaded": kernel.least_loaded_kernel,
-            "threshold_hybrid": kernel.threshold_hybrid_kernel,
-            "random_replica": kernel.random_replica_kernel,
-            "nearest_replica": kernel.nearest_replica_kernel,
-        },
-        priority=-1,
-    )
-    return name
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(registry.ENGINES, name, "kernel entry points, pure-Python commit")
+        patch.setitem(
+            registry._TABLES,
+            (name, "assignment"),
+            {
+                "two_choice": kernel.two_choice_kernel,
+                "least_loaded": kernel.least_loaded_kernel,
+                "threshold_hybrid": kernel.threshold_hybrid_kernel,
+                "random_replica": kernel.random_replica_kernel,
+                "nearest_replica": kernel.nearest_replica_kernel,
+            },
+        )
+        yield name
 
 
 @pytest.fixture

@@ -1,13 +1,15 @@
-"""Differential tests of the numba backend's transcriptions, numba or not.
+"""Differential tests of the numba engine's operation tables, numba or not.
 
 Without numba installed the backend's ``@njit`` decorator degrades to a
-no-op, so the *logic* of the compiled loops — the commit transcriptions and
-the array-based departure heap — runs as plain Python.  These tests register
-that operation table as a low-priority scratch engine and hold it to the
-same bit-identity obligation as any other backend, so the transcriptions are
-verified on every environment; where numba *is* importable the same table is
-additionally exercised compiled through the regular differential suites
-(the registry lists ``numba`` there and they parametrise from it).
+no-op, so the *logic* of the compiled loops — :mod:`repro.kernels.commit`'s
+static loop functions and the transcribed array-based departure heap — runs
+as plain Python.  These tests add that engine's operation tables as a
+``"numba-loops"`` row of the engine table, built by the same loader as the
+real ``numba`` row with only the availability check bypassed, and hold it to
+the same bit-identity obligation as any other engine, so the loops are
+verified on every environment; where numba *is* importable the same tables
+are additionally exercised compiled through the regular differential suites
+(which list ``numba`` there).
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.backends.builtin import _assignment_numba_fns, _queueing_numba_fns
-from repro.backends.registry import register_engine
+from repro.backends import numba_backend, registry
 from repro.catalog.library import FileLibrary
+from repro.kernels import commit
 from repro.placement.partition import PartitionPlacement
 from repro.placement.proportional import ProportionalPlacement
 from repro.session.queueing import QueueingSession
@@ -34,23 +36,37 @@ from repro.workload.generators import UniformOriginWorkload
 ENGINE = "numba-loops"  # the numba operation tables, jitted or not
 
 
-@pytest.fixture(autouse=True)
-def numba_loops_engine(scratch_registry):
-    """Register the numba tables as a scratch engine for one test."""
-    register_engine(
-        ENGINE,
-        family="assignment",
-        commit_fns=_assignment_numba_fns,
-        priority=-10,
-        description="numba transcriptions, pure-Python when numba is absent",
-    )
-    register_engine(
-        ENGINE,
-        family="queueing",
-        commit_fns=_queueing_numba_fns,
-        priority=-10,
-        description="numba transcriptions, pure-Python when numba is absent",
-    )
+@pytest.fixture(scope="module", autouse=True)
+def numba_loops_engine():
+    """Add the numba tables as the ``"numba-loops"`` engine for this module."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(
+            registry.ENGINES,
+            ENGINE,
+            "numba tables, pure-Python when numba is absent",
+        )
+        for family in registry.FAMILIES:
+            patch.setitem(
+                registry._TABLES,
+                (ENGINE, family),
+                registry._load_operations("numba", family),
+            )
+        yield
+
+
+@pytest.mark.parametrize(
+    "core, loop",
+    [
+        ("_least_loaded_of_sample_core", commit.least_loaded_of_sample_loop),
+        ("_least_loaded_scan_core", commit.least_loaded_scan_loop),
+        ("_threshold_hybrid_core", commit.threshold_hybrid_loop),
+    ],
+)
+def test_static_loops_are_compiled_not_copied(core, loop):
+    # One definition per static rule: the numba engine compiles the kernel's
+    # own loop (a dispatcher's py_func), and without numba it *is* that loop.
+    compiled = getattr(numba_backend, core)
+    assert getattr(compiled, "py_func", compiled) is loop
 
 
 def _system(num_nodes=49, num_files=20, cache_size=3, num_requests=300):

@@ -1,28 +1,34 @@
-"""Unit tests of the engine registry (repro.backends.registry)."""
+"""Unit tests of the engine table (repro.backends.registry)."""
 
 from __future__ import annotations
 
+import importlib.util
+
 import pytest
 
+from repro.backends import registry
 from repro.backends.registry import (
+    ENGINES,
     available_engines,
-    register_engine,
-    registered_engines,
-    resolve_engine,
+    engine_operations,
+    engines_payload,
     resolve_engine_name,
 )
 from repro.exceptions import StrategyError, UnknownEngineError
+from repro.kernels import batch_commit
 from repro.kernels.queueing import commit_window
 
 
 class TestBuiltins:
     def test_builtin_engines_registered_for_both_families(self):
+        # numba is listed even when not importable.
+        assert list(ENGINES) == ["numba", "batch", "reference"]
         for family in ("assignment", "queueing"):
-            names = [engine.name for engine in registered_engines(family)]
-            # numba is listed even when not importable.
-            assert names == ["numba", "batch", "reference"]
+            rows = engines_payload(family)
+            assert [row["name"] for row in rows] == ["numba", "batch", "reference"]
+            assert [row["auto_order"] for row in rows] == [1, 2, 3]
 
-    def test_available_engines_order_is_priority_descending(self):
+    def test_available_engines_order_is_auto_order(self):
         names = available_engines("assignment")
         assert names.index("batch") < names.index("reference")
 
@@ -36,8 +42,8 @@ class TestBuiltins:
         for family in ("assignment", "queueing"):
             assert ("numba" in available_engines(family)) == importable
 
-    def test_commit_fns_expose_the_expected_operations(self):
-        assignment = resolve_engine("batch", "assignment").commit_fns
+    def test_operations_expose_the_expected_names(self):
+        assignment = engine_operations("batch", "assignment")
         assert set(assignment) == {
             "two_choice",
             "least_loaded",
@@ -45,10 +51,44 @@ class TestBuiltins:
             "random_replica",
             "nearest_replica",
         }
-        queueing = resolve_engine("batch", "queueing").commit_fns
+        queueing = engine_operations("batch", "queueing")
         assert set(queueing) == {"window"}
         # The queueing batch engine runs the plain event loop.
         assert queueing["window"].keywords["commit"] is commit_window
+
+    def test_operation_tables_are_built_once(self):
+        for family in ("assignment", "queueing"):
+            assert engine_operations("reference", family) is engine_operations(
+                "reference", family
+            )
+
+    def test_batch_table_binds_commit_functions_when_built(self, monkeypatch):
+        # A wrapper installed on batch_commit before the table is built (as the
+        # benchmark tracer installs one) must be the function the table calls.
+        def wrapped(*args, **kwargs):  # pragma: no cover - never called
+            raise AssertionError
+
+        monkeypatch.setattr(batch_commit, "commit_least_loaded_of_sample", wrapped)
+        monkeypatch.setattr(batch_commit, "commit_window", wrapped)
+        monkeypatch.setattr(registry, "_TABLES", {})
+        assert engine_operations("batch", "assignment")["two_choice"].keywords[
+            "commit"
+        ] is wrapped
+        assert engine_operations("batch", "queueing")["window"].keywords[
+            "commit"
+        ] is wrapped
+
+    def test_auto_resolution_does_not_probe_imports(self, monkeypatch):
+        # numba's availability is probed once, at import: resolving "auto"
+        # must not search the import path again.
+        def probe(name, package=None):  # pragma: no cover - must not be called
+            raise AssertionError(f"find_spec({name!r}) called")
+
+        monkeypatch.setattr(importlib.util, "find_spec", probe)
+        assert resolve_engine_name("auto", "assignment") == available_engines(
+            "assignment"
+        )[0]
+        assert engines_payload()
 
 
 class TestResolution:
@@ -66,80 +106,33 @@ class TestResolution:
         "spec",
         ["warp", "kernel", "sharded", "sharded:2:stale", "batch:8", "warp:4"],
     )
-    def test_unknown_name_lists_registered_engines(self, spec, family):
+    def test_unknown_name_lists_the_engines(self, spec, family):
         with pytest.raises(UnknownEngineError, match="unknown") as excinfo:
-            resolve_engine(spec, family)
+            resolve_engine_name(spec, family)
         message = str(excinfo.value)
         assert all(name in message for name in ("numba", "batch", "reference"))
 
     def test_unknown_engine_error_is_a_strategy_error(self):
-        # Pre-registry callers catch StrategyError; the subclassing keeps them
-        # working across every surface.
+        # Callers catching StrategyError keep working across every surface.
         with pytest.raises(StrategyError):
-            resolve_engine("warp", "queueing")
+            resolve_engine_name("warp", "queueing")
 
     def test_unknown_family_rejected(self):
         with pytest.raises(UnknownEngineError, match="family"):
-            resolve_engine("batch", "graphs")
+            resolve_engine_name("batch", "graphs")
+        with pytest.raises(UnknownEngineError, match="family"):
+            engines_payload("graphs")
 
     def test_non_string_spec_rejected(self):
         with pytest.raises(UnknownEngineError):
-            resolve_engine(42, "assignment")
+            resolve_engine_name(42, "assignment")
 
-
-class TestRegistration:
-    def test_registering_and_resolving_a_custom_engine(self, scratch_registry):
-        calls = []
-
-        def loader():
-            calls.append("loaded")
-            return {"window": lambda *a, **k: None}
-
-        register_engine(
-            "custom",
-            family="queueing",
-            commit_fns=loader,
-            priority=-5,
-            description="test backend",
-        )
-        engine = resolve_engine("custom", "queueing")
-        assert engine.available
-        assert not calls  # registration and resolution never load the fns
-        assert "window" in engine.commit_fns
-        assert calls == ["loaded"]
-        # Low priority keeps "auto" pointed at the builtin engines.
-        assert resolve_engine_name("auto", "queueing") != "custom"
-
-    def test_unavailable_requirement_reported_and_skipped(self, scratch_registry):
-        register_engine(
-            "ghost",
-            family="assignment",
-            commit_fns={},
-            requires=("definitely_not_a_module",),
-            priority=99,
-        )
-        # Highest priority, but unavailable: "auto" skips it...
-        assert resolve_engine_name("auto", "assignment") != "ghost"
-        assert "ghost" not in available_engines("assignment")
-        # ...and explicit selection explains why.
-        with pytest.raises(UnknownEngineError, match="definitely_not_a_module"):
-            resolve_engine("ghost", "assignment")
-
-    def test_reserved_and_invalid_names_rejected(self):
-        with pytest.raises(UnknownEngineError):
-            register_engine("auto", family="assignment", commit_fns={})
-        with pytest.raises(UnknownEngineError):
-            register_engine("", family="assignment", commit_fns={})
-
-    def test_custom_engine_usable_by_strategies(self, scratch_registry):
-        # A backend registered under the assignment family is immediately
-        # selectable by every strategy surface: alias the batch table.
-        batch_fns = dict(resolve_engine("batch", "assignment").commit_fns)
-        register_engine(
-            "batch-alias", family="assignment", commit_fns=batch_fns, priority=-1
-        )
-        from repro.strategies.proximity_two_choice import ProximityTwoChoiceStrategy
-
-        strategy = ProximityTwoChoiceStrategy(radius=2, engine="batch-alias")
-        assert strategy.engine == "batch-alias"
-
+    @pytest.mark.skipif(
+        importlib.util.find_spec("numba") is not None, reason="numba is importable"
+    )
+    def test_unavailable_engine_rejected_with_reason(self):
+        for family in ("assignment", "queueing"):
+            with pytest.raises(UnknownEngineError, match="numba: not importable"):
+                resolve_engine_name("numba", family)
+            with pytest.raises(UnknownEngineError, match="not available"):
+                engine_operations("numba", family)

@@ -260,8 +260,8 @@ class TestEnginesCommand:
         out = capsys.readouterr().out
         assert "assignment engines" in out
         assert "queueing engines" in out
-        # Exactly the three builtin engines per family, under a header row;
-        # numba is registered either way.
+        # Exactly the three engines per family, under a header row; numba is
+        # listed either way.
         first_cells = [
             line.split("|")[0].strip() for line in out.splitlines() if "|" in line
         ]
@@ -271,8 +271,9 @@ class TestEnginesCommand:
             import numba  # noqa: F401
         except ImportError:
             assert "numba: not importable" in out
-        # Auto resolution order is inspectable: the priority column.
-        assert "priority" in out
+        # Auto resolution order is inspectable: the auto order column.
+        assert "auto order" in out
+        assert "priority" not in out
 
     def test_json_mode_is_machine_readable(self, capsys):
         import json
@@ -295,7 +296,6 @@ class TestEnginesCommand:
                 "name",
                 "available",
                 "skip_reason",
-                "priority",
                 "auto_order",
                 "description",
             }

@@ -14,16 +14,17 @@ Three layers of guarantees:
 * **the repair-round structure** — with the progress fallback disabled, the
   number of repair rounds on disjoint contention groups is exactly (and in
   general at most) the longest per-node collision chain;
-* **the registry surface** — ``batch`` is a first-class engine for both
-  families, ranked between ``reference`` and ``numba``, and ``repro
+* **the engine-table surface** — ``batch`` is an engine of both families,
+  between ``numba`` and ``reference`` in ``"auto"`` order, and ``repro
   engines`` lists it in text and JSON mode.
 
 The cross-engine differential suites (``tests/test_kernels_differential.py``,
 ``tests/test_kernels_queueing_differential.py``) parametrise over the
-registry and therefore already hold ``batch`` to reference equality on every
-strategy and topology; this file adds the adversarial and structural cases
-those suites cannot express.  ``tests/test_backends_registry.py`` pins that
-the queueing ``batch`` table commits through that event loop.
+available engines and therefore already hold ``batch`` to reference
+equality on every strategy and topology; this file adds the adversarial and
+structural cases those suites cannot express.
+``tests/test_backends_registry.py`` pins that the queueing ``batch`` table
+commits through that event loop.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backends.registry import engines_payload, resolve_engine
+from repro.backends.registry import engines_payload, resolve_engine_name
 from repro.cli import main
 from repro.kernels import batch_commit as bc
 from repro.kernels import commit as scalar
@@ -436,13 +437,14 @@ class TestQueueingWindow:
         _assert_window_identical(_fresh_state(4), _fresh_state(4), case)
 
 
-# -------------------------------------------------------------- registry/CLI
+# ---------------------------------------------------------- engine table/CLI
 class TestEngineRegistration:
     @pytest.mark.parametrize("family", ["assignment", "queueing"])
-    def test_registered_with_priority_between_reference_and_numba(self, family):
-        assert resolve_engine("batch", family).available
+    def test_auto_order_between_numba_and_reference(self, family):
+        assert resolve_engine_name("batch", family) == "batch"
         payload = {e["name"]: e for e in engines_payload(family)}
-        assert payload["reference"]["priority"] < payload["batch"]["priority"] < payload["numba"]["priority"]
+        assert payload["batch"]["available"] is True
+        assert payload["numba"]["auto_order"] < payload["batch"]["auto_order"] < payload["reference"]["auto_order"]
 
     def test_cli_engines_lists_batch(self, capsys):
         assert main(["engines"]) == 0
@@ -455,4 +457,4 @@ class TestEngineRegistration:
         for family in ("assignment", "queueing"):
             row = rows[(family, "batch")]
             assert row["available"] is True
-            assert row["priority"] == 15
+            assert row["auto_order"] == 2

@@ -1,16 +1,15 @@
-"""Differential tests: every registered engine must be bit-identical to reference.
+"""Differential tests: every engine must be bit-identical to reference.
 
-All engines registered for the ``assignment`` family implement the same
-RNG-stream contract (see ``repro/kernels/__init__.py``), so for any seed they
-must produce element-wise identical servers, distances and fallback masks —
+All engines of the ``assignment`` family implement the same RNG-stream
+contract (see ``repro/kernels/__init__.py``), so for any seed they must
+produce element-wise identical servers, distances and fallback masks —
 across every topology, fallback policy and number of choices.  The engine
-list is parametrised from the backend registry
-(:mod:`repro.backends.registry`), so a newly registered backend (e.g.
-``numba`` where importable) is automatically held to the same guarantee.
+list is every available engine of the engine table
+(:mod:`repro.backends.registry`), ``numba`` included where importable.
 A test-local ``python-commit`` row adds the batched entry points of
 :mod:`repro.kernels.engine` with their default pure-Python ``commit=`` loop,
-which is the ``batch`` engine's fallback and the source of the numba
-transcriptions.  These tests are the enforcement of that guarantee; when
+which is the ``batch`` engine's fallback and runs the loop functions the
+numba engine compiles.  These tests are the enforcement of that guarantee; when
 they fail, the reference engine is authoritative.
 """
 
@@ -19,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.backends.registry import registered_engines
+from repro.backends.registry import available_engines
 from repro.catalog.library import FileLibrary
 from repro.exceptions import NoReplicaError, StrategyError
 from repro.placement.cache import CacheState
@@ -41,13 +40,14 @@ from repro.workload.generators import UniformOriginWorkload
 TOPOLOGIES = [Torus2D(49), Grid2D(49), Ring(40), CompleteTopology(30)]
 
 #: The kernel entry points with their default pure-Python commit loop,
-#: registered for this module by conftest's ``python_commit_engine``.
+#: added to the engine table for this module by conftest's
+#: ``python_commit_engine``.
 PYTHON_COMMIT = "python-commit"
 
-#: Engine list from the registry: every available engine (numba included
+#: Engine list from the engine table: every available engine (numba included
 #: where importable), plus the pure-Python commit row, is compared against
 #: the authoritative reference.
-ENGINES = [e.name for e in registered_engines("assignment") if e.available]
+ENGINES = list(available_engines("assignment"))
 ENGINES.append(PYTHON_COMMIT)
 NON_REFERENCE_ENGINES = [name for name in ENGINES if name != "reference"]
 

@@ -1,12 +1,11 @@
 """Differential tests: every queueing engine must be bit-identical to reference.
 
-All engines registered for the ``queueing`` family implement the same
-three-stream RNG contract (see ``repro/kernels/queueing.py``), so for any
+All engines of the ``queueing`` family implement the same three-stream RNG
+contract (see ``repro/kernels/queueing.py``), so for any
 ``(topology, radius, d, mu, seed)`` they must produce an *exactly* equal
 :class:`~repro.simulation.queueing.QueueingResult` — every float field bit
-for bit, not approximately.  The engine list is parametrised from the backend
-registry, so a newly registered backend (e.g. ``numba`` where importable) is
-automatically held to the same guarantee.  The ``batch`` row runs the
+for bit, not approximately.  The engine list is every available engine of
+the engine table, ``numba`` included where importable.  The ``batch`` row runs the
 pure-Python event loop :func:`~repro.kernels.queueing.commit_window`, the
 source of the numba transcription.  When engines disagree, the reference
 engine is authoritative.
@@ -17,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.backends.registry import registered_engines
+from repro.backends.registry import available_engines
 from repro.catalog.library import FileLibrary
 from repro.catalog.popularity import create_popularity
 from repro.exceptions import NoReplicaError, StrategyError
@@ -33,9 +32,9 @@ from repro.workload.arrivals import PoissonArrivalProcess
 
 TOPOLOGIES = [Torus2D(64), Grid2D(49), Ring(40), CompleteTopology(30)]
 
-#: Engine list from the registry: every available engine (numba included
+#: Engine list from the engine table: every available engine (numba included
 #: where importable) is compared against the authoritative reference.
-ENGINES = [e.name for e in registered_engines("queueing") if e.available]
+ENGINES = list(available_engines("queueing"))
 NON_REFERENCE_ENGINES = [name for name in ENGINES if name != "reference"]
 
 
