@@ -37,10 +37,12 @@ bench-queueing:
 # window-partition suite (on "auto" — numba where importable — and on
 # reference), the precompute suite, the numba-loops fallback suite (the
 # numba engine's tables run as plain Python), the batch-commit
-# adversarial/property suite and the engine-table unit tests.
+# adversarial/property suite, the engine-table unit tests and the journal
+# suite (recovery replays each checkpoint segment in one call; its static
+# sessions run on "auto", so on numba where importable).
 # The CI numba job runs exactly this plus its bench gates.
 test-differential:
-	$(PYTHON) -m pytest tests/test_kernels_differential.py tests/test_kernels_queueing_differential.py tests/test_session_stream.py tests/test_kernels_precompute_differential.py tests/test_backends_numba_fallback.py tests/test_backends_registry.py tests/test_kernels_batch_commit.py -q
+	$(PYTHON) -m pytest tests/test_kernels_differential.py tests/test_kernels_queueing_differential.py tests/test_session_stream.py tests/test_kernels_precompute_differential.py tests/test_backends_numba_fallback.py tests/test_backends_registry.py tests/test_kernels_batch_commit.py tests/test_service_journal.py -q
 
 # Cross-engine comparison over every available engine of the fixed engine
 # table (reference, batch, and numba where importable) on both stacks at

@@ -3,8 +3,9 @@
 How long does a restart actually take?  A journal holding ``n = 4096``
 committed requests (the PR 6/7 benchmark scale) is written the way the
 server writes it — micro-batches plus periodic checkpoints — then recovered
-with :func:`repro.service.journal.recover_session`, which replays every
-batch through a fresh session and verifies every checkpoint fingerprint.
+with :func:`repro.service.journal.recover_session`, which replays the
+journaled requests through a fresh session, one ``dispatch_batch`` call per
+checkpoint segment, and verifies every checkpoint fingerprint.
 The artifact ``.benchmarks/timings/recovery.txt`` records the replay rate
 (req/s) and the end-to-end recovery wall-clock next to the standard host
 header; ``REPRO_BENCH_RECOVERY_FLOOR`` (req/s, default 2000) guards the

@@ -15,8 +15,8 @@ factors that work out of the per-request loop:
    membership bitset says cache the file, sorted by node id, each at its
    column's distance — ``|B_r|`` lookups instead of one distance per replica;
 3. every other group — other topologies, unconstrained or wrapping radii,
-   libraries wider than ``64 M`` files (where the ``n K / 8``-byte bitset
-   would outgrow the slot array), files with at most ``|B_r|`` replicas, and
+   libraries wider than ``64 M`` files (where the ``n ceil(K / 8)``-byte
+   bitset would outgrow the slot array), files with at most ``|B_r|`` replicas, and
    ball groups with no in-ball replica — takes one flat replica scan: the
    ``(group, replica)`` pairs of all these groups, expanded from the cache's
    file→nodes CSR in group-aligned chunks, one element-wise
@@ -459,8 +459,8 @@ def _build_rows_csr(
     piece_nodes: list[IntArray] = []
     piece_dists: list[IntArray] = []
     ball = None
-    # The membership bitset costs n * K / 8 bytes; the ball route builds it
-    # only while that is at most the (n, M) int64 slot array, i.e. K <= 64 M.
+    # The membership bitset costs n * ceil(K / 8) bytes; the ball route builds
+    # it only while that is at most the (n, M) int64 slot array, i.e. K <= 64 M.
     if not unconstrained and cache.num_files <= 64 * cache.cache_size:
         # No origins yet: this only asks whether B_r has a dense form, and
         # its size.

@@ -29,6 +29,10 @@ __all__ = ["CacheState"]
 #: ``_BIT[i]`` selects bit ``i`` of a byte (little bit order, as packed below).
 _BIT = (1 << np.arange(8)).astype(np.uint8)
 
+#: Dense boolean cells per chunk of the membership build (8,192 rows at
+#: K = 256), which bounds its scratch memory at 2 MB whatever ``n``.
+_BITSET_CELLS = 1 << 21
+
 
 class CacheState:
     """Immutable snapshot of which server caches which files.
@@ -200,18 +204,27 @@ class CacheState:
     def contains_many(self, nodes: IntArray, file_ids: IntArray) -> np.ndarray:
         """Vectorised :meth:`contains` over broadcast ``nodes`` / ``file_ids``.
 
-        Looks each pair up in a bit-packed ``(node, file)`` membership table
-        of ``n * K / 8`` bytes, built on first use and cached.  Ids are not
-        range-checked: callers pass valid node and file ids.
+        Looks each pair up in a bit-packed ``(node, file)`` membership table,
+        built on first use and cached: each node's row takes ``ceil(K / 8)``
+        bytes, so bit ``node * 8 * ceil(K / 8) + file`` is the pair's.  Ids
+        are not range-checked: callers pass valid node and file ids.
         """
+        row_bits = 8 * -(-self._num_files // 8)
         if self._membership is None:
-            rows = np.arange(self._n, dtype=np.int64) * self._num_files
-            pairs = np.repeat(rows, self._cache_size) + self._slots.reshape(-1)
-            table = np.zeros((self._n * self._num_files + 7) // 8, dtype=np.uint8)
-            np.bitwise_or.at(table, pairs >> 3, _BIT[pairs & 7])
+            table = np.empty((self._n, row_bits // 8), dtype=np.uint8)
+            step = max(1, _BITSET_CELLS // row_bits)
+            row_starts = np.arange(step, dtype=np.int64)[:, None] * row_bits
+            for start in range(0, self._n, step):
+                slots = self._slots[start : start + step]
+                dense = np.zeros((len(slots), row_bits), dtype=bool)
+                dense.reshape(-1)[(row_starts[: len(slots)] + slots).reshape(-1)] = True
+                table[start : start + step] = np.packbits(
+                    dense, axis=1, bitorder="little"
+                )
+            table = table.reshape(-1)
             table.setflags(write=False)
             self._membership = table
-        index = np.asarray(nodes, dtype=np.int64) * self._num_files + file_ids
+        index = np.asarray(nodes, dtype=np.int64) * row_bits + file_ids
         member = self._membership.take(index >> 3)
         member &= _BIT.take(index & 7)
         return member != 0

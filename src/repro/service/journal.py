@@ -17,11 +17,13 @@ replay.  This module owns that journal:
   corruption *followed by* valid records, or a gap in the commit sequence,
   raises :class:`~repro.exceptions.JournalError`.
 * :func:`recover_session` — rebuilds the live session by deterministic
-  replay of the journaled batches (same batch partitioning, same committed
-  times) and asserts every checkpoint fingerprint along the way, so a
-  recovered session is *provably* bit-identical to the crashed one up to
-  the last durable batch.  Idempotency keys are replayed into response
-  payloads so the server's dedup index survives the crash too.
+  replay of the journaled requests (same commit order, same committed
+  times), one ``dispatch_batch`` call per checkpoint segment rather than
+  one per journaled batch, and asserts every checkpoint fingerprint along
+  the way, so a recovered session is *provably* bit-identical to the
+  crashed one up to the last durable batch.  Idempotency keys are replayed
+  into response payloads so the server's dedup index survives the crash
+  too.
 
 Record format (one JSON object per line)::
 
@@ -41,6 +43,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -63,6 +66,11 @@ __all__ = [
 ]
 
 JOURNAL_VERSION = 1
+
+#: Most requests one replay call carries.  A checkpoint segment holding more
+#: replays in several calls, split on batch boundaries, so a journal written
+#: with a long checkpoint cadence never replays in one unbounded call.
+_REPLAY_REQUESTS = 1 << 16
 
 #: Durability knobs: ``always`` fsyncs after every batch (a crash loses at
 #: most unacked work), ``interval`` fsyncs at checkpoints (bounded loss,
@@ -567,6 +575,62 @@ def _unit_payloads(
     return out
 
 
+def _replay(
+    session: CacheNetworkSession | QueueingSession,
+    segment: Sequence[JournalBatch],
+) -> list[tuple[str, dict[str, Any]]]:
+    """Replay consecutive journaled batches in one ``dispatch_batch`` call.
+
+    The call counts as ``len(segment)`` windows.  An untimed queueing batch
+    arrives at the running ``served_until`` — the last time of the segment's
+    previous timed batch, or the session's clock before the call — which is
+    exactly where ``dispatch_batch(times=None)`` would have put it.  Returns
+    the keyed units' response payloads, the decisions split back per batch.
+    """
+    starts = [0, *accumulate(batch.total for batch in segment)]
+    total = starts[-1]
+    origins = np.fromiter(
+        chain.from_iterable(batch.origins for batch in segment),
+        dtype=np.int64,
+        count=total,
+    )
+    files = np.fromiter(
+        chain.from_iterable(batch.files for batch in segment),
+        dtype=np.int64,
+        count=total,
+    )
+    if isinstance(session, QueueingSession):
+        times = np.empty(total, dtype=np.float64)
+        clock = session.served_until
+        for batch, start, stop in zip(segment, starts, starts[1:]):
+            if batch.times is None:
+                times[start:stop] = clock
+            elif batch.times:
+                times[start:stop] = batch.times
+                clock = batch.times[-1]
+        servers, distances = session.dispatch_batch(
+            origins, files, times, windows=len(segment)
+        )
+        fallbacks = np.zeros(total, dtype=bool)
+    else:
+        result = session.dispatch_batch(origins, files, windows=len(segment))
+        servers = result.servers
+        distances = result.distances
+        fallbacks = result.fallback_mask
+    payloads: list[tuple[str, dict[str, Any]]] = []
+    for batch, start, stop in zip(segment, starts, starts[1:]):
+        payloads.extend(
+            _unit_payloads(
+                batch,
+                servers[start:stop],
+                distances[start:stop],
+                fallbacks[start:stop],
+                batch.times,
+            )
+        )
+    return payloads
+
+
 def recover_session(
     path,
     *,
@@ -574,15 +638,18 @@ def recover_session(
 ) -> RecoveredSession:
     """Rebuild a live session from its journal by deterministic replay.
 
-    Replays every durable batch through :meth:`dispatch_batch` with the
-    journal's own batch partitioning and committed times — the writer's
-    commit order — and asserts the session fingerprint against every
-    checkpoint record on the way.  By the windowed-serving RNG contract
-    the result is bit-identical to the crashed server's session after its
-    last durable batch; a fingerprint mismatch (a tampered or mismatched
-    journal, a different code version) raises
-    :class:`~repro.exceptions.JournalError` instead of serving wrong
-    decisions silently.
+    Replays every durable request through :meth:`dispatch_batch` in the
+    writer's commit order with its committed times, and asserts the session
+    fingerprint against every checkpoint record at the seq it was written.
+    The batches between two checkpoints (and after the last one) replay in
+    one call, or in several of at most ``_REPLAY_REQUESTS`` requests each
+    (a single larger batch gets a call of its own); the calls count one
+    window per journaled batch.  By the windowed-serving RNG contract any
+    partition of the commit stream gives the same decisions, so the result
+    is bit-identical to the crashed server's session after its last durable
+    batch; a fingerprint mismatch (a tampered or mismatched journal, a
+    different code version) raises :class:`~repro.exceptions.JournalError`
+    instead of serving wrong decisions silently.
     """
     contents = read_journal(path)
     kind = str(contents.header.get("kind", ""))
@@ -601,31 +668,23 @@ def recover_session(
     requests = 0
     verified = 0
     virtual_time = 0.0
+    segment: list[JournalBatch] = []
+    pending = 0  # requests in ``segment``
     for record in contents.records:
         if isinstance(record, JournalBatch):
-            origins = np.asarray(record.origins, dtype=np.int64)
-            files = np.asarray(record.files, dtype=np.int64)
-            if isinstance(session, QueueingSession):
-                times = (
-                    np.asarray(record.times, dtype=np.float64)
-                    if record.times is not None
-                    else None
-                )
-                servers, distances = session.dispatch_batch(origins, files, times)
-                fallbacks = np.zeros(origins.size, dtype=bool)
-            else:
-                result = session.dispatch_batch(origins, files)
-                servers = result.servers
-                distances = result.distances
-                fallbacks = result.fallback_mask
-            idempotency.extend(
-                _unit_payloads(record, servers, distances, fallbacks, record.times)
-            )
-            if record.times is not None and len(record.times):
+            if segment and pending + record.total > _REPLAY_REQUESTS:
+                idempotency.extend(_replay(session, segment))
+                segment, pending = [], 0
+            segment.append(record)
+            pending += record.total
+            if record.times:
                 virtual_time = float(record.times[-1])
             batches += 1
             requests += record.total
         else:
+            if segment:
+                idempotency.extend(_replay(session, segment))
+                segment, pending = [], 0
             digest = session.state_digest()
             if digest != record.digest:
                 raise JournalError(
@@ -636,6 +695,8 @@ def recover_session(
                 )
             verified += 1
             virtual_time = max(virtual_time, record.virtual_time)
+    if segment:
+        idempotency.extend(_replay(session, segment))
     if isinstance(session, QueueingSession):
         virtual_time = max(virtual_time, float(session.served_until))
     return RecoveredSession(

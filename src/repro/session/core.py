@@ -485,7 +485,7 @@ class CacheNetworkSession:
             elapsed_seconds=timer.elapsed,
         )
 
-    def dispatch_batch(self, origins, files) -> AssignmentResult:
+    def dispatch_batch(self, origins, files, *, windows: int = 1) -> AssignmentResult:
         """Assign one externally-supplied micro-batch of requests.
 
         The synchronous entry point the dispatch service's writer task
@@ -499,16 +499,25 @@ class CacheNetworkSession:
         sequence into successive calls is bit-identical (the windowed-serving
         RNG contract).
 
+        ``windows`` is the number of micro-batches this call stands for
+        (at least 1): journal recovery replays several journaled batches in
+        one call and counts each of them, so :attr:`num_windows` and
+        :meth:`state_digest` match the session that served them one by one.
+
         Returns this batch's :class:`~repro.strategies.base.AssignmentResult`
         (chosen server and hop distance per request, request order).
         """
+        if windows < 1:
+            raise ConfigurationError(f"windows must be >= 1, got {windows}")
         requests = RequestBatch(
             origins=np.asarray(origins, dtype=np.int64),
             files=np.asarray(files, dtype=np.int64),
             num_nodes=self._topology.n,
             num_files=self._library.num_files,
         )
-        return self.serve(requests, resolve_uncached=False).assignment
+        result = self.serve(requests, resolve_uncached=False).assignment
+        self._windows += windows - 1  # serve() counted one of them
+        return result
 
     def serve_stream(
         self, windows: Iterable[RequestBatch], *, resolve_uncached: bool = True

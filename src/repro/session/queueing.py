@@ -347,6 +347,8 @@ class QueueingSession:
         origins,
         files,
         times=None,
+        *,
+        windows: int = 1,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Dispatch one externally-supplied micro-batch of arrivals.
 
@@ -362,9 +364,16 @@ class QueueingSession:
         same timed sequence into successive calls yields bit-identical
         decisions.
 
+        ``windows`` is the number of micro-batches this call stands for
+        (at least 1): journal recovery replays several journaled batches in
+        one call and counts each of them, so :attr:`num_windows` matches the
+        session that served them one by one.
+
         Returns the per-arrival dispatch decisions ``(servers, hops)``,
         both ``int64`` in arrival order.
         """
+        if windows < 1:
+            raise ConfigurationError(f"windows must be >= 1, got {windows}")
         requests = RequestBatch(
             origins=np.asarray(origins, dtype=np.int64),
             files=np.asarray(files, dtype=np.int64),
@@ -406,7 +415,7 @@ class QueueingSession:
             node_weights=self._node_weights,
         )
         self._served_until = window_end
-        self._windows += 1
+        self._windows += windows
         return decisions
 
     def serve_windows(

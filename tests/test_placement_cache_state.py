@@ -259,11 +259,17 @@ class TestContainsMany:
             [[True, True, False, False], [True, True, False, False]],
         )
 
-    def test_random_states_match_membership_matrix(self):
+    @pytest.mark.parametrize("cells", [None, 64], ids=["one-chunk", "chunked"])
+    @pytest.mark.parametrize("num_files", [1, 5, 8, 13, 500])
+    def test_random_states_match_membership_matrix(self, monkeypatch, num_files, cells):
+        # Rows pad to whole bytes when K is not a multiple of 8; a small
+        # chunk budget builds the table over several row chunks.
+        if cells is not None:
+            monkeypatch.setattr("repro.placement.cache._BITSET_CELLS", cells)
         rng = np.random.default_rng(4)
-        slots = rng.integers(0, 13, size=(37, 5))  # n * K not a multiple of 8
-        state = CacheState(slots, 13)
-        nodes, files = np.meshgrid(np.arange(37), np.arange(13), indexing="ij")
+        slots = rng.integers(0, num_files, size=(37, 5))
+        state = CacheState(slots, num_files)
+        nodes, files = np.meshgrid(np.arange(37), np.arange(num_files), indexing="ij")
         np.testing.assert_array_equal(
             state.contains_many(nodes, files), state.node_membership_matrix()
         )

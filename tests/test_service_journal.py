@@ -1,26 +1,33 @@
 """The write-ahead dispatch journal and deterministic crash recovery.
 
 The recovery contract is an *equality* claim: replaying the journaled
-commit stream through a fresh session (same seed, same batch partitioning,
-same committed times) reconstructs the crashed server's session bit for
-bit, witnessed by the :meth:`state_digest` fingerprints recorded at every
-checkpoint.  These tests exercise the journal file format (torn tails,
+commit stream through a fresh session (same seed, same commit order, same
+committed times) reconstructs the crashed server's session bit for bit,
+witnessed by the :meth:`state_digest` fingerprints recorded at every
+checkpoint.  Recovery replays each checkpoint segment in one
+``dispatch_batch`` call, not one call per journaled batch; by the
+windowed-serving contract any partition of the commit stream gives the same
+decisions, and the differential tests below hold it to a plain per-batch
+replay.  These tests exercise the journal file format (torn tails,
 corruption, sequence gaps), the replay itself, and the digest that anchors
 it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from repro.exceptions import JournalError, UnknownEngineError
+from repro.exceptions import ConfigurationError, JournalError, UnknownEngineError
+from repro.service import journal as journal_module
 from repro.service.journal import (
     DispatchJournal,
     JournalBatch,
     JournalCheckpoint,
+    _unit_payloads,
     build_session_from_spec,
     read_journal,
     recover_session,
@@ -99,6 +106,95 @@ def simulate_serving(path, kind, num_batches=6, batch_size=5, *, keys=False, **j
                 )
             seq += batch_size
     return session, seq
+
+
+def serve_sizes(path, kind, sizes, *, checkpoint_every=None, seed=0):
+    """Journal batches of the given ``sizes`` with keyed and unkeyed units.
+
+    Like :func:`simulate_serving`, but each batch is split into random
+    units, about half of them keyed, and about a third of the queueing
+    batches are untimed (they arrive at the session's ``served_until``).
+    ``checkpoint_every=None`` writes no checkpoint at all.  Returns the
+    writer's session.
+    """
+    spec = SPECS[kind]
+    session = build_session_from_spec(spec)
+    rng = np.random.default_rng(seed)
+    cadence = len(sizes) + 1 if checkpoint_every is None else checkpoint_every
+    seq = 0
+    virtual_time = 0.0
+    with DispatchJournal.create(
+        path, kind=kind, spec=spec, seed=spec["seed"], checkpoint_every=cadence
+    ) as journal:
+        for size in sizes:
+            origins = rng.integers(0, spec["nodes"], size=size)
+            files = rng.integers(0, spec["files"], size=size)
+            times = None
+            if kind == "queueing":
+                if rng.random() >= 1 / 3:
+                    gaps = rng.exponential(0.002, size=size)
+                    gaps[rng.random(size) < 0.2] = 0.0  # simultaneous arrivals
+                    times = session.served_until + np.cumsum(gaps)
+                session.dispatch_batch(origins, files, times)
+                virtual_time = float(session.served_until)
+            else:
+                session.dispatch_batch(origins, files)
+            edges = [0, size] if size else [0]
+            if size > 1:
+                cuts = rng.choice(np.arange(1, size), size=min(size - 1, 3), replace=False)
+                edges[1:1] = sorted(cuts.tolist())
+            units = [
+                (stop - start, f"k{seq + start}" if rng.random() < 0.5 else None)
+                for start, stop in zip(edges, edges[1:])
+            ]
+            journal.append_batch(seq, origins, files, times, units)
+            seq += size
+            if journal.checkpoint_due:
+                journal.append_checkpoint(seq, session.state_digest(), virtual_time)
+    return session
+
+
+def replay_per_batch(path):
+    """The replay recovery must match: one ``dispatch_batch`` per batch."""
+    contents = read_journal(path)
+    session = build_session_from_spec(contents.header["spec"])
+    payloads, verified = [], 0
+    for record in contents.records:
+        if isinstance(record, JournalCheckpoint):
+            assert session.state_digest() == record.digest
+            verified += 1
+            continue
+        origins = np.asarray(record.origins, dtype=np.int64)
+        files = np.asarray(record.files, dtype=np.int64)
+        if contents.header["kind"] == "queueing":
+            times = None if record.times is None else np.asarray(record.times)
+            servers, distances = session.dispatch_batch(origins, files, times)
+            fallbacks = np.zeros(origins.size, dtype=bool)
+        else:
+            result = session.dispatch_batch(origins, files)
+            servers, distances, fallbacks = (
+                result.servers, result.distances, result.fallback_mask
+            )
+        payloads.extend(_unit_payloads(record, servers, distances, fallbacks, record.times))
+    return session, payloads, verified
+
+
+def snapshot_fields(session):
+    snapshot = session.snapshot()
+    return snapshot if isinstance(snapshot, dict) else dataclasses.asdict(snapshot)
+
+
+def count_calls(monkeypatch, session):
+    """Record ``(requests, windows)`` of every ``dispatch_batch`` call."""
+    calls = []
+    original = session.dispatch_batch
+
+    def spy(origins, files, *args, **kwargs):
+        calls.append((len(origins), kwargs.get("windows", 1)))
+        return original(origins, files, *args, **kwargs)
+
+    monkeypatch.setattr(session, "dispatch_batch", spy)
+    return calls
 
 
 class TestJournalFile:
@@ -317,3 +413,90 @@ class TestRecovery:
         recovered = recover_session(path)
         assert recovered.next_seq == total
         assert recovered.session.state_digest() == crashed.state_digest()
+
+
+def mixed_sizes(seed, count=40):
+    """Batch sizes mixing empty, single-request and random batches."""
+    rng = np.random.default_rng(seed)
+    return [int(size) for size in rng.choice([0, 1, *rng.integers(2, 13, size=4)], size=count)]
+
+
+class TestSegmentReplay:
+    """Recovery replays one call per checkpoint segment, bit-identically."""
+
+    @pytest.mark.parametrize("cap", [None, 7], ids=["cap-default", "cap-7"])
+    @pytest.mark.parametrize("cadence", [1, 3, 16, None], ids=lambda c: f"every-{c}")
+    @pytest.mark.parametrize("kind", ["queueing", "assignment"])
+    def test_matches_per_batch_replay(self, tmp_path, monkeypatch, kind, cadence, cap):
+        if cap is not None:
+            monkeypatch.setattr(journal_module, "_REPLAY_REQUESTS", cap)
+        path = tmp_path / "wal"
+        sizes = mixed_sizes(len(kind) + (cadence or 0))
+        crashed = serve_sizes(path, kind, sizes, checkpoint_every=cadence, seed=3)
+        looped, payloads, verified = replay_per_batch(path)
+        recovered = recover_session(path)
+
+        assert recovered.session.state_digest() == looped.state_digest()
+        assert recovered.session.state_digest() == crashed.state_digest()
+        assert recovered.session.num_windows == looped.num_windows == len(sizes)
+        np.testing.assert_equal(snapshot_fields(recovered.session), snapshot_fields(looped))
+        assert recovered.next_seq == sum(sizes)
+        assert recovered.batches == len(sizes) and recovered.requests == sum(sizes)
+        assert recovered.checkpoints_verified == verified
+        assert verified == (0 if cadence is None else len(sizes) // cadence)
+        assert recovered.idempotency == payloads
+        assert payloads, "the journal should hold keyed units"
+
+    @pytest.mark.parametrize("kind", ["queueing", "assignment"])
+    def test_one_call_per_checkpoint_segment(self, tmp_path, monkeypatch, kind):
+        path = tmp_path / "wal"
+        crashed, total = simulate_serving(path, kind, num_batches=14, checkpoint_every=4)
+        session = build_session_from_spec(SPECS[kind])
+        calls = count_calls(monkeypatch, session)
+        recovered = recover_session(path, session=session)
+        # Checkpoints after batches 4, 8 and 12, then a tail of 2 batches.
+        assert recovered.checkpoints_verified == 3
+        assert calls == [(20, 4), (20, 4), (20, 4), (10, 2)]
+        assert recovered.next_seq == total
+        assert recovered.session.num_windows == 14
+        assert recovered.session.state_digest() == crashed.state_digest()
+
+    @pytest.mark.parametrize("kind", ["queueing", "assignment"])
+    def test_long_segment_split_at_the_cap(self, tmp_path, monkeypatch, kind):
+        cap = 8
+        monkeypatch.setattr(journal_module, "_REPLAY_REQUESTS", cap)
+        path = tmp_path / "wal"
+        crashed, total = simulate_serving(
+            path, kind, num_batches=15, batch_size=2, checkpoint_every=16
+        )
+        assert not read_journal(path).checkpoints
+        session = build_session_from_spec(SPECS[kind])
+        calls = count_calls(monkeypatch, session)
+        recovered = recover_session(path, session=session)
+        assert len(calls) == -(-total // cap) == 4
+        assert all(requests <= cap for requests, _ in calls)
+        assert sum(windows for _, windows in calls) == 15
+        assert recovered.session.num_windows == 15
+        assert recovered.session.state_digest() == crashed.state_digest()
+
+    @pytest.mark.parametrize("kind", ["queueing", "assignment"])
+    def test_batch_above_the_cap_replays_alone(self, tmp_path, monkeypatch, kind):
+        monkeypatch.setattr(journal_module, "_REPLAY_REQUESTS", 8)
+        path = tmp_path / "wal"
+        crashed = serve_sizes(path, kind, [3, 20, 3, 3])
+        session = build_session_from_spec(SPECS[kind])
+        calls = count_calls(monkeypatch, session)
+        recovered = recover_session(path, session=session)
+        assert calls == [(3, 1), (20, 1), (6, 2)]
+        assert recovered.session.state_digest() == crashed.state_digest()
+
+    @pytest.mark.parametrize("windows", [0, -1, -5])
+    @pytest.mark.parametrize("kind", ["queueing", "assignment"])
+    def test_windows_below_one_rejected(self, kind, windows):
+        session = build_session_from_spec(SPECS[kind])
+        session.dispatch_batch([0, 1], [0, 1])
+        before = session.state_digest()
+        with pytest.raises(ConfigurationError, match="windows"):
+            session.dispatch_batch([2, 3], [2, 3], windows=windows)
+        assert session.state_digest() == before
+        assert session.num_windows == 1
