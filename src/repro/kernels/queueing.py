@@ -326,7 +326,7 @@ def queueing_kernel_window(
     store: GroupStore | None = None,
     node_weights: np.ndarray | None = None,
     commit=commit_window,
-) -> tuple[IntArray, IntArray]:
+) -> tuple[IntArray, IntArray, np.ndarray]:
     """Serve one time window ``[state's cursor, window_end)`` batched.
 
     ``requests``/``times`` hold the window's arrivals in time order;
@@ -338,15 +338,17 @@ def queueing_kernel_window(
     sharing all of this precompute.  Updates ``state`` in place and finally
     drains every departure due by ``window_end``.
 
-    Returns the per-arrival dispatch decisions ``(servers, hops)`` (both
-    ``int64``, arrival order) so callers such as the dispatch service can
-    report which cache served each request; window-level consumers are free
-    to ignore them.
+    Returns the per-arrival decisions ``(servers, hops, fallbacks)`` in
+    arrival order: chosen server and hop distance (``int64``), and whether
+    the ball ``B_r(origin)`` held no replica (``bool``, the arrival's
+    ``GroupIndex.fallback`` flag), so callers such as the dispatch service
+    can report them; window-level consumers are free to ignore them.
     """
     m = requests.num_requests
     rng_sample, rng_tie, rng_service = streams
     servers = np.empty(0, dtype=np.int64)
     hops = np.empty(0, dtype=np.int64)
+    fallbacks = np.empty(0, dtype=bool)
     if m:
         unconstrained = bool(np.isinf(radius) or radius >= topology.diameter)
         index = build_group_index(
@@ -392,8 +394,9 @@ def queueing_kernel_window(
                 np.int64
             )
         state.sum_hops += int(hops.sum())
+        fallbacks = index.fallback[index.request_group]
     drain_departures(state, window_end)
-    return servers, hops
+    return servers, hops, fallbacks
 
 
 # ------------------------------------------------------------------ reference
@@ -411,7 +414,7 @@ def queueing_reference_window(
     window_end: float,
     store: GroupStore | None = None,
     node_weights: np.ndarray | None = None,
-) -> tuple[IntArray, IntArray]:
+) -> tuple[IntArray, IntArray, np.ndarray]:
     """Scalar per-arrival event loop under the queueing RNG-stream contract.
 
     The direct transcription of the supermarket dispatcher: per arrival one
@@ -421,7 +424,7 @@ def queueing_reference_window(
     accepted for signature parity and ignored.  Must stay bit-identical to
     :func:`queueing_kernel_window` for any seed; when the two disagree, this
     engine is authoritative.  Like the kernel window, returns the
-    per-arrival ``(servers, hops)`` decisions.
+    per-arrival ``(servers, hops, fallbacks)`` decisions.
     """
     del store  # the scalar engine recomputes candidates per arrival
     m = requests.num_requests
@@ -430,6 +433,7 @@ def queueing_reference_window(
     scale = 1.0 / service_rate
     out_servers = [0] * m
     out_hops = [0] * m
+    out_fallbacks = [False] * m
 
     for i in range(m):
         now = float(times[i])
@@ -455,6 +459,7 @@ def queueing_reference_window(
                 nearest = int(np.argmin(dists))
                 candidates = replicas[nearest : nearest + 1]
                 candidate_dists = dists[nearest : nearest + 1]
+                out_fallbacks[i] = True
 
         size = int(candidates.size)
         if node_weights is None:
@@ -505,4 +510,5 @@ def queueing_reference_window(
     return (
         np.asarray(out_servers, dtype=np.int64),
         np.asarray(out_hops, dtype=np.int64),
+        np.asarray(out_fallbacks, dtype=bool),
     )

@@ -21,9 +21,10 @@ replay.  This module owns that journal:
   times), one ``dispatch_batch`` call per checkpoint segment rather than
   one per journaled batch, and asserts every checkpoint fingerprint along
   the way, so a recovered session is *provably* bit-identical to the
-  crashed one up to the last durable batch.  Idempotency keys are replayed
-  into response payloads so the server's dedup index survives the crash
-  too.
+  crashed one up to the last durable batch.  Each keyed unit's committed
+  decisions are sliced back out of the replay as a
+  :class:`~repro.service.state.CommittedUnit`, so the server's dedup index
+  survives the crash too.
 
 Record format (one JSON object per line)::
 
@@ -49,6 +50,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from repro.exceptions import JournalError
+from repro.service.state import CommittedUnit, session_kind
 from repro.session.core import CacheNetworkSession
 from repro.session.queueing import QueueingSession
 
@@ -519,9 +521,10 @@ class RecoveredSession:
 
     ``session`` is live and positioned exactly where the crashed server's
     was after its last durable batch; ``next_seq`` is the commit-order seq
-    the next accepted request must receive; ``idempotency`` maps every
-    journaled idempotency key to its reconstructed response payload so the
-    server's dedup index survives the crash.
+    the next accepted request must receive; ``idempotency`` pairs every
+    journaled idempotency key, in journal order, with its unit's committed
+    decisions (a :class:`~repro.service.state.CommittedUnit` holding its own
+    arrays), so the server's dedup index survives the crash.
     """
 
     session: CacheNetworkSession | QueueingSession
@@ -531,61 +534,20 @@ class RecoveredSession:
     batches: int
     requests: int
     checkpoints_verified: int
-    idempotency: list[tuple[str, dict[str, Any]]] = field(default_factory=list)
-
-
-def _unit_payloads(
-    batch: JournalBatch,
-    servers: np.ndarray,
-    distances: np.ndarray,
-    fallbacks: np.ndarray,
-    times: Sequence[float] | None,
-) -> list[tuple[str, dict[str, Any]]]:
-    """Reconstruct the response payload of every keyed unit in a batch."""
-    from repro.service.protocol import BatchDispatchResponse, DispatchResponse
-
-    out: list[tuple[str, dict[str, Any]]] = []
-    offset = 0
-    units = batch.units if batch.units else [(batch.total, None)]
-    for size, key in units:
-        if key is not None:
-            window = slice(offset, offset + size)
-            if size == 1:
-                payload = DispatchResponse(
-                    server=int(servers[offset]),
-                    distance=int(distances[offset]),
-                    seq=batch.seq + offset,
-                    fallback=bool(fallbacks[offset]),
-                    time=float(times[offset]) if times is not None else None,
-                ).to_payload()
-            else:
-                payload = BatchDispatchResponse(
-                    servers=tuple(int(s) for s in servers[window]),
-                    distances=tuple(int(d) for d in distances[window]),
-                    fallbacks=tuple(bool(f) for f in fallbacks[window]),
-                    seq_start=batch.seq + offset,
-                    times=(
-                        tuple(float(t) for t in times[window])
-                        if times is not None
-                        else None
-                    ),
-                ).to_payload()
-            out.append((key, payload))
-        offset += size
-    return out
+    idempotency: list[tuple[str, CommittedUnit]] = field(default_factory=list)
 
 
 def _replay(
     session: CacheNetworkSession | QueueingSession,
     segment: Sequence[JournalBatch],
-) -> list[tuple[str, dict[str, Any]]]:
+) -> list[tuple[str, CommittedUnit]]:
     """Replay consecutive journaled batches in one ``dispatch_batch`` call.
 
     The call counts as ``len(segment)`` windows.  An untimed queueing batch
     arrives at the running ``served_until`` — the last time of the segment's
     previous timed batch, or the session's clock before the call — which is
     exactly where ``dispatch_batch(times=None)`` would have put it.  Returns
-    the keyed units' response payloads, the decisions split back per batch.
+    the keyed units, each sliced (and copied) out of the call's decisions.
     """
     starts = [0, *accumulate(batch.total for batch in segment)]
     total = starts[-1]
@@ -599,7 +561,8 @@ def _replay(
         dtype=np.int64,
         count=total,
     )
-    if isinstance(session, QueueingSession):
+    times = None
+    if session_kind(session) == "queueing":
         times = np.empty(total, dtype=np.float64)
         clock = session.served_until
         for batch, start, stop in zip(segment, starts, starts[1:]):
@@ -608,27 +571,17 @@ def _replay(
             elif batch.times:
                 times[start:stop] = batch.times
                 clock = batch.times[-1]
-        servers, distances = session.dispatch_batch(
-            origins, files, times, windows=len(segment)
-        )
-        fallbacks = np.zeros(total, dtype=bool)
+        result = session.dispatch_batch(origins, files, times, windows=len(segment))
     else:
         result = session.dispatch_batch(origins, files, windows=len(segment))
-        servers = result.servers
-        distances = result.distances
-        fallbacks = result.fallback_mask
-    payloads: list[tuple[str, dict[str, Any]]] = []
-    for batch, start, stop in zip(segment, starts, starts[1:]):
-        payloads.extend(
-            _unit_payloads(
-                batch,
-                servers[start:stop],
-                distances[start:stop],
-                fallbacks[start:stop],
-                batch.times,
-            )
-        )
-    return payloads
+    units: list[tuple[str, CommittedUnit]] = []
+    for batch, offset in zip(segment, starts):
+        for size, key in batch.units:
+            if key is not None:
+                unit = CommittedUnit.sliced(result, times, segment[0].seq, offset, size)
+                units.append((key, unit.copy()))
+            offset += size
+    return units
 
 
 def recover_session(
@@ -655,15 +608,13 @@ def recover_session(
     kind = str(contents.header.get("kind", ""))
     if session is None:
         session = build_session_from_spec(contents.header.get("spec"))
-    expected_kind = (
-        "queueing" if isinstance(session, QueueingSession) else "assignment"
-    )
+    expected_kind = session_kind(session)
     if kind and kind != expected_kind:
         raise JournalError(
             f"journal records a {kind!r} session but a {expected_kind!r} "
             "session was supplied"
         )
-    idempotency: list[tuple[str, dict[str, Any]]] = []
+    idempotency: list[tuple[str, CommittedUnit]] = []
     batches = 0
     requests = 0
     verified = 0
@@ -697,7 +648,7 @@ def recover_session(
             virtual_time = max(virtual_time, record.virtual_time)
     if segment:
         idempotency.extend(_replay(session, segment))
-    if isinstance(session, QueueingSession):
+    if expected_kind == "queueing":
         virtual_time = max(virtual_time, float(session.served_until))
     return RecoveredSession(
         session=session,

@@ -13,10 +13,11 @@ Endpoints
 ``POST /dispatch``
     :class:`DispatchRequest` → :class:`DispatchResponse`.  ``time`` is only
     meaningful against a queueing session (the arrival's absolute simulated
-    time); static sessions ignore it.
+    time); static sessions ignore it.  It must be finite: JSON ``1e999`` or
+    ``NaN`` would move the virtual clock where no later arrival can follow.
 ``POST /dispatch/batch``
     :class:`BatchDispatchRequest` → :class:`BatchDispatchResponse` (parallel
-    arrays, one commit per micro-batch).
+    arrays, one commit per micro-batch; ``times`` as above).
 ``GET /snapshot``
     :class:`SnapshotResponse` — the periodically-published state snapshot
     with its version and age, so clients can see staleness explicitly.
@@ -27,11 +28,15 @@ Endpoints
 ``seq`` in dispatch responses is the request's global index in the server's
 commit order; replaying the requests in ``seq`` order through an offline
 session with the server's seed reproduces every decision bit for bit.
+``fallback`` (``fallbacks`` in a batch) marks a request whose ball
+``B_r(origin)`` held no replica: it went to the nearest replica outside the
+ball and paid more than ``r`` hops.  Both session kinds report it.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
@@ -82,13 +87,21 @@ def _require_int(payload: Mapping[str, Any], key: str, *, minimum: int = 0) -> i
     return value
 
 
+def _finite_time(value: Any, key: str) -> float:
+    """One arrival time: a JSON number that is finite as a float."""
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            time = float(value)
+        except OverflowError:  # an integer literal beyond the float range
+            time = math.inf
+        if math.isfinite(time):
+            return time
+    raise ProtocolError(f"field {key!r}: expected a finite number, got {value!r}")
+
+
 def _optional_time(payload: Mapping[str, Any], key: str = "time") -> float | None:
     value = payload.get(key)
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ProtocolError(f"field {key!r} must be a number, got {value!r}")
-    return float(value)
+    return None if value is None else _finite_time(value, key)
 
 
 #: Idempotency keys are bounded so the server's dedup index cannot be used
@@ -170,9 +183,10 @@ class DispatchResponse:
     """The placement decision for one request.
 
     ``server`` is the chosen cache, ``distance`` the hop cost from the
-    origin, ``seq`` the request's global index in the server's commit order
-    and ``time`` the simulated arrival time the decision was committed at
-    (queueing sessions only).
+    origin, ``seq`` the request's global index in the server's commit order,
+    ``fallback`` whether the origin's ball held no replica (so ``distance``
+    exceeds ``r``), and ``time`` the simulated arrival time the decision was
+    committed at (queueing sessions only).
     """
 
     server: int
@@ -257,14 +271,7 @@ class BatchDispatchRequest:
             raw = payload["times"]
             if not isinstance(raw, (list, tuple)):
                 raise ProtocolError(f"field 'times' must be an array, got {raw!r}")
-            collected = []
-            for item in raw:
-                if isinstance(item, bool) or not isinstance(item, (int, float)):
-                    raise ProtocolError(
-                        f"field 'times' must hold numbers, got {item!r}"
-                    )
-                collected.append(float(item))
-            times = tuple(collected)
+            times = tuple(_finite_time(item, "times") for item in raw)
         return cls(
             origins=_int_sequence(payload, "origins"),
             files=_int_sequence(payload, "files"),

@@ -13,7 +13,8 @@ Endpoints
 
 ``POST /dispatch``
     One request (``{"origin": u, "file": f}``) → the chosen cache, its hop
-    distance and the request's global commit-order ``seq``.
+    distance, the request's global commit-order ``seq`` and its
+    ``fallback`` flag (the ball ``B_r(u)`` held no replica).
 ``POST /dispatch/batch``
     A client-side micro-batch (parallel arrays) committed as one window.
 ``GET /snapshot``
@@ -29,11 +30,15 @@ Endpoints
 Concurrency model
 -----------------
 
-Handlers validate and enqueue; the single **writer task** owns the session.
-It collects everything that arrived within ``flush_interval`` seconds (or up
-to ``flush_max`` requests) into one batch, commits it through the session's
-synchronous :meth:`dispatch_batch` entry point, stamps global sequence
-numbers in commit order and resolves the per-unit futures.  Because both
+Both dispatch handlers parse their request and hand it to one shared
+validate-and-enqueue path; the single **writer task** owns the session.  It
+collects everything that arrived within ``flush_interval`` seconds (or up to
+``flush_max`` requests) into one batch, commits it through the session's
+synchronous :meth:`dispatch_batch` entry point — both session kinds return
+an :class:`~repro.strategies.base.AssignmentResult` — stamps global sequence
+numbers in commit order and resolves each unit's future with its
+:class:`~repro.service.state.CommittedUnit`.  Each handler shapes its own
+response document from that unit; nothing else builds one.  Because both
 session stacks consume randomness strictly per request, the decision stream
 is a pure function of the commit order and the server's seed — replaying the
 requests in ``seq`` order through an offline session reproduces every
@@ -41,8 +46,8 @@ decision bit for bit, which is exactly what the service test suite asserts.
 
 Queueing sessions need arrival *times*: the server keeps a virtual clock
 that advances ``tick`` simulated seconds per arrival; clients may pin
-explicit times, which are clamped to be non-decreasing (a request cannot
-arrive in the simulated past) and echoed back in the response.
+explicit finite times, which are clamped to be non-decreasing (a request
+cannot arrive in the simulated past) and echoed back in the response.
 
 Graceful shutdown: :meth:`shutdown` stops accepting connections, closes the
 micro-batch queue (new dispatches get 503), lets the writer drain every
@@ -59,9 +64,10 @@ Fault tolerance (PR 8)
   the journal's fsync policy, and ``repro serve --recover`` rebuilds the
   session bit-identically by replay.
 * **Idempotency.**  Requests carrying a ``key`` are deduplicated through a
-  bounded LRU: a duplicate of a committed request gets the original payload
-  back, a duplicate of an in-flight request awaits the original — the
-  session (and its RNG streams) never sees the duplicate.
+  bounded LRU of committed units: a duplicate of a committed request gets
+  the original decision back, shaped for the endpoint the duplicate arrived
+  on; a duplicate of an in-flight request awaits the original — the session
+  (and its RNG streams) never sees the duplicate.
 * **Graceful degradation.**  A watchdog monitors the writer; if a flush (or
   the queue's oldest pending unit) stalls past the deadline the server
   degrades to snapshot-only reads — dispatches get 503 with ``Retry-After``,
@@ -73,7 +79,7 @@ from __future__ import annotations
 
 import asyncio
 import math
-from typing import Any, Awaitable, Callable
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -91,6 +97,7 @@ from repro.service.protocol import (
     encode,
 )
 from repro.service.state import (
+    CommittedUnit,
     IdempotencyIndex,
     MicroBatchQueue,
     PendingDispatch,
@@ -162,7 +169,8 @@ class DispatchServer:
         First ``seq`` to assign — a recovered server continues the crashed
         server's commit order instead of restarting at zero.
     idempotency_capacity:
-        Bound of the key → response LRU deduplicating retried deliveries.
+        Bound of the key → committed-unit LRU deduplicating retried
+        deliveries.
     watchdog:
         Seconds a flush (or the oldest queued unit) may stall before the
         server degrades to snapshot-only reads; ``None`` disables the
@@ -261,7 +269,7 @@ class DispatchServer:
 
     @property
     def idempotency(self) -> IdempotencyIndex:
-        """The key → response dedup index (preloadable after recovery)."""
+        """The key → committed-unit dedup index (preloadable after recovery)."""
         return self._idempotency
 
     @property
@@ -394,19 +402,12 @@ class DispatchServer:
         files = np.concatenate([item.files for item in batch])
         total = int(origins.size)
         times: np.ndarray | None = None
-        fallbacks: np.ndarray
         try:
             if self._kind == "queueing":
                 times = self._assign_times(batch, total)
-                servers, distances = self._session.dispatch_batch(
-                    origins, files, times
-                )
-                fallbacks = np.zeros(total, dtype=bool)
+                result = self._session.dispatch_batch(origins, files, times)
             else:
                 result = self._session.dispatch_batch(origins, files)
-                servers = result.servers
-                distances = result.distances
-                fallbacks = result.fallback_mask
         except Exception as exc:  # resolve every waiter; the writer survives
             for item in batch:
                 if not item.future.done():
@@ -444,17 +445,9 @@ class DispatchServer:
         now = loop.time()
         for item in batch:
             size = len(item)
-            window = slice(offset, offset + size)
             if not item.future.done():
-                item.future.set_result(
-                    (
-                        seq_start + offset,
-                        servers[window],
-                        distances[window],
-                        fallbacks[window],
-                        times[window] if times is not None else None,
-                    )
-                )
+                unit = CommittedUnit.sliced(result, times, seq_start, offset, size)
+                item.future.set_result(unit)
             self._metrics.dispatch_latency.record(max(0.0, now - item.enqueued_at))
             offset += size
         self._metrics.record_flush(total)
@@ -502,13 +495,59 @@ class DispatchServer:
                 f"file {file_id} is cached on no server; dispatch is impossible",
             )
 
-    async def _enqueue(
+    async def _dispatch(
         self,
-        origins: np.ndarray,
-        files: np.ndarray,
-        times: np.ndarray | None,
-        key: str | None = None,
-    ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+        origins: Sequence[int],
+        files: Sequence[int],
+        times: Sequence[float] | None,
+        key: str | None,
+    ) -> CommittedUnit:
+        """Commit one unit exactly once per idempotency key.
+
+        The path both dispatch endpoints share.  A duplicate of a committed
+        key gets the stored unit; a duplicate racing the original awaits the
+        original's unit future.  Either way the duplicate never reaches the
+        queue, so it cannot double-commit or advance the session's RNG
+        streams.  A *failed* commit drops the key, so a retry after an error
+        re-attempts cleanly.
+        """
+        if key is None:
+            return await self._commit(origins, files, times, key)
+        entry = self._idempotency.lookup(key)
+        if entry is not None:
+            state, value = entry
+            self._metrics.record_duplicate()
+            return value if state == "done" else await asyncio.shield(value)
+        self._idempotency.begin(key)
+        try:
+            unit = await self._commit(origins, files, times, key)
+        except asyncio.CancelledError:
+            self._idempotency.forget(key)
+            raise
+        except BaseException as exc:
+            self._idempotency.fail(key, exc)
+            raise
+        # The writer's unit slices the whole flush; the index keeps a copy.
+        self._idempotency.finish(key, unit.copy())
+        return unit
+
+    async def _commit(
+        self,
+        origins: Sequence[int],
+        files: Sequence[int],
+        times: Sequence[float] | None,
+        key: str | None,
+    ) -> CommittedUnit:
+        """Validate one unit, enqueue it and await its committed decisions."""
+        for origin, file_id in zip(origins, files):
+            self._validate_request(origin, file_id)
+        time_array = None
+        if times is not None:
+            time_array = np.asarray(times, dtype=np.float64)
+            if np.any(np.diff(time_array) < 0):
+                raise _HttpError(
+                    400, "invalid times", "batch times must be non-decreasing"
+                )
         if self._closing or self._queue.closed:
             raise _HttpError(503, "shutting down", "server is draining; retry elsewhere")
         if self._degraded:
@@ -525,9 +564,9 @@ class DispatchServer:
         future: asyncio.Future = loop.create_future()
         self._queue.put(
             PendingDispatch(
-                origins=origins,
-                files=files,
-                times=times,
+                origins=np.asarray(origins, dtype=np.int64),
+                files=np.asarray(files, dtype=np.int64),
+                times=time_array,
                 future=future,
                 enqueued_at=loop.time(),
                 key=key,
@@ -535,101 +574,42 @@ class DispatchServer:
         )
         try:
             return await future
-        except asyncio.CancelledError:
-            raise
         except NoReplicaError as exc:
             raise _HttpError(400, "no replica", str(exc)) from exc
         except ReproError as exc:
             raise _HttpError(400, "dispatch rejected", str(exc)) from exc
 
-    async def _dispatch_idempotent(
-        self, key: str, commit: Callable[[], Awaitable[dict[str, Any]]]
-    ) -> dict[str, Any]:
-        """Run ``commit`` exactly once per idempotency key.
-
-        A duplicate of a committed request gets the stored payload; a
-        duplicate racing the original awaits the original's payload future.
-        Either way the duplicate never reaches the queue, so it cannot
-        double-commit or advance the session's RNG streams.  A *failed*
-        commit drops the key, so a retry after an error re-attempts cleanly.
-        """
-        entry = self._idempotency.lookup(key)
-        if entry is not None:
-            state, value = entry
-            self._metrics.record_duplicate()
-            if state == "done":
-                return value
-            return await asyncio.shield(value)
-        self._idempotency.begin(key)
-        try:
-            payload = await commit()
-        except asyncio.CancelledError:
-            self._idempotency.forget(key)
-            raise
-        except BaseException as exc:
-            self._idempotency.fail(key, exc)
-            raise
-        self._idempotency.finish(key, payload)
-        return payload
-
     async def _handle_dispatch(self, body: bytes) -> dict[str, Any]:
         request = DispatchRequest.from_payload(decode(body))
-
-        async def commit() -> dict[str, Any]:
-            self._validate_request(request.origin, request.file)
-            times = None
-            if request.time is not None:
-                times = np.asarray([request.time], dtype=np.float64)
-            seq, servers, distances, fallbacks, committed = await self._enqueue(
-                np.asarray([request.origin], dtype=np.int64),
-                np.asarray([request.file], dtype=np.int64),
-                times,
-                key=request.key,
-            )
-            return DispatchResponse(
-                server=int(servers[0]),
-                distance=int(distances[0]),
-                seq=seq,
-                fallback=bool(fallbacks[0]),
-                time=float(committed[0]) if committed is not None else None,
-            ).to_payload()
-
-        if request.key is not None:
-            return await self._dispatch_idempotent(request.key, commit)
-        return await commit()
+        unit = await self._dispatch(
+            (request.origin,),
+            (request.file,),
+            None if request.time is None else (request.time,),
+            request.key,
+        )
+        if len(unit.servers) != 1:  # the key was first used for a client batch
+            detail = f"key {request.key!r} names {len(unit.servers)} requests"
+            raise _HttpError(400, "idempotency key mismatch", detail)
+        return DispatchResponse(
+            server=int(unit.servers[0]),
+            distance=int(unit.distances[0]),
+            seq=unit.seq,
+            fallback=bool(unit.fallbacks[0]),
+            time=None if unit.times is None else float(unit.times[0]),
+        ).to_payload()
 
     async def _handle_dispatch_batch(self, body: bytes) -> dict[str, Any]:
         request = BatchDispatchRequest.from_payload(decode(body))
-
-        async def commit() -> dict[str, Any]:
-            for origin, file_id in zip(request.origins, request.files):
-                self._validate_request(origin, file_id)
-            times = None
-            if request.times is not None:
-                times = np.asarray(request.times, dtype=np.float64)
-                if np.any(np.diff(times) < 0):
-                    raise _HttpError(
-                        400, "invalid times", "batch times must be non-decreasing"
-                    )
-            seq_start, servers, distances, fallbacks, committed = await self._enqueue(
-                np.asarray(request.origins, dtype=np.int64),
-                np.asarray(request.files, dtype=np.int64),
-                times,
-                key=request.key,
-            )
-            return BatchDispatchResponse(
-                servers=tuple(int(s) for s in servers),
-                distances=tuple(int(d) for d in distances),
-                fallbacks=tuple(bool(f) for f in fallbacks),
-                seq_start=seq_start,
-                times=tuple(float(t) for t in committed)
-                if committed is not None
-                else None,
-            ).to_payload()
-
-        if request.key is not None:
-            return await self._dispatch_idempotent(request.key, commit)
-        return await commit()
+        unit = await self._dispatch(
+            request.origins, request.files, request.times, request.key
+        )
+        return BatchDispatchResponse(
+            servers=tuple(unit.servers.tolist()),
+            distances=tuple(unit.distances.tolist()),
+            fallbacks=tuple(unit.fallbacks.tolist()),
+            seq_start=unit.seq,
+            times=None if unit.times is None else tuple(unit.times.tolist()),
+        ).to_payload()
 
     # ------------------------------------------------------------------- reads
     def _handle_snapshot(self) -> dict[str, Any]:

@@ -5,9 +5,10 @@ Two invariants keep the service honest under concurrency:
 * **Single writer.**  The session (static or queueing) is only ever advanced
   by the server's one writer task.  Handlers never touch it — they enqueue a
   :class:`PendingDispatch` on the :class:`MicroBatchQueue` and await its
-  future.  The queue coalesces whatever arrived within a flush interval (or
-  up to a maximum size) into one kernel-sized batch, so fifty concurrent
-  clients cost one commit, not fifty.
+  future, which resolves to the unit's :class:`CommittedUnit`.  The queue
+  coalesces whatever arrived within a flush interval (or up to a maximum
+  size) into one kernel-sized batch, so fifty concurrent clients cost one
+  commit, not fifty.
 * **Read endpoints serve published snapshots.**  ``GET /snapshot`` never
   reads live session state; it returns the latest :class:`StateSnapshot`
   published by :class:`SnapshotPublisher`.  Snapshots carry a monotonically
@@ -24,15 +25,17 @@ import asyncio
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
 from repro.service.protocol import SnapshotResponse
 from repro.session.core import CacheNetworkSession
 from repro.session.queueing import QueueingSession
+from repro.strategies.base import AssignmentResult
 
 __all__ = [
+    "CommittedUnit",
     "IdempotencyIndex",
     "MicroBatchQueue",
     "PendingDispatch",
@@ -191,12 +194,47 @@ class PendingDispatch:
         return int(self.origins.size)
 
 
+class CommittedUnit(NamedTuple):
+    """The committed decisions of one dispatch unit.
+
+    ``seq`` is the commit-order index of the unit's first request; the
+    arrays hold, per request, the chosen server, its hop distance, whether
+    the ball ``B_r(origin)`` held no replica (the fallback), and the
+    committed arrival time (queueing only).  The writer resolves each
+    :class:`PendingDispatch` with one, the :class:`IdempotencyIndex` holds
+    them, journal recovery rebuilds them, and each HTTP handler shapes its
+    response document from one.
+    """
+
+    seq: int
+    servers: np.ndarray
+    distances: np.ndarray
+    fallbacks: np.ndarray
+    times: np.ndarray | None
+
+    @classmethod
+    def sliced(
+        cls, result: AssignmentResult, times, first_seq: int, start: int, size: int
+    ) -> "CommittedUnit":
+        """Views of the ``size`` requests from position ``start`` of one
+        ``dispatch_batch`` call (``times`` its arrival times, or ``None``)
+        whose first request got seq ``first_seq``."""
+        window = slice(start, start + size)
+        arrays = (result.servers, result.distances, result.fallback_mask, times)
+        return cls(first_seq + start, *(a if a is None else a[window] for a in arrays))
+
+    def copy(self) -> "CommittedUnit":
+        """The unit with arrays of its own (a view pins its whole batch)."""
+        arrays = (a if a is None else a.copy() for a in self[1:])
+        return CommittedUnit(self.seq, *arrays)
+
+
 class IdempotencyIndex:
-    """Bounded LRU of idempotency keys → committed response payloads.
+    """Bounded LRU of idempotency keys → :class:`CommittedUnit`.
 
     The server consults this before enqueueing: a key seen before returns
-    either the committed payload (``done``) or a future the duplicate can
-    await (``pending``, the original is still in flight).  Duplicates are
+    either the committed unit (``done``) or a future the duplicate can await
+    (``pending``, the original is still in flight).  Duplicates are
     therefore answered without ever reaching the session, so retried
     deliveries cannot double-commit or advance strategy RNG streams.
 
@@ -210,7 +248,7 @@ class IdempotencyIndex:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self._capacity = int(capacity)
-        # key -> ("pending", Future[payload]) | ("done", payload)
+        # key -> ("pending", Future[unit]) | ("done", unit)
         self._entries: "OrderedDict[str, tuple[str, Any]]" = OrderedDict()
 
     def __len__(self) -> int:
@@ -230,7 +268,7 @@ class IdempotencyIndex:
     def begin(self, key: str) -> asyncio.Future:
         """Register an in-flight request under ``key``.
 
-        Returns the payload future duplicates will await; the caller must
+        Returns the unit future duplicates will await; the caller must
         eventually :meth:`finish`, :meth:`fail`, or :meth:`forget` the key.
         """
         future: asyncio.Future = asyncio.get_running_loop().create_future()
@@ -239,13 +277,13 @@ class IdempotencyIndex:
         self._evict()
         return future
 
-    def finish(self, key: str, payload: dict[str, Any]) -> None:
-        """Commit ``key``: resolve its pending future and store the payload."""
+    def finish(self, key: str, unit: CommittedUnit) -> None:
+        """Commit ``key``: resolve its pending future and store the unit."""
         entry = self._entries.get(key)
-        self._entries[key] = ("done", payload)
+        self._entries[key] = ("done", unit)
         self._entries.move_to_end(key)
         if entry is not None and entry[0] == "pending" and not entry[1].done():
-            entry[1].set_result(payload)
+            entry[1].set_result(unit)
         self._evict()
 
     def fail(self, key: str, exc: BaseException) -> None:
@@ -262,10 +300,10 @@ class IdempotencyIndex:
         if entry is not None and entry[0] == "pending" and not entry[1].done():
             entry[1].cancel()
 
-    def preload(self, entries: "list[tuple[str, dict[str, Any]]]") -> None:
-        """Bulk-insert recovered (key, payload) pairs in journal order."""
-        for key, payload in entries:
-            self._entries[key] = ("done", payload)
+    def preload(self, entries: "list[tuple[str, CommittedUnit]]") -> None:
+        """Bulk-insert recovered (key, unit) pairs in journal order."""
+        for key, unit in entries:
+            self._entries[key] = ("done", unit)
             self._entries.move_to_end(key)
         self._evict()
 

@@ -51,7 +51,7 @@ from repro.kernels.queueing import (
 from repro.placement.base import PlacementStrategy
 from repro.rng import SeedLike, spawn_generators, spawn_seeds
 from repro.session.artifacts import ArtifactCache, reads_group_store
-from repro.strategies.base import FallbackPolicy
+from repro.strategies.base import AssignmentResult, FallbackPolicy
 from repro.topology.base import Topology
 from repro.utils.timer import Timer
 from repro.workload.arrivals import ArrivalProcess
@@ -349,7 +349,7 @@ class QueueingSession:
         times=None,
         *,
         windows: int = 1,
-    ) -> tuple[np.ndarray, np.ndarray]:
+    ) -> AssignmentResult:
         """Dispatch one externally-supplied micro-batch of arrivals.
 
         The synchronous entry point the dispatch service's writer task
@@ -369,8 +369,10 @@ class QueueingSession:
         one call and counts each of them, so :attr:`num_windows` matches the
         session that served them one by one.
 
-        Returns the per-arrival dispatch decisions ``(servers, hops)``,
-        both ``int64`` in arrival order.
+        Returns the batch's :class:`~repro.strategies.base.AssignmentResult`
+        (``strategy_name="supermarket"``), the record the static session
+        returns too: server and hop distance per arrival, and a
+        ``fallback_mask`` marking the arrivals whose ball held no replica.
         """
         if windows < 1:
             raise ConfigurationError(f"windows must be >= 1, got {windows}")
@@ -400,7 +402,7 @@ class QueueingSession:
                     f"{self._served_until:g}, got {times_arr[0]:g}"
                 )
         window_end = float(times_arr[-1]) if m else self._served_until
-        decisions = self._window_fn(
+        servers, hops, fallbacks = self._window_fn(
             self._topology,
             self._cache,
             self._state,
@@ -416,7 +418,13 @@ class QueueingSession:
         )
         self._served_until = window_end
         self._windows += windows
-        return decisions
+        return AssignmentResult(
+            servers=servers,
+            distances=hops,
+            num_nodes=self._topology.n,
+            strategy_name="supermarket",
+            fallback_mask=fallbacks,
+        )
 
     def serve_windows(
         self, window: float, num_windows: int

@@ -16,14 +16,15 @@ from repro.workload.generators import UniformOriginWorkload
 
 @pytest.fixture(scope="module")
 def python_commit_engine():
-    """Add a ``"python-commit"`` assignment engine for the test module.
+    """Add a ``"python-commit"`` engine for the test module.
 
-    Its table is the kernel entry points with their default pure-Python
-    commit loops — the ``batch`` engine's fallback and the functions the
-    numba engine compiles — which no engine runs on its own.  The row is
-    patched into the engine table and its table cache, and removed when the
-    module ends.  (The queueing family needs no such row: its ``batch``
-    engine *is* the pure-Python event loop.)
+    Its assignment table is the kernel entry points with their default
+    pure-Python commit loops — the ``batch`` engine's fallback and the
+    functions the numba engine compiles — which no engine runs on its own.
+    Its queueing table is the ``batch`` engine's, which *is* the pure-Python
+    event loop; it is there because the row lists the engine for both
+    families.  The row is patched into the engine table and its table
+    cache, and removed when the module ends.
     """
     from repro.kernels import engine as kernel
 
@@ -40,6 +41,11 @@ def python_commit_engine():
                 "random_replica": kernel.random_replica_kernel,
                 "nearest_replica": kernel.nearest_replica_kernel,
             },
+        )
+        patch.setitem(
+            registry._TABLES,
+            (name, "queueing"),
+            registry.engine_operations("batch", "queueing"),
         )
         yield name
 

@@ -9,6 +9,7 @@ import pytest
 from repro.backends import registry
 from repro.backends.registry import (
     ENGINES,
+    FAMILIES,
     available_engines,
     engine_operations,
     engines_payload,
@@ -136,3 +137,16 @@ class TestResolution:
                 resolve_engine_name("numba", family)
             with pytest.raises(UnknownEngineError, match="not available"):
                 engine_operations("numba", family)
+
+
+# Last in the module: the fixture's engine row stays patched in until the
+# module ends, and the tests above pin the three-engine table.
+@pytest.mark.usefixtures("python_commit_engine")
+class TestTestOnlyEngineRows:
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_every_listed_engine_has_a_table(self, family):
+        # An engine listed for a family but without a table there would pass
+        # resolution and fail on first use.
+        assert "python-commit" in available_engines(family)
+        for name in available_engines(family):
+            assert engine_operations(name, family)

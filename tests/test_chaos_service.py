@@ -201,6 +201,45 @@ class TestIdempotencyGate:
 
         run(scenario())
 
+    def test_retry_is_shaped_for_its_endpoint(self):
+        """A key names one committed unit: a retry gets it in the shape of the
+        endpoint the retry arrived on, and a single dispatch cannot claim a
+        key that named a client batch of several requests."""
+
+        async def scenario():
+            server = DispatchServer(
+                make_session(), flush_interval=0.001, snapshot_interval=0.02
+            )
+            await server.start()
+            host, port = server.address
+            single = {"origin": 3, "file": 4, "key": "s"}
+            single_as_batch = {"origins": [3], "files": [4], "key": "s"}
+            batch = {"origins": [1, 2], "files": [5, 6], "key": "b"}
+            try:
+                async with DispatchClient(host, port) as client:
+                    first = await client._request("POST", "/dispatch", single)
+                    retried = await client._request(
+                        "POST", "/dispatch/batch", single_as_batch
+                    )
+                    await client._request("POST", "/dispatch/batch", batch)
+                    with pytest.raises(DispatchServiceError) as excinfo:
+                        await client._request(
+                            "POST", "/dispatch", {"origin": 1, "file": 5, "key": "b"}
+                        )
+            finally:
+                await server.shutdown()
+            assert retried == {
+                "servers": [first["server"]],
+                "distances": [first["distance"]],
+                "fallbacks": [first["fallback"]],
+                "seq_start": first["seq"],
+            }
+            assert excinfo.value.status == 400
+            assert excinfo.value.error.error == "idempotency key mismatch"
+            assert server.requests_dispatched == 3
+
+        run(scenario())
+
     def test_unkeyed_duplicates_double_commit(self):
         """The counterfactual: without keys, redelivery really does commit twice."""
 

@@ -4,11 +4,13 @@ All engines of the ``queueing`` family implement the same three-stream RNG
 contract (see ``repro/kernels/queueing.py``), so for any
 ``(topology, radius, d, mu, seed)`` they must produce an *exactly* equal
 :class:`~repro.simulation.queueing.QueueingResult` — every float field bit
-for bit, not approximately.  The engine list is every available engine of
-the engine table, ``numba`` included where importable.  The ``batch`` row runs the
-pure-Python event loop :func:`~repro.kernels.queueing.commit_window`, the
-source of the numba transcription.  When engines disagree, the reference
-engine is authoritative.
+for bit, not approximately — and the same per-arrival decisions (server,
+hop distance and fallback flag) from ``QueueingSession.dispatch_batch``.
+The engine list is every available engine of the engine table, ``numba``
+included where importable.  The ``batch`` row runs the pure-Python event
+loop :func:`~repro.kernels.queueing.commit_window`, the source of the numba
+transcription.  When engines disagree, the reference engine is
+authoritative.
 """
 
 from __future__ import annotations
@@ -23,7 +25,9 @@ from repro.exceptions import NoReplicaError, StrategyError
 from repro.placement.cache import CacheState
 from repro.placement.partition import PartitionPlacement
 from repro.placement.proportional import ProportionalPlacement
+from repro.session.queueing import QueueingSession
 from repro.simulation.queueing import QueueingSimulation
+from repro.strategies.base import AssignmentResult
 from repro.topology.complete import CompleteTopology
 from repro.topology.grid import Grid2D
 from repro.topology.ring import Ring
@@ -101,6 +105,89 @@ class TestEngineDifferential:
             12.0,
             seed=44,
         )
+
+
+#: ``QueueingSession.dispatch_batch`` setups: r = 1 with one copy per file
+#: leaves many balls without a replica; r = inf has no ball; popularity
+#: weights take the weighted d-choice draw.
+DISPATCH_SETUPS = {
+    "constrained": dict(radius=1.0, cache_size=1),
+    "unconstrained": dict(radius=np.inf, cache_size=3),
+    "popularity": dict(
+        radius=2.0, cache_size=3, candidate_weights="popularity", popularity="zipf"
+    ),
+}
+
+
+def _dispatch_all(engine, topology, num_choices, setup):
+    """Serve four fixed micro-batches through a fresh session on ``engine``.
+
+    The batches mix sizes (one of them empty) and one untimed batch, which
+    arrives at the session's clock.  Returns each call's result and the
+    final state digest.
+    """
+    setup = dict(setup)
+    cache_size = setup.pop("cache_size")
+    popularity = setup.pop("popularity", "uniform")
+    num_files = 20
+    library = FileLibrary(
+        num_files,
+        create_popularity(
+            popularity, num_files, **({"gamma": 1.1} if popularity == "zipf" else {})
+        ),
+    )
+    session = QueueingSession(
+        topology,
+        library,
+        PartitionPlacement(cache_size),
+        PoissonArrivalProcess(rate_per_node=0.6),
+        num_choices=num_choices,
+        engine=engine,
+        seed=71,
+        **setup,
+    )
+    rng = np.random.default_rng(5)
+    results = []
+    for size, timed in [(1, True), (40, True), (0, True), (25, False), (60, True)]:
+        origins = rng.integers(0, topology.n, size=size)
+        files = rng.integers(0, num_files, size=size)
+        times = None
+        if timed:
+            times = session.served_until + np.cumsum(rng.exponential(0.02, size=size))
+        results.append(session.dispatch_batch(origins, files, times))
+    return results, session.state_digest()
+
+
+@pytest.mark.parametrize("setup", list(DISPATCH_SETUPS), ids=str)
+@pytest.mark.parametrize("num_choices", [1, 2, 4])
+@pytest.mark.parametrize("topology", TOPOLOGIES, ids=lambda t: t.name)
+def test_dispatch_batch_decisions_identical(topology, num_choices, setup):
+    """Every engine's per-arrival servers, hops and fallback flags equal
+    reference's, call by call."""
+    radius = DISPATCH_SETUPS[setup]["radius"]
+    reference, digest = _dispatch_all(
+        "reference", topology, num_choices, DISPATCH_SETUPS[setup]
+    )
+    for result in reference:
+        assert isinstance(result, AssignmentResult)
+        assert result.strategy_name == "supermarket"
+        assert result.num_nodes == topology.n
+        # A request falls back exactly when it paid more than r hops.
+        np.testing.assert_array_equal(result.fallback_mask, result.distances > radius)
+    fallbacks = sum(result.fallback_count() for result in reference)
+    if setup == "constrained" and radius < topology.diameter:
+        assert fallbacks > 0, "the constrained setup should leave some balls empty"
+    if setup == "unconstrained":
+        assert fallbacks == 0
+    for engine in NON_REFERENCE_ENGINES:
+        candidate, candidate_digest = _dispatch_all(
+            engine, topology, num_choices, DISPATCH_SETUPS[setup]
+        )
+        assert candidate_digest == digest, f"engine {engine!r} diverged from reference"
+        for got, expected in zip(candidate, reference, strict=True):
+            np.testing.assert_array_equal(got.servers, expected.servers)
+            np.testing.assert_array_equal(got.distances, expected.distances)
+            np.testing.assert_array_equal(got.fallback_mask, expected.fallback_mask)
 
 
 @pytest.mark.parametrize("service_rate", [0.5, 1.0, 2.0])

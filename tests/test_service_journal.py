@@ -15,6 +15,7 @@ it.
 
 from __future__ import annotations
 
+import asyncio
 import dataclasses
 import json
 
@@ -22,16 +23,17 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError, JournalError, UnknownEngineError
+from repro.service import DispatchClient, DispatchServer
 from repro.service import journal as journal_module
 from repro.service.journal import (
     DispatchJournal,
     JournalBatch,
     JournalCheckpoint,
-    _unit_payloads,
     build_session_from_spec,
     read_journal,
     recover_session,
 )
+from repro.service.protocol import BatchDispatchResponse, DispatchResponse
 
 SEED = 1789
 
@@ -155,10 +157,15 @@ def serve_sizes(path, kind, sizes, *, checkpoint_every=None, seed=0):
 
 
 def replay_per_batch(path):
-    """The replay recovery must match: one ``dispatch_batch`` per batch."""
+    """The replay recovery must match: one ``dispatch_batch`` per batch.
+
+    Returns the session, every keyed unit as ``(key, seq, servers,
+    distances, fallbacks, times)`` with plain lists (see :func:`plain`),
+    and the number of checkpoints verified.
+    """
     contents = read_journal(path)
     session = build_session_from_spec(contents.header["spec"])
-    payloads, verified = [], 0
+    units, verified = [], 0
     for record in contents.records:
         if isinstance(record, JournalCheckpoint):
             assert session.state_digest() == record.digest
@@ -166,17 +173,49 @@ def replay_per_batch(path):
             continue
         origins = np.asarray(record.origins, dtype=np.int64)
         files = np.asarray(record.files, dtype=np.int64)
+        times = None
         if contents.header["kind"] == "queueing":
-            times = None if record.times is None else np.asarray(record.times)
-            servers, distances = session.dispatch_batch(origins, files, times)
-            fallbacks = np.zeros(origins.size, dtype=bool)
+            # An untimed batch arrives at the clock the call starts from.
+            times = [session.served_until] * record.total
+            if record.times is not None:
+                times = list(record.times)
+            result = session.dispatch_batch(origins, files, record.times)
         else:
             result = session.dispatch_batch(origins, files)
-            servers, distances, fallbacks = (
-                result.servers, result.distances, result.fallback_mask
-            )
-        payloads.extend(_unit_payloads(record, servers, distances, fallbacks, record.times))
-    return session, payloads, verified
+        offset = 0
+        for size, key in record.units:
+            window = slice(offset, offset + size)
+            if key is not None:
+                units.append((
+                    key,
+                    record.seq + offset,
+                    result.servers[window].tolist(),
+                    result.distances[window].tolist(),
+                    result.fallback_mask[window].tolist(),
+                    None if times is None else times[window],
+                ))
+            offset += size
+    return session, units, verified
+
+
+def plain(units):
+    """Recovered ``(key, unit)`` pairs as comparable tuples of lists."""
+    return [
+        (
+            key,
+            unit.seq,
+            unit.servers.tolist(),
+            unit.distances.tolist(),
+            unit.fallbacks.tolist(),
+            None if unit.times is None else unit.times.tolist(),
+        )
+        for key, unit in units
+    ]
+
+
+def owns_its_arrays(unit):
+    """Whether no array of ``unit`` is a view into a larger one."""
+    return all(array is None or array.base is None for array in unit[1:])
 
 
 def snapshot_fields(session):
@@ -364,13 +403,12 @@ class TestRecovery:
             times = base + 0.001 * np.arange(1, 13)
             got = recovered.session.dispatch_batch(origins, files, times.copy())
             expected = crashed.dispatch_batch(origins, files, times.copy())
-            np.testing.assert_array_equal(got[0], expected[0])
-            np.testing.assert_array_equal(got[1], expected[1])
         else:
             got = recovered.session.dispatch_batch(origins, files)
             expected = crashed.dispatch_batch(origins, files)
-            np.testing.assert_array_equal(got.servers, expected.servers)
-            np.testing.assert_array_equal(got.distances, expected.distances)
+        np.testing.assert_array_equal(got.servers, expected.servers)
+        np.testing.assert_array_equal(got.distances, expected.distances)
+        np.testing.assert_array_equal(got.fallback_mask, expected.fallback_mask)
         assert recovered.session.state_digest() == crashed.state_digest()
 
     def test_recovery_reconstructs_idempotency_index(self, tmp_path):
@@ -379,9 +417,11 @@ class TestRecovery:
         recovered = recover_session(path)
         keys = [key for key, _ in recovered.idempotency]
         assert keys == ["k-0", "k-1", "k-2"]
-        for index, (_, payload) in enumerate(recovered.idempotency):
-            assert payload["seq_start"] == index * 5
-            assert len(payload["servers"]) == 5
+        for index, (_, unit) in enumerate(recovered.idempotency):
+            assert unit.seq == index * 5
+            assert len(unit.servers) == len(unit.fallbacks) == 5
+            assert unit.times is None
+            assert owns_its_arrays(unit)
 
     def test_fingerprint_mismatch_raises(self, tmp_path):
         path = tmp_path / "wal"
@@ -403,6 +443,63 @@ class TestRecovery:
         wrong = build_session_from_spec(QUEUEING_SPEC)
         with pytest.raises(JournalError, match="session"):
             recover_session(path, session=wrong)
+
+    @pytest.mark.parametrize("kind", ["queueing", "assignment"])
+    def test_keyed_retries_after_recovery_keep_their_endpoint(self, tmp_path, kind):
+        """A retried key is answered in the shape of the endpoint it arrived
+        on: a keyed one-request batch stays a batch response after recovery,
+        and a keyed single dispatch stays a single response."""
+        path = tmp_path / "wal"
+        spec = SPECS[kind]
+
+        async def keyed_pair(server):
+            host, port = server.address
+            async with DispatchClient(host, port, key_prefix="r") as client:
+                batch = await client.dispatch_batch([3], [4])
+                single = await client.dispatch(5, 6)
+            return batch, single
+
+        async def first_life():
+            journal = DispatchJournal.create(path, kind=kind, spec=spec, seed=SEED)
+            server = DispatchServer(
+                build_session_from_spec(spec),
+                flush_interval=0.001,
+                snapshot_interval=0.02,
+                journal=journal,
+            )
+            await server.start()
+            try:
+                return await keyed_pair(server), server
+            finally:
+                await server.shutdown()
+
+        async def second_life():
+            recovered = recover_session(path)
+            server = DispatchServer(
+                recovered.session,
+                flush_interval=0.001,
+                snapshot_interval=0.02,
+                initial_seq=recovered.next_seq,
+            )
+            server.idempotency.preload(recovered.idempotency)
+            await server.start()
+            try:
+                return await keyed_pair(server), server
+            finally:
+                await server.shutdown()
+
+        original, first = asyncio.run(first_life())
+        retried, second = asyncio.run(second_life())
+        batch, single = retried
+        assert isinstance(batch, BatchDispatchResponse)
+        assert isinstance(single, DispatchResponse)
+        assert retried == original
+        assert second.requests_dispatched == 2  # the retries committed nothing
+        assert second.metrics.duplicates == 2
+        # Both indexes hold copies, not views into a flush or a replay.
+        for server in (first, second):
+            for key in ("r-0", "r-1"):
+                assert owns_its_arrays(server.idempotency.lookup(key)[1])
 
     def test_recover_from_torn_journal(self, tmp_path):
         """A crash mid-append loses only the unacknowledged torn record."""
@@ -433,7 +530,7 @@ class TestSegmentReplay:
         path = tmp_path / "wal"
         sizes = mixed_sizes(len(kind) + (cadence or 0))
         crashed = serve_sizes(path, kind, sizes, checkpoint_every=cadence, seed=3)
-        looped, payloads, verified = replay_per_batch(path)
+        looped, units, verified = replay_per_batch(path)
         recovered = recover_session(path)
 
         assert recovered.session.state_digest() == looped.state_digest()
@@ -444,8 +541,9 @@ class TestSegmentReplay:
         assert recovered.batches == len(sizes) and recovered.requests == sum(sizes)
         assert recovered.checkpoints_verified == verified
         assert verified == (0 if cadence is None else len(sizes) // cadence)
-        assert recovered.idempotency == payloads
-        assert payloads, "the journal should hold keyed units"
+        assert plain(recovered.idempotency) == units
+        assert units, "the journal should hold keyed units"
+        assert all(owns_its_arrays(unit) for _, unit in recovered.idempotency)
 
     @pytest.mark.parametrize("kind", ["queueing", "assignment"])
     def test_one_call_per_checkpoint_segment(self, tmp_path, monkeypatch, kind):

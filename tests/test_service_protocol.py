@@ -125,6 +125,35 @@ class TestMalformedPayloads:
         with pytest.raises(ProtocolError):
             BatchDispatchRequest.from_payload(payload)
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b'{"origin":0,"file":1,"time":1e999}',
+            b'{"origin":0,"file":1,"time":-1e999}',
+            b'{"origin":0,"file":1,"time":Infinity}',
+            b'{"origin":0,"file":1,"time":NaN}',
+            b'{"origin":0,"file":1,"time":1' + b"0" * 400 + b"}",
+        ],
+        ids=["1e999", "-1e999", "Infinity", "NaN", "huge-int"],
+    )
+    def test_non_finite_times_rejected_by_both_requests(self, body):
+        # Python's JSON decoder turns each of these into an infinite or NaN
+        # float (or an int no float can hold); none may reach the clock.
+        single = decode(body)
+        with pytest.raises(ProtocolError, match="finite"):
+            DispatchRequest.from_payload(single)
+        batch = {"origins": [0, 0], "files": [1, 1], "times": [0.5, single["time"]]}
+        with pytest.raises(ProtocolError, match="finite"):
+            BatchDispatchRequest.from_payload(batch)
+
+    def test_finite_times_still_parse(self):
+        single = DispatchRequest.from_payload({"origin": 0, "file": 1, "time": 7})
+        assert single.time == 7.0
+        request = BatchDispatchRequest.from_payload(
+            {"origins": [0, 1], "files": [1, 2], "times": [0, 1e300]}
+        )
+        assert request.times == (0.0, 1e300)
+
     def test_batch_constructor_validates_directly(self):
         with pytest.raises(ProtocolError):
             BatchDispatchRequest(origins=(1, 2), files=(3,))

@@ -23,6 +23,11 @@ from repro.catalog.library import FileLibrary
 from repro.placement.partition import PartitionPlacement
 from repro.placement.proportional import ProportionalPlacement
 from repro.service import DispatchClient, DispatchServer, DispatchServiceError
+from repro.service.journal import (
+    DispatchJournal,
+    build_session_from_spec,
+    recover_session,
+)
 from repro.session import CacheNetworkSession, QueueingSession
 from repro.strategies.proximity_two_choice import ProximityTwoChoiceStrategy
 from repro.topology.torus import Torus2D
@@ -70,11 +75,11 @@ def replay_offline(kind, origins, files, times=None):
     session = make_session(kind)
     if kind == "static":
         result = session.dispatch_batch(origins, files)
-        return list(result.servers), list(result.distances)
-    servers, distances = session.dispatch_batch(
-        origins, files, np.asarray(times, dtype=np.float64)
-    )
-    return list(servers), list(distances)
+    else:
+        result = session.dispatch_batch(
+            origins, files, np.asarray(times, dtype=np.float64)
+        )
+    return list(result.servers), list(result.distances)
 
 
 class TestBitIdentity:
@@ -157,6 +162,56 @@ class TestBitIdentity:
             assert second.time == pytest.approx(2.0)
 
         run(scenario())
+
+
+class TestFallback:
+    @pytest.mark.parametrize("kind", ["queueing", "assignment"])
+    def test_fallback_marks_the_requests_beyond_the_radius(self, tmp_path, kind):
+        """``fallback`` is true exactly where the ball B_1(origin) held no
+        replica, so the request paid more than r = 1 hops — on both session
+        kinds, in the batch response and in the units recovery rebuilds."""
+        spec = {
+            "kind": kind,
+            "seed": 1,
+            "engine": "batch",
+            "nodes": 256,
+            "files": 64,
+            "cache": 2,
+            "placement": "proportional",
+            "radius": 1,
+            "choices": 2,
+        }
+        path = tmp_path / "wal"
+
+        async def scenario():
+            session = build_session_from_spec(spec)
+            cached = np.setdiff1d(
+                np.arange(spec["files"]), session.cache.uncached_files()
+            )
+            rng = np.random.default_rng(11)
+            origins = rng.integers(0, spec["nodes"], size=200)
+            files = rng.choice(cached, size=200)
+            server = DispatchServer(
+                session,
+                flush_interval=0.002,
+                snapshot_interval=0.02,
+                journal=DispatchJournal.create(path, kind=kind, spec=spec, seed=1),
+            )
+            await server.start()
+            host, port = server.address
+            async with DispatchClient(host, port, key_prefix="f") as client:
+                response = await client.dispatch_batch(origins, files)
+            await server.shutdown()
+            return response
+
+        response = run(scenario())
+        beyond = [distance > spec["radius"] for distance in response.distances]
+        assert list(response.fallbacks) == beyond
+        assert 0 < sum(beyond) < len(beyond)
+        [(key, unit)] = recover_session(path).idempotency
+        assert key == "f-0"
+        assert unit.fallbacks.tolist() == beyond
+        assert unit.distances.tolist() == list(response.distances)
 
 
 class TestCoalescing:
@@ -271,6 +326,33 @@ class TestRejections:
             writer.close()
             await writer.wait_closed()
             await server.shutdown()
+
+        run(scenario())
+
+    @pytest.mark.parametrize(
+        "path, body",
+        [
+            ("/dispatch", b'{"origin":0,"file":1,"time":1e999}'),
+            ("/dispatch", b'{"origin":0,"file":1,"time":NaN}'),
+            ("/dispatch/batch", b'{"origins":[0,1],"files":[1,2],"times":[0.5,1e999]}'),
+        ],
+        ids=["single-inf", "single-nan", "batch-inf"],
+    )
+    def test_non_finite_time_is_400_and_serving_continues(self, path, body):
+        # An infinite time used to move the virtual clock to infinity, after
+        # which every dispatch failed; it is now refused before enqueueing.
+        async def scenario():
+            server = await start_server("queueing")
+            host, port = server.address
+            async with DispatchClient(host, port) as client:
+                status, payload, _ = await client._perform("POST", path, body)
+                assert status == 400
+                assert payload["error"] == "protocol error"
+                first = await client.dispatch(0, 1)
+                second = await client.dispatch(1, 2)
+            await server.shutdown()
+            assert (first.seq, second.seq) == (0, 1)
+            assert 0.0 < first.time < second.time
 
         run(scenario())
 
