@@ -88,9 +88,11 @@ bench-recovery:
 bench-commit:
 	$(PYTHON) -m pytest benchmarks/test_bench_commit.py -m bench_smoke -q -s --benchmark-disable
 
-# cProfile over the Strategy II precompute (group-index build: ball gather
-# and flat replica scan) at n = 4096; prints the top-10 by cumulative time and
-# writes .benchmarks/timings/precompute_profile.txt.  Pass --warm (via
+# cProfile over two cold Strategy II precompute shapes: the ball gather at
+# n = 4096 (K = 128, M = 8, r = 8) and Figure 5's flat replica scan at
+# n = 2025 (K = 500, M = 100, r = 22); prints the top-10 of each by
+# cumulative time and writes both to
+# .benchmarks/timings/precompute_profile.txt.  Pass --warm (via
 # `python benchmarks/profile_precompute.py --warm`) to profile the
 # store-backed second window instead of the cold build.
 profile-precompute:

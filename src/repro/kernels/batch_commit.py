@@ -81,7 +81,6 @@ DEFAULT_MAX_ROUNDS = 32
 _PROGRESS_SHIFT = 4
 
 _SENTINEL = np.int64(2**62)
-_SCRATCH: dict[int, np.ndarray] = {}
 
 
 @dataclass
@@ -119,40 +118,14 @@ def _reset_stats() -> BatchCommitStats:
 
 # ------------------------------------------------------------------ plumbing
 def _scratch(num_nodes: int) -> np.ndarray:
-    """The persistent first-toucher scratch for ``num_nodes`` servers.
+    """A fresh first-toucher scratch for ``num_nodes`` servers.
 
-    Filled with the sentinel; every user must reset the entries it touched
-    before returning.  Cached per size so tiny windows never pay an O(n)
-    allocation (the point of the array-native load path).
+    Filled with the sentinel; every user resets the entries it touched, so
+    one scratch serves all chunks of a call.  Allocated per call, never
+    shared: two threads committing independent sessions must not see each
+    other's stamps.
     """
-    arr = _SCRATCH.get(num_nodes)
-    if arr is None:
-        if len(_SCRATCH) >= 4:
-            _SCRATCH.pop(next(iter(_SCRATCH)))
-        arr = np.full(num_nodes, _SENTINEL, dtype=np.int64)
-        _SCRATCH[num_nodes] = arr
-    return arr
-
-
-_EPOCH = 1
-
-
-def _pairs_scratch(num_nodes: int) -> np.ndarray:
-    """Epoch-stamped first-toucher scratch for the width-2 driver.
-
-    Stamps are ``epoch_base + row`` with a monotonically increasing module
-    epoch, so any value below the current round's base is stale by
-    construction and the per-round O(touched) reset scatter disappears.
-    Keyed negatively so it never collides with the sentinel scratch.
-    """
-    key = -int(num_nodes) - 1
-    arr = _SCRATCH.get(key)
-    if arr is None:
-        if len(_SCRATCH) >= 4:
-            _SCRATCH.pop(next(iter(_SCRATCH)))
-        arr = np.zeros(int(num_nodes), dtype=np.int64)
-        _SCRATCH[key] = arr
-    return arr
+    return np.full(num_nodes, _SENTINEL, dtype=np.int64)
 
 
 def _resolve_loads(num_nodes, initial_loads):
@@ -242,7 +215,7 @@ def _speculate_hybrid(loads, nd, dd, counts, iptr, u, threshold):
 
 
 # ------------------------------------------------------------- chunk drivers
-def _drain_chunk_pairs(loads, nodes, lo, hi, uniforms, out, stamp, stats):
+def _drain_chunk_pairs(loads, nodes, lo, hi, uniforms, out, stamp, epoch, stats):
     """Width-2 repair rounds in flat 1-D ops (the paper's d = 2 hot shape).
 
     Semantically identical to :func:`_drain_chunk_csr` at ``width == 2``
@@ -252,9 +225,10 @@ def _drain_chunk_pairs(loads, nodes, lo, hi, uniforms, out, stamp, stats):
     (``base + row``) through a pre-reversed index so the lowest row wins with
     forward strides and nothing ever needs resetting — which together is what
     makes the batch engine actually beat the scalar loop on strategy II
-    workloads.
+    workloads.  ``stamp`` starts at zero for the call and ``epoch`` (at
+    least 1) only grows, so a stamp below the current round's base is stale
+    by construction.  Returns ``(uncommitted ids, next epoch)``.
     """
-    global _EPOCH
     req = np.arange(lo, hi, dtype=np.int64)
     c0 = nodes[2 * lo : 2 * hi : 2]
     c1 = nodes[2 * lo + 1 : 2 * hi : 2]
@@ -266,7 +240,7 @@ def _drain_chunk_pairs(loads, nodes, lo, hi, uniforms, out, stamp, stats):
     rounds = 0
     while req.size:
         if rounds >= DEFAULT_MAX_ROUNDS:
-            return req
+            return req, epoch
         active = req.size
         l0 = loads[c0]
         l1 = loads[c1]
@@ -275,8 +249,8 @@ def _drain_chunk_pairs(loads, nodes, lo, hi, uniforms, out, stamp, stats):
         pair_rev = np.empty(2 * active, dtype=np.int64)
         pair_rev[0::2] = c1[::-1]
         pair_rev[1::2] = c0[::-1]
-        base = _EPOCH
-        _EPOCH = base + active
+        base = epoch
+        epoch = base + active
         stamp[pair_rev] = rows_rev[2 * (width - active) :] + base
         safe = np.minimum(stamp[c0], stamp[c1]) == np.arange(
             base, base + active, dtype=np.int64
@@ -290,15 +264,15 @@ def _drain_chunk_pairs(loads, nodes, lo, hi, uniforms, out, stamp, stats):
         stats.rounds += 1
         stats.committed_vectorised += safe_idx.size
         if safe_idx.size == active:
-            return req[:0]
+            return req[:0], epoch
         keep = ~safe
         req = req[keep]
         c0 = c0[keep]
         c1 = c1[keep]
         u = u[keep]
         if safe_idx.size < max(1, active >> _PROGRESS_SHIFT):
-            return req
-    return req
+            return req, epoch
+    return req, epoch
 
 
 def _drain_chunk_csr(
@@ -385,16 +359,19 @@ def commit_least_loaded_of_sample(
         # load-independent, so the whole window commits in one pass.
         _forced_picks(loads, sample_nodes, sample_indptr[:-1], out, stats, m)
         return out
-    first = _scratch(int(num_nodes))
+    pairs = wmin == wmax == 2
+    if pairs:
+        stamp, epoch = np.zeros(int(num_nodes), dtype=np.int64), 1
+    else:
+        first = _scratch(int(num_nodes))
     chunk = _chunk_size(int(num_nodes))
     starts0 = sample_indptr[:-1]
     for lo in range(0, m, chunk):
         hi = min(m, lo + chunk)
         stats.chunks += 1
-        if wmin == wmax == 2:
-            leftover = _drain_chunk_pairs(
-                loads, sample_nodes, lo, hi, tie_uniforms, out,
-                _pairs_scratch(int(num_nodes)), stats,
+        if pairs:
+            leftover, epoch = _drain_chunk_pairs(
+                loads, sample_nodes, lo, hi, tie_uniforms, out, stamp, epoch, stats
             )
         else:
             leftover = _drain_chunk_csr(

@@ -43,7 +43,7 @@ from repro.exceptions import NoReplicaError, StrategyError
 from repro.placement.cache import CacheState
 from repro.strategies.base import FallbackPolicy
 from repro.topology.base import Topology
-from repro.types import IntArray
+from repro.types import IntArray, index_type
 from repro.workload.request import RequestBatch
 
 __all__ = [
@@ -328,7 +328,7 @@ def _ball_hits(
 
 
 #: Pairs (group x replica) per replica-scan chunk; bounds each of the scan's
-#: int64 temporaries to 128 KiB.  A group with more replicas than this is a
+#: temporaries to at most 128 KiB.  A group with more replicas than this is a
 #: chunk of its own.
 _SCAN_PAIRS = 1 << 14
 
@@ -347,20 +347,29 @@ def _scan_rows(
     Returns ``(row_counts, nodes_parts, dists_parts, fallback_flags)``: the
     rows in group order, each row's replicas ascending, as per-chunk parts
     whose concatenation is one contiguous CSR slab.  Every file must have a
-    replica.  The ``(group, replica)`` pairs are expanded from the
-    :meth:`CacheState.file_index` CSR in group-aligned chunks of at most
-    ``_SCAN_PAIRS`` pairs, one :meth:`Topology.distances_between` call per
-    chunk.  A radius of at least the diameter keeps every replica.  A row
-    left empty by the in-ball filter resolves over its segment of the chunk:
+    replica and every origin must be a valid node id.  The ``(group,
+    replica)`` pairs are expanded from the :meth:`CacheState.file_index` CSR
+    in group-aligned chunks of at most ``_SCAN_PAIRS`` pairs, one
+    :meth:`Topology.distances_between_unchecked` call per chunk.  Pair
+    positions and repeated origins are int32 while they fit (see
+    :func:`~repro.types.index_type`), and the distances stay in the
+    topology's type through the in-ball test, the fallback and the compress.
+    A radius of at least the diameter keeps every replica.  A row left
+    empty by the in-ball filter resolves over its segment of the chunk:
     NEAREST keeps the first minimum in replica order (``np.argmin``'s tie
     rule), EXPAND keeps ``d <= e`` for the smallest ``e = max(r, 1) * 2**k``
     (``k >= 1``) that reaches the minimum, and ERROR raises.
     """
     indptr, replicas = cache.file_index()
+    position = index_type(replicas.size)
+    origins = origins.astype(index_type(topology.n))
     first = indptr[files]
     sizes = indptr[files + 1] - first
     pair_ends = np.cumsum(sizes)
     pair_starts = pair_ends - sizes
+    # Distances are integers no larger than the diameter, so ``d <= radius``
+    # is ``d <= limit`` for an integer limit that fits the distance type.
+    limit = int(min(np.floor(radius), topology.diameter))
     row_counts = np.empty(files.size, dtype=np.int64)
     flags = np.zeros(files.size, dtype=bool)
     nodes_parts: list[IntArray] = []
@@ -371,13 +380,19 @@ def _scan_rows(
         hi = int(np.searchsorted(pair_ends, base + _SCAN_PAIRS, side="right"))
         hi = max(hi, lo + 1)
         row_sizes = sizes[lo:hi]
-        flat = np.repeat(first[lo:hi], row_sizes) + segmented_arange(row_sizes)
-        cand = replicas[flat]
-        dist = topology.distances_between(np.repeat(origins[lo:hi], row_sizes), cand)
-        keep = dist <= radius
+        row_starts = pair_starts[lo:hi] - base
+        # Pair j of row i sits at first[i] + j, i.e. its chunk offset plus
+        # first[i] - row_starts[i].
+        flat = np.repeat((first[lo:hi] - row_starts).astype(position), row_sizes)
+        flat += np.arange(flat.size, dtype=position)
+        cand = replicas.take(flat)
+        dist = topology.distances_between_unchecked(
+            np.repeat(origins[lo:hi], row_sizes), cand
+        )
+        keep = dist <= limit
         # Every row has a replica, so no segment is empty and reduceat sums
         # exactly each row's pairs.
-        counts = np.add.reduceat(keep, pair_starts[lo:hi] - base)
+        counts = np.add.reduceat(keep, row_starts)
         empty = np.flatnonzero(counts == 0)
         if empty.size:
             if fallback is FallbackPolicy.ERROR:
@@ -411,8 +426,10 @@ def _scan_rows(
                 counts[empty] = np.add.reduceat(reached, seg_starts)
             flags[lo + empty] = True
         row_counts[lo:hi] = counts
-        nodes_parts.append(cand[keep])
-        dists_parts.append(dist[keep])
+        # Two takes of the kept positions beat two boolean compresses.
+        kept = np.flatnonzero(keep)
+        nodes_parts.append(cand.take(kept))
+        dists_parts.append(dist.take(kept))
         lo = hi
     return row_counts, nodes_parts, dists_parts, flags
 
@@ -434,7 +451,9 @@ def _build_rows_csr(
     contiguous CSR slab: group ``gids[i]``'s candidates are the next
     ``counts[i]`` slots of ``nodes`` / ``dists``.  The cold build hands the
     full group range; the store-backed build hands only its misses.  A file
-    cached nowhere raises :class:`NoReplicaError` before any distance work.
+    cached nowhere raises :class:`NoReplicaError` before any distance work,
+    then an origin outside the topology raises
+    :class:`~repro.exceptions.TopologyError`, checked once for both routes.
 
     Where the topology lists ``B_r`` as a dense matrix (see
     :meth:`Topology.ball_matrix`), groups whose file has more replicas than
@@ -442,14 +461,17 @@ def _build_rows_csr(
     :func:`_ball_hits`), in chunks of at most ``_BALL_CHUNK`` elements.
     Every group left without candidates — the rest, plus ball groups with
     no in-ball replica — then takes one flat replica scan (see
-    :func:`_scan_rows`), fallback resolution included.  Both routes' per-chunk
-    rows are assembled with a single ``np.concatenate`` + one vectorised
-    scatter via :func:`csr_scatter_destinations`.
+    :func:`_scan_rows`), fallback resolution included.  Both routes work in
+    narrow integer types; the slab is int64.  When one route built every
+    row, its per-chunk parts are already in ``gids`` order and one
+    ``np.concatenate`` per array is the slab; otherwise the parts are
+    scattered into place via :func:`csr_scatter_destinations`.
     """
     files = g_files[gids]
     replication = cache.replication_counts()[files]
     if not replication.all():
         raise NoReplicaError(int(files[replication == 0].min()))
+    origins = topology.validate_nodes(g_origins[gids])
     counts = np.zeros(gids.size, dtype=np.int64)
     flags = np.zeros(gids.size, dtype=bool)
     # Per-route flat pieces, addressed by position within ``gids``; scattered
@@ -471,7 +493,7 @@ def _build_rows_csr(
         step = max(1, _BALL_CHUNK // ball_size)
         for start in range(0, on_ball.size, step):
             local = on_ball[start : start + step]
-            members, dists = topology.ball_matrix(g_origins[gids[local]], radius)
+            members, dists = topology.ball_matrix(origins[local], radius)
             row_counts, flat_nodes, flat_dists = _ball_hits(
                 cache, members, dists, files[local]
             )
@@ -486,7 +508,7 @@ def _build_rows_csr(
         row_counts, nodes_parts, dists_parts, row_flags = _scan_rows(
             topology,
             cache,
-            g_origins[gids[scan]],
+            origins[scan],
             files[scan],
             radius=radius,
             fallback=fallback,
@@ -497,17 +519,24 @@ def _build_rows_csr(
         piece_counts.append(row_counts)
         piece_nodes += nodes_parts
         piece_dists += dists_parts
-    ends = np.cumsum(counts)
-    indptr = np.concatenate([np.zeros(1, dtype=np.int64), ends])
+    # The empty int64 head makes every slab int64, even one of no parts.
+    head = [np.empty(0, dtype=np.int64)]
+    if scan.size in (0, gids.size):
+        # One route built every row in gids order: the ball route alone
+        # (chunks of ascending positions), or the scan alone (the ball rows
+        # it redid left empty parts).  The parts already are the slab.
+        nodes = np.concatenate(head + piece_nodes)
+        dists = np.concatenate(head + piece_dists)
+        return counts, nodes, dists, flags
+    indptr = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(counts)])
     total = int(indptr[-1])
     nodes = np.empty(total, dtype=np.int64)
     dists = np.empty(total, dtype=np.int64)
-    if piece_pos:
-        all_pos = np.concatenate(piece_pos)
-        all_counts = np.concatenate(piece_counts)
-        dest = csr_scatter_destinations(indptr, all_pos, all_counts)
-        nodes[dest] = np.concatenate(piece_nodes)
-        dists[dest] = np.concatenate(piece_dists)
+    dest = csr_scatter_destinations(
+        indptr, np.concatenate(piece_pos), np.concatenate(piece_counts)
+    )
+    nodes[dest] = np.concatenate(piece_nodes)
+    dists[dest] = np.concatenate(piece_dists)
     return counts, nodes, dists, flags
 
 

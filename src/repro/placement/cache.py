@@ -22,7 +22,7 @@ import hashlib
 import numpy as np
 
 from repro.exceptions import PlacementError
-from repro.types import IntArray
+from repro.types import IntArray, index_type
 
 __all__ = ["CacheState"]
 
@@ -206,8 +206,11 @@ class CacheState:
 
         Looks each pair up in a bit-packed ``(node, file)`` membership table,
         built on first use and cached: each node's row takes ``ceil(K / 8)``
-        bytes, so bit ``node * 8 * ceil(K / 8) + file`` is the pair's.  Ids
-        are not range-checked: callers pass valid node and file ids.
+        bytes, so bit ``node * 8 * ceil(K / 8) + file`` is the pair's.  That
+        index is computed in int32 while ``n * 8 * ceil(K / 8) < 2**31``
+        (int64 beyond), whatever the integer types of the ids.  Ids are not
+        range-checked: callers pass valid node and file ids.  Returns a
+        boolean array of the broadcast shape.
         """
         row_bits = 8 * -(-self._num_files // 8)
         if self._membership is None:
@@ -224,7 +227,9 @@ class CacheState:
             table = table.reshape(-1)
             table.setflags(write=False)
             self._membership = table
-        index = np.asarray(nodes, dtype=np.int64) * row_bits + file_ids
+        bit_type = index_type(self._n * row_bits)
+        index = np.asarray(nodes, dtype=bit_type) * row_bits
+        index = index + np.asarray(file_ids, dtype=bit_type)
         member = self._membership.take(index >> 3)
         member &= _BIT.take(index & 7)
         return member != 0

@@ -50,7 +50,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from repro.exceptions import JournalError
-from repro.service.state import CommittedUnit, session_kind
+from repro.service.state import CommittedUnit, Request, session_kind
 from repro.session.core import CacheNetworkSession
 from repro.session.queueing import QueueingSession
 
@@ -521,10 +521,12 @@ class RecoveredSession:
 
     ``session`` is live and positioned exactly where the crashed server's
     was after its last durable batch; ``next_seq`` is the commit-order seq
-    the next accepted request must receive; ``idempotency`` pairs every
-    journaled idempotency key, in journal order, with its unit's committed
-    decisions (a :class:`~repro.service.state.CommittedUnit` holding its own
-    arrays), so the server's dedup index survives the crash.
+    the next accepted request must receive; ``idempotency`` lists every
+    journaled idempotency key, in journal order, as ``(key, unit,
+    (origins, files))``: its unit's committed decisions (a
+    :class:`~repro.service.state.CommittedUnit`) and the request that
+    committed them, each holding its own arrays, so the server's dedup
+    index survives the crash and still refuses a reused key.
     """
 
     session: CacheNetworkSession | QueueingSession
@@ -534,20 +536,21 @@ class RecoveredSession:
     batches: int
     requests: int
     checkpoints_verified: int
-    idempotency: list[tuple[str, CommittedUnit]] = field(default_factory=list)
+    idempotency: list[tuple[str, CommittedUnit, Request]] = field(default_factory=list)
 
 
 def _replay(
     session: CacheNetworkSession | QueueingSession,
     segment: Sequence[JournalBatch],
-) -> list[tuple[str, CommittedUnit]]:
+) -> list[tuple[str, CommittedUnit, Request]]:
     """Replay consecutive journaled batches in one ``dispatch_batch`` call.
 
     The call counts as ``len(segment)`` windows.  An untimed queueing batch
     arrives at the running ``served_until`` — the last time of the segment's
     previous timed batch, or the session's clock before the call — which is
     exactly where ``dispatch_batch(times=None)`` would have put it.  Returns
-    the keyed units, each sliced (and copied) out of the call's decisions.
+    the keyed units, each sliced (and copied) out of the call's decisions,
+    with copies of their origins and files.
     """
     starts = [0, *accumulate(batch.total for batch in segment)]
     total = starts[-1]
@@ -574,12 +577,14 @@ def _replay(
         result = session.dispatch_batch(origins, files, times, windows=len(segment))
     else:
         result = session.dispatch_batch(origins, files, windows=len(segment))
-    units: list[tuple[str, CommittedUnit]] = []
+    units: list[tuple[str, CommittedUnit, Request]] = []
     for batch, offset in zip(segment, starts):
         for size, key in batch.units:
             if key is not None:
                 unit = CommittedUnit.sliced(result, times, segment[0].seq, offset, size)
-                units.append((key, unit.copy()))
+                window = slice(offset, offset + size)
+                request = (origins[window].copy(), files[window].copy())
+                units.append((key, unit.copy(), request))
             offset += size
     return units
 
@@ -614,7 +619,7 @@ def recover_session(
             f"journal records a {kind!r} session but a {expected_kind!r} "
             "session was supplied"
         )
-    idempotency: list[tuple[str, CommittedUnit]] = []
+    idempotency: list[tuple[str, CommittedUnit, Request]] = []
     batches = 0
     requests = 0
     verified = 0

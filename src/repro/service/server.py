@@ -508,17 +508,25 @@ class DispatchServer:
         key gets the stored unit; a duplicate racing the original awaits the
         original's unit future.  Either way the duplicate never reaches the
         queue, so it cannot double-commit or advance the session's RNG
-        streams.  A *failed* commit drops the key, so a retry after an error
-        re-attempts cleanly.
+        streams.  A key reused for different origins or files is a 400
+        ``idempotency key mismatch``.  A *failed* commit drops the key, so a
+        retry after an error re-attempts cleanly.
         """
         if key is None:
             return await self._commit(origins, files, times, key)
+        request = (np.asarray(origins, dtype=np.int64), np.asarray(files, dtype=np.int64))
         entry = self._idempotency.lookup(key)
         if entry is not None:
-            state, value = entry
+            state, value, (first_origins, first_files) = entry
+            if not (
+                np.array_equal(first_origins, request[0])
+                and np.array_equal(first_files, request[1])
+            ):
+                detail = f"key {key!r} was first used for a different request"
+                raise _HttpError(400, "idempotency key mismatch", detail)
             self._metrics.record_duplicate()
             return value if state == "done" else await asyncio.shield(value)
-        self._idempotency.begin(key)
+        self._idempotency.begin(key, request)
         try:
             unit = await self._commit(origins, files, times, key)
         except asyncio.CancelledError:
@@ -587,9 +595,6 @@ class DispatchServer:
             None if request.time is None else (request.time,),
             request.key,
         )
-        if len(unit.servers) != 1:  # the key was first used for a client batch
-            detail = f"key {request.key!r} names {len(unit.servers)} requests"
-            raise _HttpError(400, "idempotency key mismatch", detail)
         return DispatchResponse(
             server=int(unit.servers[0]),
             distance=int(unit.distances[0]),

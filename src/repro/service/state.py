@@ -39,6 +39,7 @@ __all__ = [
     "IdempotencyIndex",
     "MicroBatchQueue",
     "PendingDispatch",
+    "Request",
     "SnapshotPublisher",
     "StateSnapshot",
     "session_kind",
@@ -194,6 +195,10 @@ class PendingDispatch:
         return int(self.origins.size)
 
 
+#: The ``(origins, files)`` int64 arrays of one keyed dispatch unit.
+Request = tuple[np.ndarray, np.ndarray]
+
+
 class CommittedUnit(NamedTuple):
     """The committed decisions of one dispatch unit.
 
@@ -234,7 +239,9 @@ class IdempotencyIndex:
 
     The server consults this before enqueueing: a key seen before returns
     either the committed unit (``done``) or a future the duplicate can await
-    (``pending``, the original is still in flight).  Duplicates are
+    (``pending``, the original is still in flight), together with the
+    ``(origins, files)`` of the request that first used the key, so a retry
+    can be told from a different request under a reused key.  Duplicates are
     therefore answered without ever reaching the session, so retried
     deliveries cannot double-commit or advance strategy RNG streams.
 
@@ -248,8 +255,8 @@ class IdempotencyIndex:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self._capacity = int(capacity)
-        # key -> ("pending", Future[unit]) | ("done", unit)
-        self._entries: "OrderedDict[str, tuple[str, Any]]" = OrderedDict()
+        # key -> ("pending", Future[unit], request) | ("done", unit, request)
+        self._entries: "OrderedDict[str, tuple[str, Any, Request]]" = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -258,32 +265,33 @@ class IdempotencyIndex:
     def capacity(self) -> int:
         return self._capacity
 
-    def lookup(self, key: str) -> tuple[str, Any] | None:
-        """The entry for ``key`` (refreshing its recency), or ``None``."""
+    def lookup(self, key: str) -> tuple[str, Any, Request] | None:
+        """``(state, unit or future, request)`` for ``key`` (refreshing its
+        recency), or ``None``."""
         entry = self._entries.get(key)
         if entry is not None:
             self._entries.move_to_end(key)
         return entry
 
-    def begin(self, key: str) -> asyncio.Future:
-        """Register an in-flight request under ``key``.
+    def begin(self, key: str, request: Request) -> asyncio.Future:
+        """Register the in-flight ``request`` (its origins and files) under ``key``.
 
         Returns the unit future duplicates will await; the caller must
         eventually :meth:`finish`, :meth:`fail`, or :meth:`forget` the key.
         """
         future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._entries[key] = ("pending", future)
+        self._entries[key] = ("pending", future, request)
         self._entries.move_to_end(key)
         self._evict()
         return future
 
     def finish(self, key: str, unit: CommittedUnit) -> None:
         """Commit ``key``: resolve its pending future and store the unit."""
-        entry = self._entries.get(key)
-        self._entries[key] = ("done", unit)
+        _, future, request = self._entries[key]
+        self._entries[key] = ("done", unit, request)
         self._entries.move_to_end(key)
-        if entry is not None and entry[0] == "pending" and not entry[1].done():
-            entry[1].set_result(unit)
+        if not future.done():
+            future.set_result(unit)
         self._evict()
 
     def fail(self, key: str, exc: BaseException) -> None:
@@ -300,17 +308,17 @@ class IdempotencyIndex:
         if entry is not None and entry[0] == "pending" and not entry[1].done():
             entry[1].cancel()
 
-    def preload(self, entries: "list[tuple[str, CommittedUnit]]") -> None:
-        """Bulk-insert recovered (key, unit) pairs in journal order."""
-        for key, unit in entries:
-            self._entries[key] = ("done", unit)
+    def preload(self, entries: "list[tuple[str, CommittedUnit, Request]]") -> None:
+        """Bulk-insert recovered ``(key, unit, request)`` triples in journal order."""
+        for key, unit, request in entries:
+            self._entries[key] = ("done", unit, request)
             self._entries.move_to_end(key)
         self._evict()
 
     def _evict(self) -> None:
         while len(self._entries) > self._capacity:
             victim = next(
-                (k for k, (state, _) in self._entries.items() if state == "done"),
+                (k for k, (state, _, _) in self._entries.items() if state == "done"),
                 None,
             )
             if victim is None:

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Sequence
 
 from repro.backends.registry import resolve_engine_name
@@ -127,6 +126,9 @@ def run_trials_parallel(
     if workers == 1 or len(batches) == 1:
         nested = [_run_trial_batch_worker(batch) for batch in batches]
     else:
+        # Imported here: it loads multiprocessing, which no sequential run needs.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             nested = list(pool.map(_run_trial_batch_worker, batches))
 

@@ -90,9 +90,10 @@ class Topology(ABC):
     def distances_between(self, nodes_a: IntArray, nodes_b: IntArray) -> IntArray:
         """Element-wise distances ``d(a_i, b_i)`` for two equal-length arrays.
 
-        The generic implementation chunks ``nodes_a`` and deduplicates sources
-        within each chunk so memory stays bounded by ``chunk x chunk``; lattice
-        topologies override this with closed-form coordinate arithmetic.
+        Validates both arrays and returns int64.  The generic implementation
+        chunks ``nodes_a`` and deduplicates sources within each chunk so
+        memory stays bounded by ``chunk x chunk``; lattice topologies
+        override this with closed-form coordinate arithmetic.
         """
         nodes_a = self.validate_nodes(nodes_a)
         nodes_b = self.validate_nodes(nodes_b)
@@ -105,6 +106,19 @@ class Topology(ABC):
             matrix = self.pairwise_distances(sources, nodes_b[sl])
             out[sl] = matrix[inverse, np.arange(inverse.size)]
         return out
+
+    def distances_between_unchecked(self, nodes_a: IntArray, nodes_b: IntArray) -> IntArray:
+        """:meth:`distances_between` for ids the caller has already checked.
+
+        For callers that check their ids once and then ask for distances
+        chunk by chunk (the group index's replica scan): the arrays must be
+        equal-length integer arrays of valid node ids, and the result may
+        come in any integer type that holds every distance exactly.  The
+        generic default is :meth:`distances_between` itself;
+        :class:`~repro.topology.torus.Torus2D` skips the validation and
+        computes in its int16 / int32 coordinate type.
+        """
+        return self.distances_between(nodes_a, nodes_b)
 
     def ball_matrix(
         self, origins: IntArray, radius: float

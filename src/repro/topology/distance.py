@@ -40,12 +40,16 @@ def torus_l1(
     """Wrapped Manhattan distance on a ``side x side`` torus.
 
     All coordinate arguments broadcast against each other; the result has the
-    broadcast shape.  Coordinates must already lie in ``[0, side)``.
+    broadcast shape.  Coordinates must already lie in ``[0, side)``.  The
+    arithmetic runs in the promoted type of the coordinates, where they are
+    signed integer arrays (anything else, Python ints included, is taken as
+    int64): every value it reaches is at most ``side``, so int16 coordinates
+    of a torus with ``side < 2**15`` give exact int16 distances.
     """
-    x1 = np.asarray(x1, dtype=np.int64)
-    y1 = np.asarray(y1, dtype=np.int64)
-    x2 = np.asarray(x2, dtype=np.int64)
-    y2 = np.asarray(y2, dtype=np.int64)
+    x1, y1, x2, y2 = (
+        c if c.dtype.kind == "i" else c.astype(np.int64)
+        for c in map(np.asarray, (x1, y1, x2, y2))
+    )
     return _wrap_abs_diff(x1, x2, side) + _wrap_abs_diff(y1, y2, side)
 
 

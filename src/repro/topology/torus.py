@@ -18,9 +18,18 @@ from repro.exceptions import TopologyError
 from repro.topology.base import Topology
 from repro.topology.distance import torus_l1, torus_l1_matrix
 from repro.topology.neighborhood import ball_size_torus
-from repro.types import IntArray
+from repro.types import IntArray, index_type
 
 __all__ = ["Torus2D"]
+
+
+def _coordinate_type(side: int) -> type[np.signedinteger]:
+    """``np.int16`` while ``side < 2**14``, else ``np.int32``.
+
+    The wrapped L1 arithmetic on coordinates in ``[0, side)`` never leaves
+    ``(-side, side]``, so int16 holds it with a factor-two margin.
+    """
+    return np.int16 if side < 2**14 else np.int32
 
 
 @lru_cache(maxsize=None)
@@ -59,9 +68,12 @@ class Torus2D(Topology):
         if side * side != n:
             raise TopologyError(f"torus size must be a perfect square, got n={n}")
         self._side = side
+        # Coordinates in the narrowest exact type: distances and ball members
+        # are computed in it and widened only where they leave the topology.
+        coordinate = _coordinate_type(side)
         node_ids = np.arange(n, dtype=np.int64)
-        self._x = node_ids % side
-        self._y = node_ids // side
+        self._x = (node_ids % side).astype(coordinate)
+        self._y = (node_ids // side).astype(coordinate)
 
     # ------------------------------------------------------------ properties
     @classmethod
@@ -85,16 +97,17 @@ class Torus2D(Topology):
     def coordinates(self, nodes: IntArray | int | None = None) -> tuple[IntArray, IntArray]:
         """Return ``(x, y)`` coordinates of ``nodes`` (all nodes if ``None``).
 
-        A scalar node id yields scalar coordinates; an array yields arrays.
+        A scalar node id yields scalar coordinates; an array yields int64
+        arrays.
         """
         if nodes is None:
-            return self._x, self._y
+            return self._x.astype(np.int64), self._y.astype(np.int64)
         scalar = np.isscalar(nodes) or (isinstance(nodes, np.ndarray) and nodes.ndim == 0)
         validated = self.validate_nodes(nodes)
         if scalar:
             node = int(validated[0])
             return int(self._x[node]), int(self._y[node])
-        return self._x[validated], self._y[validated]
+        return self._x[validated].astype(np.int64), self._y[validated].astype(np.int64)
 
     def node_at(self, x: int, y: int) -> int:
         """Node id of coordinates ``(x, y)`` (taken modulo ``side``)."""
@@ -108,7 +121,8 @@ class Torus2D(Topology):
         else:
             targets = self.validate_nodes(targets)
             tx, ty = self._x[targets], self._y[targets]
-        return torus_l1(self._x[node], self._y[node], tx, ty, self._side)
+        distances = torus_l1(self._x[node], self._y[node], tx, ty, self._side)
+        return distances.astype(np.int64)
 
     def pairwise_distances(self, nodes_a: IntArray, nodes_b: IntArray) -> IntArray:
         nodes_a = self.validate_nodes(nodes_a)
@@ -121,9 +135,17 @@ class Torus2D(Topology):
         nodes_a = self.validate_nodes(nodes_a)
         nodes_b = self.validate_nodes(nodes_b)
         self._check_equal_shapes(nodes_a, nodes_b)
-        return torus_l1(
-            self._x[nodes_a], self._y[nodes_a], self._x[nodes_b], self._y[nodes_b], self._side
-        )
+        return self.distances_between_unchecked(nodes_a, nodes_b).astype(np.int64)
+
+    def distances_between_unchecked(self, nodes_a: IntArray, nodes_b: IntArray) -> IntArray:
+        """Element-wise distances of valid ids in the coordinate type.
+
+        int16 while ``side < 2**14``, int32 beyond (see
+        :meth:`Topology.distances_between_unchecked`).
+        """
+        x, y = self._x, self._y
+        xa, ya, xb, yb = x.take(nodes_a), y.take(nodes_a), x.take(nodes_b), y.take(nodes_b)
+        return torus_l1(xa, ya, xb, yb, self._side)
 
     # ------------------------------------------------------------------ balls
     def ball_matrix(
@@ -136,8 +158,10 @@ class Torus2D(Topology):
         ``B_r((x, y))`` exactly once, at hop distance ``|dx| + |dy|``, for
         the ``2 r (r + 1) + 1`` lattice offsets ``(dx, dy)`` of ``floor(r)``:
         column ``j`` of ``members`` applies offset ``j`` and ``dists[j]`` is
-        its L1 norm.  Other radii return ``None``: the offsets overlap
-        through the wrap-around, or the ball is the whole torus.
+        its L1 norm.  ``members`` is int32 while ``n < 2**31`` (int64
+        beyond); ``dists`` is int64.  Other radii return ``None``: the
+        offsets overlap through the wrap-around, or the ball is the whole
+        torus.
         """
         if radius < 0 or np.isinf(radius) or radius >= self.diameter:
             return None
@@ -149,7 +173,7 @@ class Torus2D(Topology):
         side = self._side
         # Wrap each origin's 2r + 1 columns and rows once, then gather them
         # per offset: no modulo over every (origin, offset) pair.
-        span = np.arange(-r, r + 1, dtype=np.int64)
+        span = np.arange(-r, r + 1, dtype=index_type(self._n))
         wrapped_x = (self._x[origins][:, None] + span) % side
         wrapped_y = (self._y[origins][:, None] + span) % side * side
         return wrapped_y[:, dy + r] + wrapped_x[:, dx + r], norms
@@ -172,7 +196,7 @@ class Torus2D(Topology):
             # fall back to the generic distance scan.
             dist = self.distances_from(int(node))
             return np.flatnonzero(dist <= int(radius)).astype(np.int64)
-        return np.sort(ball[0][0])
+        return np.sort(ball[0][0]).astype(np.int64)
 
     def ball_size(self, node: int, radius: float) -> int:
         """Closed-form ball size on the torus (identical for every node)."""

@@ -458,3 +458,38 @@ class TestEngineRegistration:
             row = rows[(family, "batch")]
             assert row["available"] is True
             assert row["auto_order"] == 2
+
+
+class TestThreads:
+    """Commits of independent sessions on several threads share no scratch."""
+
+    def test_threaded_commits_match_sequential(self):
+        # Width 2 runs the epoch-stamped pairs driver, width 3 the sentinel
+        # scratch of the CSR driver; every window has the same n, so shared
+        # scratch would be the same array.  More threads than cores and a
+        # short switch interval make the threads interleave inside a
+        # commit: with shared scratch this fails in nearly every repetition.
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        n, m = 2048, 8192
+        rng = np.random.default_rng(12)
+        windows = []
+        for width in (2, 3, 2, 3, 2, 3):
+            nodes, counts, indptr = _uniform_csr(rng.integers(0, n, size=(m, width)))
+            windows.append((nodes, counts, indptr, rng.random(m)))
+
+        def commit(window):
+            nodes, counts, indptr, uniforms = window
+            return bc.commit_least_loaded_of_sample(n, nodes, counts, indptr, uniforms)
+
+        expected = [commit(window) for window in windows]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(3) as pool:
+                for _ in range(12):
+                    for got, want in zip(pool.map(commit, windows, timeout=60), expected):
+                        np.testing.assert_array_equal(got, want)
+        finally:
+            sys.setswitchinterval(interval)

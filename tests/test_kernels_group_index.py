@@ -109,6 +109,7 @@ class TestGroupIndex:
         # At radius 2 file 0 (25 replicas > |B_2| = 13) takes the ball route
         # and file 1 (none) would take the replica scan.
         monkeypatch.setattr(torus, "distances_between", no_distances)
+        monkeypatch.setattr(torus, "distances_between_unchecked", no_distances)
         for radius, need_dists in ((np.inf, True), (np.inf, False), (2.0, True)):
             with pytest.raises(NoReplicaError):
                 build_group_index(
@@ -167,3 +168,63 @@ class TestBatchedTopologyAPI:
             # The generic implementation validates shapes; lattice overrides
             # would broadcast, so check the base class directly.
             Ring(10).distances_between(np.asarray([1, 2]), np.asarray([3]))
+
+
+class TestNarrowWidths:
+    """The precompute's integer widths, at the edges of each rule.
+
+    Tori and caches large enough to reach these edges do not fit a test
+    run, so the helpers that choose the widths are called with the
+    boundary values directly.
+    """
+
+    @pytest.mark.parametrize(
+        "side,expected", [(2**14 - 1, np.int16), (2**14, np.int32)]
+    )
+    def test_torus_coordinates(self, side, expected):
+        from repro.topology.torus import _coordinate_type
+
+        assert _coordinate_type(side) is expected
+
+    @pytest.mark.parametrize(
+        "limit,expected", [(2**31 - 1, np.int32), (2**31, np.int64)]
+    )
+    def test_index_arithmetic(self, limit, expected):
+        """One rule for node ids (limit n), membership bits (limit
+        n * 8 * ceil(K / 8)) and file index positions (limit its length)."""
+        from repro.types import index_type
+
+        assert index_type(limit) is expected
+
+    def test_small_torus_is_narrow_and_its_answers_wide(self):
+        torus = Torus2D(289)
+        origins, targets = np.array([0, 5, 288]), np.array([288, 144, 0])
+        assert torus.distances_between_unchecked(origins, targets).dtype == np.int16
+        assert torus.distances_between(origins, targets).dtype == np.int64
+        assert torus.distances_from(0).dtype == np.int64
+        members, dists = torus.ball_matrix(origins, 3)
+        assert members.dtype == np.int32 and dists.dtype == np.int64
+        assert torus.ball(0, 3).dtype == np.int64
+        assert all(c.dtype == np.int64 for c in torus.coordinates(origins))
+
+    @pytest.mark.parametrize(
+        "num_files,route", [(4, "ball"), (20, "scan")], ids=["ball", "scan"]
+    )
+    def test_out_of_range_origin_raises(self, monkeypatch, num_files, route):
+        """An origin outside the topology is a TopologyError on either route
+        (side 17, r = 8: 4 files all beat |B_8|, 20 files none do)."""
+        from repro.kernels import group_index
+
+        torus = Torus2D(289)
+        library = FileLibrary(num_files)
+        cache = ProportionalPlacement(3).place(torus, library, seed=0)
+        on_ball = cache.replication_counts() > torus.ball_size(0, 8)
+        assert on_ball.all() if route == "ball" else not on_ball.any()
+        requests = RequestBatch(
+            origins=np.asarray([3, 289], dtype=np.int64),
+            files=np.asarray([0, 1], dtype=np.int64),
+            num_nodes=300,
+            num_files=num_files,
+        )
+        with pytest.raises(TopologyError):
+            build_group_index(torus, cache, requests, radius=8.0)

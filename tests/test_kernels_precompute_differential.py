@@ -46,11 +46,15 @@ def _make_system(topology, library, cache_size=3):
 #: ~38 replicas per file against |B_2| = 13, with many empty balls at r = 2.
 #: Side 17: 2r = side - 1 at r = 8, the largest radius the ball route takes;
 #: every file has more than |B_8| = 145 replicas.
+#: Side 17 with 20 files: about 41 replicas per file, below |B_8| = 145, so
+#: at r = 8 every group takes the replica scan with 2r = side - 1 — Figure
+#: 5's r = 22 point on a side-45 torus, in small.
 #: Zipf: replica counts from 5 to 179, so one build splits at |B_2| = 13.
 #: Grid: no wrap-around, never on the ball route.
 SYSTEMS = {
     "torus16": lambda: _make_system(Torus2D(256), FileLibrary(20)),
     "torus17": lambda: _make_system(Torus2D(289), FileLibrary(4)),
+    "torus17-scan": lambda: _make_system(Torus2D(289), FileLibrary(20)),
     "torus16-zipf": lambda: _make_system(
         Torus2D(256), FileLibrary(20, create_popularity("zipf", 20, gamma=1.2))
     ),
@@ -189,8 +193,24 @@ def test_ball_route_serves_every_group_with_an_in_ball_replica(monkeypatch):
         topology, cache, requests, radius=8.0, fallback=FallbackPolicy.ERROR
     )
     monkeypatch.setattr(topology, "distances_between", _no_call)
+    monkeypatch.setattr(topology, "distances_between_unchecked", _no_call)
     index = build_group_index(
         topology, cache, requests, radius=8.0, fallback=FallbackPolicy.ERROR
+    )
+    _assert_matches_model(index, model)
+
+
+def test_scan_serves_every_group_below_the_ball_size(monkeypatch):
+    """Side 17 with 20 files, r = 8: every file has fewer replicas than
+    |B_8|, so the ball route never runs and the scan builds every row."""
+    topology, cache, requests = SYSTEMS["torus17-scan"]()
+    assert bool((cache.replication_counts() < topology.ball_size(0, 8)).all())
+    model = _model_build(
+        topology, cache, requests, radius=8.0, fallback=FallbackPolicy.NEAREST
+    )
+    monkeypatch.setattr(group_index, "_ball_hits", _no_call)
+    index = build_group_index(
+        topology, cache, requests, radius=8.0, fallback=FallbackPolicy.NEAREST
     )
     _assert_matches_model(index, model)
 

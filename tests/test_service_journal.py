@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError, JournalError, UnknownEngineError
-from repro.service import DispatchClient, DispatchServer
+from repro.service import DispatchClient, DispatchServer, DispatchServiceError
 from repro.service import journal as journal_module
 from repro.service.journal import (
     DispatchJournal,
@@ -160,8 +160,8 @@ def replay_per_batch(path):
     """The replay recovery must match: one ``dispatch_batch`` per batch.
 
     Returns the session, every keyed unit as ``(key, seq, servers,
-    distances, fallbacks, times)`` with plain lists (see :func:`plain`),
-    and the number of checkpoints verified.
+    distances, fallbacks, times, origins, files)`` with plain lists (see
+    :func:`plain`), and the number of checkpoints verified.
     """
     contents = read_journal(path)
     session = build_session_from_spec(contents.header["spec"])
@@ -193,13 +193,15 @@ def replay_per_batch(path):
                     result.distances[window].tolist(),
                     result.fallback_mask[window].tolist(),
                     None if times is None else times[window],
+                    origins[window].tolist(),
+                    files[window].tolist(),
                 ))
             offset += size
     return session, units, verified
 
 
 def plain(units):
-    """Recovered ``(key, unit)`` pairs as comparable tuples of lists."""
+    """Recovered ``(key, unit, request)`` triples as comparable tuples of lists."""
     return [
         (
             key,
@@ -208,8 +210,10 @@ def plain(units):
             unit.distances.tolist(),
             unit.fallbacks.tolist(),
             None if unit.times is None else unit.times.tolist(),
+            origins.tolist(),
+            files.tolist(),
         )
-        for key, unit in units
+        for key, unit, (origins, files) in units
     ]
 
 
@@ -415,9 +419,9 @@ class TestRecovery:
         path = tmp_path / "wal"
         simulate_serving(path, "assignment", num_batches=3, keys=True)
         recovered = recover_session(path)
-        keys = [key for key, _ in recovered.idempotency]
+        keys = [key for key, _, _ in recovered.idempotency]
         assert keys == ["k-0", "k-1", "k-2"]
-        for index, (_, unit) in enumerate(recovered.idempotency):
+        for index, (_, unit, _) in enumerate(recovered.idempotency):
             assert unit.seq == index * 5
             assert len(unit.servers) == len(unit.fallbacks) == 5
             assert unit.times is None
@@ -501,6 +505,36 @@ class TestRecovery:
             for key in ("r-0", "r-1"):
                 assert owns_its_arrays(server.idempotency.lookup(key)[1])
 
+    @pytest.mark.parametrize("kind", ["queueing", "assignment"])
+    def test_key_reused_after_recovery_is_400(self, tmp_path, kind):
+        """Recovery restores each key's request too: a recovered key does
+        not answer a different request with its decisions."""
+        path = tmp_path / "wal"
+        simulate_serving(path, kind, num_batches=1, batch_size=2, keys=True)
+        recovered = recover_session(path)
+
+        async def second_life():
+            server = DispatchServer(
+                recovered.session,
+                flush_interval=0.001,
+                snapshot_interval=0.02,
+                initial_seq=recovered.next_seq,
+            )
+            server.idempotency.preload(recovered.idempotency)
+            await server.start()
+            try:
+                async with DispatchClient(*server.address, key_prefix="k") as client:
+                    with pytest.raises(DispatchServiceError) as excinfo:
+                        await client.dispatch_batch([0, 1, 2], [0, 1, 2])
+            finally:
+                await server.shutdown()
+            return server, excinfo.value
+
+        server, error = asyncio.run(second_life())
+        assert error.status == 400
+        assert error.error.error == "idempotency key mismatch"
+        assert server.requests_dispatched == 2  # the recovered batch alone
+
     def test_recover_from_torn_journal(self, tmp_path):
         """A crash mid-append loses only the unacknowledged torn record."""
         path = tmp_path / "wal"
@@ -543,7 +577,10 @@ class TestSegmentReplay:
         assert verified == (0 if cadence is None else len(sizes) // cadence)
         assert plain(recovered.idempotency) == units
         assert units, "the journal should hold keyed units"
-        assert all(owns_its_arrays(unit) for _, unit in recovered.idempotency)
+        assert all(owns_its_arrays(unit) for _, unit, _ in recovered.idempotency)
+        assert all(
+            array.base is None for _, _, request in recovered.idempotency for array in request
+        )
 
     @pytest.mark.parametrize("kind", ["queueing", "assignment"])
     def test_one_call_per_checkpoint_segment(self, tmp_path, monkeypatch, kind):

@@ -208,7 +208,7 @@ class TestFallback:
         beyond = [distance > spec["radius"] for distance in response.distances]
         assert list(response.fallbacks) == beyond
         assert 0 < sum(beyond) < len(beyond)
-        [(key, unit)] = recover_session(path).idempotency
+        [(key, unit, _)] = recover_session(path).idempotency
         assert key == "f-0"
         assert unit.fallbacks.tolist() == beyond
         assert unit.distances.tolist() == list(response.distances)
@@ -252,6 +252,31 @@ class TestCoalescing:
 
 
 class TestRejections:
+    @pytest.mark.parametrize("kind", ["static", "queueing"])
+    def test_key_reused_for_a_different_request_is_400(self, kind):
+        """A key answers only retries of the request that first used it."""
+
+        async def scenario():
+            session = make_session(kind)
+            cached = np.setdiff1d(np.arange(NUM_FILES), session.cache.uncached_files())
+            server = DispatchServer(session, flush_interval=0.002, snapshot_interval=0.02)
+            await server.start()
+            host, port = server.address
+            # Both clients stamp their first request with the key "p-0".
+            async with DispatchClient(host, port, key_prefix="p") as first, DispatchClient(
+                host, port, key_prefix="p"
+            ) as second:
+                await first.dispatch_batch([1, 2], cached[:2])
+                with pytest.raises(DispatchServiceError) as excinfo:
+                    await second.dispatch_batch([3, 4, 5], cached[2:5])
+            await server.shutdown()
+            assert excinfo.value.status == 400
+            assert excinfo.value.error.error == "idempotency key mismatch"
+            assert server.requests_dispatched == 2
+            assert server.metrics.duplicates == 0
+
+        run(scenario())
+
     @pytest.mark.parametrize(
         "payload",
         [

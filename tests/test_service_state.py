@@ -338,6 +338,9 @@ class TestMicroBatchQueueShutdownEdges:
 
 
 class TestIdempotencyIndex:
+    #: The (origins, files) a key was first used for.
+    REQUEST = (np.array([1, 2]), np.array([3, 4]))
+
     def run(self, coro):
         return asyncio.run(coro)
 
@@ -345,11 +348,12 @@ class TestIdempotencyIndex:
         async def scenario():
             index = IdempotencyIndex()
             assert index.lookup("k") is None
-            future = index.begin("k")
-            state, pending = index.lookup("k")
+            future = index.begin("k", self.REQUEST)
+            state, pending, request = index.lookup("k")
             assert state == "pending" and pending is future
+            assert request is self.REQUEST
             index.finish("k", {"seq": 7})
-            assert index.lookup("k") == ("done", {"seq": 7})
+            assert index.lookup("k") == ("done", {"seq": 7}, self.REQUEST)
             assert future.result() == {"seq": 7}
 
         self.run(scenario())
@@ -357,7 +361,7 @@ class TestIdempotencyIndex:
     def test_fail_drops_key_for_clean_retry(self):
         async def scenario():
             index = IdempotencyIndex()
-            index.begin("k")
+            index.begin("k", self.REQUEST)
             index.fail("k", RuntimeError("boom"))
             assert index.lookup("k") is None  # a retry re-attempts cleanly
 
@@ -366,7 +370,7 @@ class TestIdempotencyIndex:
     def test_forget_cancels_waiters(self):
         async def scenario():
             index = IdempotencyIndex()
-            future = index.begin("k")
+            future = index.begin("k", self.REQUEST)
             index.forget("k")
             assert future.cancelled()
             assert index.lookup("k") is None
@@ -376,25 +380,25 @@ class TestIdempotencyIndex:
     def test_capacity_evicts_oldest_done_only(self):
         async def scenario():
             index = IdempotencyIndex(capacity=2)
-            index.begin("inflight")
-            index.begin("a")
+            index.begin("inflight", self.REQUEST)
+            index.begin("a", self.REQUEST)
             index.finish("a", {"seq": 0})
-            index.begin("b")
+            index.begin("b", self.REQUEST)
             index.finish("b", {"seq": 1})
             # "a" (oldest done) was evicted; the pending entry survived even
             # though it is older — evicting it would allow a re-commit.
             assert index.lookup("a") is None
             assert index.lookup("inflight") is not None
-            assert index.lookup("b") == ("done", {"seq": 1})
+            assert index.lookup("b")[:2] == ("done", {"seq": 1})
 
         self.run(scenario())
 
     def test_preload_restores_recovered_entries(self):
         async def scenario():
             index = IdempotencyIndex()
-            index.preload([("x", {"seq": 0}), ("y", {"seq": 1})])
-            assert index.lookup("x") == ("done", {"seq": 0})
-            assert index.lookup("y") == ("done", {"seq": 1})
+            index.preload([("x", {"seq": 0}, self.REQUEST), ("y", {"seq": 1}, self.REQUEST)])
+            assert index.lookup("x") == ("done", {"seq": 0}, self.REQUEST)
+            assert index.lookup("y") == ("done", {"seq": 1}, self.REQUEST)
             assert len(index) == 2
 
         self.run(scenario())

@@ -55,15 +55,20 @@ class TestMeanConfidenceInterval:
             hits += low <= 0.0 <= high
         assert hits / reps > 0.85
 
-    def test_cli_import_leaves_scipy_stats_unloaded(self):
+    @pytest.mark.parametrize("module", ["scipy.stats", "multiprocessing"])
+    def test_cli_import_leaves_scipy_stats_unloaded(self, module):
         # scipy.stats takes about a second to import, so the t quantile
-        # imports it on first use rather than on every process start.
+        # imports it on first use rather than on every process start; the
+        # process pool of parallel trials loads multiprocessing the same way.
         src = Path(__file__).resolve().parent.parent / "src"
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, [str(src), env.get("PYTHONPATH")])
         )
-        code = "import sys, repro.cli; assert 'scipy.stats' not in sys.modules"
+        code = (
+            "import sys, repro.cli, repro.experiments.queueing, "
+            f"repro.experiments.runner; assert {module!r} not in sys.modules"
+        )
         done = subprocess.run(
             [sys.executable, "-c", code],
             env=env,
