@@ -668,6 +668,7 @@ def _serve_spec(args: argparse.Namespace) -> dict[str, object]:
 
 def _command_serve(args: argparse.Namespace) -> int:
     import asyncio
+    import signal
 
     from repro.service import DispatchServer
     from repro.service.chaos import ServerChaos
@@ -749,6 +750,25 @@ def _command_serve(args: argparse.Namespace) -> int:
 
     async def _run() -> None:
         await server.start()
+        # SIGINT and SIGTERM both cancel this task, and serve_forever
+        # answers the cancel with the graceful shutdown: drain the queued
+        # requests, answer them, close the journal.  asyncio's own SIGINT
+        # handling is not enough: it stays off when the process started
+        # with SIGINT ignored (a background job), and SIGTERM would kill
+        # the process without draining.
+        loop = asyncio.get_running_loop()
+        task = asyncio.current_task()
+        stop_signals = (signal.SIGINT, signal.SIGTERM)
+
+        def stop() -> None:
+            # Once: a second signal takes its default action, so a drain
+            # that hangs can still be interrupted.
+            for signum in stop_signals:
+                loop.remove_signal_handler(signum)
+            task.cancel()
+
+        for signum in stop_signals:
+            loop.add_signal_handler(signum, stop)
         host, port = server.address
         print(
             f"serving {server.kind} dispatch ({server.publisher.engine}) "
@@ -760,8 +780,9 @@ def _command_serve(args: argparse.Namespace) -> int:
 
     try:
         asyncio.run(_run())
-    except KeyboardInterrupt:
-        print("\nshutting down")
+    except KeyboardInterrupt:  # SIGINT before the handlers, or a second one
+        pass
+    print("\nshutting down")
     return 0
 
 

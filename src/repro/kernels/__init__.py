@@ -10,7 +10,7 @@ vector* and splits assignment into:
     Group requests by ``(origin, file)`` (:mod:`repro.kernels.group_index`),
     compute in-ball candidate sets once per group in a CSR layout — gathered
     from the torus ball where it is smaller than the replica set, otherwise
-    by one flat, chunked ``distances_between`` scan over every
+    by one flat, chunked ``distances_between_unchecked`` scan over every
     ``(group, replica)`` pair — resolve fallbacks over the same scan, and
     draw all ``d``-choice samples up front with a vectorised shifted-uniform
     pass — the ``O(d)``-randomness equivalent of a Gumbel-top-k draw

@@ -20,7 +20,7 @@ factors that work out of the per-request loop:
    ball groups with no in-ball replica — takes one flat replica scan: the
    ``(group, replica)`` pairs of all these groups, expanded from the cache's
    file→nodes CSR in group-aligned chunks, one element-wise
-   :meth:`~repro.topology.base.Topology.distances_between` call per chunk,
+   :meth:`~repro.topology.base.Topology.distances_between_unchecked` call per chunk,
    the in-ball filter, and fallback resolution (NEAREST / EXPAND / ERROR)
    vectorised over the empty rows' segments;
 4. both routes scatter into one CSR layout ``(starts, counts, nodes[, dists])``

@@ -64,13 +64,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.exceptions import ConfigurationError, NoReplicaError
+from repro.exceptions import ConfigurationError
 from repro.kernels.group_index import GroupStore, build_group_index
 
-# The scalar shifted-uniform draw is shared with the static reference engine:
-# both transcribe the same contract rule, and a single implementation keeps
-# the two bit-identity guarantees anchored to one definition.
-from repro.kernels.reference import _sample_positions
+# The scalar shifted-uniform draw and the up-front replica lookup are shared
+# with the static reference engine: both transcribe the same contract rules,
+# and a single implementation keeps the two bit-identity guarantees anchored
+# to one definition.
+from repro.kernels.reference import _replica_cache, _sample_positions
 from repro.kernels.sampling import draw_sample_positions, weighted_pick_positions, weighted_sample_positions
 from repro.placement.cache import CacheState
 from repro.strategies.base import FallbackPolicy
@@ -424,9 +425,13 @@ def queueing_reference_window(
     accepted for signature parity and ignored.  Must stay bit-identical to
     :func:`queueing_kernel_window` for any seed; when the two disagree, this
     engine is authoritative.  Like the kernel window, returns the
-    per-arrival ``(servers, hops, fallbacks)`` decisions.
+    per-arrival ``(servers, hops, fallbacks)`` decisions.  A file cached
+    nowhere raises :class:`~repro.exceptions.NoReplicaError` (the smallest
+    such file) before the first arrival commits, as the kernel window's
+    group index does, so ``state`` and ``streams`` are left untouched.
     """
     del store  # the scalar engine recomputes candidates per arrival
+    replicas_of = _replica_cache(cache, requests)
     m = requests.num_requests
     rng_sample, rng_tie, rng_service = streams
     unconstrained = bool(np.isinf(radius) or radius >= topology.diameter)
@@ -443,9 +448,7 @@ def queueing_reference_window(
 
         origin = int(requests.origins[i])
         file_id = int(requests.files[i])
-        replicas = cache.file_nodes(file_id)
-        if replicas.size == 0:
-            raise NoReplicaError(file_id)
+        replicas = replicas_of[file_id]
         if unconstrained:
             candidates = replicas
             candidate_dists = None

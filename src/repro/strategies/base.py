@@ -47,8 +47,12 @@ class FallbackPolicy(str, enum.Enum):
     Attributes
     ----------
     NEAREST:
-        Fall back to the globally nearest replica (Strategy I behaviour for
-        that single request).  The default.
+        Fall back to the globally nearest replica.  The default.  Among
+        replicas tied at the minimum distance it keeps the one with the
+        smallest node id (the group index and the reference engines both
+        scan replicas in ascending node-id order and keep the first
+        minimum), so the request goes to that one replica.  Strategy I,
+        by contrast, draws uniformly among its tied nearest replicas.
     EXPAND:
         Repeatedly double the proximity radius until at least one replica is
         inside the ball, then proceed normally.

@@ -2,7 +2,11 @@
 
 The paper places ``n`` caching servers on a ``sqrt(n) x sqrt(n)`` torus (the
 grid with wrap-around, used to avoid boundary effects; all asymptotic results
-hold for the bounded grid as well).  This subpackage provides:
+hold for the bounded grid as well).  Every topology states its hop metric
+once, as a broadcasting ``distances_between_unchecked``, and
+:class:`~repro.topology.base.Topology` derives the validated int64 queries
+(``distances_from``, ``pairwise_distances``, ``distances_between``) from it.
+This subpackage provides:
 
 * :class:`~repro.topology.torus.Torus2D` — the paper's topology,
 * :class:`~repro.topology.grid.Grid2D` — the bounded grid variant,
@@ -10,7 +14,7 @@ hold for the bounded grid as well).  This subpackage provides:
   and ablations on dimensionality),
 * :class:`~repro.topology.complete.CompleteTopology` — every pair at distance
   one, the "no proximity structure" reference,
-* vectorised distance kernels in :mod:`repro.topology.distance`,
+* the closed-form distance formulas in :mod:`repro.topology.distance`,
 * ball-size arithmetic in :mod:`repro.topology.neighborhood`,
 * a :func:`~repro.topology.factory.create_topology` convenience factory.
 """

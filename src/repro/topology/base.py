@@ -4,8 +4,8 @@ A :class:`Topology` describes the server network: how many servers exist, the
 hop distance between any two of them, and the ball ``B_r(u)`` of servers
 within distance ``r`` of a server ``u``.  Assignment strategies only interact
 with topologies through this interface, so adding a new network shape (e.g. a
-3-D torus or a random geometric graph) requires implementing a handful of
-vectorised methods.
+3-D torus or a random geometric graph) requires implementing its diameter and
+one broadcasting distance method.
 """
 
 from __future__ import annotations
@@ -24,10 +24,15 @@ __all__ = ["Topology"]
 class Topology(ABC):
     """Base class for server-network topologies.
 
-    Subclasses must provide vectorised distance computation (``distances_from``
-    and ``pairwise_distances``), which is the only performance-critical part of
-    the interface; generic implementations of ``ball``, ``neighbors`` and
-    ``to_networkx`` are provided in terms of it.
+    A topology implements :attr:`diameter` and one metric method,
+    :meth:`distances_between_unchecked`: the hop distance ``d(u, v)``
+    broadcast over arrays of valid node ids.  Everything else is derived
+    from it here: the validated int64 queries :meth:`distances_from`,
+    :meth:`pairwise_distances`, :meth:`distances_between` and
+    :meth:`distance`, and the generic :meth:`ball`, :meth:`ball_size`,
+    :meth:`neighbors` and :meth:`to_networkx`.  Subclasses override the ball
+    and neighbour queries where their shape gives a closed form (the
+    torus's lattice balls, a ring's arcs), never the distance queries.
     """
 
     #: Short machine-readable topology name (set by subclasses).
@@ -50,18 +55,23 @@ class Topology(ABC):
         """Maximum hop distance between any two servers."""
 
     @abstractmethod
-    def distances_from(self, node: int, targets: IntArray | None = None) -> IntArray:
-        """Hop distances from ``node`` to ``targets`` (all nodes if ``None``)."""
+    def distances_between_unchecked(self, nodes_a: IntArray, nodes_b: IntArray) -> IntArray:
+        """Hop distances ``d(a, b)`` of node ids the caller has already checked.
 
-    @abstractmethod
-    def pairwise_distances(self, nodes_a: IntArray, nodes_b: IntArray) -> IntArray:
-        """``len(nodes_a) x len(nodes_b)`` matrix of hop distances."""
+        The topology's one metric method.  ``nodes_a`` and ``nodes_b`` are
+        integer arrays of valid node ids that broadcast against each other;
+        the result has their broadcast shape and may come in any integer
+        type that holds every distance exactly.  The validated queries below
+        call it, and so does the group index's replica scan, which checks
+        its ids once and then asks chunk by chunk.
+        """
 
     # ----------------------------------------------------------- conveniences
     def validate_nodes(self, nodes: IntArray | Iterable[int] | int) -> IntArray:
         """Coerce ``nodes`` to an int array and check all ids are in range."""
-        arr = np.atleast_1d(np.asarray(nodes, dtype=np.int64))
-        if arr.size and (arr.min() < 0 or arr.max() >= self._n):
+        arr = np.array(nodes, dtype=np.int64, copy=None, ndmin=1)
+        # One reduction checks both ends: a negative id reads as >= 2**63.
+        if arr.size and arr.view(np.uint64).max() >= self._n:
             raise TopologyError(
                 f"node ids must be in [0, {self._n}), got range "
                 f"[{arr.min()}, {arr.max()}]"
@@ -75,50 +85,35 @@ class Topology(ABC):
         full distance row (scalar pair loops in the analysis code rely on it
         staying O(1) for lattice topologies).
         """
-        self.validate_nodes([u, v])
-        return int(self.distances_from(int(u), np.asarray([v], dtype=np.int64))[0])
+        pair = self.validate_nodes([u, v])
+        return int(self.distances_between_unchecked(pair[:1], pair[1:])[0])
 
     # ------------------------------------------------------------ batched API
-    def _check_equal_shapes(self, nodes_a: IntArray, nodes_b: IntArray) -> None:
-        """Shared validation for the element-wise distance API."""
+    def distances_from(self, node: int, targets: IntArray | None = None) -> IntArray:
+        """Hop distances from ``node`` to ``targets`` (all nodes if ``None``), int64."""
+        origin = self.validate_nodes(node)
+        if targets is None:
+            targets = np.arange(self._n, dtype=np.int64)
+        else:
+            targets = self.validate_nodes(targets)
+        return self.distances_between_unchecked(origin, targets).astype(np.int64, copy=False)
+
+    def pairwise_distances(self, nodes_a: IntArray, nodes_b: IntArray) -> IntArray:
+        """``len(nodes_a) x len(nodes_b)`` int64 matrix of hop distances."""
+        nodes_a = self.validate_nodes(nodes_a).reshape(-1, 1)
+        nodes_b = self.validate_nodes(nodes_b).reshape(1, -1)
+        return self.distances_between_unchecked(nodes_a, nodes_b).astype(np.int64, copy=False)
+
+    def distances_between(self, nodes_a: IntArray, nodes_b: IntArray) -> IntArray:
+        """Element-wise int64 distances ``d(a_i, b_i)`` for two equal-length arrays."""
+        nodes_a = self.validate_nodes(nodes_a)
+        nodes_b = self.validate_nodes(nodes_b)
         if nodes_a.shape != nodes_b.shape:
             raise TopologyError(
                 f"distances_between requires equal-length arrays, got "
                 f"{nodes_a.shape} vs {nodes_b.shape}"
             )
-
-    def distances_between(self, nodes_a: IntArray, nodes_b: IntArray) -> IntArray:
-        """Element-wise distances ``d(a_i, b_i)`` for two equal-length arrays.
-
-        Validates both arrays and returns int64.  The generic implementation
-        chunks ``nodes_a`` and deduplicates sources within each chunk so
-        memory stays bounded by ``chunk x chunk``; lattice topologies
-        override this with closed-form coordinate arithmetic.
-        """
-        nodes_a = self.validate_nodes(nodes_a)
-        nodes_b = self.validate_nodes(nodes_b)
-        self._check_equal_shapes(nodes_a, nodes_b)
-        out = np.empty(nodes_a.size, dtype=np.int64)
-        chunk = 4096
-        for start in range(0, nodes_a.size, chunk):
-            sl = slice(start, start + chunk)
-            sources, inverse = np.unique(nodes_a[sl], return_inverse=True)
-            matrix = self.pairwise_distances(sources, nodes_b[sl])
-            out[sl] = matrix[inverse, np.arange(inverse.size)]
-        return out
-
-    def distances_between_unchecked(self, nodes_a: IntArray, nodes_b: IntArray) -> IntArray:
-        """:meth:`distances_between` for ids the caller has already checked.
-
-        For callers that check their ids once and then ask for distances
-        chunk by chunk (the group index's replica scan): the arrays must be
-        equal-length integer arrays of valid node ids, and the result may
-        come in any integer type that holds every distance exactly.  The
-        generic default is :meth:`distances_between` itself;
-        :class:`~repro.topology.torus.Torus2D` skips the validation and
-        computes in its int16 / int32 coordinate type.
-        """
-        return self.distances_between(nodes_a, nodes_b)
+        return self.distances_between_unchecked(nodes_a, nodes_b).astype(np.int64, copy=False)
 
     def ball_matrix(
         self, origins: IntArray, radius: float

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.exceptions import TopologyError
 from repro.topology.base import Topology
 from repro.types import IntArray
 
@@ -28,36 +29,21 @@ class CompleteTopology(Topology):
     def diameter(self) -> int:
         return 0 if self._n == 1 else 1
 
-    def distances_from(self, node: int, targets: IntArray | None = None) -> IntArray:
-        self.validate_nodes(node)
-        if targets is None:
-            targets = np.arange(self._n, dtype=np.int64)
-        else:
-            targets = self.validate_nodes(targets)
-        return (targets != int(node)).astype(np.int64)
-
-    def pairwise_distances(self, nodes_a: IntArray, nodes_b: IntArray) -> IntArray:
-        nodes_a = self.validate_nodes(nodes_a).reshape(-1, 1)
-        nodes_b = self.validate_nodes(nodes_b).reshape(1, -1)
-        return (nodes_a != nodes_b).astype(np.int64)
-
-    def distances_between(self, nodes_a: IntArray, nodes_b: IntArray) -> IntArray:
-        nodes_a = self.validate_nodes(nodes_a)
-        nodes_b = self.validate_nodes(nodes_b)
-        self._check_equal_shapes(nodes_a, nodes_b)
-        return (nodes_a != nodes_b).astype(np.int64)
+    def distances_between_unchecked(self, nodes_a: IntArray, nodes_b: IntArray) -> IntArray:
+        """1 between distinct valid ids, 0 from a node to itself (int64)."""
+        return np.not_equal(nodes_a, nodes_b).astype(np.int64)
 
     def ball(self, node: int, radius: float) -> IntArray:
         self.validate_nodes(node)
         if radius < 0:
-            raise ValueError(f"radius must be non-negative, got {radius}")
+            raise TopologyError(f"radius must be non-negative, got {radius}")
         if radius >= 1:
             return np.arange(self._n, dtype=np.int64)
         return np.array([int(node)], dtype=np.int64)
 
     def ball_size(self, node: int, radius: float) -> int:
         if radius < 0:
-            raise ValueError(f"radius must be non-negative, got {radius}")
+            raise TopologyError(f"radius must be non-negative, got {radius}")
         return self._n if radius >= 1 else 1
 
     def neighbors(self, node: int) -> IntArray:

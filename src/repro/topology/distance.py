@@ -1,26 +1,25 @@
-"""Vectorised shortest-path distance kernels for lattice topologies.
+"""Closed-form hop-distance formulas of the lattice and ring topologies.
 
 On the 2-D torus and grid with 4-neighbour (von Neumann) connectivity the
 graph shortest-path distance equals the (wrapped) L1 / Manhattan distance
-between node coordinates, so all distance queries reduce to cheap NumPy
-arithmetic on coordinate arrays.  These kernels are the hot path of the
-nearest-replica strategy (Strategy I), which computes an origins-by-replicas
-distance matrix per file, so they accept broadcastable inputs and never build
-Python-level loops.
+between node coordinates, and on a ring it is the shorter arc.  Each formula
+broadcasts its arguments against each other and never builds a Python-level
+loop: the topologies' ``distances_between_unchecked`` apply them to
+coordinate (or position) arrays of any shape, which serves the element-wise,
+one-to-many and all-pairs queries of :class:`~repro.topology.base.Topology`
+alike.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.types import FloatArray, IntArray
+from repro.types import IntArray
 
 __all__ = [
     "torus_l1",
     "grid_l1",
     "ring_distance",
-    "torus_l1_matrix",
-    "grid_l1_matrix",
 ]
 
 
@@ -72,51 +71,3 @@ def ring_distance(a: IntArray | int, b: IntArray | int, n: int) -> IntArray:
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     return _wrap_abs_diff(a, b, n)
-
-
-def torus_l1_matrix(
-    xa: IntArray, ya: IntArray, xb: IntArray, yb: IntArray, side: int
-) -> IntArray:
-    """Full ``len(a) x len(b)`` wrapped-L1 distance matrix on the torus.
-
-    This is the kernel of Strategy I's nearest-replica pass: rows are request
-    origins, columns are replica locations of a single file.  The
-    per-axis work runs through ``out=`` ufuncs so a chunk allocates three
-    matrices (result + two scratch) instead of eight.
-    """
-    xa = np.asarray(xa, dtype=np.int64).reshape(-1, 1)
-    ya = np.asarray(ya, dtype=np.int64).reshape(-1, 1)
-    xb = np.asarray(xb, dtype=np.int64).reshape(1, -1)
-    yb = np.asarray(yb, dtype=np.int64).reshape(1, -1)
-    d = np.subtract(xa, xb)
-    np.abs(d, out=d)
-    wrap = np.subtract(side, d)
-    np.minimum(d, wrap, out=d)
-    e = np.subtract(ya, yb)
-    np.abs(e, out=e)
-    np.subtract(side, e, out=wrap)
-    np.minimum(e, wrap, out=e)
-    d += e
-    return d
-
-
-def grid_l1_matrix(xa: IntArray, ya: IntArray, xb: IntArray, yb: IntArray) -> IntArray:
-    """Full ``len(a) x len(b)`` Manhattan distance matrix on the bounded grid."""
-    xa = np.asarray(xa, dtype=np.int64).reshape(-1, 1)
-    ya = np.asarray(ya, dtype=np.int64).reshape(-1, 1)
-    xb = np.asarray(xb, dtype=np.int64).reshape(1, -1)
-    yb = np.asarray(yb, dtype=np.int64).reshape(1, -1)
-    d = np.subtract(xa, xb)
-    np.abs(d, out=d)
-    e = np.subtract(ya, yb)
-    np.abs(e, out=e)
-    d += e
-    return d
-
-
-def average_pairwise_distance(matrix: FloatArray) -> float:
-    """Mean of a distance matrix — convenience used by analysis code."""
-    arr = np.asarray(matrix, dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("distance matrix must be non-empty")
-    return float(arr.mean())

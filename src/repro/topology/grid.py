@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.exceptions import TopologyError
 from repro.topology.base import Topology
-from repro.topology.distance import grid_l1, grid_l1_matrix
+from repro.topology.distance import grid_l1
 from repro.types import IntArray
 
 __all__ = ["Grid2D"]
@@ -74,25 +74,10 @@ class Grid2D(Topology):
             raise TopologyError(f"coordinates ({x}, {y}) outside the {self._side}x{self._side} grid")
         return int(y * self._side + x)
 
-    def distances_from(self, node: int, targets: IntArray | None = None) -> IntArray:
-        self.validate_nodes(node)
-        if targets is None:
-            tx, ty = self._x, self._y
-        else:
-            targets = self.validate_nodes(targets)
-            tx, ty = self._x[targets], self._y[targets]
-        return grid_l1(self._x[node], self._y[node], tx, ty)
-
-    def pairwise_distances(self, nodes_a: IntArray, nodes_b: IntArray) -> IntArray:
-        nodes_a = self.validate_nodes(nodes_a)
-        nodes_b = self.validate_nodes(nodes_b)
-        return grid_l1_matrix(self._x[nodes_a], self._y[nodes_a], self._x[nodes_b], self._y[nodes_b])
-
-    def distances_between(self, nodes_a: IntArray, nodes_b: IntArray) -> IntArray:
-        nodes_a = self.validate_nodes(nodes_a)
-        nodes_b = self.validate_nodes(nodes_b)
-        self._check_equal_shapes(nodes_a, nodes_b)
-        return grid_l1(self._x[nodes_a], self._y[nodes_a], self._x[nodes_b], self._y[nodes_b])
+    def distances_between_unchecked(self, nodes_a: IntArray, nodes_b: IntArray) -> IntArray:
+        """Manhattan distances of valid ids (int64)."""
+        x, y = self._x, self._y
+        return grid_l1(x.take(nodes_a), y.take(nodes_a), x.take(nodes_b), y.take(nodes_b))
 
     def neighbors(self, node: int) -> IntArray:
         self.validate_nodes(node)

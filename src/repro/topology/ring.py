@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.exceptions import TopologyError
 from repro.topology.base import Topology
 from repro.topology.distance import ring_distance
 from repro.types import IntArray
@@ -30,29 +31,14 @@ class Ring(Topology):
     def diameter(self) -> int:
         return self._n // 2
 
-    def distances_from(self, node: int, targets: IntArray | None = None) -> IntArray:
-        self.validate_nodes(node)
-        if targets is None:
-            targets = np.arange(self._n, dtype=np.int64)
-        else:
-            targets = self.validate_nodes(targets)
-        return ring_distance(int(node), targets, self._n)
-
-    def pairwise_distances(self, nodes_a: IntArray, nodes_b: IntArray) -> IntArray:
-        nodes_a = self.validate_nodes(nodes_a).reshape(-1, 1)
-        nodes_b = self.validate_nodes(nodes_b).reshape(1, -1)
-        return ring_distance(nodes_a, nodes_b, self._n)
-
-    def distances_between(self, nodes_a: IntArray, nodes_b: IntArray) -> IntArray:
-        nodes_a = self.validate_nodes(nodes_a)
-        nodes_b = self.validate_nodes(nodes_b)
-        self._check_equal_shapes(nodes_a, nodes_b)
+    def distances_between_unchecked(self, nodes_a: IntArray, nodes_b: IntArray) -> IntArray:
+        """Shorter-arc distances of valid ids (int64)."""
         return ring_distance(nodes_a, nodes_b, self._n)
 
     def ball(self, node: int, radius: float) -> IntArray:
         self.validate_nodes(node)
         if radius < 0:
-            raise ValueError(f"radius must be non-negative, got {radius}")
+            raise TopologyError(f"radius must be non-negative, got {radius}")
         if np.isinf(radius) or radius >= self.diameter:
             return np.arange(self._n, dtype=np.int64)
         r = int(radius)
@@ -61,7 +47,7 @@ class Ring(Topology):
 
     def ball_size(self, node: int, radius: float) -> int:
         if radius < 0:
-            raise ValueError(f"radius must be non-negative, got {radius}")
+            raise TopologyError(f"radius must be non-negative, got {radius}")
         if np.isinf(radius) or radius >= self.diameter:
             return self._n
         return min(self._n, 2 * int(radius) + 1)

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.exceptions import TopologyError
 from repro.topology.base import Topology
-from repro.topology.distance import torus_l1, torus_l1_matrix
+from repro.topology.distance import torus_l1
 from repro.topology.neighborhood import ball_size_torus
 from repro.types import IntArray, index_type
 
@@ -114,29 +114,6 @@ class Torus2D(Topology):
         return int((y % self._side) * self._side + (x % self._side))
 
     # -------------------------------------------------------------- distances
-    def distances_from(self, node: int, targets: IntArray | None = None) -> IntArray:
-        self.validate_nodes(node)
-        if targets is None:
-            tx, ty = self._x, self._y
-        else:
-            targets = self.validate_nodes(targets)
-            tx, ty = self._x[targets], self._y[targets]
-        distances = torus_l1(self._x[node], self._y[node], tx, ty, self._side)
-        return distances.astype(np.int64)
-
-    def pairwise_distances(self, nodes_a: IntArray, nodes_b: IntArray) -> IntArray:
-        nodes_a = self.validate_nodes(nodes_a)
-        nodes_b = self.validate_nodes(nodes_b)
-        return torus_l1_matrix(
-            self._x[nodes_a], self._y[nodes_a], self._x[nodes_b], self._y[nodes_b], self._side
-        )
-
-    def distances_between(self, nodes_a: IntArray, nodes_b: IntArray) -> IntArray:
-        nodes_a = self.validate_nodes(nodes_a)
-        nodes_b = self.validate_nodes(nodes_b)
-        self._check_equal_shapes(nodes_a, nodes_b)
-        return self.distances_between_unchecked(nodes_a, nodes_b).astype(np.int64)
-
     def distances_between_unchecked(self, nodes_a: IntArray, nodes_b: IntArray) -> IntArray:
         """Element-wise distances of valid ids in the coordinate type.
 

@@ -2,7 +2,8 @@
 
 Covers the CSR request-group index (candidate sets, fallback resolution,
 shared vs materialised mode), the batched sampling pass, and the batched
-topology APIs (``distances_between`` and the LRU distance-row cache).
+topology APIs (the validated distance queries every topology derives from
+its one metric method).
 """
 
 from __future__ import annotations
@@ -149,25 +150,72 @@ class TestSampling:
         assert freq.min() > 6000 / 6 * 0.8
 
 
+#: One of each topology; ``Topology`` derives every validated distance query
+#: from each one's ``distances_between_unchecked``.
+TOPOLOGIES = [Torus2D(49), Grid2D(49), Ring(40), CompleteTopology(30)]
+
+
 class TestBatchedTopologyAPI:
-    @pytest.mark.parametrize(
-        "topology", [Torus2D(49), Grid2D(49), Ring(40), CompleteTopology(30)],
-        ids=lambda t: t.name,
-    )
+    """``distances_between``, ``pairwise_distances`` and ``distances_from``
+    agree with ``distance`` pair by pair, answer int64 and check their ids."""
+
+    pytestmark = pytest.mark.parametrize("topology", TOPOLOGIES, ids=lambda t: t.name)
+
     def test_distances_between_elementwise(self, topology):
         rng = np.random.default_rng(4)
         a = rng.integers(0, topology.n, size=200)
         b = rng.integers(0, topology.n, size=200)
         got = topology.distances_between(a, b)
         expected = [topology.distance(int(u), int(v)) for u, v in zip(a, b)]
+        assert got.dtype == np.int64
         np.testing.assert_array_equal(got, expected)
 
-    def test_distances_between_shape_mismatch(self):
-        torus = Torus2D(25)
+    def test_pairwise_distances_matrix(self, topology):
+        rng = np.random.default_rng(5)
+        a = rng.integers(0, topology.n, size=17)
+        b = rng.integers(0, topology.n, size=11)
+        got = topology.pairwise_distances(a, b)
+        expected = [[topology.distance(int(u), int(v)) for v in b] for u in a]
+        assert got.dtype == np.int64 and got.shape == (17, 11)
+        np.testing.assert_array_equal(got, expected)
+
+    def test_distances_from_row(self, topology):
+        rng = np.random.default_rng(6)
+        origin = int(rng.integers(topology.n))
+        targets = rng.integers(0, topology.n, size=23)
+        got = topology.distances_from(origin, targets)
+        row = topology.distances_from(origin)
+        assert got.dtype == np.int64 and row.dtype == np.int64
+        np.testing.assert_array_equal(
+            got, [topology.distance(origin, int(v)) for v in targets]
+        )
+        np.testing.assert_array_equal(
+            row, [topology.distance(origin, v) for v in range(topology.n)]
+        )
+
+    def test_pairwise_distances_are_hop_counts(self, topology):
+        """The one metric method against breadth-first search on the graph
+        the topology's neighbours define."""
+        import networkx as nx
+
+        nodes = np.arange(topology.n)
+        hops = dict(nx.all_pairs_shortest_path_length(topology.to_networkx()))
+        expected = [[hops[u][v] for v in range(topology.n)] for u in range(topology.n)]
+        np.testing.assert_array_equal(topology.pairwise_distances(nodes, nodes), expected)
+
+    def test_distances_between_shape_mismatch(self, topology):
         with pytest.raises(TopologyError):
-            # The generic implementation validates shapes; lattice overrides
-            # would broadcast, so check the base class directly.
-            Ring(10).distances_between(np.asarray([1, 2]), np.asarray([3]))
+            topology.distances_between(np.asarray([1, 2]), np.asarray([3]))
+
+    def test_out_of_range_ids_raise(self, topology):
+        for query in (
+            lambda: topology.distances_between([0], [topology.n]),
+            lambda: topology.pairwise_distances([-1], [0]),
+            lambda: topology.distances_from(topology.n),
+            lambda: topology.distances_from(0, [topology.n]),
+        ):
+            with pytest.raises(TopologyError):
+                query()
 
 
 class TestNarrowWidths:

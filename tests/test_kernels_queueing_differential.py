@@ -237,3 +237,48 @@ class TestEdgeCases:
         for engine in ENGINES:
             with pytest.raises(NoReplicaError):
                 simulation.run(10.0, seed=0, engine=engine)
+
+    def test_no_replica_batch_leaves_session_untouched(self):
+        """A micro-batch naming files cached nowhere raises before any of its
+        arrivals commits, on every engine: it names the same (smallest)
+        file, keeps the state digest, and the next valid batch decides
+        identically everywhere."""
+
+        class StripedPlacement(ProportionalPlacement):
+            # Even nodes cache file 0, odd nodes file 3: files 1 and 2 nowhere.
+            def place(self, topology, library, seed=None):
+                files = np.where(np.arange(topology.n) % 2 == 0, 0, 3)
+                return CacheState(files[:, None], num_files=library.num_files)
+
+        sessions = {
+            engine: QueueingSession(
+                Torus2D(25),
+                FileLibrary(4),
+                StripedPlacement(1),
+                PoissonArrivalProcess(rate_per_node=0.5),
+                radius=1.0,
+                engine=engine,
+                seed=13,
+            )
+            for engine in ENGINES
+        }
+        results = {}
+        for engine, session in sessions.items():
+            before = session.state_digest()
+            with pytest.raises(NoReplicaError) as raised:
+                # File 2 arrives before file 1, the smallest missing file.
+                session.dispatch_batch(
+                    [0, 1, 2, 3, 4], [0, 3, 2, 0, 1], [0.1, 0.2, 0.3, 0.4, 0.5]
+                )
+            assert raised.value.file_id == 1, engine
+            assert session.state_digest() == before, engine
+            results[engine] = session.dispatch_batch(
+                [5, 6, 7, 8, 9], [0, 3, 3, 0, 0], [0.2, 0.3, 0.4, 0.5, 0.6]
+            )
+        expected, digest = results["reference"], sessions["reference"].state_digest()
+        for engine in NON_REFERENCE_ENGINES:
+            got = results[engine]
+            np.testing.assert_array_equal(got.servers, expected.servers)
+            np.testing.assert_array_equal(got.distances, expected.distances)
+            np.testing.assert_array_equal(got.fallback_mask, expected.fallback_mask)
+            assert sessions[engine].state_digest() == digest, engine

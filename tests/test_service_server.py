@@ -7,14 +7,21 @@ every response carries its global commit-order ``seq``; replaying the
 requests in ``seq`` order through a fresh offline session must reproduce
 every server/distance decision exactly — for both session stacks.
 
-Everything runs in-process: one asyncio loop hosts the server and the
-clients, so the tests are fast and deterministic apart from the arrival
-interleaving they explicitly embrace.
+Everything but the signal tests runs in-process: one asyncio loop hosts the
+server and the clients, so the tests are fast and deterministic apart from
+the arrival interleaving they explicitly embrace.  The signal tests start a
+real ``repro serve`` process, because signal dispositions belong to it.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -535,3 +542,62 @@ class TestShutdown:
             await server.shutdown()  # second call is a no-op
 
         run(scenario())
+
+
+#: ``repro serve`` with SIGINT ignored, as a shell starts a background job.
+_SERVE_IGNORING_SIGINT = (
+    "import signal, sys\n"
+    "signal.signal(signal.SIGINT, signal.SIG_IGN)\n"
+    "from repro.cli import main\n"
+    "sys.exit(main(sys.argv[1:]))\n"
+)
+
+
+@contextlib.contextmanager
+def serve_process(launcher, *extra):
+    """A ``repro serve`` process started by ``launcher`` (interpreter
+    arguments); yields it and its port once its banner is out."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH", "")])
+    )
+    argv = [
+        sys.executable, *launcher, "serve", "--port", "0", "--nodes", str(NUM_NODES),
+        "--files", str(NUM_FILES), "--cache", "3", "--seed", str(SEED), *extra,
+    ]
+    process = subprocess.Popen(
+        argv, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env
+    )
+    try:
+        banner = process.stdout.readline()
+        assert "serving" in banner, f"unexpected banner: {banner!r}"
+        yield process, int(banner.split("http://", 1)[1].split()[0].rsplit(":", 1)[1])
+    finally:
+        if process.poll() is None:
+            process.kill()
+        process.wait()
+        process.stdout.close()
+
+
+class TestSignals:
+    """Both stop signals start the graceful shutdown and exit 0."""
+
+    def test_sigint_stops_a_server_started_with_sigint_ignored(self):
+        with serve_process(["-c", _SERVE_IGNORING_SIGINT]) as (process, _):
+            process.send_signal(signal.SIGINT)
+            assert process.wait(timeout=10) == 0
+
+    def test_sigterm_drains_and_closes_the_journal(self, tmp_path):
+        journal = tmp_path / "wal"
+
+        async def dispatch(port):
+            async with DispatchClient("127.0.0.1", port, timeout=5.0) as client:
+                return [await client.dispatch(i, i % NUM_FILES) for i in range(3)]
+
+        with serve_process(["-m", "repro.cli"], "--journal", str(journal)) as (process, port):
+            responses = run(dispatch(port))
+            process.send_signal(signal.SIGTERM)
+            assert process.wait(timeout=10) == 0
+        recovered = recover_session(journal)
+        assert recovered.next_seq == len(responses) == 3

@@ -1,18 +1,10 @@
-"""Tests for the vectorised distance kernels (repro.topology.distance)."""
+"""Tests for the closed-form distance formulas (repro.topology.distance)."""
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from repro.topology.distance import (
-    average_pairwise_distance,
-    grid_l1,
-    grid_l1_matrix,
-    ring_distance,
-    torus_l1,
-    torus_l1_matrix,
-)
+from repro.topology.distance import grid_l1, ring_distance, torus_l1
 
 
 class TestTorusL1:
@@ -83,42 +75,3 @@ class TestRingDistance:
     def test_vectorised(self):
         out = ring_distance(np.array([0, 1, 2]), 9, 10)
         np.testing.assert_array_equal(out, [1, 2, 3])
-
-
-class TestMatrices:
-    def test_torus_matrix_shape(self):
-        xa = np.array([0, 1, 2])
-        ya = np.array([0, 0, 0])
-        xb = np.array([5, 6])
-        yb = np.array([5, 5])
-        out = torus_l1_matrix(xa, ya, xb, yb, 10)
-        assert out.shape == (3, 2)
-
-    def test_torus_matrix_matches_scalar(self):
-        rng = np.random.default_rng(1)
-        side = 7
-        a = rng.integers(0, side, size=(4, 2))
-        b = rng.integers(0, side, size=(5, 2))
-        matrix = torus_l1_matrix(a[:, 0], a[:, 1], b[:, 0], b[:, 1], side)
-        for i in range(4):
-            for j in range(5):
-                expected = torus_l1(a[i, 0], a[i, 1], b[j, 0], b[j, 1], side)
-                assert matrix[i, j] == expected
-
-    def test_grid_matrix_matches_scalar(self):
-        rng = np.random.default_rng(2)
-        a = rng.integers(0, 9, size=(3, 2))
-        b = rng.integers(0, 9, size=(4, 2))
-        matrix = grid_l1_matrix(a[:, 0], a[:, 1], b[:, 0], b[:, 1])
-        for i in range(3):
-            for j in range(4):
-                assert matrix[i, j] == grid_l1(a[i, 0], a[i, 1], b[j, 0], b[j, 1])
-
-
-class TestAveragePairwiseDistance:
-    def test_mean(self):
-        assert average_pairwise_distance(np.array([[0.0, 2.0], [4.0, 6.0]])) == 3.0
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            average_pairwise_distance(np.empty((0, 0)))

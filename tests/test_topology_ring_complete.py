@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.exceptions import TopologyError
 from repro.topology.complete import CompleteTopology
 from repro.topology.ring import Ring
 
@@ -45,8 +46,10 @@ class TestRing:
         np.testing.assert_array_equal(Ring(2).neighbors(0), [1])
 
     def test_negative_radius_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TopologyError):
             Ring(10).ball(0, -1)
+        with pytest.raises(TopologyError):
+            Ring(10).ball_size(0, -1)
 
     def test_pairwise(self):
         ring = Ring(8)
@@ -85,5 +88,7 @@ class TestComplete:
         np.testing.assert_array_equal(matrix, [[0, 1], [1, 1]])
 
     def test_negative_radius_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TopologyError):
             CompleteTopology(5).ball(0, -0.1)
+        with pytest.raises(TopologyError):
+            CompleteTopology(5).ball_size(0, -0.1)
