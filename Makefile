@@ -2,7 +2,7 @@ PYTHON ?= python
 PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 export PYTHONPATH
 
-.PHONY: test test-differential test-service test-chaos bench bench-smoke bench-queueing bench-engines bench-service bench-recovery bench-commit profile-precompute perf perf-trace ci
+.PHONY: test test-differential test-service test-chaos bench bench-smoke bench-queueing bench-engines bench-service bench-recovery bench-commit profile-precompute probe-paper-memory perf perf-trace ci
 
 # Tier-1 verification: the full test + benchmark suite.  Deterministic
 # artifacts land in benchmarks/results/ (tracked, byte-identical across runs);
@@ -97,6 +97,15 @@ bench-commit:
 # store-backed second window instead of the cold build.
 profile-precompute:
 	$(PYTHON) benchmarks/profile_precompute.py
+
+# Peak RSS of Strategy II at the paper's Figure 3 sizes, each case in its own
+# child process: run_trials with 16 trials at n = 122,500, K = 2000, M = 100,
+# r = inf (bound 600 MB), and Figure 3 at PAPER_FIGURE3_SIZES with 2 trials
+# per point (bound 700 MB).  Records peak RSS, seconds per trial and the
+# aggregates in .benchmarks/timings/paper_memory.txt and fails only when a
+# case goes above its RSS bound.  Not part of tier-1 (the CI memory job).
+probe-paper-memory:
+	$(PYTHON) benchmarks/probe_paper_memory.py
 
 # The repo's benchmark (perfbench/, declared in BENCHMARK.json): each of the
 # three workloads end to end for SECONDS seconds at seed SEED, untraced.

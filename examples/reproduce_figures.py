@@ -26,7 +26,7 @@ from repro.experiments import (
     all_figure_specs,
     render_experiment,
     result_to_csv,
-    run_experiment,
+    run_experiments,
     save_experiment_result,
 )
 from repro.experiments.figures import (
@@ -87,9 +87,12 @@ def main() -> None:
     logger = get_logger("examples.reproduce", configure=True)
     args.output_dir.mkdir(parents=True, exist_ok=True)
 
-    for key, spec in build_specs(args).items():
-        logger.info("running %s (%d sweep points, %d trials each)", key, spec.num_points, spec.trials)
-        result = run_experiment(spec, seed=args.seed, parallel=args.parallel)
+    specs = build_specs(args)
+    for key, spec in specs.items():
+        logger.info("%s: %d sweep points, %d trials each", key, spec.num_points, spec.trials)
+    # Figures 3 and 4 share one sweep, which runs once for both.
+    for result in run_experiments(specs.values(), seed=args.seed, parallel=args.parallel):
+        key = result.experiment_id
         report = render_experiment(result)
         print("\n" + report + "\n")
         save_experiment_result(result, args.output_dir / f"{key.lower()}.json")

@@ -71,7 +71,7 @@ from repro.experiments.figures import all_figure_specs
 from repro.experiments.io import result_to_csv, save_experiment_result
 from repro.experiments.report import render_comparison_table, render_experiment
 from repro.experiments.queueing import run_queueing_experiment
-from repro.experiments.runner import run_experiment
+from repro.experiments.runner import run_experiments
 from repro.experiments.tables import (
     ballsbins_table,
     goodness_table,
@@ -820,12 +820,14 @@ def _command_figures(args: argparse.Namespace) -> int:
     specs = all_figure_specs(trials=args.trials)
     wanted = {f"FIG{number}" for number in args.figures}
     args.output_dir.mkdir(parents=True, exist_ok=True)
-    for key, spec in specs.items():
-        if key not in wanted:
-            continue
-        result = run_experiment(
-            spec, seed=args.seed, parallel=args.parallel, assignment_engine=args.engine
-        )
+    results = run_experiments(
+        (spec for key, spec in specs.items() if key in wanted),
+        seed=args.seed,
+        parallel=args.parallel,
+        assignment_engine=args.engine,
+    )
+    for result in results:
+        key = result.experiment_id
         report = render_experiment(result, plot=not args.no_plot)
         print(report)
         print()

@@ -25,7 +25,12 @@ from repro.experiments.figures import (
     all_figure_specs,
 )
 from repro.experiments.queueing import run_queueing_experiment
-from repro.experiments.runner import ExperimentResult, SeriesResult, run_experiment
+from repro.experiments.runner import (
+    ExperimentResult,
+    SeriesResult,
+    run_experiment,
+    run_experiments,
+)
 from repro.experiments.report import render_table, render_experiment, render_comparison_table
 from repro.experiments.ascii_plot import ascii_plot
 from repro.experiments.io import save_experiment_result, load_experiment_result, result_to_csv
@@ -53,6 +58,7 @@ __all__ = [
     "ExperimentResult",
     "SeriesResult",
     "run_experiment",
+    "run_experiments",
     "run_queueing_experiment",
     "render_table",
     "render_experiment",

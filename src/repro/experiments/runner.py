@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -19,7 +19,13 @@ from repro.theory.predictions import predict
 from repro.utils.logging import get_logger
 from repro.utils.timer import Timer
 
-__all__ = ["PointResult", "SeriesResult", "ExperimentResult", "run_experiment"]
+__all__ = [
+    "PointResult",
+    "SeriesResult",
+    "ExperimentResult",
+    "run_experiment",
+    "run_experiments",
+]
 
 _LOGGER = get_logger("experiments")
 
@@ -292,3 +298,39 @@ def run_experiment(
         elapsed_seconds=timer.elapsed,
         extra=extra,
     )
+
+
+def run_experiments(
+    specs: Iterable[ExperimentSpec], seed: SeedLike = None, **options: Any
+) -> Iterator[ExperimentResult]:
+    """:func:`run_experiment` for each of ``specs``, one run per distinct sweep.
+
+    Specs with equal ``series`` and ``trials`` share one run: Figures 3 and 4
+    plot two metrics of one sweep.  Each result is that run under its own
+    spec's id, titles, y metric and ``extra``; with an integer ``seed`` it
+    equals what a separate ``run_experiment(spec, seed, **options)`` returns.
+    ``options`` are :func:`run_experiment`'s keywords.  Results are yielded
+    in ``specs`` order as they become available.
+    """
+    runs: list[tuple[ExperimentSpec, ExperimentResult]] = []
+    for spec in specs:
+        run = next(
+            (
+                done
+                for ran, done in runs
+                if ran.series == spec.series and ran.trials == spec.trials
+            ),
+            None,
+        )
+        if run is None:
+            run = run_experiment(spec, seed, **options)
+            runs.append((spec, run))
+        yield replace(
+            run,
+            experiment_id=spec.experiment_id,
+            title=spec.title,
+            x_label=spec.x_label,
+            y_label=spec.y_label,
+            y_metric=spec.y_metric,
+            extra={**spec.extra, "engine": run.extra["engine"]},
+        )

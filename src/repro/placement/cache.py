@@ -6,7 +6,8 @@ the two directions of the index are both precomputed:
 
 * ``slots`` — an ``(n, M)`` array of cached file ids per server, keeping
   multiplicities (the paper places with replacement, so duplicates matter for
-  the goodness analysis of Lemma 2);
+  the goodness analysis of Lemma 2), held in the narrowest signed type that
+  holds ``K`` (see :func:`slot_type`);
 * a CSR-like file→nodes index listing, for every file, the *distinct* servers
   caching it (duplicates within one server collapse to a single replica since
   a request only cares whether the file is present).
@@ -24,7 +25,7 @@ import numpy as np
 from repro.exceptions import PlacementError
 from repro.types import IntArray, index_type
 
-__all__ = ["CacheState"]
+__all__ = ["CacheState", "slot_type"]
 
 #: ``_BIT[i]`` selects bit ``i`` of a byte (little bit order, as packed below).
 _BIT = (1 << np.arange(8)).astype(np.uint8)
@@ -32,6 +33,20 @@ _BIT = (1 << np.arange(8)).astype(np.uint8)
 #: Dense boolean cells per chunk of the membership build (8,192 rows at
 #: K = 256), which bounds its scratch memory at 2 MB whatever ``n``.
 _BITSET_CELLS = 1 << 21
+
+#: Slots widened to int64 per chunk of :meth:`CacheState.fingerprint` (8 MB).
+_HASH_SLOTS = 1 << 20
+
+
+def slot_type(num_files: int) -> type[np.signedinteger]:
+    """The type of a :class:`CacheState`'s slots for a library of ``K`` files.
+
+    ``np.int16`` while ``K <= 2**15``, so every file id ``< K`` fits, and
+    :func:`~repro.types.index_type` (int32, then int64) beyond.  At the
+    paper's largest Figure 3 point (n = 122,500, M = 100) int16 slots take
+    24.5 MB where int64 ones took 98 MB.
+    """
+    return np.int16 if num_files <= 2**15 else index_type(num_files)
 
 
 class CacheState:
@@ -48,7 +63,9 @@ class CacheState:
     """
 
     def __init__(self, slots: np.ndarray, num_files: int) -> None:
-        slots = np.asarray(slots, dtype=np.int64)
+        slots = np.asarray(slots)
+        if slots.dtype.kind not in "iu":
+            slots = slots.astype(np.int64)
         if slots.ndim != 2:
             raise PlacementError(f"slots must be a 2-D (n, M) array, got shape {slots.shape}")
         if slots.shape[0] == 0 or slots.shape[1] == 0:
@@ -60,7 +77,9 @@ class CacheState:
                 f"cached file ids must be in [0, {num_files}), got range "
                 f"[{slots.min()}, {slots.max()}]"
             )
-        self._slots = slots.copy()
+        # The range check above ran on the caller's type, so narrowing
+        # cannot wrap; astype always copies.
+        self._slots = slots.astype(slot_type(num_files))
         self._slots.setflags(write=False)
         self._num_files = int(num_files)
         self._n, self._cache_size = slots.shape
@@ -75,12 +94,15 @@ class CacheState:
         Each slot becomes one packed key ``file << s | node`` with
         ``s = (n - 1).bit_length()``, so ascending keys order the pairs by
         file, then node.  The keys are int32 whenever ``K << s < 2**31`` and
-        int64 otherwise; numpy sorts the narrower keys about twice as fast.
-        A sort plus an adjacent-difference mask collapses duplicate
-        ``(node, file)`` pairs — a server caching a file twice is still a
-        single replica from the request's point of view.  Row ``f`` of the
-        CSR starts at the first distinct key ``>= f << s``, and
-        ``& (2**s - 1)`` unpacks each key's node.
+        int64 otherwise; numpy sorts the narrower keys about twice as fast,
+        and they are widened straight from the narrow slots.  A sort plus an
+        adjacent-difference mask collapses duplicate ``(node, file)`` pairs —
+        a server caching a file twice is still a single replica from the
+        request's point of view.  Row ``f`` of the CSR starts at the first
+        distinct key ``>= f << s``, and ``& (2**s - 1)``, in place, unpacks
+        each key's node; the collapsed keys' nodes give :meth:`distinct_counts`.  The nodes are int64: the replica scan and the
+        unconstrained shared mode use them as ``take`` indices and as
+        server ids, and numpy converts a narrower index on every ``take``.
         """
         n = self._n
         shift = (n - 1).bit_length()
@@ -93,10 +115,17 @@ class CacheState:
         distinct = np.empty(keys.size, dtype=bool)
         distinct[0] = True
         np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
-        keys = keys[distinct]
+        node_mask = (1 << shift) - 1
+        unique = keys[distinct]
+        # t(u) is M less u's repeated slots: the keys the compress dropped.
+        repeated = keys[np.logical_not(distinct, out=distinct)] & node_mask
+        self._distinct_counts = self._cache_size - np.bincount(repeated, minlength=n)
+        del distinct  # before the int64 nodes below are allocated
+        keys = unique
         row_starts = np.arange(self._num_files + 1, dtype=key_type) << shift
         self._file_index_ptr = keys.searchsorted(row_starts).astype(np.int64)
-        self._file_index_nodes = (keys & ((1 << shift) - 1)).astype(np.int64)
+        keys &= node_mask
+        self._file_index_nodes = keys.astype(np.int64)
         self._file_index_ptr.setflags(write=False)
         self._file_index_nodes.setflags(write=False)
         self._replication = np.diff(self._file_index_ptr)
@@ -119,15 +148,36 @@ class CacheState:
 
     @property
     def slots(self) -> IntArray:
-        """Read-only view of the raw ``(n, M)`` slot array."""
+        """Read-only view of the raw ``(n, M)`` slot array.
+
+        Its type is :func:`slot_type` of ``K``: int16 while ``K <= 2**15``,
+        int32 beyond, not int64.
+        """
         return self._slots
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the arrays this state holds now.
+
+        The slots, the file index and its replica counts, plus the
+        membership bitset once :meth:`contains_many` has built it.
+        """
+        held = (
+            self._slots,
+            self._file_index_ptr,
+            self._file_index_nodes,
+            self._replication,
+            self._distinct_counts,
+            self._membership,
+        )
+        return sum(array.nbytes for array in held if array is not None)
 
     # ---------------------------------------------------------------- queries
     def node_files(self, node: int, distinct: bool = True) -> IntArray:
         """Files cached at ``node``; distinct ids (sorted) by default."""
         self._check_node(node)
-        row = self._slots[int(node)]
-        return np.unique(row) if distinct else row.copy()
+        row = self._slots[int(node)].astype(np.int64)
+        return np.unique(row) if distinct else row
 
     def file_nodes(self, file_id: int) -> IntArray:
         """Distinct servers caching ``file_id`` (sorted ascending)."""
@@ -141,14 +191,18 @@ class CacheState:
         Two states with identical ``(n, M, K)`` shape and slot contents share
         a fingerprint; the session layer keys memoised group-index precompute
         on it (plus the strategy's candidate parameters), so artifacts are
-        reused exactly when the placements are byte-identical.
+        reused exactly when the placements are byte-identical.  It hashes
+        the slots' int64 bytes, whatever type they are held in, a chunk of
+        ``_HASH_SLOTS`` slots at a time.
         """
         if self._fingerprint is None:
             digest = hashlib.blake2b(digest_size=16)
             digest.update(
                 f"{self._n},{self._cache_size},{self._num_files}:".encode()
             )
-            digest.update(self._slots.tobytes())
+            flat = self._slots.reshape(-1)
+            for start in range(0, flat.size, _HASH_SLOTS):
+                digest.update(flat[start : start + _HASH_SLOTS].astype(np.int64))
             self._fingerprint = digest.hexdigest()
         return self._fingerprint
 
@@ -182,10 +236,10 @@ class CacheState:
     def distinct_counts(self) -> IntArray:
         """Vector of ``t(u)`` for every server (length ``n``).
 
-        Counted from the file index: each distinct ``(node, file)`` pair
-        appears there exactly once.
+        Counted while the file index is built: a server's ``M`` slots less
+        the repeated ``(node, file)`` pairs the index collapses.
         """
-        return np.bincount(self._file_index_nodes, minlength=self._n)
+        return self._distinct_counts.copy()
 
     def common_files(self, u: int, v: int) -> IntArray:
         """``T(u, v)``: distinct files cached at both ``u`` and ``v``."""

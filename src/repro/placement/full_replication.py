@@ -44,8 +44,9 @@ class FullReplicationPlacement(PlacementStrategy):
                 f"cache_size={self._explicit_cache_size}, K={K}"
             )
         self._cache_size = K
-        slots = np.tile(np.arange(K, dtype=np.int64), (topology.n, 1))
-        return CacheState(slots, K)
+        # CacheState copies the slots into its own type, so one broadcast
+        # row is all it needs.
+        return CacheState(np.broadcast_to(np.arange(K), (topology.n, K)), K)
 
     def as_dict(self) -> dict[str, object]:
         return {"name": self.name, "cache_size": self._explicit_cache_size}

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.catalog.library import FileLibrary
 from repro.placement.base import PlacementStrategy
-from repro.placement.cache import CacheState
+from repro.placement.cache import CacheState, slot_type
 from repro.rng import SeedLike
 from repro.topology.base import Topology
 
@@ -35,5 +35,9 @@ class ProportionalPlacement(PlacementStrategy):
         self, topology: Topology, library: FileLibrary, seed: SeedLike = None
     ) -> CacheState:
         self.validate(library)
-        slots = library.sample_files((topology.n, self._cache_size), seed)
+        # Narrowed at once, so the int64 draws are freed before CacheState
+        # builds its index.
+        slots = library.sample_files((topology.n, self._cache_size), seed).astype(
+            slot_type(library.num_files)
+        )
         return CacheState(slots, library.num_files)

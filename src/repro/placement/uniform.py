@@ -49,10 +49,11 @@ class UniformDistinctPlacement(PlacementStrategy):
         n = topology.n
         K = library.num_files
         if self._cache_size == K:
-            slots = np.tile(np.arange(K, dtype=np.int64), (n, 1))
-            return CacheState(slots, K)
+            # CacheState copies the slots into its own type, so one
+            # broadcast row is all it needs.
+            return CacheState(np.broadcast_to(np.arange(K), (n, K)), K)
         # Vectorised sampling without replacement per row: argpartition of a
         # random matrix gives each row an independent uniform M-subset.
         randoms = rng.random((n, K))
         slots = np.argpartition(randoms, self._cache_size - 1, axis=1)[:, : self._cache_size]
-        return CacheState(slots.astype(np.int64), K)
+        return CacheState(slots, K)

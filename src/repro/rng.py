@@ -178,7 +178,7 @@ def choice_from_pmf(
         raise ValueError("Probabilities do not sum to 1")
     cdf = p.cumsum()
     cdf /= cdf[-1]
-    u = rng.random(size)
+    out = np.empty(size, dtype=np.int64)
 
     g = 1 << (cdf.size - 1).bit_length()
     edges = np.arange(g + 1, dtype=np.float64) / g
@@ -187,11 +187,13 @@ def choice_from_pmf(
     width = hi - lo
     wide_bucket = width > 1
     steps = int(width.max()).bit_length()  # bisections that settle any bucket
-    flat = u.reshape(-1)
-    out = np.empty(flat.size, dtype=np.int64)
-    # Cache-sized chunks: every temporary below stays in L2.
+    flat = out.reshape(-1)
+    # Cache-sized chunks, each drawn just before it is mapped: every
+    # temporary below stays in L2, and no array of all the draws is held.
+    # Successive rng.random calls continue one stream, so the chunks' draws
+    # are the doubles one rng.random(size) call would return.
     for start in range(0, flat.size, _CHOICE_CHUNK):
-        draws = flat[start : start + _CHOICE_CHUNK]
+        draws = rng.random(min(_CHOICE_CHUNK, flat.size - start))
         bucket = (draws * g).astype(np.intp)
         idx = lo.take(bucket)
         idx += cdf.take(idx) <= draws  # the answer when hi - lo <= 1
@@ -205,5 +207,5 @@ def choice_from_pmf(
                 left = np.where(above, mid + 1, left)
                 right = np.where(above, right, mid)
             idx[wide] = left
-        out[start : start + _CHOICE_CHUNK] = idx
-    return out.reshape(u.shape)
+        flat[start : start + _CHOICE_CHUNK] = idx
+    return out

@@ -19,9 +19,13 @@ The :class:`ArtifactCache` owns both memos with small LRU bounds on the number
 of placements and stores: reuse is free when inputs repeat (deterministic
 placements, same-seed replays, sweep points sharing a placement) and memory
 stays bounded when they do not (random placements under fresh seeds churn
-through the LRU).  Each store is itself insert-only and capped at its default
-``max_groups`` rows; a full store keeps serving the rows it holds and stops
-retaining new ones.
+through the LRU).  Placements are bounded by bytes as well, at
+``PLACEMENT_BYTES``: a multi-run never replays a trial's seed, so without it
+a paper-scale run would hold ``max_placements`` states it never hits again.
+The most recently used placement is always kept, whatever its size, so a
+replay of the last one still hits.  Each store is itself insert-only and
+capped at its default ``max_groups`` rows; a full store keeps serving the
+rows it holds and stops retaining new ones.
 """
 
 from __future__ import annotations
@@ -39,7 +43,13 @@ from repro.placement.cache import CacheState
 from repro.rng import as_generator
 from repro.topology.base import Topology
 
-__all__ = ["ArtifactCache", "reads_group_store"]
+__all__ = ["ArtifactCache", "reads_group_store", "PLACEMENT_BYTES"]
+
+#: Bytes of retained placements (:attr:`CacheState.nbytes`) beyond which the
+#: least recently used ones are dropped; the most recent one always stays.
+#: Two or so of a Figure 5 point's M = 100 states (about 2 MB each at
+#: n = 2025) fit; at the paper's Figure 3 sizes only the last one stays.
+PLACEMENT_BYTES = 4 << 20
 
 
 def reads_group_store(engine: str) -> bool:
@@ -80,7 +90,8 @@ class ArtifactCache:
     Parameters
     ----------
     max_placements:
-        Retained :class:`~repro.placement.cache.CacheState` objects.
+        Retained :class:`~repro.placement.cache.CacheState` objects, at most;
+        fewer once they hold more than ``PLACEMENT_BYTES``.
     max_stores:
         Retained :class:`~repro.kernels.group_index.GroupStore` objects (one
         per distinct ``(topology, cache fingerprint, candidate signature)``).
@@ -112,7 +123,9 @@ class ArtifactCache:
         without the seed, so every trial of a multi-run — each with its own
         child seed — shares one placed state.  Randomised placements include
         the seed's ``(entropy, spawn_key)`` in the key and therefore only hit
-        on exact same-seed replays.
+        on exact same-seed replays.  A new state evicts the least recently
+        used ones while more than ``max_placements`` are held or they take
+        more than ``PLACEMENT_BYTES``, down to the new state itself.
         """
         key: tuple = (
             _placement_key(placement),
@@ -127,11 +140,25 @@ class ArtifactCache:
             self.placement_hits += 1
             return cached
         self.placement_misses += 1
+        # States the new one would push out go before it is built, so a
+        # paper-scale trial's placement never shares memory with its
+        # predecessor's.  Only states the second call evicts anyway go early.
+        self._evict_placements(keep=0)
         state = placement.place(topology, library, as_generator(seed))
         self._placements[key] = state
-        while len(self._placements) > self._max_placements:
-            self._placements.popitem(last=False)
+        self._evict_placements(keep=1)
         return state
+
+    def _evict_placements(self, keep: int) -> None:
+        """Drop LRU placements while over the count or the byte budget.
+
+        The ``keep`` most recently used ones stay whatever their size.
+        """
+        while len(self._placements) > keep and (
+            len(self._placements) > self._max_placements
+            or sum(state.nbytes for state in self._placements.values()) > PLACEMENT_BYTES
+        ):
+            self._placements.popitem(last=False)
 
     # ------------------------------------------------------------ group stores
     def group_store(

@@ -376,8 +376,11 @@ class CacheNetworkSession:
         self._total_fallbacks = 0
         self._total_remapped = 0
         self._rng_workload = np.random.default_rng(self._fresh_seq(self._workload_seed))
-        self._rng_strategy = np.random.default_rng(self._fresh_seq(self._strategy_seed))
-        self._streams: tuple[np.random.Generator, np.random.Generator] | None = None
+        # Spawned here, not on first use, so a first batch that raises leaves
+        # the session (and its state_digest) exactly as opened.
+        self._streams: tuple[np.random.Generator, np.random.Generator] = tuple(
+            spawn_generators(self._fresh_seq(self._strategy_seed), 2)
+        )
 
     # ----------------------------------------------------------------- workload
     def generate_workload(self) -> RequestBatch:
@@ -442,8 +445,6 @@ class CacheNetworkSession:
                     self._rng_workload,
                     self._uncached_policy,
                 )
-            if self._streams is None:
-                self._streams = tuple(spawn_generators(self._rng_strategy, 2))
             use_store = self._store_signature is not None and (
                 self._store_eligible or self._windows > 0
             )
@@ -553,11 +554,7 @@ class CacheNetworkSession:
             "hops": self._total_hops,
             "fallbacks": self._total_fallbacks,
             "remapped": self._total_remapped,
-            "streams": (
-                [g.bit_generator.state for g in self._streams]
-                if self._streams is not None
-                else None
-            ),
+            "streams": [g.bit_generator.state for g in self._streams],
         }
         digest.update(json.dumps(meta, sort_keys=True).encode("utf-8"))
         return digest.hexdigest()

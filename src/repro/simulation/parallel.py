@@ -39,8 +39,15 @@ __all__ = ["run_trials_parallel", "default_worker_count"]
 
 
 def default_worker_count() -> int:
-    """A conservative default worker count: all but one CPU, at least one."""
-    return max(1, (os.cpu_count() or 2) - 1)
+    """One worker per CPU this process may run on, at least one.
+
+    Counts the process's CPU affinity set where the platform reports it
+    (``os.sched_getaffinity``), else ``os.cpu_count()``.  Every worker holds
+    its own placements, which ``ArtifactCache`` bounds by bytes.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
+    return max(1, os.cpu_count() or 1)
 
 
 def _run_trial_batch_worker(
@@ -82,7 +89,7 @@ def run_trials_parallel(
         Parent seed; per-trial child seeds are spawned before dispatch so the
         aggregate is reproducible and identical to the sequential runner.
     max_workers:
-        Worker process count (default: CPU count minus one).
+        Worker process count (default: :func:`default_worker_count`).
     chunksize:
         Trials per worker task.  Each task builds the simulation components
         once and shares placement / group-index artifacts across its trials,

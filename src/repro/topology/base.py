@@ -90,7 +90,16 @@ class Topology(ABC):
 
     # ------------------------------------------------------------ batched API
     def distances_from(self, node: int, targets: IntArray | None = None) -> IntArray:
-        """Hop distances from ``node`` to ``targets`` (all nodes if ``None``), int64."""
+        """Hop distances from ``node`` to ``targets`` (all nodes if ``None``), int64.
+
+        ``node`` is one id: an array of several origins raises
+        :class:`~repro.exceptions.TopologyError` rather than broadcasting
+        against ``targets``.
+        """
+        if np.ndim(node) != 0:
+            raise TopologyError(
+                f"distances_from takes one origin node, got shape {np.shape(node)}"
+            )
         origin = self.validate_nodes(node)
         if targets is None:
             targets = np.arange(self._n, dtype=np.int64)

@@ -422,6 +422,31 @@ class TestFiguresCommand:
         out = capsys.readouterr().out
         assert "FIG1" in out
 
+    def test_figures_sharing_a_sweep_run_it_once(self, tmp_path, monkeypatch):
+        # Figures 3 and 4 plot two metrics of one sweep: asking for both
+        # runs it once and writes the files two separate invocations write.
+        import repro.experiments.runner as runner
+
+        separate, together = tmp_path / "separate", tmp_path / "together"
+        for number in ("3", "4"):
+            argv = ["figures", "--figures", number, "--trials", "2"]
+            assert main(argv + ["--output-dir", str(separate)]) == 0
+        ran, run_experiment = [], runner.run_experiment
+
+        def counting_run_experiment(spec, *args, **kwargs):
+            ran.append(spec.experiment_id)
+            return run_experiment(spec, *args, **kwargs)
+
+        monkeypatch.setattr(runner, "run_experiment", counting_run_experiment)
+        argv = ["figures", "--figures", "3", "4", "--trials", "2"]
+        assert main(argv + ["--output-dir", str(together)]) == 0
+        assert ran == ["FIG3"]
+        names = sorted(path.name for path in separate.iterdir())
+        assert names == [f"fig{n}.{ext}" for n in (3, 4) for ext in ("csv", "json", "txt")]
+        assert sorted(path.name for path in together.iterdir()) == names
+        for name in names:
+            assert (together / name).read_bytes() == (separate / name).read_bytes()
+
 
 class TestTablesCommand:
     def test_single_table(self, capsys):

@@ -10,7 +10,12 @@ from repro.experiments.ascii_plot import ascii_plot
 from repro.experiments.figures import figure1_spec, figure5_spec
 from repro.experiments.io import load_experiment_result, result_to_csv, save_experiment_result
 from repro.experiments.report import render_comparison_table, render_experiment, render_table
-from repro.experiments.runner import ExperimentResult, PointResult, run_experiment
+from repro.experiments.runner import (
+    ExperimentResult,
+    PointResult,
+    run_experiment,
+    run_experiments,
+)
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +49,33 @@ class TestRunner:
         calls = []
         run_experiment(spec, seed=0, progress_callback=lambda label, x, p: calls.append(label))
         assert calls == ["Cache size = 1", "Cache size = 5"]
+
+    def test_run_experiments_runs_each_sweep_once(self, monkeypatch):
+        # Two specs on one sweep (with different ids, y metrics and extra)
+        # and one on another: two runs, and every result equals its own
+        # separate run_experiment.
+        import dataclasses
+
+        import repro.experiments.runner as runner
+
+        shared = figure1_spec(sizes=[25], cache_sizes=[1, 5], trials=2)
+        relabelled = dataclasses.replace(
+            shared,
+            experiment_id="COST",
+            y_metric="communication_cost",
+            extra={"parametric": True},
+        )
+        other = figure1_spec(sizes=[25], cache_sizes=[1], trials=2)
+        ran = []
+        monkeypatch.setattr(
+            runner,
+            "run_experiment",
+            lambda spec, *args, **kwargs: ran.append(spec) or run_experiment(spec, *args, **kwargs),
+        )
+        results = list(run_experiments([shared, relabelled, other], seed=4))
+        assert ran == [shared, other]
+        for spec, result in zip([shared, relabelled, other], results):
+            assert result.as_dict() == run_experiment(spec, seed=4).as_dict()
 
     def test_series_by_label(self, small_result):
         series = small_result.series_by_label("Cache size = 5")

@@ -207,6 +207,17 @@ class TestBatchedTopologyAPI:
         with pytest.raises(TopologyError):
             topology.distances_between(np.asarray([1, 2]), np.asarray([3]))
 
+    def test_distances_from_takes_one_origin(self, topology):
+        """Several origins raise instead of broadcasting against the targets."""
+        for origins in ([1, 2], np.array([1, 2]), np.array([1])):
+            with pytest.raises(TopologyError):
+                topology.distances_from(origins, [3])
+        with pytest.raises(TopologyError):
+            topology.distances_from([1, 2])
+        assert topology.distances_from(np.int64(1), [3]).tolist() == [
+            topology.distance(1, 3)
+        ]
+
     def test_out_of_range_ids_raise(self, topology):
         for query in (
             lambda: topology.distances_between([0], [topology.n]),

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.catalog import FileLibrary, ZipfPopularity
 from repro.exceptions import PlacementError
-from repro.placement.cache import CacheState
+from repro.placement import ProportionalPlacement
+from repro.placement.cache import CacheState, slot_type
+from repro.topology import Torus2D
 
 
 def small_state() -> CacheState:
@@ -56,6 +61,63 @@ class TestConstruction:
 
     def test_repr(self):
         assert "uncached=1" in repr(small_state())
+
+
+class TestSlotWidths:
+    """Slots are held in the narrowest type that holds K; everything that
+    leaves the state (queries, index, fingerprint) is as with int64 slots."""
+
+    @pytest.mark.parametrize(
+        "num_files, expected",
+        [(1, np.int16), (2**15, np.int16), (2**15 + 1, np.int32), (2**31 - 1, np.int32)],
+    )
+    def test_slot_type(self, num_files, expected):
+        assert slot_type(num_files) is expected
+
+    @pytest.mark.parametrize("num_files", [5, 2**15, 2**15 + 1])
+    @pytest.mark.parametrize("given_type", [np.int64, np.int32, np.uint16])
+    def test_slots_narrow_and_answers_int64(self, num_files, given_type):
+        rng = np.random.default_rng(num_files)
+        slots = rng.integers(0, num_files, size=(9, 4)).astype(given_type)
+        state = CacheState(slots, num_files)
+        assert state.slots.dtype == slot_type(num_files)
+        np.testing.assert_array_equal(state.slots, slots)
+        assert state.node_files(2).dtype == np.int64
+        np.testing.assert_array_equal(state.node_files(2, distinct=False), slots[2])
+        assert state.node_files(2, distinct=False).dtype == np.int64
+        assert all(part.dtype == np.int64 for part in state.file_index())
+
+    @pytest.mark.parametrize("chunk", [None, 7], ids=["one-chunk", "chunked"])
+    def test_fingerprint_hashes_int64_slots(self, monkeypatch, chunk):
+        if chunk is not None:
+            monkeypatch.setattr("repro.placement.cache._HASH_SLOTS", chunk)
+        slots = np.random.default_rng(8).integers(0, 50, size=(9, 4))
+        digest = hashlib.blake2b(digest_size=16)
+        digest.update(b"9,4,50:")
+        digest.update(slots.astype(np.int64).tobytes())
+        assert CacheState(slots.astype(np.int16), 50).fingerprint() == digest.hexdigest()
+
+    def test_placement_fingerprints_pinned(self):
+        # GroupStore keys are these digests; narrower slots must not move them.
+        library = FileLibrary(1000, ZipfPopularity(1000, 1.0))
+        got = [
+            ProportionalPlacement(8).place(Torus2D(65536), FileLibrary(256), seed=0),
+            ProportionalPlacement(100).place(Torus2D(2025), FileLibrary(500), seed=0),
+            ProportionalPlacement(16).place(Torus2D(4096), library, seed=0),
+        ]
+        assert [state.fingerprint() for state in got] == [
+            "4e29b71378a8aa6df7050b453e95499f",
+            "d2caccdd61c0f735d03af6f26029f88b",
+            "061914513dd6791ce16a85f980fbfb10",
+        ]
+
+    def test_nbytes_counts_the_held_arrays(self):
+        state = small_state()
+        indptr, nodes = state.file_index()
+        held = (state.slots, indptr, nodes, state.replication_counts(), state.distinct_counts())
+        assert state.nbytes == sum(array.nbytes for array in held)
+        state.contains_many(np.arange(4), 1)  # builds the 4 x 1-byte bitset
+        assert state.nbytes == sum(array.nbytes for array in held) + 4
 
 
 class TestNodeQueries:

@@ -11,6 +11,7 @@ from repro.placement.cache import CacheState
 from repro.placement.partition import PartitionPlacement
 from repro.placement.proportional import ProportionalPlacement
 from repro.session import ArtifactCache, CacheNetworkSession
+from repro.session.artifacts import PLACEMENT_BYTES
 from repro.strategies.base import FallbackPolicy
 from repro.strategies.least_loaded_in_ball import LeastLoadedInBallStrategy
 from repro.strategies.nearest_replica import NearestReplicaStrategy
@@ -107,6 +108,68 @@ class TestPlacementMemo:
             placement, topology, library, np.random.SeedSequence(0)
         ) is first
         assert artifacts.stats()["placement_hits"] == 2
+
+    def test_byte_budget_drops_unreplayed_placements(self):
+        # A multi-run never replays a trial's seed: at Figure 5's M = 100
+        # (about 1.9 MB a state) the budget keeps two, not max_placements.
+        topology, library = Torus2D(2025), FileLibrary(500)
+        artifacts = ArtifactCache()
+        placement = ProportionalPlacement(100)
+        for seed in range(5):
+            artifacts.placement(placement, topology, library, np.random.SeedSequence(seed))
+        assert artifacts.stats()["placements"] == 2
+        assert PLACEMENT_BYTES < 3 * placement.place(topology, library, seed=0).nbytes
+
+    def test_byte_budget_evicts_in_lru_order(self, monkeypatch):
+        topology, library = Torus2D(49), FileLibrary(20)
+        placement = ProportionalPlacement(3)
+        one = placement.place(topology, library, seed=0).nbytes
+        monkeypatch.setattr("repro.session.artifacts.PLACEMENT_BYTES", 2 * one)
+        artifacts = ArtifactCache()
+        seeds = [np.random.SeedSequence(seed) for seed in range(3)]
+        first = artifacts.placement(placement, topology, library, seeds[0])
+        artifacts.placement(placement, topology, library, seeds[1])
+        assert artifacts.placement(placement, topology, library, seeds[0]) is first
+        artifacts.placement(placement, topology, library, seeds[2])  # evicts seed 1
+        assert artifacts.stats()["placements"] == 2
+        assert artifacts.placement(placement, topology, library, seeds[0]) is first
+        artifacts.placement(placement, topology, library, seeds[1])
+        assert artifacts.stats()["placement_misses"] == 4
+
+    def test_most_recent_placement_kept_over_budget(self, monkeypatch):
+        monkeypatch.setattr("repro.session.artifacts.PLACEMENT_BYTES", 1)
+        topology, library = Torus2D(49), FileLibrary(20)
+        artifacts = ArtifactCache()
+        placement = ProportionalPlacement(3)
+        for seed in (0, 1):
+            last = artifacts.placement(
+                placement, topology, library, np.random.SeedSequence(seed)
+            )
+        assert artifacts.stats()["placements"] == 1
+        assert artifacts.placement(
+            placement, topology, library, np.random.SeedSequence(1)
+        ) is last
+        assert artifacts.placement_hits == 1
+
+    def test_over_budget_state_dropped_before_its_successor_is_placed(self, monkeypatch):
+        # So a paper-scale trial's placement is never resident beside the
+        # previous trial's.
+        monkeypatch.setattr("repro.session.artifacts.PLACEMENT_BYTES", 1)
+        topology, library = Torus2D(49), FileLibrary(20)
+        artifacts = ArtifactCache()
+        held_while_placing = []
+
+        class RecordingPlacement(ProportionalPlacement):
+            def place(self, *args, **kwargs):
+                held_while_placing.append(artifacts.stats()["placements"])
+                return super().place(*args, **kwargs)
+
+        for seed in range(3):
+            artifacts.placement(
+                RecordingPlacement(3), topology, library, np.random.SeedSequence(seed)
+            )
+        assert held_while_placing == [0, 0, 0]
+        assert artifacts.stats()["placements"] == 1
 
     def test_store_lru_eviction_drops_oldest_store(self):
         topology, library, cache, _ = _system()

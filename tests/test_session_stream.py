@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.catalog.library import FileLibrary
-from repro.exceptions import ConfigurationError, StrategyError
+from repro.exceptions import ConfigurationError, NoReplicaError, StrategyError
 from repro.placement.proportional import ProportionalPlacement
 from repro.rng import spawn_seeds
 from repro.session import ArtifactCache, CacheNetworkSession, open_session
@@ -181,6 +181,36 @@ class TestSessionStateMachine:
             failing.dispatch_batch(*zip(*second)), clean.dispatch_batch(*zip(*second))
         )
         np.testing.assert_array_equal(failing.loads(), clean.loads())
+
+    @pytest.mark.parametrize("engine", ["auto", "reference"])
+    @pytest.mark.parametrize("strategy_key", STRATEGY_FACTORIES.keys())
+    def test_failed_first_batch_leaves_fresh_session_untouched(self, strategy_key, engine):
+        # 200 files over 49 one-slot caches: most files are cached nowhere,
+        # and a batch asking for one raises before anything commits.  The
+        # session's streams exist from the start, so its digest is that of a
+        # session that never saw the batch.
+        def session():
+            return CacheNetworkSession(
+                topology=Torus2D(49),
+                library=FileLibrary(200),
+                placement=ProportionalPlacement(1),
+                strategy=STRATEGY_FACTORIES[strategy_key]().with_engine(engine),
+                seed=SEED,
+            )
+
+        failing, clean = session(), session()
+        cached = np.unique(failing.cache.slots)
+        uncached = int(np.setdiff1d(np.arange(200), cached)[0])
+        rng = np.random.default_rng(3)
+        origins, files = rng.integers(0, 49, size=40), rng.choice(cached, size=40)
+        digest = failing.state_digest()
+        with pytest.raises(NoReplicaError):
+            failing.dispatch_batch(np.append(origins, 0), np.append(files, uncached))
+        assert failing.state_digest() == digest == clean.state_digest()
+        _assert_results_identical(
+            failing.dispatch_batch(origins, files), clean.dispatch_batch(origins, files)
+        )
+        assert failing.state_digest() == clean.state_digest()
 
     def test_reset_replays_identically(self):
         session = _session(ProximityTwoChoiceStrategy(radius=3))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -118,3 +120,15 @@ class TestRunTrialsParallel:
 
     def test_default_worker_count_positive(self):
         assert default_worker_count() >= 1
+
+    def test_default_worker_count_is_the_affinity_set(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert default_worker_count() == 2
+
+    def test_default_worker_count_falls_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert default_worker_count() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert default_worker_count() == 1

@@ -55,19 +55,33 @@ class TestMeanConfidenceInterval:
             hits += low <= 0.0 <= high
         assert hits / reps > 0.85
 
-    @pytest.mark.parametrize("module", ["scipy.stats", "multiprocessing"])
-    def test_cli_import_leaves_scipy_stats_unloaded(self, module):
-        # scipy.stats takes about a second to import, so the t quantile
-        # imports it on first use rather than on every process start; the
-        # process pool of parallel trials loads multiprocessing the same way.
+    @pytest.mark.parametrize(
+        "module, run",
+        [
+            pytest.param("scipy.stats", "", id="scipy.stats"),
+            pytest.param("multiprocessing", "", id="multiprocessing"),
+            pytest.param(
+                "scipy.stats",
+                "from repro.experiments.figures import figure3_spec; "
+                "repro.experiments.runner.run_experiment("
+                "figure3_spec(sizes=(100,), cache_sizes=(2,), trials=2), seed=1)",
+                id="scipy.stats-run_experiment",
+            ),
+        ],
+    )
+    def test_cli_import_leaves_scipy_stats_unloaded(self, module, run):
+        # scipy.stats costs about a second and 64 MB to import, and the t
+        # quantile comes from scipy.special, so neither importing the CLI
+        # nor computing a confidence interval loads it; the process pool of
+        # parallel trials loads multiprocessing only when it starts.
         src = Path(__file__).resolve().parent.parent / "src"
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, [str(src), env.get("PYTHONPATH")])
         )
         code = (
-            "import sys, repro.cli, repro.experiments.queueing, "
-            f"repro.experiments.runner; assert {module!r} not in sys.modules"
+            "import sys, repro.cli, repro.experiments.queueing, repro.experiments.runner\n"
+            f"{run}\nassert {module!r} not in sys.modules"
         )
         done = subprocess.run(
             [sys.executable, "-c", code],
@@ -77,6 +91,24 @@ class TestMeanConfidenceInterval:
             timeout=120,
         )
         assert done.returncode == 0, done.stderr
+
+
+    @pytest.mark.parametrize("confidence", [0.9, 0.95, 0.99])
+    def test_quantile_equals_scipy_stats_bit_for_bit(self, confidence):
+        # The interval the t distribution's ppf gives, for df 1 to 5,000.
+        from scipy import stats as sps
+
+        samples = np.random.default_rng(11).normal(5.0, 2.0, size=5001)
+        ppf = sps.t.ppf(0.5 + confidence / 2.0, df=np.arange(1, 5001))
+        for df in range(1, 5001):
+            arr = samples[: df + 1]
+            mean = float(arr.mean())
+            half = float(ppf[df - 1] * float(arr.std(ddof=1) / np.sqrt(arr.size)))
+            assert mean_confidence_interval(arr, confidence) == (
+                mean,
+                mean - half,
+                mean + half,
+            )
 
 
 class TestSummarizeSamples:
