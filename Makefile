@@ -98,12 +98,14 @@ bench-commit:
 profile-precompute:
 	$(PYTHON) benchmarks/profile_precompute.py
 
-# Peak RSS of Strategy II at the paper's Figure 3 sizes, each case in its own
-# child process: run_trials with 16 trials at n = 122,500, K = 2000, M = 100,
-# r = inf (bound 600 MB), and Figure 3 at PAPER_FIGURE3_SIZES with 2 trials
-# per point (bound 700 MB).  Records peak RSS, seconds per trial and the
-# aggregates in .benchmarks/timings/paper_memory.txt and fails only when a
-# case goes above its RSS bound.  Not part of tier-1 (the CI memory job).
+# Peak RSS and time per trial of the paper's figures at their own sizes, each
+# case in its own child process: run_trials with 16 trials at n = 122,500,
+# K = 2000, M = 100, r = inf (bound 600 MB), Figure 3 at PAPER_FIGURE3_SIZES
+# (700 MB), and Strategy I's Figure 1 at PAPER_FIGURE1_SIZES and Figure 2 at
+# n = 2025 (110 MB each, fastest of 3 sweeps), all with 2 trials per point.
+# Records peak RSS, milliseconds per trial and the aggregates in
+# .benchmarks/timings/paper_memory.txt and fails only when a case goes above
+# its RSS bound.  Not part of tier-1 (the CI memory job).
 probe-paper-memory:
 	$(PYTHON) benchmarks/probe_paper_memory.py
 

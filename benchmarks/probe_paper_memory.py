@@ -1,15 +1,21 @@
-"""Peak memory of Strategy II at the paper's Figure 3 sizes.
+"""Peak memory and time per trial of the paper's figures at their own sizes.
 
-``make probe-paper-memory`` runs two cases, each in a child process of its
+``make probe-paper-memory`` runs four cases, each in a child process of its
 own so that each reports its own peak resident set size (``VmHWM``):
 
 * ``run_trials``: 16 trials of the paper's largest Figure 3 point, torus
-  n = 122,500, K = 2000, M = 100, r = inf;
-* ``figure3``: Figure 3 at ``PAPER_FIGURE3_SIZES`` with 2 trials per point.
+  n = 122,500, K = 2000, M = 100, r = inf (Strategy II);
+* ``figure3``: Figure 3 at ``PAPER_FIGURE3_SIZES`` with 2 trials per point;
+* ``figure1``: Figure 1 (Strategy I) at ``PAPER_FIGURE1_SIZES``, K = 100,
+  M in (1, 2, 10, 100), 2 trials per point;
+* ``figure2``: Figure 2 (Strategy I) at n = 2025, K in (100, 1000, 2000),
+  M in (1, 2, 5, 10, 20, 40, 70, 100), 2 trials per point.
 
-For each case it records the peak RSS, the seconds per trial and the
-aggregates (the trials' summary, or a digest of the whole result plus
-every point's max-load and communication-cost means), and writes them to the untracked
+A Strategy I sweep takes well under a second, so ``figure1`` and
+``figure2`` run theirs 3 times and keep the fastest.  For each case the
+probe records the peak RSS, the milliseconds per trial and the aggregates
+(the trials' summary, or a digest of the whole result plus every point's
+max-load and communication-cost means), and writes them to the untracked
 ``.benchmarks/timings/paper_memory.txt`` under the standard ``host:``
 header; nothing goes to ``benchmarks/results/``.  The aggregates are
 deterministic, so a change that should not alter outputs must reproduce
@@ -37,10 +43,17 @@ from time import perf_counter
 from _bench_utils import host_header, timings_dir
 
 #: Peak RSS bound of each case, in MiB.
-RSS_BOUNDS_MB = {"run_trials": 600.0, "figure3": 700.0}
+RSS_BOUNDS_MB = {
+    "run_trials": 600.0,
+    "figure3": 700.0,
+    "figure1": 110.0,
+    "figure2": 110.0,
+}
 SEED = 2017
 TRIALS = 16
-FIGURE3_TRIALS = 2
+FIGURE_TRIALS = 2
+#: Sweeps of each Strategy I figure; the fastest is recorded.
+STRATEGY1_SWEEPS = 3
 
 
 def _strategy2_config(num_nodes: int, cache_size: int):
@@ -68,38 +81,72 @@ def _run_trials_case() -> dict:
     return {
         "label": f"run_trials, {TRIALS} trials @ {config.describe()}",
         "trials": TRIALS,
-        "seconds_per_trial": elapsed / TRIALS,
+        "ms_per_trial": 1e3 * elapsed / TRIALS,
         "aggregates": list(result.summary().items()),
     }
 
 
-def _figure3_case() -> dict:
-    from repro.experiments.figures import PAPER_FIGURE3_SIZES, figure3_spec
+def _figure_record(spec, label: str, x_name: str, sweeps: int = 1) -> dict:
+    """Run ``spec`` ``sweeps`` times; the fastest sweep's time per trial."""
     from repro.experiments.runner import run_experiment
 
-    spec = figure3_spec(sizes=PAPER_FIGURE3_SIZES, trials=FIGURE3_TRIALS)
-    begin = perf_counter()
-    result = run_experiment(spec, seed=SEED)
-    elapsed = perf_counter() - begin
+    elapsed = []
+    for _ in range(sweeps):
+        begin = perf_counter()
+        result = run_experiment(spec, seed=SEED)
+        elapsed.append(perf_counter() - begin)
     document = json.dumps(result.as_dict(), sort_keys=True).encode()
     points = [
-        (f"{series.label}, n={point.x:g}", [point.max_load_mean, point.comm_cost_mean])
+        (
+            f"{series.label}, {x_name}={point.x:g}",
+            [point.max_load_mean, point.comm_cost_mean],
+        )
         for series in result.series
         for point in series.points
     ]
+    trials = spec.num_points * FIGURE_TRIALS
     return {
-        "label": (
-            f"Figure 3 @ n in {PAPER_FIGURE3_SIZES}, K=2000, M in (1, 2, 10, 100), "
-            f"{FIGURE3_TRIALS} trials per point"
-        ),
-        "trials": spec.num_points * FIGURE3_TRIALS,
-        "seconds_per_trial": elapsed / (spec.num_points * FIGURE3_TRIALS),
+        "label": f"{label}, {FIGURE_TRIALS} trials per point",
+        "trials": trials,
+        "ms_per_trial": 1e3 * min(elapsed) / trials,
         "aggregates": [("result sha256", hashlib.sha256(document).hexdigest())]
         + points,
     }
 
 
-CASES = {"run_trials": _run_trials_case, "figure3": _figure3_case}
+def _figure3_case() -> dict:
+    from repro.experiments.figures import PAPER_FIGURE3_SIZES, figure3_spec
+
+    spec = figure3_spec(sizes=PAPER_FIGURE3_SIZES, trials=FIGURE_TRIALS)
+    label = f"Figure 3 @ n in {PAPER_FIGURE3_SIZES}, K=2000, M in (1, 2, 10, 100)"
+    return _figure_record(spec, label, "n")
+
+
+def _figure1_case() -> dict:
+    from repro.experiments.figures import PAPER_FIGURE1_SIZES, figure1_spec
+
+    spec = figure1_spec(sizes=PAPER_FIGURE1_SIZES, trials=FIGURE_TRIALS)
+    label = f"Figure 1 @ n in {PAPER_FIGURE1_SIZES}, K=100, M in (1, 2, 10, 100)"
+    return _figure_record(spec, label, "n", sweeps=STRATEGY1_SWEEPS)
+
+
+def _figure2_case() -> dict:
+    from repro.experiments.figures import figure2_spec
+
+    spec = figure2_spec(trials=FIGURE_TRIALS)
+    label = (
+        "Figure 2 @ n=2025, K in (100, 1000, 2000), "
+        "M in (1, 2, 5, 10, 20, 40, 70, 100)"
+    )
+    return _figure_record(spec, label, "M", sweeps=STRATEGY1_SWEEPS)
+
+
+CASES = {
+    "run_trials": _run_trials_case,
+    "figure3": _figure3_case,
+    "figure1": _figure1_case,
+    "figure2": _figure2_case,
+}
 
 
 def peak_rss_mb() -> float:
@@ -129,7 +176,7 @@ def _report(record: dict) -> str:
             f"{record['case']}: {record['label']}",
             f"  peak RSS          {record['peak_rss_mb']:.1f} MB "
             f"(bound {record['rss_bound_mb']:.0f} MB, {verdict})",
-            f"  seconds per trial {record['seconds_per_trial']:.3f} "
+            f"  ms per trial      {record['ms_per_trial']:.1f} "
             f"({record['trials']} trials)",
             "  aggregates",
         ]

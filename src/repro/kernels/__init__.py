@@ -14,7 +14,8 @@ vector* and splits assignment into:
     ``(group, replica)`` pair — resolve fallbacks over the same scan, and
     draw all ``d``-choice samples up front with a vectorised shifted-uniform
     pass — the ``O(d)``-randomness equivalent of a Gumbel-top-k draw
-    (:mod:`repro.kernels.sampling`).
+    (:mod:`repro.kernels.sampling`).  Strategy I's rows, each group's
+    nearest replicas, come from a torus ring probe and the same scan.
 
 **Commit phase** (minimal sequential loop)
     A tight loop over pre-materialised flat int64 arrays that only reads and
@@ -97,7 +98,6 @@ from repro.kernels.group_index import (
     build_group_index,
     csr_scatter_destinations,
     group_requests,
-    iter_file_segments,
     segmented_arange,
 )
 from repro.kernels.reference import (
@@ -127,7 +127,6 @@ __all__ = [
     "GroupStore",
     "build_group_index",
     "group_requests",
-    "iter_file_segments",
     "csr_scatter_destinations",
     "segmented_arange",
     "draw_sample_positions",

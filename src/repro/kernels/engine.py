@@ -2,8 +2,8 @@
 
 Every entry point here follows the same shape:
 
-1. build the :class:`~repro.kernels.group_index.GroupIndex` (batched distance
-   matrices, in-ball filtering, fallback resolution — all load-independent);
+1. build the :class:`~repro.kernels.group_index.GroupIndex` (ball or ring
+   gathers, replica scan, fallback resolution — all load-independent);
 2. derive the two RNG streams of the contract
    (``rng_sample, rng_tie = spawn_generators(seed, 2)``) and draw *all* of
    their output up front;
@@ -55,16 +55,13 @@ from repro.exceptions import NoReplicaError
 from repro.kernels.group_index import (
     GroupStore,
     build_group_index,
-    csr_scatter_destinations,
-    group_requests,
-    iter_file_segments,
 )
 from repro.kernels.sampling import draw_sample_positions
 from repro.placement.cache import CacheState
 from repro.rng import SeedLike, spawn_generators
 from repro.strategies.base import AssignmentResult, FallbackPolicy
 from repro.topology.base import Topology
-from repro.types import IntArray
+from repro.types import FloatArray, IntArray
 from repro.workload.request import RequestBatch
 
 __all__ = [
@@ -74,11 +71,6 @@ __all__ = [
     "random_replica_kernel",
     "nearest_replica_kernel",
 ]
-
-#: Strategy I's bound on the group rows of one per-file distance matrix:
-#: peak memory is about this many rows times the file's replica count.
-_NEAREST_CHUNK_ROWS = 4096
-
 
 def _empty_result(n: int, strategy_name: str) -> AssignmentResult:
     return AssignmentResult(
@@ -267,6 +259,18 @@ def threshold_hybrid_kernel(
     )
 
 
+def _pick_uniformly(
+    topology: Topology, origins: IntArray, index, uniforms: FloatArray
+) -> tuple[IntArray, IntArray]:
+    """Each request's ``floor(u * count)``-th candidate: ``(servers, distances)``."""
+    picks = (uniforms * index.request_counts()).astype(np.int64)
+    flat = index.request_starts() + picks
+    servers = index.nodes[flat]
+    if index.dists is None:
+        return servers, topology.distances_between(origins, servers)
+    return servers, index.dists[flat]
+
+
 def random_replica_kernel(
     topology: Topology,
     cache: CacheState,
@@ -296,17 +300,11 @@ def random_replica_kernel(
         store=store,
     )
     _, rng_tie = streams if streams is not None else spawn_generators(seed, 2)
-    uniforms = rng_tie.random(m)
-    counts = index.request_counts()
-    picks = (uniforms * counts).astype(np.int64)
-    flat = index.request_starts() + picks
-    servers = index.nodes[flat]
+    servers, distances = _pick_uniformly(
+        topology, requests.origins, index, rng_tie.random(m)
+    )
     if loads is not None:
         loads += np.bincount(servers, minlength=n)
-    if index.dists is not None:
-        distances = index.dists[flat]
-    else:
-        distances = topology.distances_between(requests.origins, servers)
     return AssignmentResult(
         servers=servers,
         distances=distances,
@@ -328,65 +326,30 @@ def nearest_replica_kernel(
     loads: IntArray | None = None,
     store: GroupStore | None = None,
 ) -> AssignmentResult:
-    """Strategy I as a single vectorised pass over grouped requests.
+    """Strategy I: a uniform pick among each group's nearest replicas.
 
-    Unlike the load-aware kernels this never materialises full candidate
-    sets: per file (chunked to ``_NEAREST_CHUNK_ROWS`` group rows) only each
-    group's minimum distance and its tied nearest replicas survive the
-    distance matrix, so peak memory stays bounded by one chunk — matching
-    the pre-kernel behaviour of the strategy.
+    The rows are :func:`build_group_index`'s ``nearest_ties`` rows.  A
+    request for a file cached nowhere raises :class:`NoReplicaError` (the
+    smallest such file) before any draw, or, with ``allow_origin_fallback``,
+    goes to its origin at the diameter without entering the index.
     """
     m = requests.num_requests
     n = topology.n
     if m == 0:
         return _empty_result(n, strategy_name)
-
-    g_origins, g_files, group_of = group_requests(requests)
-    num_groups = int(g_origins.size)
-
-    group_min = np.zeros(num_groups, dtype=np.int64)
-    tie_counts = np.zeros(num_groups, dtype=np.int64)
-    missing = np.zeros(num_groups, dtype=bool)
-    pieces: list[tuple[IntArray, IntArray, IntArray]] = []
-
-    for segment in iter_file_segments(g_files):
-        file_id = int(g_files[segment[0]])
-        replicas = cache.file_nodes(file_id)
-        if replicas.size == 0:
-            if not allow_origin_fallback:
-                raise NoReplicaError(file_id)
-            missing[segment] = True
-            continue
-        for start in range(0, segment.size, _NEAREST_CHUNK_ROWS):
-            gids = segment[start : start + _NEAREST_CHUNK_ROWS]
-            matrix = topology.pairwise_distances(g_origins[gids], replicas)
-            row_min = matrix.min(axis=1)
-            is_min = matrix == row_min[:, None]
-            group_min[gids] = row_min
-            row_ties = is_min.sum(axis=1).astype(np.int64)
-            tie_counts[gids] = row_ties
-            _, cols = np.nonzero(is_min)  # row-major: replicas ascending
-            pieces.append((gids.astype(np.int64), row_ties, replicas[cols]))
-
-    tie_indptr = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(tie_counts)])
-    tie_nodes = np.empty(int(tie_indptr[-1]), dtype=np.int64)
-    for gids, row_ties, flat_nodes in pieces:
-        tie_nodes[csr_scatter_destinations(tie_indptr, gids, row_ties)] = flat_nodes
-
+    uncached = cache.replication_counts()[requests.files] == 0
+    if uncached.any() and not allow_origin_fallback:
+        raise NoReplicaError(int(requests.files[uncached].min()))
+    served = np.flatnonzero(~uncached)
+    batch = requests.subset(served)
+    index = build_group_index(topology, cache, batch, store=store, nearest_ties=True)
     _, rng_tie = streams if streams is not None else spawn_generators(seed, 2)
     uniforms = rng_tie.random(m)
-    servers = np.empty(m, dtype=np.int64)
-    distances = np.empty(m, dtype=np.int64)
-    fallback_mask = missing[group_of]
-    served = ~fallback_mask
-    if np.any(served):
-        groups = group_of[served]
-        picks = (uniforms[served] * tie_counts[groups]).astype(np.int64)
-        servers[served] = tie_nodes[tie_indptr[groups] + picks]
-        distances[served] = group_min[groups]
-    if np.any(fallback_mask):
-        servers[fallback_mask] = requests.origins[fallback_mask]
-        distances[fallback_mask] = topology.diameter
+    servers = requests.origins.copy()
+    distances = np.full(m, topology.diameter, dtype=np.int64)
+    servers[served], distances[served] = _pick_uniformly(
+        topology, batch.origins, index, uniforms[served]
+    )
     if loads is not None:
         loads += np.bincount(servers, minlength=n)
     return AssignmentResult(
@@ -394,5 +357,5 @@ def nearest_replica_kernel(
         distances=distances,
         num_nodes=n,
         strategy_name=strategy_name,
-        fallback_mask=fallback_mask,
+        fallback_mask=uncached,
     )

@@ -16,8 +16,9 @@ factors that work out of the per-request loop:
    column's distance — ``|B_r|`` lookups instead of one distance per replica;
 3. every other group — other topologies, unconstrained or wrapping radii,
    libraries wider than ``64 M`` files (where the ``n ceil(K / 8)``-byte
-   bitset would outgrow the slot array), files with at most ``|B_r|`` replicas, and
-   ball groups with no in-ball replica — takes one flat replica scan: the
+   bitset would outgrow the ``n M 8``-byte int64 file-index nodes), files
+   with at most ``|B_r|`` replicas, and ball groups with no in-ball
+   replica — takes one flat replica scan: the
    ``(group, replica)`` pairs of all these groups, expanded from the cache's
    file→nodes CSR in group-aligned chunks, one element-wise
    :meth:`~repro.topology.base.Topology.distances_between_unchecked` call per chunk,
@@ -25,6 +26,11 @@ factors that work out of the per-request loop:
    vectorised over the empty rows' segments;
 4. both routes scatter into one CSR layout ``(starts, counts, nodes[, dists])``
    of candidate sets, bit-identical whichever route built a row.
+
+Strategy I's rows (``nearest_ties``) are each group's replicas at its minimum
+distance.  Where step 2 applies, groups first probe ``d = 0, 1, ...``, looking
+up only the ring of ``B_d`` at distance ``d``; the first ring with a hit is the
+row.  The rest take the scan, which keeps every pair at its row's minimum.
 
 When the radius is unconstrained and candidate distances are not needed up
 front (Strategy II resolves chosen-replica distances *after* the commit loop),
@@ -35,7 +41,9 @@ alias the cache's own arrays via per-group ``starts``/``counts``.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -51,7 +59,6 @@ __all__ = [
     "GroupStore",
     "build_group_index",
     "group_requests",
-    "iter_file_segments",
     "csr_scatter_destinations",
     "segmented_arange",
 ]
@@ -85,15 +92,6 @@ def group_requests(requests: RequestBatch) -> tuple[IntArray, IntArray, IntArray
     origins = (uniq // num_files).astype(np.int64)
     files = (uniq % num_files).astype(np.int64)
     return origins, files, inverse.astype(np.int64)
-
-
-def iter_file_segments(group_files: IntArray):
-    """Yield arrays of group ids sharing one file (each batch-distance unit)."""
-    order = np.argsort(group_files, kind="stable")
-    if order.size == 0:
-        return
-    boundaries = np.flatnonzero(np.diff(group_files[order])) + 1
-    yield from np.split(order, boundaries)
 
 
 def csr_scatter_destinations(
@@ -172,7 +170,8 @@ class GroupStore:
     """Insert-only bounded memo of materialised candidate rows, one group per key.
 
     A store is only valid for one combination of cache state, topology,
-    ``radius``, ``fallback`` and ``need_dists`` — callers (the session layer's
+    ``radius``, ``fallback`` and ``need_dists`` (or ``nearest_ties``) —
+    callers (the session layer's
     :class:`~repro.session.artifacts.ArtifactCache`) key stores accordingly and
     hand the right one to :func:`build_group_index`, which then materialises
     only the groups it has never seen.  Across the windows of a request stream
@@ -341,6 +340,7 @@ def _scan_rows(
     *,
     radius: float,
     fallback: FallbackPolicy,
+    nearest_ties: bool,
 ) -> tuple[IntArray, list[IntArray], list[IntArray], np.ndarray]:
     """Candidate rows of the groups ``(origins[i], files[i])`` from every replica.
 
@@ -354,11 +354,13 @@ def _scan_rows(
     positions and repeated origins are int32 while they fit (see
     :func:`~repro.types.index_type`), and the distances stay in the
     topology's type through the in-ball test, the fallback and the compress.
-    A radius of at least the diameter keeps every replica.  A row left
-    empty by the in-ball filter resolves over its segment of the chunk:
-    NEAREST keeps the first minimum in replica order (``np.argmin``'s tie
-    rule), EXPAND keeps ``d <= e`` for the smallest ``e = max(r, 1) * 2**k``
-    (``k >= 1``) that reaches the minimum, and ERROR raises.
+    With ``nearest_ties`` a row keeps every pair at its minimum distance (no
+    row is then empty or flagged).  Otherwise a radius of at least the
+    diameter keeps every replica, and a row left empty by the in-ball filter
+    resolves over its segment of the chunk: NEAREST keeps the first minimum
+    in replica order (``np.argmin``'s tie rule), EXPAND keeps ``d <= e`` for
+    the smallest ``e = max(r, 1) * 2**k`` (``k >= 1``) that reaches the
+    minimum, and ERROR raises.
     """
     indptr, replicas = cache.file_index()
     position = index_type(replicas.size)
@@ -389,7 +391,11 @@ def _scan_rows(
         dist = topology.distances_between_unchecked(
             np.repeat(origins[lo:hi], row_sizes), cand
         )
-        keep = dist <= limit
+        if nearest_ties:
+            # No pair is nearer than its row's minimum, so ``<=`` keeps the ties.
+            keep = dist <= np.repeat(np.minimum.reduceat(dist, row_starts), row_sizes)
+        else:
+            keep = dist <= limit
         # Every row has a replica, so no segment is empty and reduceat sums
         # exactly each row's pairs.
         counts = np.add.reduceat(keep, row_starts)
@@ -437,20 +443,19 @@ def _scan_rows(
 def _build_rows_csr(
     topology: Topology,
     cache: CacheState,
-    g_origins: IntArray,
-    g_files: IntArray,
-    gids: IntArray,
+    origins: IntArray,
+    files: IntArray,
     *,
     radius: float,
     fallback: FallbackPolicy,
-    unconstrained: bool,
+    nearest_ties: bool,
 ) -> tuple[IntArray, IntArray, IntArray, np.ndarray]:
-    """Fused count-then-scatter build of candidate rows for the groups ``gids``.
+    """Fused count-then-scatter build of the rows of groups ``(origins[i], files[i])``.
 
-    Returns ``(counts, nodes, dists, fallback_flags)`` in ``gids`` order as one
-    contiguous CSR slab: group ``gids[i]``'s candidates are the next
-    ``counts[i]`` slots of ``nodes`` / ``dists``.  The cold build hands the
-    full group range; the store-backed build hands only its misses.  A file
+    Returns ``(counts, nodes, dists, fallback_flags)`` in group order as one
+    contiguous CSR slab: group ``i``'s candidates are the next
+    ``counts[i]`` slots of ``nodes`` / ``dists``.  The cold build hands
+    every group; the store-backed build hands only its misses.  A file
     cached nowhere raises :class:`NoReplicaError` before any distance work,
     then an origin outside the topology raises
     :class:`~repro.exceptions.TopologyError`, checked once for both routes.
@@ -459,43 +464,54 @@ def _build_rows_csr(
     :meth:`Topology.ball_matrix`), groups whose file has more replicas than
     ``B_r`` has nodes are gathered from the ball first (see
     :func:`_ball_hits`), in chunks of at most ``_BALL_CHUNK`` elements.
-    Every group left without candidates — the rest, plus ball groups with
-    no in-ball replica — then takes one flat replica scan (see
-    :func:`_scan_rows`), fallback resolution included.  Both routes work in
-    narrow integer types; the slab is int64.  When one route built every
-    row, its per-chunk parts are already in ``gids`` order and one
-    ``np.concatenate`` per array is the slab; otherwise the parts are
-    scattered into place via :func:`csr_scatter_destinations`.
+    With ``nearest_ties`` the ball route reads ``B_d``'s ring at distance
+    ``d = 0, 1, ...`` instead, while a group has no hit and more replicas
+    than ``|B_d|``, and ``B_d`` has a dense form.  Every group left without
+    candidates — the rest, plus ball groups with no hit — then takes one
+    flat replica scan (see :func:`_scan_rows`), fallback resolution
+    included.  Both routes work in narrow integer types; the slab is int64.
+    When one route built every row, its per-chunk parts are already in
+    group order and one ``np.concatenate`` per array is the slab; otherwise
+    the parts are scattered into place via :func:`csr_scatter_destinations`.
     """
-    files = g_files[gids]
     replication = cache.replication_counts()[files]
     if not replication.all():
         raise NoReplicaError(int(files[replication == 0].min()))
-    origins = topology.validate_nodes(g_origins[gids])
-    counts = np.zeros(gids.size, dtype=np.int64)
-    flags = np.zeros(gids.size, dtype=bool)
-    # Per-route flat pieces, addressed by position within ``gids``; scattered
+    origins = topology.validate_nodes(origins)
+    counts = np.zeros(files.size, dtype=np.int64)
+    flags = np.zeros(files.size, dtype=bool)
+    # Per-route flat pieces, addressed by group position; scattered
     # into place once all counts are known.
     piece_pos: list[IntArray] = []
     piece_counts: list[IntArray] = []
     piece_nodes: list[IntArray] = []
     piece_dists: list[IntArray] = []
-    ball = None
+    levels: Iterable[float] = ()
     # The membership bitset costs n * ceil(K / 8) bytes; the ball route builds
-    # it only while that is at most the (n, M) int64 slot array, i.e. K <= 64 M.
-    if not unconstrained and cache.num_files <= 64 * cache.cache_size:
-        # No origins yet: this only asks whether B_r has a dense form, and
-        # its size.
-        ball = topology.ball_matrix(np.empty(0, dtype=np.int64), radius)
-    if ball is not None:
+    # it only while that is at most the int64 file-index nodes (n M 8 bytes),
+    # i.e. K <= 64 M.
+    if cache.num_files <= 64 * cache.cache_size:
+        levels = itertools.count() if nearest_ties else (radius,)
+    for level in levels:
+        # No origins yet: this only asks whether B_level has a dense form,
+        # and its size.
+        ball = topology.ball_matrix(np.empty(0, dtype=np.int64), level)
+        if ball is None:
+            break
         ball_size = int(ball[1].size)
         on_ball = np.flatnonzero(replication > ball_size)
+        if nearest_ties and level:
+            # Later rings skip the groups an earlier ring hit.
+            on_ball = on_ball[counts[on_ball] == 0]
+        if not on_ball.size:
+            break
+        columns = np.flatnonzero(ball[1] == level) if nearest_ties else slice(None)
         step = max(1, _BALL_CHUNK // ball_size)
         for start in range(0, on_ball.size, step):
             local = on_ball[start : start + step]
-            members, dists = topology.ball_matrix(origins[local], radius)
+            members, dists = topology.ball_matrix(origins[local], level)
             row_counts, flat_nodes, flat_dists = _ball_hits(
-                cache, members, dists, files[local]
+                cache, members[:, columns], dists[columns], files[local]
             )
             counts[local] = row_counts
             piece_pos.append(local)
@@ -512,6 +528,7 @@ def _build_rows_csr(
             files[scan],
             radius=radius,
             fallback=fallback,
+            nearest_ties=nearest_ties,
         )
         counts[scan] = row_counts
         flags[scan] = row_flags
@@ -521,10 +538,11 @@ def _build_rows_csr(
         piece_dists += dists_parts
     # The empty int64 head makes every slab int64, even one of no parts.
     head = [np.empty(0, dtype=np.int64)]
-    if scan.size in (0, gids.size):
-        # One route built every row in gids order: the ball route alone
-        # (chunks of ascending positions), or the scan alone (the ball rows
-        # it redid left empty parts).  The parts already are the slab.
+    if scan.size == files.size or (scan.size == 0 and not nearest_ties):
+        # One route built every row in group order: the ball route alone
+        # (chunks of ascending positions, unlike the probe's rings), or the
+        # scan alone (the ball rows it redid left empty parts).  The parts
+        # already are the slab.
         nodes = np.concatenate(head + piece_nodes)
         dists = np.concatenate(head + piece_dists)
         return counts, nodes, dists, flags
@@ -549,6 +567,7 @@ def build_group_index(
     fallback: FallbackPolicy = FallbackPolicy.NEAREST,
     need_dists: bool = True,
     store: GroupStore | None = None,
+    nearest_ties: bool = False,
 ) -> GroupIndex:
     """Build the CSR candidate index for ``requests`` in batched passes.
 
@@ -567,14 +586,18 @@ def build_group_index(
         Optional :class:`GroupStore` memoising materialised candidate rows
         across calls.  The caller is responsible for handing over a store that
         was only ever used with this exact ``(topology, cache, radius,
-        fallback)`` combination; groups already present in the store skip their
-        distance computation, and the missed groups are put into it (a full
-        store keeps none of them, so they are rebuilt on every call that asks
-        for them).  A fully cold store (``len(store) == 0``) is not probed at
-        all — the first window pays exactly the no-store build cost,
-        populates the store in one batch ``put_many``, and leaves the
-        hit/miss counters untouched.  Ignored in shared (aliasing) mode, which
-        does no per-group work to begin with.
+        fallback, nearest_ties)`` combination; groups already present in the
+        store skip their distance computation, and the missed groups are put
+        into it (a full store keeps none of them, so they are rebuilt on every
+        call that asks for them).  A fully cold store (``len(store) == 0``)
+        is not probed at all — the first window pays exactly the no-store
+        build cost, populates the store in one batch ``put_many``, and leaves
+        the hit/miss counters untouched.  Ignored in shared (aliasing) mode,
+        which does no per-group work to begin with.
+    nearest_ties:
+        Strategy I's rows instead: each group's replicas at its minimum
+        distance, ascending; ``radius``, ``fallback`` and ``need_dists`` do
+        not apply.
 
     Raises
     ------
@@ -587,7 +610,7 @@ def build_group_index(
 
     fallback_flags = np.zeros(num_groups, dtype=bool)
 
-    if unconstrained and not need_dists:
+    if unconstrained and not need_dists and not nearest_ties:
         # Shared mode: every group's candidate set IS the file's replica list.
         indptr, shared_nodes = cache.file_index()
         starts = indptr[g_files].astype(np.int64)
@@ -606,20 +629,14 @@ def build_group_index(
             request_group=request_group,
         )
 
+    rows = dict(radius=radius, fallback=fallback, nearest_ties=nearest_ties)
     if store is not None and len(store):
         keys = g_origins * np.int64(requests.num_files) + g_files
         hit_mask, hit_counts, hit_nodes, hit_dists, hit_flags = store.get_many(keys)
         miss_gids = np.flatnonzero(~hit_mask)
         if miss_gids.size:
             miss_counts, miss_nodes, miss_dists, miss_flags = _build_rows_csr(
-                topology,
-                cache,
-                g_origins,
-                g_files,
-                miss_gids,
-                radius=radius,
-                fallback=fallback,
-                unconstrained=unconstrained,
+                topology, cache, g_origins[miss_gids], g_files[miss_gids], **rows
             )
             store.put_many(
                 keys[miss_gids], miss_counts, miss_nodes, miss_dists, miss_flags
@@ -659,14 +676,7 @@ def build_group_index(
     # window of a stream) — skip the pointless probe and the miss-counter
     # inflation, build everything fused, and batch-populate the store.
     counts, nodes, dists, fallback_flags = _build_rows_csr(
-        topology,
-        cache,
-        g_origins,
-        g_files,
-        np.arange(num_groups, dtype=np.int64),
-        radius=radius,
-        fallback=fallback,
-        unconstrained=unconstrained,
+        topology, cache, g_origins, g_files, **rows
     )
     if store is not None:
         keys = g_origins * np.int64(requests.num_files) + g_files

@@ -293,7 +293,8 @@ class AssignmentStrategy(ABC):
         structures for a given ``(topology, cache)`` pair and may share one
         :class:`~repro.kernels.group_index.GroupStore`.  ``None`` means the
         strategy performs no cacheable group-index precompute (shared-CSR
-        aliasing mode, or no group index at all).
+        aliasing mode), or one cheaper to rebuild than to look up (Strategy
+        I's nearest rows).
         """
         return None
 

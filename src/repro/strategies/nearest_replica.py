@@ -7,12 +7,15 @@ Voronoi cell of the tessellation ``V_j`` induced by the replica set of
 ``W_j``.
 
 Because the assignment of one request never depends on previously assigned
-requests, the whole batch is one vectorised pass over the kernel group index
-(:mod:`repro.kernels`): per distinct ``(origin, file)`` group the minimum
-distance and its tied replicas are computed with segment reductions, then
-every request picks uniformly among its group's nearest replicas with a single
-pre-drawn uniform — zero Python-level loops.  The scalar per-request loop
-survives as ``engine="reference"`` and is bit-identical for the same seed.
+requests, the whole batch is one vectorised pass over the group index every
+strategy shares (:mod:`repro.kernels`): each ``(origin, file)`` group's row is
+its tied nearest replicas, found by a ring probe on the torus and by the flat
+replica scan elsewhere, and every request picks uniformly among its row with a
+single pre-drawn uniform.  The scalar per-request loop survives as
+``engine="reference"`` and is bit-identical for the same seed.  Sessions hand
+it no :class:`~repro.kernels.group_index.GroupStore` (its ``store_signature``
+is ``None``): rebuilding the rows costs less than the store's per-key lookup
+unless nearly every group recurs.
 """
 
 from __future__ import annotations

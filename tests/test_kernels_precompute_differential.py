@@ -13,6 +13,13 @@ gather (files with more replicas than ``|B_r|``) and the flat replica scan
 (everything else, including ball groups with no in-ball replica).  The
 radius-2 points do trigger fallback groups, some with a tied nearest
 distance, so the ERROR cells assert every path raises.
+
+Strategy I's ``nearest_ties`` rows (every replica at the group's minimum
+distance) go through the same paths and budgets against the model's
+``replicas[d == d.min()]``, plus the places where the torus ring probe
+stops: ties on the ring it stops at, a group that leaves it for the scan,
+a ball that wraps, a file cached nowhere, and the topologies without a
+ring probe.
 """
 
 from __future__ import annotations
@@ -22,15 +29,20 @@ import pytest
 
 from repro.catalog.library import FileLibrary
 from repro.catalog.popularity import create_popularity
-from repro.exceptions import StrategyError
+from repro.exceptions import NoReplicaError, StrategyError
 from repro.kernels import group_index
 from repro.kernels.group_index import GroupStore, build_group_index, group_requests
 from repro.kernels.reference import _filter_ball
+from repro.placement.cache import CacheState
 from repro.placement.proportional import ProportionalPlacement
 from repro.strategies.base import FallbackPolicy
+from repro.strategies.nearest_replica import NearestReplicaStrategy
+from repro.topology.complete import CompleteTopology
 from repro.topology.grid import Grid2D
+from repro.topology.ring import Ring
 from repro.topology.torus import Torus2D
 from repro.workload.generators import UniformOriginWorkload
+from repro.workload.request import RequestBatch
 
 RADII = [2.0, 2.5, 8.0, np.inf]
 POLICIES = [FallbackPolicy.NEAREST, FallbackPolicy.EXPAND, FallbackPolicy.ERROR]
@@ -67,7 +79,7 @@ def system(request):
     return SYSTEMS[request.param]()
 
 
-def _model_build(topology, cache, requests, *, radius, fallback):
+def _model_build(topology, cache, requests, *, radius, fallback, nearest_ties=False):
     """Scalar per-group model of the candidate semantics (the authority)."""
     g_origins, g_files, request_group = group_requests(requests)
     unconstrained = bool(np.isinf(radius) or radius >= topology.diameter)
@@ -77,7 +89,11 @@ def _model_build(topology, cache, requests, *, radius, fallback):
     for gid, (origin, file_id) in enumerate(zip(g_origins, g_files)):
         replicas = cache.file_nodes(int(file_id))
         dist_row = topology.distances_from(int(origin), replicas)
-        if unconstrained:
+        if nearest_ties:
+            # Strategy I: every replica at the minimum distance.
+            at_min = dist_row == dist_row.min()
+            cand, cand_d = replicas[at_min], dist_row[at_min]
+        elif unconstrained:
             cand, cand_d = replicas, dist_row
         else:
             cand, cand_d, flags[gid] = _filter_ball(
@@ -109,9 +125,11 @@ def _assert_matches_model(index, model):
     np.testing.assert_array_equal(index.request_group, model["request_group"])
 
 
-def _build_paths(topology, cache, requests, *, radius, fallback):
+def _build_paths(topology, cache, requests, *, radius, fallback, nearest_ties=False):
     """Every build path, labelled: fused cold, store warm, store mixed."""
-    kwargs = dict(radius=radius, fallback=fallback, need_dists=True)
+    kwargs = dict(
+        radius=radius, fallback=fallback, need_dists=True, nearest_ties=nearest_ties
+    )
     yield "plain", lambda: build_group_index(topology, cache, requests, **kwargs)
 
     def store_warm():
@@ -304,3 +322,171 @@ def test_full_store_matches_default(system, radius):
         np.testing.assert_array_equal(churned.dists, plain.dists)
         np.testing.assert_array_equal(churned.counts, plain.counts)
     assert len(store) == 16
+
+
+# --------------------------------------------------------------------------
+# Strategy I's nearest rows: the ring probe, then the scan.
+
+
+@pytest.mark.parametrize(
+    "scan_pairs", [1, 7, None], ids=["scan=1", "scan=7", "scan=default"]
+)
+def test_nearest_ties_paths_match_scalar_model(monkeypatch, system, scan_pairs):
+    if scan_pairs is not None:
+        monkeypatch.setattr(group_index, "_SCAN_PAIRS", scan_pairs)
+    topology, cache, requests = system
+    kwargs = dict(radius=np.inf, fallback=FallbackPolicy.NEAREST, nearest_ties=True)
+    model = _model_build(topology, cache, requests, **kwargs)
+    for label, build in _build_paths(topology, cache, requests, **kwargs):
+        _assert_matches_model(build(), model)
+
+
+def _route_spies(monkeypatch):
+    """Record each probe ring's distance and the number of scanned groups."""
+    rings, scanned = [], []
+    ball_hits, scan_rows = group_index._ball_hits, group_index._scan_rows
+
+    def ball_spy(cache, members, dists, files):
+        rings.append(int(dists[0]))
+        return ball_hits(cache, members, dists, files)
+
+    def scan_spy(topology, cache, origins, files, **kwargs):
+        scanned.append(int(origins.size))
+        return scan_rows(topology, cache, origins, files, **kwargs)
+
+    monkeypatch.setattr(group_index, "_ball_hits", ball_spy)
+    monkeypatch.setattr(group_index, "_scan_rows", scan_spy)
+    return rings, scanned
+
+
+def _file_zero_at(topology, holders, origin):
+    """File 0 cached at ``holders`` only, file 1 everywhere else; 40
+    requests for file 0 from ``origin``."""
+    slots = np.ones((topology.n, 1), dtype=np.int64)
+    slots[holders, 0] = 0
+    requests = RequestBatch(
+        origins=np.full(40, origin, dtype=np.int64),
+        files=np.zeros(40, dtype=np.int64),
+        num_nodes=topology.n,
+        num_files=2,
+    )
+    return CacheState(slots, 2), requests
+
+
+def _at(topology, origin, distances):
+    hops = topology.distances_from(origin)
+    return np.flatnonzero(np.isin(hops, distances))
+
+
+def _ring_ties():
+    # 8 replicas at distance 2 and 6 beyond: 14 > |B_2| = 13, so the
+    # probe reaches ring 2 and stops there with eight ties.
+    torus = Torus2D(100)
+    holders = np.concatenate([_at(torus, 0, [2]), _at(torus, 0, [5])[:6]])
+    return torus, holders, [0, 1, 2], 0
+
+
+def _leaves_probe():
+    # 5 replicas, two tied at distance 3: ring 0 misses and 5 <= |B_1|.
+    torus = Torus2D(100)
+    holders = np.concatenate([_at(torus, 0, [3])[:2], _at(torus, 0, [5])[:3]])
+    return torus, holders, [0], 1
+
+
+def _probe_wraps():
+    # Side 4: every node at distance >= 2, so 11 > |B_1| = 5, but B_2 wraps
+    # (2 * 2 >= side) and the group goes to the scan with six ties.
+    torus = Torus2D(16)
+    return torus, _at(torus, 0, [2, 3, 4]), [0, 1], 1
+
+
+@pytest.mark.parametrize(
+    "case",
+    [_ring_ties, _leaves_probe, _probe_wraps],
+    ids=["ring-ties", "leaves-probe", "probe-wraps"],
+)
+def test_nearest_probe_stops(monkeypatch, case):
+    """Where the probe stops decides the route; the row and the tie draw
+    equal the model's and the reference engine's either way."""
+    torus, holders, probed_rings, scanned_groups = case()
+    cache, requests = _file_zero_at(torus, holders, origin=0)
+    kwargs = dict(radius=np.inf, fallback=FallbackPolicy.NEAREST, nearest_ties=True)
+    model = _model_build(torus, cache, requests, **kwargs)
+    assert model["counts"][0] > 1
+    rings, scanned = _route_spies(monkeypatch)
+    _assert_matches_model(build_group_index(torus, cache, requests, **kwargs), model)
+    assert rings == probed_rings
+    assert sum(scanned) == scanned_groups
+    batch = NearestReplicaStrategy(engine="batch").assign(
+        torus, cache, requests, seed=3
+    )
+    reference = NearestReplicaStrategy(engine="reference").assign(
+        torus, cache, requests, seed=3
+    )
+    np.testing.assert_array_equal(batch.servers, reference.servers)
+    np.testing.assert_array_equal(batch.distances, reference.distances)
+    assert np.unique(batch.servers).size > 1
+
+
+def test_nearest_zipf_system_splits_between_probe_and_scan(monkeypatch):
+    """One build sends the rare files' groups from the probe to the scan."""
+    topology, cache, requests = SYSTEMS["torus16-zipf"]()
+    rings, scanned = _route_spies(monkeypatch)
+    index = build_group_index(topology, cache, requests, nearest_ties=True)
+    assert rings[0] == 0 and max(rings) > 0
+    assert 0 < sum(scanned) < index.num_groups
+
+
+@pytest.mark.parametrize(
+    "topology",
+    [Grid2D(256), Ring(200), CompleteTopology(60)],
+    ids=["grid", "ring", "complete"],
+)
+def test_nearest_rows_off_the_torus_come_from_the_scan(monkeypatch, topology):
+    _, cache, requests = _make_system(topology, FileLibrary(20))
+    kwargs = dict(radius=np.inf, fallback=FallbackPolicy.NEAREST, nearest_ties=True)
+    model = _model_build(topology, cache, requests, **kwargs)
+    monkeypatch.setattr(group_index, "_ball_hits", _no_call)
+    for label, build in _build_paths(topology, cache, requests, **kwargs):
+        _assert_matches_model(build(), model)
+
+
+def _cache_without(uncached, num_files=8, n=256):
+    """Two slots per node over every file except ``uncached``."""
+    cached = np.setdiff1d(np.arange(num_files), uncached)
+    slots = np.random.default_rng(0).choice(cached, size=(n, 2))
+    return CacheState(slots, num_files)
+
+
+def test_nearest_uncached_file_raises_before_any_draw():
+    torus = Torus2D(256)
+    cache = _cache_without([3, 5])
+    requests = UniformOriginWorkload(300).generate(torus, FileLibrary(8), seed=1)
+    for engine in ("batch", "reference"):
+        streams = (np.random.default_rng(1), np.random.default_rng(2))
+        with pytest.raises(NoReplicaError) as raised:
+            NearestReplicaStrategy(engine=engine).assign(
+                torus, cache, requests, streams=streams
+            )
+        assert raised.value.file_id == 3
+        assert streams[1].random() == np.random.default_rng(2).random()
+
+
+def test_nearest_uncached_file_with_origin_fallback():
+    torus = Torus2D(256)
+    cache = _cache_without([3, 5])
+    requests = UniformOriginWorkload(300).generate(torus, FileLibrary(8), seed=1)
+    uncached = np.isin(requests.files, [3, 5])
+    reference = NearestReplicaStrategy(
+        allow_origin_fallback=True, engine="reference"
+    ).assign(torus, cache, requests, seed=4)
+    strategy = NearestReplicaStrategy(allow_origin_fallback=True, engine="batch")
+    store = GroupStore()
+    for _ in range(2):  # cold, then every row from the store
+        batch = strategy.assign(torus, cache, requests, seed=4, store=store)
+        np.testing.assert_array_equal(batch.servers, reference.servers)
+        np.testing.assert_array_equal(batch.distances, reference.distances)
+        np.testing.assert_array_equal(batch.fallback_mask, uncached)
+    assert store.hits > 0 and store.misses == 0
+    np.testing.assert_array_equal(batch.servers[uncached], requests.origins[uncached])
+    assert bool((batch.distances[uncached] == torus.diameter).all())

@@ -7,7 +7,7 @@ import pytest
 
 from repro.catalog.library import FileLibrary
 from repro.exceptions import NoReplicaError, StrategyError
-from repro.kernels import engine as kernel_engine
+from repro.kernels import group_index
 from repro.placement.cache import CacheState
 from repro.placement.partition import PartitionPlacement
 from repro.placement.proportional import ProportionalPlacement
@@ -86,20 +86,32 @@ class TestCorrectness:
         assert result.num_requests == 0
 
     @pytest.mark.parametrize(
-        "chunk_rows", [1, 7, None], ids=["chunk=1", "chunk=7", "chunk=default"]
+        "scan_pairs", [1, 7, None], ids=["scan=1", "scan=7", "scan=default"]
     )
     def test_chunked_processing_matches_reference(
-        self, monkeypatch, torus, library, cache, chunk_rows
+        self, monkeypatch, torus, library, scan_pairs
     ):
-        if chunk_rows is not None:
-            # One group per chunk, several chunks per file, or (default) one
-            # chunk per file: the scalar reference has no chunks at all.
-            monkeypatch.setattr(kernel_engine, "_NEAREST_CHUNK_ROWS", chunk_rows)
+        if scan_pairs is not None:
+            # One group per replica-scan chunk, or (default) every group in
+            # one chunk: the scalar reference has no chunks at all.
+            monkeypatch.setattr(group_index, "_SCAN_PAIRS", scan_pairs)
+        scanned = []
+        scan_rows = group_index._scan_rows
+
+        def spy(topology, cache, origins, files, **kwargs):
+            scanned.append(origins.size)
+            return scan_rows(topology, cache, origins, files, **kwargs)
+
+        monkeypatch.setattr(group_index, "_scan_rows", spy)
+        # Five replicas per file: the probe reads B_0 only, and every group
+        # whose origin lacks the file takes the scan.
+        cache = PartitionPlacement(1).place(torus, library)
         requests = UniformOriginWorkload(300).generate(torus, library, seed=8)
         chunked = NearestReplicaStrategy().assign(torus, cache, requests, seed=9)
         reference = NearestReplicaStrategy(engine="reference").assign(
             torus, cache, requests, seed=9
         )
+        assert sum(scanned) > 1
         np.testing.assert_array_equal(chunked.servers, reference.servers)
         np.testing.assert_array_equal(chunked.distances, reference.distances)
 
