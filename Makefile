@@ -19,9 +19,9 @@ bench:
 	$(PYTHON) -m pytest benchmarks/ -q -s
 
 # Fast smoke pass over the kernel, session and queueing micro-benches:
-# exercises the batched group-index / sampling / commit code paths, the
-# session artifact reuse, the event-batched queueing engine, and their
-# speedup gates without benchmark calibration overhead.
+# exercises the batched group-index / sampling / commit code paths, windowed
+# session serving, the event-batched queueing engine, and the kernel and
+# queueing speedup gates without benchmark calibration overhead.
 bench-smoke:
 	$(PYTHON) -m pytest benchmarks/test_bench_kernels.py benchmarks/test_bench_sessions.py benchmarks/test_bench_queueing.py -m bench_smoke -q -s --benchmark-disable
 

@@ -164,8 +164,9 @@ def engine_operations(name: str, family: str) -> Mapping[str, Callable]:
     The assignment table maps ``two_choice`` / ``least_loaded`` /
     ``threshold_hybrid`` / ``random_replica`` / ``nearest_replica`` to
     callables with the kernel entry-point signatures, window keywords
-    (``streams`` / ``loads`` / ``store``) included; the queueing table maps
-    ``window`` to a ``queueing_kernel_window``-shaped callable.  ``name`` is
+    (``streams`` / ``loads``) included; the queueing table maps ``window``
+    to a ``queueing_kernel_window``-shaped callable, whose ``store`` keyword
+    memoises candidate rows across windows.  ``name`` is
     checked as :func:`resolve_engine_name` checks it, and the table is built
     on first use and cached.
     """

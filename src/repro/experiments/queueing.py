@@ -11,8 +11,9 @@ and one parent seed, so:
 
 * the placement is placed once and reused (common random numbers across the
   whole grid — the ``d = 1`` vs ``d = 2`` comparison is paired);
-* the group-index candidate rows are memoised across sweep points, including
-  unconstrained (``radius = inf``) grids.
+* at a finite radius, the group-index candidate rows are memoised across
+  sweep points (an unconstrained radius aliases the placement's own file
+  index, so there is nothing to memoise).
 """
 
 from __future__ import annotations

@@ -235,9 +235,8 @@ def run_experiment(
     series_results: list[SeriesResult] = []
     # Sweep points frequently share (topology, placement) while varying the
     # strategy or seed; one artifact cache across the whole experiment lets
-    # those points reuse placements and kernel group-index precompute.  The
-    # parallel path rebuilds per worker batch instead (caches don't cross
-    # process boundaries).
+    # those points reuse placements.  The parallel path rebuilds per worker
+    # batch instead (caches don't cross process boundaries).
     artifacts = ArtifactCache()
     with Timer() as timer:
         for series in spec.series:

@@ -66,7 +66,10 @@ The dynamic (supermarket-model) simulation has its own three-stream variant
 of this contract — sample / tie / service, consumed strictly per arrival —
 implemented by the event-batched and scalar engines in
 :mod:`repro.kernels.queueing` and enforced by
-``tests/test_kernels_queueing_differential.py``.
+``tests/test_kernels_queueing_differential.py``.  Its windows can read their
+candidate rows from a :class:`~repro.kernels.group_index.GroupStore`, a memo
+the static entry points do not take: on static streams, which repeat few of
+their groups, the lookup measured slower than the rebuild.
 
 Engine *selection* lives one layer up, in :mod:`repro.backends`: its fixed
 engine table maps the three engine names (``reference`` / ``batch`` /

@@ -21,10 +21,10 @@ The scalar implementations of the same contract live in
 Incremental (session) serving
 -----------------------------
 
-Every entry point also accepts three optional keyword arguments used by the
+Every entry point also accepts two optional keyword arguments used by the
 session layer (:mod:`repro.session`) to serve a request *stream* window by
 window (the scalar entry points of :mod:`repro.kernels.reference` take the
-same three, so every engine serves windows):
+same two, so every engine serves windows):
 
 * ``streams`` — a pre-spawned ``(rng_sample, rng_tie)`` pair used instead of
   deriving fresh streams from ``seed``.  Because the contract consumes
@@ -34,12 +34,14 @@ same three, so every engine serves windows):
   loop and updated in place, so window ``w + 1`` observes the loads created by
   windows ``0 .. w``.  Load-independent strategies also add their assignments
   to it, keeping the session's cumulative metrics uniform.
-* ``store`` — a :class:`~repro.kernels.group_index.GroupStore` memoising
-  materialised candidate rows across windows (the group index depends only on
-  ``(topology, cache, radius, fallback)``, never on the loads).
 
 Serving any partition of a request batch through these hooks is bit-identical
 to the one-shot call — the property enforced by ``tests/test_session_stream.py``.
+Each window builds its group index afresh.  Its rows do not depend on the
+loads, so a memo could carry them across windows, but at the shares of
+recurring groups static streams show (1–20%) looking rows up in a
+:class:`~repro.kernels.group_index.GroupStore` measured slower than building
+them; only the queueing windows keep one.
 """
 
 from __future__ import annotations
@@ -52,10 +54,7 @@ from repro.kernels.commit import (
     commit_threshold_hybrid,
 )
 from repro.exceptions import NoReplicaError
-from repro.kernels.group_index import (
-    GroupStore,
-    build_group_index,
-)
+from repro.kernels.group_index import build_group_index
 from repro.kernels.sampling import draw_sample_positions
 from repro.placement.cache import CacheState
 from repro.rng import SeedLike, spawn_generators
@@ -105,7 +104,6 @@ def two_choice_kernel(
     strategy_name: str,
     streams: tuple[np.random.Generator, np.random.Generator] | None = None,
     loads: IntArray | None = None,
-    store: GroupStore | None = None,
     commit=commit_least_loaded_of_sample,
 ) -> AssignmentResult:
     """Batched Strategy II (proximity-aware ``d``-choice assignment).
@@ -128,7 +126,6 @@ def two_choice_kernel(
         radius=radius,
         fallback=fallback,
         need_dists=not unconstrained,
-        store=store,
     )
     rng_sample, rng_tie = streams if streams is not None else spawn_generators(seed, 2)
     positions, sample_counts, sample_indptr = draw_sample_positions(
@@ -164,7 +161,6 @@ def least_loaded_kernel(
     strategy_name: str,
     streams: tuple[np.random.Generator, np.random.Generator] | None = None,
     loads: IntArray | None = None,
-    store: GroupStore | None = None,
     commit=commit_least_loaded_scan,
 ) -> AssignmentResult:
     """Batched omniscient baseline: least loaded replica in the ball.
@@ -183,7 +179,6 @@ def least_loaded_kernel(
         radius=radius,
         fallback=fallback,
         need_dists=True,
-        store=store,
     )
     _, rng_tie = streams if streams is not None else spawn_generators(seed, 2)
     tie_uniforms = rng_tie.random(m)
@@ -218,7 +213,6 @@ def threshold_hybrid_kernel(
     strategy_name: str,
     streams: tuple[np.random.Generator, np.random.Generator] | None = None,
     loads: IntArray | None = None,
-    store: GroupStore | None = None,
     commit=commit_threshold_hybrid,
 ) -> AssignmentResult:
     """Batched threshold hybrid: closest sampled candidate within the slack.
@@ -239,7 +233,6 @@ def threshold_hybrid_kernel(
         radius=radius,
         fallback=fallback,
         need_dists=True,
-        store=store,
     )
     rng_sample, rng_tie = streams if streams is not None else spawn_generators(seed, 2)
     positions, sample_counts, sample_indptr = draw_sample_positions(
@@ -282,7 +275,6 @@ def random_replica_kernel(
     strategy_name: str,
     streams: tuple[np.random.Generator, np.random.Generator] | None = None,
     loads: IntArray | None = None,
-    store: GroupStore | None = None,
 ) -> AssignmentResult:
     """One-choice baseline as a single vectorised pass (no Python loop)."""
     m = requests.num_requests
@@ -297,7 +289,6 @@ def random_replica_kernel(
         radius=radius,
         fallback=fallback,
         need_dists=not unconstrained,
-        store=store,
     )
     _, rng_tie = streams if streams is not None else spawn_generators(seed, 2)
     servers, distances = _pick_uniformly(
@@ -324,7 +315,6 @@ def nearest_replica_kernel(
     strategy_name: str,
     streams: tuple[np.random.Generator, np.random.Generator] | None = None,
     loads: IntArray | None = None,
-    store: GroupStore | None = None,
 ) -> AssignmentResult:
     """Strategy I: a uniform pick among each group's nearest replicas.
 
@@ -342,7 +332,7 @@ def nearest_replica_kernel(
         raise NoReplicaError(int(requests.files[uncached].min()))
     served = np.flatnonzero(~uncached)
     batch = requests.subset(served)
-    index = build_group_index(topology, cache, batch, store=store, nearest_ties=True)
+    index = build_group_index(topology, cache, batch, nearest_ties=True)
     _, rng_tie = streams if streams is not None else spawn_generators(seed, 2)
     uniforms = rng_tie.random(m)
     servers = requests.origins.copy()

@@ -166,6 +166,11 @@ def _grown(array: np.ndarray, used: int, need: int) -> np.ndarray:
     return fresh
 
 
+#: Rows a :class:`GroupStore` retains at most; read when rows are put.  The
+#: supermarket sweep's n = 65536 store holds under 30,000.
+MAX_GROUPS = 1 << 20
+
+
 class GroupStore:
     """Insert-only bounded memo of materialised candidate rows, one group per key.
 
@@ -174,9 +179,9 @@ class GroupStore:
     callers (the session layer's
     :class:`~repro.session.artifacts.ArtifactCache`) key stores accordingly and
     hand the right one to :func:`build_group_index`, which then materialises
-    only the groups it has never seen.  Across the windows of a request stream
-    (or the trials of a multi-run) recurring ``(origin, file)`` pairs skip
-    their distance computation entirely.
+    only the groups it has never seen.  Across the windows and sweep points of
+    a queueing run, recurring ``(origin, file)`` pairs skip their distance
+    computation entirely.
 
     Storage is array-native: all retained rows live in one flat CSR pool
     (``nodes`` / ``dists`` int64 slabs) addressed by per-slot
@@ -185,7 +190,7 @@ class GroupStore:
     Python call per group.
 
     Rows are appended once and never replaced, evicted or compacted.  Once
-    ``max_groups`` rows are held the store retains nothing more: a group it
+    ``MAX_GROUPS`` rows are held the store retains nothing more: a group it
     does not hold is rebuilt whenever a window asks for it, exactly as any
     miss is.  Rows do not depend on the load vector, so which groups a store
     holds changes no output, only which windows pay for their build.
@@ -200,15 +205,11 @@ class GroupStore:
         "_pool_nodes",
         "_pool_dists",
         "_pool_used",
-        "_max_groups",
         "hits",
         "misses",
     )
 
-    def __init__(self, max_groups: int = 1 << 20) -> None:
-        if max_groups <= 0:
-            raise ValueError(f"max_groups must be positive, got {max_groups}")
-        self._max_groups = int(max_groups)
+    def __init__(self) -> None:
         self._slots: dict[int, int] = {}
         self._starts = np.empty(16, dtype=np.int64)
         self._counts = np.empty(16, dtype=np.int64)
@@ -222,11 +223,6 @@ class GroupStore:
 
     def __len__(self) -> int:
         return len(self._slots)
-
-    @property
-    def max_groups(self) -> int:
-        """Maximum number of retained group rows."""
-        return self._max_groups
 
     def keys(self) -> list[int]:
         """The retained packed group keys (unordered; for tests/diagnostics)."""
@@ -281,7 +277,7 @@ class GroupStore:
         order that fit the remaining room are kept, the rest dropped.
         """
         keys = np.asarray(keys, dtype=np.int64)
-        kept = min(int(keys.size), self._max_groups - self._n_alloc)
+        kept = min(int(keys.size), MAX_GROUPS - self._n_alloc)
         if kept <= 0:
             return
         counts = np.asarray(counts, dtype=np.int64)[:kept]

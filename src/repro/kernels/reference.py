@@ -12,13 +12,12 @@ The paper's processes run one request at a time, so a request stream served
 in windows is the same process.  Every function here therefore takes the
 window keywords of the batched entry points (:mod:`repro.kernels.engine`):
 ``streams`` replaces the ``(rng_sample, rng_tie)`` pair derived from
-``seed``, ``loads`` is an int64 load vector updated in place (the
-load-independent baselines add their assignments to it), and ``store`` is
-accepted for signature parity and ignored — the scalar loop recomputes every
-request's candidates.  Candidates are load-independent, so every request's
-are resolved before the first draw: a window that raises (a file cached
-nowhere, or ``FallbackPolicy.ERROR`` with an empty ball) leaves the caller's
-streams and loads untouched, as it does on the batched engines.
+``seed``, and ``loads`` is an int64 load vector updated in place (the
+load-independent baselines add their assignments to it).  Candidates are
+load-independent, so every request's are resolved before the first draw: a
+window that raises (a file cached nowhere, or ``FallbackPolicy.ERROR`` with
+an empty ball) leaves the caller's streams and loads untouched, as it does on
+the batched engines.
 
 Keep this module boring.  Optimisations belong in :mod:`repro.kernels.engine`;
 the only non-obvious transformation retained here is resolving chosen-replica
@@ -32,7 +31,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import NoReplicaError, StrategyError
-from repro.kernels.group_index import GroupStore
 from repro.placement.cache import CacheState
 from repro.rng import SeedLike, spawn_generators
 from repro.strategies.base import AssignmentResult, FallbackPolicy
@@ -161,10 +159,8 @@ def two_choice_reference(
     strategy_name: str,
     streams: tuple[np.random.Generator, np.random.Generator] | None = None,
     loads: IntArray | None = None,
-    store: GroupStore | None = None,
 ) -> AssignmentResult:
     """Scalar Strategy II under the kernel RNG-stream contract."""
-    del store
     candidates_of, dists_of, fallback_mask = _candidate_sets(
         topology, cache, requests, radius, fallback, need_dists=False
     )
@@ -215,10 +211,8 @@ def least_loaded_reference(
     strategy_name: str,
     streams: tuple[np.random.Generator, np.random.Generator] | None = None,
     loads: IntArray | None = None,
-    store: GroupStore | None = None,
 ) -> AssignmentResult:
     """Scalar omniscient baseline under the kernel RNG-stream contract."""
-    del store
     candidates_of, dists_of, fallback_mask = _candidate_sets(
         topology, cache, requests, radius, fallback, need_dists=True
     )
@@ -265,10 +259,8 @@ def threshold_hybrid_reference(
     strategy_name: str,
     streams: tuple[np.random.Generator, np.random.Generator] | None = None,
     loads: IntArray | None = None,
-    store: GroupStore | None = None,
 ) -> AssignmentResult:
     """Scalar threshold hybrid under the kernel RNG-stream contract."""
-    del store
     candidates_of, dists_of, fallback_mask = _candidate_sets(
         topology, cache, requests, radius, fallback, need_dists=True
     )
@@ -315,10 +307,8 @@ def random_replica_reference(
     strategy_name: str,
     streams: tuple[np.random.Generator, np.random.Generator] | None = None,
     loads: IntArray | None = None,
-    store: GroupStore | None = None,
 ) -> AssignmentResult:
     """Scalar one-choice baseline under the kernel RNG-stream contract."""
-    del store
     candidates_of, dists_of, fallback_mask = _candidate_sets(
         topology, cache, requests, radius, fallback, need_dists=False
     )
@@ -362,10 +352,8 @@ def nearest_replica_reference(
     strategy_name: str,
     streams: tuple[np.random.Generator, np.random.Generator] | None = None,
     loads: IntArray | None = None,
-    store: GroupStore | None = None,
 ) -> AssignmentResult:
     """Scalar Strategy I under the kernel RNG-stream contract."""
-    del store
     replicas_of = _replica_cache(cache, requests, allow_missing=allow_origin_fallback)
     _, rng_tie = streams if streams is not None else spawn_generators(seed, 2)
     m = requests.num_requests

@@ -190,10 +190,10 @@ class CacheState:
 
         Two states with identical ``(n, M, K)`` shape and slot contents share
         a fingerprint; the session layer keys memoised group-index precompute
-        on it (plus the strategy's candidate parameters), so artifacts are
-        reused exactly when the placements are byte-identical.  It hashes
-        the slots' int64 bytes, whatever type they are held in, a chunk of
-        ``_HASH_SLOTS`` slots at a time.
+        on it (plus the radius), so artifacts are reused exactly when the
+        placements are byte-identical.  It hashes the slots' int64 bytes,
+        whatever type they are held in, a chunk of ``_HASH_SLOTS`` slots at a
+        time.
         """
         if self._fingerprint is None:
             digest = hashlib.blake2b(digest_size=16)

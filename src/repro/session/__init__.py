@@ -1,15 +1,15 @@
 """Persistent, streaming cache-network sessions.
 
 The session API factors one simulation point into *build once* (topology,
-placement, kernel group index) and *serve incrementally* (request windows
-against a persistent load vector and persistent RNG streams):
+placement) and *serve incrementally* (request windows against a persistent
+load vector and persistent RNG streams):
 
 * :func:`~repro.session.core.open_session` /
   :class:`~repro.session.core.CacheNetworkSession` — the stateful surface:
   ``serve(batch)``, ``serve_stream(windows)``, ``snapshot()``, ``reset()``.
 * :class:`~repro.session.artifacts.ArtifactCache` — LRU-bounded memo of
-  placements and group-index precompute, shared across trials, windows and
-  sweep points.
+  placements, shared across trials and sweep points, and of the queueing
+  sessions' group-index rows, shared across their windows and sweep points.
 * :func:`~repro.session.queueing.open_queueing_session` /
   :class:`~repro.session.queueing.QueueingSession` — the dynamic
   (supermarket-model) counterpart: serve *time* windows against persistent

@@ -1,31 +1,33 @@
 """Memoised build artifacts shared across trials, windows and sweep points.
 
 A cache-network simulation point is rebuilt surprisingly often: every trial of
-a multi-run re-places the caches, and every request window of a stream would
-naively re-derive the kernel group index.  Both artifacts are pure functions
-of inputs that frequently repeat:
+a multi-run re-places the caches, and every window and sweep point of a
+queueing run would naively re-derive the kernel group index.  Both artifacts
+are pure functions of inputs that frequently repeat:
 
 * a **placement** depends on ``(placement strategy, topology, library, seed)``
   — and for deterministic placements (partition, full replication) not even on
   the seed, so all trials of a multi-run share one
   :class:`~repro.placement.cache.CacheState`;
-* the **group-index precompute** depends on ``(topology, cache state, radius,
-  fallback)`` — never on the evolving load vector — so its per-``(origin,
-  file)`` candidate rows can be memoised in a
+* the **group-index precompute** depends on ``(topology, cache state,
+  radius)`` — never on the evolving load vector — so a queueing session's
+  per-``(origin, file)`` candidate rows are memoised in a
   :class:`~repro.kernels.group_index.GroupStore` keyed on the cache state's
-  content fingerprint plus the strategy's candidate parameters.
+  content fingerprint plus the radius; warm sweep points read every row from
+  it.  Static sessions ask for no store: at the hit shares their streams see,
+  the lookup measured slower than the rebuild.
 
 The :class:`ArtifactCache` owns both memos with small LRU bounds on the number
-of placements and stores: reuse is free when inputs repeat (deterministic
-placements, same-seed replays, sweep points sharing a placement) and memory
-stays bounded when they do not (random placements under fresh seeds churn
-through the LRU).  Placements are bounded by bytes as well, at
-``PLACEMENT_BYTES``: a multi-run never replays a trial's seed, so without it
-a paper-scale run would hold ``max_placements`` states it never hits again.
-The most recently used placement is always kept, whatever its size, so a
-replay of the last one still hits.  Each store is itself insert-only and
-capped at its default ``max_groups`` rows; a full store keeps serving the
-rows it holds and stops retaining new ones.
+of placements (``MAX_PLACEMENTS``) and stores (``MAX_STORES``): reuse is free
+when inputs repeat (deterministic placements, same-seed replays, sweep points
+sharing a placement) and memory stays bounded when they do not (random
+placements under fresh seeds churn through the LRU).  Placements are bounded
+by bytes as well, at ``PLACEMENT_BYTES``: a multi-run never replays a trial's
+seed, so without it a paper-scale run would hold ``MAX_PLACEMENTS`` states it
+never hits again.  The most recently used placement is always kept, whatever
+its size, so a replay of the last one still hits.  Each store is itself
+insert-only and capped at :data:`~repro.kernels.group_index.MAX_GROUPS` rows;
+a full store keeps serving the rows it holds and stops retaining new ones.
 """
 
 from __future__ import annotations
@@ -43,23 +45,20 @@ from repro.placement.cache import CacheState
 from repro.rng import as_generator
 from repro.topology.base import Topology
 
-__all__ = ["ArtifactCache", "reads_group_store", "PLACEMENT_BYTES"]
+__all__ = ["ArtifactCache", "MAX_PLACEMENTS", "MAX_STORES", "PLACEMENT_BYTES"]
+
+#: Retained placements, at most; fewer once they hold ``PLACEMENT_BYTES``.
+MAX_PLACEMENTS = 16
+
+#: Retained :class:`~repro.kernels.group_index.GroupStore` objects, one per
+#: distinct ``(topology, cache fingerprint, radius)``.
+MAX_STORES = 8
 
 #: Bytes of retained placements (:attr:`CacheState.nbytes`) beyond which the
 #: least recently used ones are dropped; the most recent one always stays.
 #: Two or so of a Figure 5 point's M = 100 states (about 2 MB each at
 #: n = 2025) fit; at the paper's Figure 3 sizes only the last one stays.
 PLACEMENT_BYTES = 4 << 20
-
-
-def reads_group_store(engine: str) -> bool:
-    """Whether a session on the resolved ``engine`` should ask for a store.
-
-    The scalar ``reference`` engines recompute every candidate set and
-    ignore their ``store`` keyword.  A store requested for them would stay
-    empty while holding an LRU slot that a useful store could use.
-    """
-    return engine != "reference"
 
 
 def _topology_key(topology: Topology) -> tuple:
@@ -85,25 +84,9 @@ def _seed_key(seed: np.random.SeedSequence) -> tuple:
 
 
 class ArtifactCache:
-    """LRU-bounded memo of placements and group-index precompute.
+    """LRU-bounded memo of placements and group-index precompute."""
 
-    Parameters
-    ----------
-    max_placements:
-        Retained :class:`~repro.placement.cache.CacheState` objects, at most;
-        fewer once they hold more than ``PLACEMENT_BYTES``.
-    max_stores:
-        Retained :class:`~repro.kernels.group_index.GroupStore` objects (one
-        per distinct ``(topology, cache fingerprint, candidate signature)``).
-    """
-
-    def __init__(self, max_placements: int = 16, max_stores: int = 8) -> None:
-        if max_placements <= 0:
-            raise ValueError(f"max_placements must be positive, got {max_placements}")
-        if max_stores <= 0:
-            raise ValueError(f"max_stores must be positive, got {max_stores}")
-        self._max_placements = int(max_placements)
-        self._max_stores = int(max_stores)
+    def __init__(self) -> None:
         self._placements: OrderedDict[Hashable, CacheState] = OrderedDict()
         self._stores: OrderedDict[Hashable, GroupStore] = OrderedDict()
         self.placement_hits = 0
@@ -124,7 +107,7 @@ class ArtifactCache:
         child seed — shares one placed state.  Randomised placements include
         the seed's ``(entropy, spawn_key)`` in the key and therefore only hit
         on exact same-seed replays.  A new state evicts the least recently
-        used ones while more than ``max_placements`` are held or they take
+        used ones while more than ``MAX_PLACEMENTS`` are held or they take
         more than ``PLACEMENT_BYTES``, down to the new state itself.
         """
         key: tuple = (
@@ -155,31 +138,30 @@ class ArtifactCache:
         The ``keep`` most recently used ones stay whatever their size.
         """
         while len(self._placements) > keep and (
-            len(self._placements) > self._max_placements
+            len(self._placements) > MAX_PLACEMENTS
             or sum(state.nbytes for state in self._placements.values()) > PLACEMENT_BYTES
         ):
             self._placements.popitem(last=False)
 
     # ------------------------------------------------------------ group stores
     def group_store(
-        self, topology: Topology, cache: CacheState, signature: tuple
+        self, topology: Topology, cache: CacheState, radius: float
     ) -> GroupStore:
-        """The shared :class:`GroupStore` for one candidate-set structure.
+        """The shared :class:`GroupStore` for the candidate rows at ``radius``.
 
-        ``signature`` comes from
-        :meth:`~repro.strategies.base.AssignmentStrategy.store_signature` and
-        pins the parameters the candidate rows depend on (radius, fallback
-        policy, distance materialisation); the cache state contributes its
-        content fingerprint, the topology its identity.
+        Queueing windows resolve every row with the NEAREST fallback and
+        materialise its distances, so beyond the radius the rows depend only
+        on the cache state (keyed by its content fingerprint) and the
+        topology.
         """
-        key = (_topology_key(topology), cache.fingerprint(), signature)
+        key = (_topology_key(topology), cache.fingerprint(), float(radius))
         store = self._stores.get(key)
         if store is not None:
             self._stores.move_to_end(key)
             return store
         store = GroupStore()
         self._stores[key] = store
-        while len(self._stores) > self._max_stores:
+        while len(self._stores) > MAX_STORES:
             self._stores.popitem(last=False)
         return store
 

@@ -2,10 +2,10 @@
 
 The paper's delivery phase is a one-shot block of ``m`` requests, but its
 discussion section conjectures the same behaviour for continuous traffic (the
-supermarket model), and everything expensive about a simulation point — the
-topology, the cache placement, the kernel group index — is independent of the
-evolving load vector.  A :class:`CacheNetworkSession` therefore constructs
-those once and then serves work *incrementally*:
+supermarket model), and the expensive set-up of a simulation point — the
+topology and the cache placement — is independent of the evolving load
+vector.  A :class:`CacheNetworkSession` therefore constructs those once and
+then serves work *incrementally*:
 
 * :meth:`~CacheNetworkSession.serve` assigns one request window against the
   session's persistent load vector and returns per-window metrics;
@@ -28,10 +28,10 @@ assignment of the concatenation — the property
 to their initial state (the placement is kept), so a reset session replays
 identically.
 
-Precompute reuse is delegated to the
-:class:`~repro.session.artifacts.ArtifactCache`: placements are memoised per
-``(placement, topology, library[, seed])`` and group-index candidate rows per
-``(topology, cache fingerprint, radius, fallback)``.
+Placement reuse is delegated to the
+:class:`~repro.session.artifacts.ArtifactCache`, which memoises placements per
+``(placement, topology, library[, seed])``.  Every window builds its own group
+index (see :mod:`repro.kernels.engine`).
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from repro.rng import (
     spawn_generators,
     spawn_seeds,
 )
-from repro.session.artifacts import ArtifactCache, reads_group_store
+from repro.session.artifacts import ArtifactCache
 from repro.strategies.base import AssignmentResult, AssignmentStrategy
 
 if TYPE_CHECKING:  # pragma: no cover - the config layer imports the engine,
@@ -273,18 +273,6 @@ class CacheNetworkSession:
         placement_seed, workload_seed, strategy_seed = spawn_seeds(seed, 3)
         self._workload_seed = workload_seed
         self._strategy_seed = strategy_seed
-        # Group-row memoisation only pays when the (topology, cache) pair can
-        # recur: always for deterministic placements (trials share the placed
-        # state), and for any placement once this session streams a second
-        # window.  A one-shot serve over a never-repeating randomised
-        # placement skips the store entirely — population would be pure
-        # overhead.  An engine that reads no store gets none.
-        self._store_eligible = placement.deterministic
-        self._store_signature = (
-            strategy.store_signature(topology)
-            if reads_group_store(strategy.engine)
-            else None
-        )
         self._cache = self._artifacts.placement(
             placement, topology, library, placement_seed
         )
@@ -319,7 +307,7 @@ class CacheNetworkSession:
 
     @property
     def artifacts(self) -> ArtifactCache:
-        """The artifact cache backing placement / group-index reuse."""
+        """The artifact cache backing placement reuse."""
         return self._artifacts
 
     @property
@@ -445,23 +433,12 @@ class CacheNetworkSession:
                     self._rng_workload,
                     self._uncached_policy,
                 )
-            use_store = self._store_signature is not None and (
-                self._store_eligible or self._windows > 0
-            )
-            store = (
-                self._artifacts.group_store(
-                    self._topology, self._cache, self._store_signature
-                )
-                if use_store
-                else None
-            )
             result = self._strategy.assign(
                 self._topology,
                 self._cache,
                 requests,
                 streams=self._streams,
                 loads=self._loads,
-                store=store,
             )
             # Every load bump this window happened at one of the window's
             # winning servers, so the cumulative maximum only needs an
@@ -598,8 +575,8 @@ def open_session(
     or an explicit name); it is resolved here, once, and the session pins the
     resolved engine for its lifetime (recorded in
     :meth:`CacheNetworkSession.snapshot`).
-    ``artifacts`` shares a cache of placements and group-index precompute
-    with other sessions of the same configuration.
+    ``artifacts`` shares a cache of placements with other sessions of the
+    same configuration.
     """
     from repro.simulation.config import SimulationConfig
 

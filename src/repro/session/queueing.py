@@ -3,9 +3,10 @@
 The dynamic counterpart of :class:`~repro.session.core.CacheNetworkSession`:
 a :class:`QueueingSession` builds the expensive, load-independent parts of a
 supermarket simulation point once — the placed cache state, the candidate
-group index (memoised in the shared
-:class:`~repro.session.artifacts.ArtifactCache`), the popularity weight
-vector — and then serves the continuous timeline *incrementally*:
+group rows (memoised in the shared
+:class:`~repro.session.artifacts.ArtifactCache` at a finite radius), the
+popularity weight vector — and then serves the continuous timeline
+*incrementally*:
 
 * :meth:`~QueueingSession.serve` advances the simulation to an absolute time
   and returns per-window plus cumulative statistics;
@@ -50,8 +51,8 @@ from repro.kernels.queueing import (
 )
 from repro.placement.base import PlacementStrategy
 from repro.rng import SeedLike, spawn_generators, spawn_seeds
-from repro.session.artifacts import ArtifactCache, reads_group_store
-from repro.strategies.base import AssignmentResult, FallbackPolicy
+from repro.session.artifacts import ArtifactCache
+from repro.strategies.base import AssignmentResult
 from repro.topology.base import Topology
 from repro.utils.timer import Timer
 from repro.workload.arrivals import ArrivalProcess
@@ -193,20 +194,15 @@ class QueueingSession:
         self._cache = self._artifacts.placement(
             placement, topology, library, placement_seed
         )
+        # Windows always resolve with NEAREST and materialise distances at a
+        # finite radius, so the radius alone keys their rows.  An unconstrained
+        # window aliases the cache's file index and reads no store, nor does
+        # the scalar reference engine, which recomputes every candidate set.
         unconstrained = np.isinf(self._radius) or self._radius >= topology.diameter
-        # One store signature per candidate structure, unconstrained runs
-        # included: (radius, fallback, need_dists) = (inf, NEAREST, False)
-        # keys the shared-CSR structure so radius = inf sweep points reuse
-        # one GroupStore slot instead of rebuilding per point.
-        signature = (
-            self._radius,
-            FallbackPolicy.NEAREST.value,
-            bool(not unconstrained),
-        )
         self._store = (
-            self._artifacts.group_store(topology, self._cache, signature)
-            if reads_group_store(self._engine)
-            else None
+            None
+            if unconstrained or engine == "reference"
+            else self._artifacts.group_store(topology, self._cache, self._radius)
         )
         self._node_weights: np.ndarray | None = None
         if candidate_weights == "popularity":

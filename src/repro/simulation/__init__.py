@@ -13,8 +13,8 @@
   extension discussed in the paper's final section.
 
 The engine, multirun and parallel layers are thin consumers of the session
-API (:mod:`repro.session`), which owns the persistent state: placements,
-group-index precompute and streaming request service.
+API (:mod:`repro.session`), which owns the persistent state: placements
+and streaming request service.
 """
 
 from repro.simulation.config import SimulationConfig

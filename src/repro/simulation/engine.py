@@ -19,7 +19,7 @@ is bit-identical to the pre-session per-trial pipeline.  One
 :class:`~repro.session.artifacts.ArtifactCache` is shared across all trials
 run through the same engine instance, so same-config trials reuse memoised
 placements (deterministic placements always, randomised ones on same-seed
-replays) and group-index precompute.
+replays).
 """
 
 from __future__ import annotations

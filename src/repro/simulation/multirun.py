@@ -6,8 +6,8 @@ variant lives in :mod:`repro.simulation.parallel`).  Seeds for individual
 trials are spawned from a single parent seed, so the whole aggregate is
 reproducible from ``(config, seed, num_trials)`` regardless of execution
 order.  Trials run as thin session consumers over one component build and a
-shared :class:`~repro.session.artifacts.ArtifactCache`, so placements and
-group-index precompute are reused wherever the inputs repeat.
+shared :class:`~repro.session.artifacts.ArtifactCache`, so placements are
+reused wherever the inputs repeat.
 """
 
 from __future__ import annotations
@@ -54,10 +54,9 @@ def run_trials(
 
     The components are built **once** and every trial runs as a session over
     them, sharing one :class:`~repro.session.artifacts.ArtifactCache`:
-    deterministic placements are placed a single time, and the kernel
-    group-index precompute accumulates across trials whose placements are
-    byte-identical.  ``benchmarks/test_bench_sessions.py`` gates the speedup
-    of this path over rebuilding everything per trial.
+    deterministic placements are placed a single time.  Every trial equals
+    :func:`~repro.simulation.engine.run_single_trial` on its child seed
+    (``tests/test_simulation_results_multirun.py``).
 
     Parameters
     ----------

@@ -92,7 +92,7 @@ def run_trials_parallel(
         Worker process count (default: :func:`default_worker_count`).
     chunksize:
         Trials per worker task.  Each task builds the simulation components
-        once and shares placement / group-index artifacts across its trials,
+        once and shares placement artifacts across its trials,
         so larger chunks amortise more build work; the default spreads the
         trials evenly over the workers in a single wave
         (``ceil(num_trials / max_workers)``).

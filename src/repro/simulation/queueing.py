@@ -114,9 +114,9 @@ class QueueingSimulation:
         The static strategies always sample uniformly, matching the paper.
     artifacts:
         Optional :class:`~repro.session.artifacts.ArtifactCache` memoising
-        the placement and the candidate precompute across runs that share a
-        placement (e.g. sweeps over ``mu``, the arrival rate, ``r`` or
-        ``d``) — including unconstrained (``radius=inf``) runs.
+        the placement and, at a finite radius, the candidate precompute
+        across runs that share a placement (e.g. sweeps over ``mu``, the
+        arrival rate, ``r`` or ``d``).
     """
 
     def __init__(

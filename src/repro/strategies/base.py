@@ -19,12 +19,9 @@ import copy
 import enum
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (kernels import us)
-    from repro.kernels.group_index import GroupStore
 
 from repro.backends.registry import engine_operations, resolve_engine_name
 from repro.exceptions import StrategyError
@@ -259,7 +256,6 @@ class AssignmentStrategy(ABC):
         *,
         streams: tuple[np.random.Generator, np.random.Generator] | None = None,
         loads: IntArray | None = None,
-        store: "GroupStore | None" = None,
     ) -> AssignmentResult:
         """Assign every request of ``requests`` to a caching server.
 
@@ -269,8 +265,7 @@ class AssignmentStrategy(ABC):
         of a request stream instead (session execution): ``streams`` is the
         caller's persistent stream pair, used in place of ``seed``; ``loads``
         is the caller's persistent int64 load vector, committed against and
-        updated in place; ``store`` optionally memoises group-index
-        precompute across windows.  Successive windows reproduce the one-shot
+        updated in place.  Successive windows reproduce the one-shot
         assignment of their concatenation bit for bit, on every engine.
         """
         self._check_compatibility(topology, cache, requests)
@@ -282,21 +277,8 @@ class AssignmentStrategy(ABC):
             strategy_name=self.name,
             streams=streams,
             loads=loads,
-            store=store,
             **self._engine_kwargs(),
         )
-
-    def store_signature(self, topology: Topology) -> tuple | None:
-        """Key identifying this strategy's group-index precompute, or ``None``.
-
-        Two strategies with the same signature build identical candidate
-        structures for a given ``(topology, cache)`` pair and may share one
-        :class:`~repro.kernels.group_index.GroupStore`.  ``None`` means the
-        strategy performs no cacheable group-index precompute (shared-CSR
-        aliasing mode), or one cheaper to rebuild than to look up (Strategy
-        I's nearest rows).
-        """
-        return None
 
     # ------------------------------------------------------------ shared utils
     @staticmethod

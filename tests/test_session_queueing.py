@@ -233,13 +233,24 @@ class TestArtifactReuse:
             session.serve(until)
         assert artifacts.stats()["stores"] == 0
 
-    def test_store_requested_for_unconstrained_radius(self):
+    def test_no_store_for_unconstrained_radius(self):
         artifacts = ArtifactCache()
         session = _session(radius=np.inf, artifacts=artifacts)
         session.serve(6.0)
-        # The shared-CSR (radius = inf) structure still claims one store slot
-        # keyed (inf, nearest, False) so sweep points reuse it.
-        assert artifacts.stats()["stores"] == 1
+        # Unconstrained windows alias the cache's file index and read no store.
+        assert artifacts.stats()["stores"] == 0
+
+    def test_no_store_when_radius_covers_the_diameter(self):
+        artifacts = ArtifactCache()
+        diameter = float(_components()[0].diameter)
+        session = _session(radius=diameter, artifacts=artifacts)
+        session.serve(HORIZON)
+        # Every ball holds the whole torus, so windows alias the file index
+        # as at r = inf, and serve the same arrivals the same way.
+        assert artifacts.stats()["stores"] == 0
+        unconstrained = _session(radius=np.inf)
+        unconstrained.serve(HORIZON)
+        assert session.result() == unconstrained.result()
 
     def test_shared_artifacts_do_not_change_results(self):
         artifacts = ArtifactCache()

@@ -230,13 +230,14 @@ class TestSessionStateMachine:
         artifacts = ArtifactCache()
         requests, one_shot = _one_shot(ProximityTwoChoiceStrategy(radius=3))
         windows = _split(requests, [50] * 5)
-        for _ in range(2):  # second pass hits the memoised group rows
+        for _ in range(2):  # second pass hits the memoised placement
             session = _session(ProximityTwoChoiceStrategy(radius=3), artifacts=artifacts)
             served = list(session.serve_stream(windows, resolve_uncached=False))
             merged = AssignmentResult.concatenate([w.assignment for w in served])
             _assert_results_identical(merged, one_shot)
         stats = artifacts.stats()
-        assert stats["group_hits"] > 0
+        assert stats["placement_hits"] == 1
+        assert stats["stores"] == 0
 
     def test_window_results_expose_cumulative_metrics(self):
         session = _session(ProximityTwoChoiceStrategy(radius=3))

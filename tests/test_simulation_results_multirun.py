@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
+from repro.rng import spawn_seeds
 from repro.simulation.config import SimulationConfig
+from repro.simulation.engine import run_single_trial
 from repro.simulation.multirun import aggregate_results, run_trials
 from repro.simulation.parallel import default_worker_count, run_trials_parallel
 from repro.simulation.results import MultiRunResult
@@ -95,6 +97,30 @@ class TestRunTrials:
     def test_description_propagated(self):
         result = run_trials(config(), 2, seed=0)
         assert "n=100" in result.config_description
+
+    def test_trials_equal_single_trials_on_their_child_seeds(self):
+        # A deterministic placement, placed once and shared by every trial,
+        # under a Zipf-skewed mix that repeats most (origin, file) groups
+        # across trials: sharing must change no trial.
+        shared = config(
+            num_nodes=1024,
+            num_files=32,
+            cache_size=8,
+            topology="torus",
+            popularity="zipf",
+            popularity_params={"gamma": 1.3},
+            placement="partition",
+            strategy_params={"radius": 8},
+            num_requests=8192,
+        )
+        result = run_trials(shared, 8, seed=42)
+        singles = [
+            run_single_trial(shared.as_dict(), child) for child in spawn_seeds(42, 8)
+        ]
+        np.testing.assert_array_equal(result.max_loads, [r.max_load for r in singles])
+        np.testing.assert_array_equal(
+            result.communication_costs, [r.communication_cost for r in singles]
+        )
 
 
 class TestRunTrialsParallel:
