@@ -170,6 +170,52 @@ def _grown(array: np.ndarray, used: int, need: int) -> np.ndarray:
 #: supermarket sweep's n = 65536 store holds under 30,000.
 MAX_GROUPS = 1 << 20
 
+#: A :class:`GroupStore`'s delta merges into its main key run once it holds
+#: more than ``max(_DELTA_MIN, main >> _DELTA_SHIFT)`` keys.
+_DELTA_MIN = 1 << 10
+_DELTA_SHIFT = 4
+
+#: The first key of every :class:`GroupStore` key run, below any packed key,
+#: so a right-side binary search always lands on an entry.
+_NO_KEY = np.iinfo(np.int64).min
+
+
+def _empty_run() -> tuple[IntArray, IntArray]:
+    """A key run holding only its sentinel, which maps to no slot."""
+    return np.array([_NO_KEY], dtype=np.int64), np.array([-1], dtype=np.int64)
+
+
+def _run_slots(run_keys: IntArray, run_slots: IntArray, keys: IntArray) -> IntArray:
+    """Each key's newest slot in one sorted run, ``-1`` where the run lacks it.
+
+    Equal keys sit in slot order, so the last entry at or below a key is its
+    newest.
+    """
+    at = run_keys.searchsorted(keys, side="right") - 1
+    return np.where(run_keys.take(at) == keys, run_slots.take(at), -1)
+
+
+def _run_merge(
+    run_keys: IntArray, run_slots: IntArray, keys: IntArray, slots: IntArray
+) -> tuple[IntArray, IntArray]:
+    """Ascending ``keys`` with newer ``slots`` merged into a sorted run.
+
+    Each new key goes after the run's equal keys, which keeps them in slot
+    order.  One pass over the run.
+    """
+    at = run_keys.searchsorted(keys, side="right")
+    at += np.arange(keys.size)
+    total = run_keys.size + keys.size
+    old = np.ones(total, dtype=bool)
+    old[at] = False
+    merged_keys = np.empty(total, dtype=np.int64)
+    merged_slots = np.empty(total, dtype=np.int64)
+    merged_keys[at] = keys
+    merged_slots[at] = slots
+    merged_keys[old] = run_keys
+    merged_slots[old] = run_slots
+    return merged_keys, merged_slots
+
 
 class GroupStore:
     """Insert-only bounded memo of materialised candidate rows, one group per key.
@@ -185,9 +231,12 @@ class GroupStore:
 
     Storage is array-native: all retained rows live in one flat CSR pool
     (``nodes`` / ``dists`` int64 slabs) addressed by per-slot
-    ``starts`` / ``counts`` arrays, so :meth:`get_many` / :meth:`put_many`
-    move whole windows with a handful of vectorised gathers instead of one
-    Python call per group.
+    ``ends`` / ``counts`` arrays.  Keys are found by binary search
+    (``np.searchsorted``) in a sorted int64 key array with an aligned slot
+    array.  New keys go into a small sorted delta searched the same way, which
+    merges into the main arrays once it outgrows a fixed fraction of them
+    (``_DELTA_SHIFT``), so a long run of small puts never copies the whole
+    key array on every put.
 
     Rows are appended once and never replaced, evicted or compacted.  Once
     ``MAX_GROUPS`` rows are held the store retains nothing more: a group it
@@ -197,8 +246,11 @@ class GroupStore:
     """
 
     __slots__ = (
-        "_slots",
-        "_starts",
+        "_keys",
+        "_key_slots",
+        "_delta_keys",
+        "_delta_slots",
+        "_ends",
         "_counts",
         "_fallback",
         "_n_alloc",
@@ -210,8 +262,9 @@ class GroupStore:
     )
 
     def __init__(self) -> None:
-        self._slots: dict[int, int] = {}
-        self._starts = np.empty(16, dtype=np.int64)
+        self._keys, self._key_slots = _empty_run()
+        self._delta_keys, self._delta_slots = _empty_run()
+        self._ends = np.empty(16, dtype=np.int64)
         self._counts = np.empty(16, dtype=np.int64)
         self._fallback = np.empty(16, dtype=bool)
         self._n_alloc = 0
@@ -222,11 +275,11 @@ class GroupStore:
         self.misses = 0
 
     def __len__(self) -> int:
-        return len(self._slots)
+        return self._n_alloc
 
     def keys(self) -> list[int]:
-        """The retained packed group keys (unordered; for tests/diagnostics)."""
-        return list(self._slots)
+        """The retained packed group keys (ascending; for tests/diagnostics)."""
+        return np.union1d(self._keys[1:], self._delta_keys[1:]).tolist()
 
     def get_many(
         self, keys: IntArray
@@ -241,22 +294,23 @@ class GroupStore:
         ``misses`` counters.
         """
         keys = np.asarray(keys, dtype=np.int64)
-        num_keys = int(keys.size)
-        lookup = self._slots.get
-        slots = np.fromiter(
-            (lookup(key, -1) for key in keys.tolist()), dtype=np.int64, count=num_keys
-        )
+        slots = _run_slots(self._keys, self._key_slots, keys)
+        if self._delta_keys.size > 1:
+            # Delta entries are newer than every main entry.
+            np.maximum(slots, _run_slots(self._delta_keys, self._delta_slots, keys), out=slots)
         hit_mask = slots >= 0
         hit_slots = slots[hit_mask]
         self.hits += int(hit_slots.size)
-        self.misses += num_keys - int(hit_slots.size)
+        self.misses += int(keys.size) - int(hit_slots.size)
         counts = self._counts[hit_slots]
-        flat = np.repeat(self._starts[hit_slots], counts) + segmented_arange(counts)
+        # Row j's pool offsets, shifted to its place in the gathered slab.
+        flat = np.repeat(self._ends[hit_slots] - np.cumsum(counts), counts)
+        flat += np.arange(flat.size, dtype=np.int64)
         return (
             hit_mask,
             counts,
-            self._pool_nodes[flat],
-            self._pool_dists[flat],
+            self._pool_nodes.take(flat),
+            self._pool_dists.take(flat),
             self._fallback[hit_slots],
         )
 
@@ -281,7 +335,10 @@ class GroupStore:
         if kept <= 0:
             return
         counts = np.asarray(counts, dtype=np.int64)[:kept]
-        base, total = self._pool_used, int(counts.sum())
+        base = self._pool_used
+        ends = np.cumsum(counts)
+        ends += base
+        total = int(ends[-1]) - base
         self._pool_nodes = _grown(self._pool_nodes, base, base + total)
         self._pool_dists = _grown(self._pool_dists, base, base + total)
         self._pool_nodes[base : base + total] = nodes[:total]
@@ -289,13 +346,23 @@ class GroupStore:
         self._pool_used = base + total
         first = self._n_alloc
         self._n_alloc = first + kept
-        self._starts = _grown(self._starts, first, first + kept)
+        self._ends = _grown(self._ends, first, first + kept)
         self._counts = _grown(self._counts, first, first + kept)
         self._fallback = _grown(self._fallback, first, first + kept)
-        self._starts[first : first + kept] = base + np.cumsum(counts) - counts
+        self._ends[first : first + kept] = ends
         self._counts[first : first + kept] = counts
         self._fallback[first : first + kept] = fallback[:kept]
-        self._slots.update(zip(keys[:kept].tolist(), range(first, first + kept)))
+        # A key put twice (outside the contract) answers with its newest slot.
+        order = np.argsort(keys[:kept], kind="stable")
+        self._delta_keys, self._delta_slots = _run_merge(
+            self._delta_keys, self._delta_slots, keys.take(order), order + first
+        )
+        held = self._delta_keys.size - 1
+        if held > max(_DELTA_MIN, (self._keys.size - 1) >> _DELTA_SHIFT):
+            self._keys, self._key_slots = _run_merge(
+                self._keys, self._key_slots, self._delta_keys[1:], self._delta_slots[1:]
+            )
+            self._delta_keys, self._delta_slots = _empty_run()
 
 
 #: Elements (group rows x ball offsets) per ball-gather chunk; bounds the
@@ -630,40 +697,42 @@ def build_group_index(
         keys = g_origins * np.int64(requests.num_files) + g_files
         hit_mask, hit_counts, hit_nodes, hit_dists, hit_flags = store.get_many(keys)
         miss_gids = np.flatnonzero(~hit_mask)
-        if miss_gids.size:
-            miss_counts, miss_nodes, miss_dists, miss_flags = _build_rows_csr(
-                topology, cache, g_origins[miss_gids], g_files[miss_gids], **rows
+        if not miss_gids.size:
+            # Every group hit: the gathered rows already are the CSR, in
+            # group order.
+            return GroupIndex(
+                origins=g_origins,
+                files=g_files,
+                starts=np.cumsum(hit_counts) - hit_counts,
+                counts=hit_counts,
+                nodes=hit_nodes,
+                dists=hit_dists,
+                fallback=hit_flags,
+                request_group=request_group,
             )
-            store.put_many(
-                keys[miss_gids], miss_counts, miss_nodes, miss_dists, miss_flags
-            )
-        else:
-            miss_counts = np.empty(0, dtype=np.int64)
-            miss_nodes = miss_dists = miss_counts
-            miss_flags = np.zeros(0, dtype=bool)
+        miss_counts, miss_nodes, miss_dists, miss_flags = _build_rows_csr(
+            topology, cache, g_origins[miss_gids], g_files[miss_gids], **rows
+        )
+        store.put_many(keys[miss_gids], miss_counts, miss_nodes, miss_dists, miss_flags)
         counts = np.empty(num_groups, dtype=np.int64)
         counts[hit_mask] = hit_counts
         counts[miss_gids] = miss_counts
         fallback_flags[hit_mask] = hit_flags
         fallback_flags[miss_gids] = miss_flags
-        ends = np.cumsum(counts)
-        indptr = np.concatenate([np.zeros(1, dtype=np.int64), ends])
-        total = int(indptr[-1])
-        nodes = np.empty(total, dtype=np.int64)
-        dists = np.empty(total, dtype=np.int64)
-        dest = csr_scatter_destinations(indptr, np.flatnonzero(hit_mask), hit_counts)
-        nodes[dest] = hit_nodes
-        dists[dest] = hit_dists
-        dest = csr_scatter_destinations(indptr, miss_gids, miss_counts)
-        nodes[dest] = miss_nodes
-        dists[dest] = miss_dists
+        # Each group's row offset in the hit slab followed by the miss slab.
+        source = np.empty(num_groups, dtype=np.int64)
+        source[hit_mask] = np.cumsum(hit_counts) - hit_counts
+        source[miss_gids] = np.cumsum(miss_counts) - miss_counts + hit_nodes.size
+        starts = np.cumsum(counts) - counts
+        flat = np.repeat(source - starts, counts)
+        flat += np.arange(flat.size, dtype=np.int64)
         return GroupIndex(
             origins=g_origins,
             files=g_files,
-            starts=ends - counts,
+            starts=starts,
             counts=counts,
-            nodes=nodes,
-            dists=dists,
+            nodes=np.concatenate([hit_nodes, miss_nodes]).take(flat),
+            dists=np.concatenate([hit_dists, miss_dists]).take(flat),
             fallback=fallback_flags,
             request_group=request_group,
         )

@@ -23,6 +23,14 @@ applies the PR-1 precompute/commit split to the event loop:
     calls inside the loop, and O(1)-memory streaming accumulators (running
     sums) instead of unbounded per-arrival metric lists.
 
+    The loop has a *forced route*: when every arrival of a window has
+    exactly one sampled server (``d = 1``, or candidate sets of one member)
+    no decision reads a load, and windows of at least
+    ``FORCED_MIN_ARRIVALS`` arrivals are committed without the loop, as
+    whole-array passes that reproduce its state bit for bit (see
+    :func:`_commit_forced`).  Smaller windows stay on the loop, which is
+    faster there.
+
 Queueing RNG-stream contract
 ----------------------------
 
@@ -191,6 +199,20 @@ def finalize_result_fields(state: QueueingState, until: float) -> dict[str, floa
 
 
 # --------------------------------------------------------------------- kernel
+#: Fewest arrivals for which :func:`commit_window` takes its forced route
+#: (read at call time, so tests patch it).  Below it the event loop is the
+#: faster of the two, e.g. on a server's 64-arrival flushes: on a 2-core
+#: Xeon guest the route overtook the loop between 1,024 and 2,048 arrivals,
+#: at n = 65536 with an empty heap and with a 90,000-event one.
+FORCED_MIN_ARRIVALS = 2048
+
+#: Arrivals per forced-route chunk; bounds the route's temporaries.
+_FORCED_CHUNK = 1 << 16
+
+#: The forced route's rank rounds must average at least this many arrivals.
+_FORCED_ROUND_ARRIVALS = 32
+
+
 def commit_window(
     state: QueueingState,
     times: FloatArray,
@@ -208,9 +230,19 @@ def commit_window(
     and the ``batch`` engine's event loop (re-exported as
     :func:`repro.kernels.batch_commit.commit_window`); compiled backends
     (:mod:`repro.backends.numba_backend`) provide bit-identical replacements
-    with the same signature.
+    with the same signature.  A window of at least ``FORCED_MIN_ARRIVALS``
+    arrivals that each have one sampled server takes the forced route
+    (:func:`_commit_forced`) when :func:`_forced_applies`; its departure
+    heap then holds the same events in a possibly different layout.
     """
     m = int(times.size)
+    if m >= FORCED_MIN_ARRIVALS and sample_nodes.size == m and int(sample_counts.min()) == 1:
+        # Every arrival has one sampled server: no decision reads a load.
+        picks = sample_indptr[:-1].astype(np.int64)
+        servers = sample_nodes[picks]
+        if _forced_applies(times, services, servers):
+            _commit_forced(state, times, services, servers)
+            return picks
     out = [0] * m
     times = times.tolist()
     services = services.tolist()
@@ -310,6 +342,236 @@ def commit_window(
     state.sum_sojourn = sum_sojourn
     state.num_arrivals += m
     return np.asarray(out, dtype=np.int64)
+
+
+def _forced_applies(times: FloatArray, services: FloatArray, servers: IntArray) -> bool:
+    """Whether :func:`_commit_forced` reproduces the event loop on this window.
+
+    Arrival times must be non-decreasing and service times non-negative, so
+    that each server's departures leave in arrival order and every departure
+    is popped before the first later arrival at or after its time.  The
+    rank rounds must average at least ``_FORCED_ROUND_ARRIVALS`` arrivals,
+    or their per-round overhead outweighs the loop.
+    """
+    m = int(times.size)
+    return bool(
+        np.all(times[1:] >= times[:-1])
+        and np.all(services >= 0.0)
+        and int(np.bincount(servers).max()) * _FORCED_ROUND_ARRIVALS <= m
+    )
+
+
+def _accumulated(total: float, terms: FloatArray) -> float:
+    """``total`` plus every term, added one at a time in array order.
+
+    ``np.add.accumulate`` adds sequentially (no pairwise summation), so this
+    is bit for bit the event loop's ``total += term`` over the same terms.
+    """
+    acc = np.empty(terms.size + 1, dtype=np.float64)
+    acc[0] = total
+    acc[1:] = terms
+    return float(np.add.accumulate(acc, out=acc)[-1])
+
+
+def _fifo_rounds(
+    t: FloatArray,
+    services: FloatArray,
+    order: IntArray,
+    seg_starts: IntArray,
+    seg_counts: IntArray,
+    free: FloatArray,
+) -> tuple[FloatArray, FloatArray]:
+    """Every arrival's service start and finish time, in arrival order.
+
+    ``order`` lists the arrivals grouped by server, each group in arrival
+    order; group ``g`` starts at ``seg_starts[g]``, has ``seg_counts[g]``
+    members, and its server is busy until ``free[g]`` (updated in place).
+    Round ``r`` serves every group's ``r``-th arrival at
+    ``max(busy, t) + service``, with the loop's comparison.
+    """
+    t_srv, services_srv = t[order], services[order]
+    start_srv = np.empty(t.size, dtype=np.float64)
+    finish_srv = np.empty(t.size, dtype=np.float64)
+    active = np.arange(seg_starts.size, dtype=np.int64)
+    r = 0
+    while active.size:
+        pos = seg_starts[active] + r
+        now, prev = t_srv[pos], free[active]
+        begin = np.where(prev < now, now, prev)
+        done = begin + services_srv[pos]
+        free[active] = done
+        start_srv[pos] = begin
+        finish_srv[pos] = done
+        r += 1
+        active = active[seg_counts[active] > r]
+    start = np.empty(t.size, dtype=np.float64)
+    start[order] = start_srv
+    finish = np.empty(t.size, dtype=np.float64)
+    finish[order] = finish_srv
+    return start, finish
+
+
+def _area_after(
+    area: float, clock: float, in_system: int, t: FloatArray, deps_t: FloatArray, deps_at: IntArray
+) -> float:
+    """``area_queue`` after the loop's events: each departure, then arrival ``i``.
+
+    ``deps_t`` are the popped departures in pop order and ``deps_at[j]`` the
+    arrival departure ``j`` is popped before.  Every event adds
+    ``in_system * (time - clock)`` and moves the clock to its time.
+    """
+    total = t.size + deps_t.size
+    arrival_at = np.arange(t.size, dtype=np.int64) + np.cumsum(
+        np.bincount(deps_at, minlength=t.size)
+    )
+    departure_at = np.arange(deps_t.size, dtype=np.int64) + deps_at
+    when = np.empty(total, dtype=np.float64)
+    when[arrival_at] = t
+    when[departure_at] = deps_t
+    step = np.empty(total, dtype=np.int64)
+    step[arrival_at] = 1
+    step[departure_at] = -1
+    count = np.empty(total, dtype=np.int64)
+    count[0] = 0
+    np.cumsum(step[:-1], out=count[1:])
+    count += in_system
+    gap = np.empty(total, dtype=np.float64)
+    gap[0] = when[0] - clock
+    np.subtract(when[1:], when[:-1], out=gap[1:])
+    return _accumulated(area, count * gap)
+
+
+def _commit_forced(
+    state: QueueingState, times: FloatArray, services: FloatArray, servers: IntArray
+) -> None:
+    """The event loop's effect on ``state`` when arrival ``i`` must go to ``servers[i]``.
+
+    No decision reads a load, so the window is replayed as whole-array
+    passes, in chunks of at most ``_FORCED_CHUNK`` arrivals:
+
+    * each server's FIFO start and finish times, ``max(busy, t) + service``
+      in arrival order, are computed in rank rounds (:func:`_fifo_rounds`);
+    * a departure is popped where the loop pops it: before the first
+      arrival at or after its time, never before its own arrival's
+      successor; departures popped before one arrival go in ``(time, id)``
+      order, the heap's order;
+    * ``area_queue``, ``sum_wait`` and ``sum_sojourn`` add their terms in
+      event order with ``np.add.accumulate`` (:func:`_accumulated`);
+    * every queue length an arrival sees comes from per-server running
+      counts of arrivals and popped departures, and ``max_queue`` from them;
+    * departures still pending after the last arrival go onto the heap.
+
+    The heap may be laid out differently from the loop's, but it holds the
+    same events and keeps the ``heapq`` invariant.
+    """
+    queue, busy, events = state.queue_lengths, state.busy_until, state.events
+    # Departures pushed by earlier chunks and not yet popped, (time, id) order.
+    carry_t = np.empty(0, dtype=np.float64)
+    carry_id = carry_s = np.empty(0, dtype=np.int64)
+    for lo in range(0, int(times.size), _FORCED_CHUNK):
+        hi = min(int(times.size), lo + _FORCED_CHUNK)
+        t, s = times[lo:hi], servers[lo:hi].astype(np.int64)
+        k = hi - lo
+        last = float(t[-1])
+        first_id = state.next_event_id
+
+        # Arrivals grouped by server, each group in arrival order.
+        key = s * k + np.arange(k, dtype=np.int64)
+        key.sort()
+        srv = key // k
+        order = key - srv * k
+        head = np.empty(k, dtype=bool)
+        head[0] = True
+        np.not_equal(srv[1:], srv[:-1], out=head[1:])
+        seg_starts = np.flatnonzero(head)
+        seg_counts = np.diff(np.append(seg_starts, k))
+        seg = np.cumsum(head) - 1
+        uniq = srv[seg_starts].tolist()
+        q0 = np.fromiter(map(queue.__getitem__, uniq), dtype=np.int64, count=len(uniq))
+        free = np.fromiter(map(busy.__getitem__, uniq), dtype=np.float64, count=len(uniq))
+        start, finish = _fifo_rounds(t, services[lo:hi], order, seg_starts, seg_counts, free)
+        state.sum_wait = _accumulated(state.sum_wait, start - t)
+        state.sum_sojourn = _accumulated(state.sum_sojourn, finish - t)
+
+        # The chunk's departures in (time, id) order: ids follow arrivals,
+        # so a stable sort breaks time ties by id.  The last job departs no
+        # earlier than the next chunk's first arrival.
+        dep_order = np.argsort(finish)
+        dep_t = finish[dep_order]
+        if k > 1 and np.any(dep_t[1:] == dep_t[:-1]):
+            dep_order = np.argsort(finish, kind="stable")
+            dep_t = finish[dep_order]
+        pending = (dep_t > last) | (dep_order == k - 1)
+        popped = dep_order[~pending]
+        # Older departures due by the last arrival: the heap's, then the
+        # carry's (newer ids), each in (time, id) order.
+        due = []
+        while events and events[0][0] <= last:
+            due.append(heapq.heappop(events))
+        due_carry = carry_t <= last
+        old_t = np.concatenate([np.array([e[0] for e in due], dtype=np.float64), carry_t[due_carry]])
+        old_s = np.concatenate([np.array([e[2] for e in due], dtype=np.int64), carry_s[due_carry]])
+        carry_t, carry_id, carry_s = carry_t[~due_carry], carry_id[~due_carry], carry_s[~due_carry]
+
+        # Every popped departure in pop order, with the arrival it precedes.
+        deps_t = np.concatenate([old_t, dep_t[~pending]])
+        floor = np.concatenate([np.zeros(old_t.size, dtype=np.int64), popped + 1])
+        is_old = np.arange(deps_t.size) < old_t.size
+        if old_t.size:
+            merged = np.argsort(deps_t, kind="stable")
+            deps_t, floor, is_old = deps_t[merged], floor[merged], is_old[merged]
+            old_s = old_s[merged[is_old]]
+        deps_at = np.maximum(np.searchsorted(t, deps_t, side="left"), floor)
+        state.area_queue = _area_after(
+            state.area_queue, state.clock, state.in_system, t, deps_t, deps_at
+        )
+
+        # Queue lengths: the server's queue before the chunk, plus its
+        # arrivals so far, minus its departures popped before this arrival
+        # (the chunk's own, found per server group, then older ones).
+        pop_at = np.full(k, k, dtype=np.int64)
+        pop_at[popped] = deps_at[~is_old]
+        pop_at_srv = pop_at[order]
+        load = q0[seg] + np.arange(1, k + 1, dtype=np.int64) - seg_starts[seg]
+        base = seg * (k + 1)
+        load -= np.searchsorted(base + pop_at_srv, base + order, side="right") - seg_starts[seg]
+        if old_t.size:
+            old_key = np.sort(old_s * (k + 1) + deps_at[is_old])
+            base = srv * (k + 1)
+            load -= np.searchsorted(old_key, base + order, side="right")
+            load += np.searchsorted(old_key, base, side="left")
+        state.max_queue = max(state.max_queue, int(load.max()))
+        q_end = q0 + seg_counts - np.add.reduceat(pop_at_srv < k, seg_starts)
+        for server, length, until in zip(uniq, q_end.tolist(), free.tolist()):
+            queue[server] = length
+            busy[server] = until
+        for server in old_s.tolist():
+            queue[server] -= 1
+
+        state.completed += int(deps_t.size)
+        state.in_system += k - int(deps_t.size)
+        state.clock = last
+        state.next_event_id = first_id + k
+        state.num_arrivals += k
+
+        # Pending departures join the carry, which stays in (time, id) order.
+        pend = dep_order[pending]
+        carry_t = np.concatenate([carry_t, dep_t[pending]])
+        carry_id = np.concatenate([carry_id, pend + first_id])
+        carry_s = np.concatenate([carry_s, s[pend]])
+        if carry_t.size > pend.size:
+            resort = np.argsort(carry_t, kind="stable")
+            carry_t, carry_id, carry_s = carry_t[resort], carry_id[resort], carry_s[resort]
+
+    pending_events = list(zip(carry_t.tolist(), carry_id.tolist(), carry_s.tolist()))
+    if not events:
+        events.extend(pending_events)  # sorted, so already a heap
+    elif len(pending_events) >= len(events):
+        events.extend(pending_events)
+        heapq.heapify(events)
+    else:
+        for event in pending_events:
+            heapq.heappush(events, event)
 
 
 def queueing_kernel_window(

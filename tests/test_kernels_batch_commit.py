@@ -9,8 +9,9 @@ Three layers of guarantees:
   pair, all-shared candidate sets, heavy ties at tie-uniform boundaries), on
   every route (forced, pairs, CSR); its queueing ``commit_window`` — the
   event loop of :mod:`repro.kernels.queueing`, which ``batch`` runs — must
-  match a per-arrival transcription of the reference dispatcher on both of
-  its routes (pairs, any widths), state included;
+  match a per-arrival transcription of the reference dispatcher on each of
+  its routes (pairs, any widths, and the forced route of windows whose
+  arrivals have one sampled server), state included;
 * **the repair-round structure** — with the progress fallback disabled, the
   number of repair rounds on disjoint contention groups is exactly (and in
   general at most) the longest per-node collision chain;
@@ -387,8 +388,71 @@ def _assert_window_identical(sa, sb, case, msg=""):
     assert dataclasses.asdict(sa) == dataclasses.asdict(sb), msg
 
 
+def _assert_forced_identical(sa, sb, case, msg=""):
+    """``_assert_window_identical`` for windows the forced route may commit.
+
+    The route pushes its pending departures in its own order, so the heaps
+    hold the same events but may be laid out differently: they are compared
+    as sorted lists, and ``sb``'s must keep the ``heapq`` invariant.
+    """
+    expected = _scalar_window(sa, *case)
+    actual = bc.commit_window(sb, *case)
+    np.testing.assert_array_equal(actual, expected, err_msg=msg)
+    fields_a, fields_b = dataclasses.asdict(sa), dataclasses.asdict(sb)
+    assert sorted(fields_a.pop("events")) == sorted(fields_b.pop("events")), msg
+    assert fields_a == fields_b, msg
+    heap = sb.events
+    assert all(heap[(i - 1) // 2] <= heap[i] for i in range(1, len(heap))), msg
+
+
+def _forced_case(seed, n, m, rate_per_server):
+    """A window in which every arrival has exactly one sampled server."""
+    return _queueing_case(seed, n, m, rate_per_server, dmin=1, dmax=1)
+
+
+def _single_csr(servers):
+    """All-ones widths: arrival ``i`` samples ``servers[i]`` alone."""
+    return _uniform_csr(np.asarray(servers, dtype=np.int64)[:, None])
+
+
+#: ``FORCED_MIN_ARRIVALS`` for windows of ``smallest`` to ``largest``
+#: arrivals: every window below it (the event loop commits them), the
+#: smallest at it, or all above it (the forced route commits them).
+FORCED_SIZES = {
+    "below": lambda smallest, largest: largest + 1,
+    "at": lambda smallest, largest: smallest,
+    "above": lambda smallest, largest: max(1, smallest // 3),
+}
+
+
+@pytest.fixture(params=list(FORCED_SIZES))
+def forced_route(request, monkeypatch):
+    """Patch the forced route's minimum around the test's window size.
+
+    Returns ``(setup, calls)``: ``setup(smallest, largest=smallest)`` sets
+    the minimum for windows of that many arrivals and returns whether the
+    route must run; ``calls`` lists the window size of every forced commit.
+    """
+    calls = []
+    original = q._commit_forced
+
+    def spy(state, times, services, servers):
+        calls.append(int(times.size))
+        return original(state, times, services, servers)
+
+    monkeypatch.setattr(q, "_commit_forced", spy)
+
+    def setup(smallest, largest=None):
+        minimum = FORCED_SIZES[request.param](smallest, largest or smallest)
+        monkeypatch.setattr(q, "FORCED_MIN_ARRIVALS", minimum)
+        return request.param != "below"
+
+    return setup, calls
+
+
 class TestQueueingWindow:
-    """``batch_commit.commit_window`` is the event loop ``batch`` runs."""
+    """``batch_commit.commit_window`` is the event loop ``batch`` runs, with
+    its forced route for windows whose arrivals have one sampled server."""
 
     @pytest.mark.parametrize("rate", [0.2, 0.95, 2.0])
     def test_window_identical_to_scalar(self, rate):
@@ -435,6 +499,116 @@ class TestQueueingWindow:
         empty_i = np.empty(0, dtype=np.int64)
         case = (empty_f, empty_f, empty_f, empty_i, empty_i, np.zeros(1, dtype=np.int64))
         _assert_window_identical(_fresh_state(4), _fresh_state(4), case)
+
+    # Forced route: every arrival has one sampled server (d = 1, or candidate
+    # sets of one member), so the window commits without the event loop.
+    @pytest.mark.parametrize("rate", [0.2, 0.95, 2.0])
+    def test_forced_window_identical_to_scalar(self, rate, forced_route):
+        setup, calls = forced_route
+        m = 1200
+        forced = setup(m)
+        case = _forced_case(17, 256, m, rate)
+        _assert_forced_identical(_fresh_state(256), _fresh_state(256), case)
+        assert calls == ([m] if forced else [])
+
+    @pytest.mark.parametrize("chunk", [1 << 16, 97])
+    def test_forced_multi_window_carry(self, chunk, forced_route, monkeypatch):
+        # A width-2 window first fills the heap, so the forced windows start
+        # from pending departures; a small chunk carries departures between
+        # chunks of one window too.
+        setup, calls = forced_route
+        monkeypatch.setattr(q, "_FORCED_CHUNK", chunk)
+        n = 128
+        sa, sb = _fresh_state(n), _fresh_state(n)
+        rng = np.random.default_rng(18)
+        sizes = [int(m) for m in rng.integers(500, 900, size=5)]
+        forced = setup(min(sizes[1:]), max(sizes[1:]))
+        t0 = 0.0
+        for w, m in enumerate(sizes):
+            times = t0 + np.cumsum(rng.exponential(1.0 / n, size=m))
+            t0 = float(times[-1])
+            services = rng.exponential(1.0, size=m)
+            width = 2 if w == 0 else 1
+            case = (times, services, rng.random(m), *_random_csr(rng, m, n, width, width))
+            if w == 0:
+                _assert_window_identical(sa, sb, case, "window 0")
+                assert sb.events
+            else:
+                _assert_forced_identical(sa, sb, case, f"window {w}")
+            q.drain_departures(sa, t0)
+            q.drain_departures(sb, t0)
+        assert calls == (sizes[1:] if forced else [])
+
+    def test_forced_arrivals_at_one_time(self, forced_route):
+        # The dispatch_batch(times=None) shape: every arrival at the clock.
+        setup, calls = forced_route
+        n, m = 256, 1200
+        forced = setup(m)
+        rng = np.random.default_rng(19)
+        case = (np.full(m, 2.5), rng.exponential(1.0, size=m), rng.random(m),
+                *_single_csr(rng.integers(0, n, size=m)))
+        _assert_forced_identical(_fresh_state(n), _fresh_state(n), case)
+        assert calls == ([m] if forced else [])
+
+    @pytest.mark.parametrize("zero_share", [0.3, 1.0])
+    def test_forced_zero_service_departs_at_next_arrival(self, zero_share, forced_route):
+        # A zero service time on an idle server finishes at its own arrival:
+        # the loop pops it before the next arrival, never before its own, so
+        # the arrival still sees its own job in the queue.
+        setup, calls = forced_route
+        n, m = 256, 1200
+        forced = setup(m)
+        rng = np.random.default_rng(20)
+        times = np.repeat(np.cumsum(rng.exponential(0.01, size=m // 4)), 4)
+        services = rng.exponential(1.0, size=m)
+        services[rng.random(m) < zero_share] = 0.0
+        case = (times, services, rng.random(m), *_single_csr(rng.integers(0, n, size=m)))
+        sb = _fresh_state(n)
+        _assert_forced_identical(_fresh_state(n), sb, case)
+        assert sb.completed > 0
+        if zero_share == 1.0:
+            assert sb.max_queue == 1 and sb.completed == m - 1
+        assert calls == ([m] if forced else [])
+
+    def test_forced_equal_finish_times_pop_by_event_id(self, forced_route):
+        # Dyadic times and services: every server of a block finishes at the
+        # same instant, and the heap already holds departures at it with
+        # smaller ids.  Later arrivals pop all of them in event-id order.
+        setup, calls = forced_route
+        n, m = 512, 1200
+        forced = setup(m)
+        state_a, state_b = _fresh_state(n), _fresh_state(n)
+        for state in (state_a, state_b):
+            for server in (3, 1, 2):
+                heapq.heappush(state.events, (4.0, state.next_event_id, server))
+                state.queue_lengths[server] += 1
+                state.busy_until[server] = 4.0
+                state.in_system += 1
+                state.next_event_id += 1
+        rng = np.random.default_rng(21)
+        times = np.sort(rng.integers(0, 16, size=m) * 0.25)
+        services = np.where(times < 4.0, 4.0 - times, rng.integers(1, 8, size=m) * 0.5)
+        servers = rng.permutation(n)[np.arange(m) % 400]
+        case = (times, services, rng.random(m), *_single_csr(servers))
+        _assert_forced_identical(state_a, state_b, case)
+        assert calls == ([m] if forced else [])
+
+    def test_forced_route_gates(self, monkeypatch):
+        # Unsorted times, a negative service time or a crowded server keep a
+        # window on the event loop, which still commits it exactly.
+        calls = []
+        original = q._commit_forced
+        monkeypatch.setattr(q, "_commit_forced", lambda *args: calls.append(args) or original(*args))
+        monkeypatch.setattr(q, "FORCED_MIN_ARRIVALS", 1)
+        rng = np.random.default_rng(22)
+        m = 1200
+        times, services, uniforms, nodes, counts, indptr = _forced_case(23, 256, m, 0.95)
+        shuffled = (rng.permutation(times), services, uniforms, nodes, counts, indptr)
+        negative = (times, np.where(np.arange(m) == 7, -0.5, services), uniforms, nodes, counts, indptr)
+        crowded = (times, services, uniforms, *_single_csr(rng.integers(0, 4, size=m)))
+        for case in (shuffled, negative, crowded):
+            _assert_window_identical(_fresh_state(256), _fresh_state(256), case)
+        assert calls == []
 
 
 # ---------------------------------------------------------- engine table/CLI

@@ -9,8 +9,9 @@ hop distance and fallback flag) from ``QueueingSession.dispatch_batch``.
 The engine list is every available engine of the engine table, ``numba``
 included where importable.  The ``batch`` row runs the pure-Python event
 loop :func:`~repro.kernels.queueing.commit_window`, the source of the numba
-transcription.  When engines disagree, the reference engine is
-authoritative.
+transcription, and that loop's forced route for windows in which every
+arrival has one sampled server.  When engines disagree, the reference
+engine is authoritative.
 """
 
 from __future__ import annotations
@@ -22,9 +23,12 @@ from repro.backends.registry import available_engines
 from repro.catalog.library import FileLibrary
 from repro.catalog.popularity import create_popularity
 from repro.exceptions import NoReplicaError, StrategyError
+from repro.experiments.queueing import run_queueing_experiment
+from repro.kernels import queueing
 from repro.placement.cache import CacheState
 from repro.placement.partition import PartitionPlacement
 from repro.placement.proportional import ProportionalPlacement
+from repro.session.artifacts import ArtifactCache
 from repro.session.queueing import QueueingSession
 from repro.simulation.queueing import QueueingSimulation
 from repro.strategies.base import AssignmentResult
@@ -208,6 +212,43 @@ def test_single_replica_candidates_identical():
     # sample stream is skipped for them on both engines.
     simulation = _simulation(Torus2D(49), radius=1.0, num_choices=4, cache_size=1)
     _assert_identical(simulation, 10.0, seed=9)
+
+
+def test_sweep_with_shared_store_identical(monkeypatch):
+    """A rate x d sweep whose points share one ``ArtifactCache``: the first
+    point fills the ``GroupStore`` and every later point reads all of its
+    groups from it, and the d = 1 points take the forced route (its minimum
+    lowered to fit the sweep's windows).  ``batch`` returns reference's rows."""
+    forced = []
+    original = queueing._commit_forced
+
+    def spy(state, times, services, servers):
+        forced.append(int(times.size))
+        return original(state, times, services, servers)
+
+    monkeypatch.setattr(queueing, "_commit_forced", spy)
+    monkeypatch.setattr(queueing, "FORCED_MIN_ARRIVALS", 256)
+    sweep = dict(
+        num_nodes=4096,
+        num_files=128,
+        cache_size=8,
+        radius=8,
+        horizon=0.5,
+        arrival_rates=[0.9, 0.5],
+        choices=[1, 2],
+        seed=3,
+    )
+    rows = {}
+    for engine in ("batch", "reference"):
+        artifacts = ArtifactCache()
+        rows[engine] = run_queueing_experiment(engine=engine, artifacts=artifacts, **sweep)
+        if engine == "batch":
+            stats = artifacts.stats()
+            # The cold first point puts every group: later points only hit.
+            assert stats["stores"] == 1 and stats["group_misses"] == 0
+            assert stats["group_hits"] > stats["group_rows"] > 0
+    assert rows["batch"] == rows["reference"]
+    assert len(forced) == 2 and min(forced) >= 256
 
 
 class TestEdgeCases:

@@ -273,6 +273,29 @@ class TestGroupStore:
                 retained = sorted(store.keys())
             assert sorted(store.keys()) == retained
 
+    @pytest.mark.parametrize("window", ["whole", "subset"])
+    def test_all_hit_window_equals_cold_build(self, window):
+        """A window whose every group hits returns the rows the store gathered,
+        equal array for array to the cold build, fallback rows included."""
+        topology = Torus2D(4096)
+        library = FileLibrary(128)
+        cache = ProportionalPlacement(8).place(topology, library, seed=0)
+        requests = UniformOriginWorkload(3 * 4096).generate(topology, library, seed=3)
+        kwargs = dict(radius=2.0, fallback=FallbackPolicy.NEAREST, need_dists=True)
+        store = GroupStore()
+        build_group_index(topology, cache, requests, store=store, **kwargs)
+        if window == "subset":
+            requests = requests.subset(np.arange(0, requests.num_requests, 3))
+        cold = build_group_index(topology, cache, requests, **kwargs)
+        warm = build_group_index(topology, cache, requests, store=store, **kwargs)
+        assert store.misses == 0 and store.hits == cold.num_groups
+        assert 0 < int(cold.fallback.sum()) < cold.num_groups
+        for name in ("origins", "files", "starts", "counts", "nodes", "dists",
+                     "fallback", "request_group"):
+            got, want = getattr(warm, name), getattr(cold, name)
+            np.testing.assert_array_equal(got, want, err_msg=name)
+            assert got.dtype == want.dtype, name
+
     def test_precompute_store_accounting(self):
         """Cold probe free, warm all-hit, at n = 4096, m = 5n, K = 128, r = 8."""
         topology = Torus2D(4096)
@@ -418,59 +441,92 @@ class TestGroupStoreBatch:
             {1: ([21], [121], False), 2: ([12], [112], True), 3: ([13], [113], False)},
         )
 
-    def test_random_walk_matches_first_come_model(self, monkeypatch):
-        """Random interleavings of ``get_many`` and ``put_many`` (of absent
-        keys) against a dict that keeps the first ``MAX_GROUPS`` keys put:
-        identical retained keys, rows, flags and hit/miss ledger, with puts
-        that overflow the remaining room keeping their leading keys."""
-        rng = np.random.default_rng(2)
-        keyspace = np.arange(16, dtype=np.int64)
+    def _walk(self, rng, keyspace, steps, max_groups):
+        """One random interleaving of ``get_many`` and ``put_many`` (of absent
+        keys) against a dict that keeps the first ``max_groups`` keys put.
+
+        After every step the store and the model agree on the retained keys,
+        rows, flags and hit/miss ledger.  Probes are unsorted, repeat keys,
+        and may hold keys below and above every key the store can hold.
+        Returns the store and how many puts overflowed the remaining room.
+        """
         empty = np.empty(0, dtype=np.int64)
+        outside = np.asarray([int(keyspace.min()) - 7, int(keyspace.max()) + 10**12])
+        store = GroupStore()
+        model = {}
+        hits = misses = overflows = 0
+        for _ in range(steps):
+            if rng.random() < 0.5:
+                absent = np.setdiff1d(keyspace, list(model))
+                batch = rng.permutation(absent)[: rng.integers(1, 8)]
+                keys, counts, nodes, dists, flags = self._csr(batch, rng)
+                store.put_many(keys, counts, nodes, dists, flags)
+                room = max_groups - len(model)
+                overflows += keys.size > room > 0
+                ends = np.cumsum(counts)
+                for i, key in enumerate(keys[:room].tolist()):
+                    sl = slice(int(ends[i] - counts[i]), int(ends[i]))
+                    model[key] = (nodes[sl], dists[sl], bool(flags[i]))
+            else:
+                batch = rng.choice(keyspace, size=rng.integers(1, 8))
+                batch = np.concatenate([batch, batch[: rng.integers(0, 3)]])
+                batch = rng.permutation(
+                    np.concatenate([batch, outside[rng.random(2) < 0.3]])
+                )
+                hit_mask, hit_counts, hit_nodes, hit_dists, hit_flags = (
+                    store.get_many(batch)
+                )
+                rows = [model.get(int(key)) for key in batch]
+                np.testing.assert_array_equal(
+                    hit_mask, [row is not None for row in rows]
+                )
+                rows = [row for row in rows if row is not None]
+                hits += len(rows)
+                misses += int(batch.size) - len(rows)
+                np.testing.assert_array_equal(
+                    hit_counts, [row[0].size for row in rows]
+                )
+                np.testing.assert_array_equal(
+                    hit_nodes, np.concatenate([empty] + [row[0] for row in rows])
+                )
+                np.testing.assert_array_equal(
+                    hit_dists, np.concatenate([empty] + [row[1] for row in rows])
+                )
+                np.testing.assert_array_equal(hit_flags, [row[2] for row in rows])
+            assert len(store) == len(model)
+            assert sorted(store.keys()) == sorted(model)
+            assert (store.hits, store.misses) == (hits, misses)
+        return store, overflows
+
+    def test_random_walk_matches_first_come_model(self, monkeypatch):
+        """Small stores, some filled: puts that overflow the remaining room
+        keep their leading keys."""
+        rng = np.random.default_rng(2)
         overflows = 0
         for _ in range(20):
             max_groups = int(rng.integers(1, 9))
             monkeypatch.setattr("repro.kernels.group_index.MAX_GROUPS", max_groups)
-            store = GroupStore()
-            model = {}
-            hits = misses = 0
-            for _ in range(25):
-                if rng.random() < 0.5:
-                    absent = np.setdiff1d(keyspace, list(model))
-                    batch = rng.permutation(absent)[: rng.integers(1, 8)]
-                    keys, counts, nodes, dists, flags = self._csr(batch, rng)
-                    store.put_many(keys, counts, nodes, dists, flags)
-                    room = max_groups - len(model)
-                    overflows += keys.size > room > 0
-                    ends = np.cumsum(counts)
-                    for i, key in enumerate(keys[:room].tolist()):
-                        sl = slice(int(ends[i] - counts[i]), int(ends[i]))
-                        model[key] = (nodes[sl], dists[sl], bool(flags[i]))
-                else:
-                    batch = rng.choice(keyspace, size=rng.integers(1, 8))
-                    hit_mask, hit_counts, hit_nodes, hit_dists, hit_flags = (
-                        store.get_many(batch)
-                    )
-                    rows = [model.get(int(key)) for key in batch]
-                    np.testing.assert_array_equal(
-                        hit_mask, [row is not None for row in rows]
-                    )
-                    rows = [row for row in rows if row is not None]
-                    hits += len(rows)
-                    misses += int(batch.size) - len(rows)
-                    np.testing.assert_array_equal(
-                        hit_counts, [row[0].size for row in rows]
-                    )
-                    np.testing.assert_array_equal(
-                        hit_nodes, np.concatenate([empty] + [row[0] for row in rows])
-                    )
-                    np.testing.assert_array_equal(
-                        hit_dists, np.concatenate([empty] + [row[1] for row in rows])
-                    )
-                    np.testing.assert_array_equal(hit_flags, [row[2] for row in rows])
-                assert len(store) == len(model)
-                assert sorted(store.keys()) == sorted(model)
-                assert (store.hits, store.misses) == (hits, misses)
+            overflows += self._walk(rng, np.arange(16, dtype=np.int64), 25, max_groups)[1]
         assert overflows > 0
+
+    def test_random_walk_with_eager_delta_merges(self, monkeypatch):
+        """The same walks with a delta that merges into the main keys once it
+        holds more than two, so nearly every put crosses a merge."""
+        monkeypatch.setattr("repro.kernels.group_index._DELTA_MIN", 2)
+        self.test_random_walk_matches_first_come_model(monkeypatch)
+
+    def test_random_walk_crosses_delta_merge(self):
+        """Enough small puts that the sorted delta merges into the main keys
+        more than once, with no room limit in reach."""
+        from repro.kernels import group_index
+
+        rng = np.random.default_rng(3)
+        keyspace = np.arange(0, 28_000, 7, dtype=np.int64)
+        store, overflows = self._walk(rng, keyspace, 1_400, group_index.MAX_GROUPS)
+        assert overflows == 0
+        assert len(store) > 2 * group_index._DELTA_MIN
+        # Merged keys sit in the main run, behind its sentinel.
+        assert store._keys.size - 1 > group_index._DELTA_MIN
 
 
 class TestGroupStoreRegistry:

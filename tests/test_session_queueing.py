@@ -71,7 +71,8 @@ def _one_shot(radius=3.0, engine="batch", **kwargs):
     ).run(HORIZON, seed=SEED, engine=engine)
 
 
-#: The built-in engines (``batch`` runs the pure-Python event loop).
+#: The built-in engines (``batch`` runs the pure-Python event loop, and its
+#: forced route for large windows whose arrivals have one sampled server).
 WINDOW_ENGINES = ["batch", "reference"]
 
 
