@@ -12,7 +12,9 @@ table to ``.benchmarks/timings/engine_speedup.txt``.  Where numba is
 importable, the compiled queueing event loop is additionally *gated*: it must
 beat ``batch``, whose queueing commit is the pure-Python event loop, by
 ≥ 1.5× at this scale (compilation time excluded — the first run warms the jit
-cache).
+cache).  ``batch``'s exact route for large d = 1 and d = 2 windows does not
+take this one: its ~74,000 arrivals touch fewer than m / 16 of the 4096
+servers, so the gate still times the loop against the compiled loop.
 """
 
 from __future__ import annotations
@@ -150,7 +152,8 @@ def test_bench_engines_report(engine_report, timing_dir):
 
 @pytest.mark.skipif(NUMBA_MISSING, reason="numba not importable")
 def test_bench_engines_numba_queueing_gate(engine_report):
-    """The compiled event loop must beat the Python one (``batch``) ≥ 1.5× at n = 4096."""
+    """The compiled event loop must beat the Python one (``batch``, whose
+    route leaves this window on the loop) ≥ 1.5× at n = 4096."""
     timings, _ = engine_report
     speedup = timings["queueing"]["batch"] / timings["queueing"]["numba"]
     assert speedup >= 1.5, (

@@ -8,8 +8,8 @@ fastest first, which is also the ``"auto"`` resolution order:
   ``numba`` is importable (probed once, at import, without importing it);
 * ``batch`` — the batched precompute; static commits go through the
   speculate-and-repair vectorised commit of :mod:`repro.kernels.batch_commit`,
-  the supermarket model through the pure-Python event loop, whose forced
-  route commits large d = 1 windows without the loop;
+  the supermarket model through the pure-Python event loop, whose exact
+  route commits large d = 1 and d = 2 windows without the loop;
 * ``reference`` — the scalar per-request / per-arrival loops of the paper's
   process definitions, the authority when engines disagree.
 
@@ -60,7 +60,7 @@ FAMILIES = ("assignment", "queueing")
 #: order).
 ENGINES = {
     "numba": "@njit-compiled commit loops over the batched precompute",
-    "batch": "batched precompute + vectorised commit / event loop with a forced d = 1 route",
+    "batch": "batched precompute + vectorised commit / event loop with a d = 1 and d = 2 route",
     "reference": "scalar per-request / per-arrival loop (the authority)",
 }
 

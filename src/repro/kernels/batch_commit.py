@@ -46,10 +46,11 @@ input — and are the ``batch`` engine's commits in the assignment family.
 starts from an empty network).  :data:`DEFAULT_MAX_ROUNDS` caps the repair
 rounds per chunk before the scalar fallback.  The queueing ``batch`` engine
 runs the event loop :func:`repro.kernels.queueing.commit_window`,
-re-exported here under the same name.  That loop has a forced route of its
-own: a window of at least ``queueing.FORCED_MIN_ARRIVALS`` arrivals that
-each have one sampled server (d = 1) commits without the loop, bit for bit
-as the loop would.
+re-exported here under the same name.  That loop has an exact route of its
+own for large windows whose arrivals each sampled one or two servers (the
+paper's d = 1 and d = 2): it decides every arrival in first-toucher rounds
+(none for d = 1; departures never end a round) and commits the window
+without the loop, bit for bit as the loop would.
 """
 
 from __future__ import annotations
@@ -60,8 +61,8 @@ import numpy as np
 
 from repro.kernels import commit as _scalar
 
-# Queueing ``batch`` runs the event loop (forced route included); perfbench's
-# tracer wraps this name.
+# Queueing ``batch`` runs the event loop, with its d = 1 and d = 2 route;
+# perfbench's tracer wraps this name.
 from repro.kernels.queueing import commit_window
 from repro.types import IntArray
 

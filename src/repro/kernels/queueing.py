@@ -23,13 +23,22 @@ applies the PR-1 precompute/commit split to the event loop:
     calls inside the loop, and O(1)-memory streaming accumulators (running
     sums) instead of unbounded per-arrival metric lists.
 
-    The loop has a *forced route*: when every arrival of a window has
-    exactly one sampled server (``d = 1``, or candidate sets of one member)
-    no decision reads a load, and windows of at least
-    ``FORCED_MIN_ARRIVALS`` arrivals are committed without the loop, as
-    whole-array passes that reproduce its state bit for bit (see
-    :func:`_commit_forced`).  Smaller windows stay on the loop, which is
-    faster there.
+    The loop has one exact *route* around it for windows whose arrivals
+    each sampled one or two servers (the paper's ``d = 1`` and ``d = 2``).
+    It first decides every arrival's server, then replays the decided
+    window as whole-array passes that reproduce the loop's state bit for
+    bit (see :func:`_commit_forced`).  With one sampled server per arrival
+    no decision reads a load, so every arrival is decided before any round.
+    With two, an arrival is decided in a round once it is the *first
+    toucher* of each server it sampled: no earlier undecided arrival
+    sampled that server (see :func:`_decide_rounds`).  Its load then counts
+    exactly the earlier jobs that finish after it arrives, so departures
+    never end a round, and a d = 2 window of tens of thousands of arrivals
+    is decided in about ten rounds.  Windows below ``FORCED_MIN_ARRIVALS``
+    (d = 1) or ``ROUNDS_MIN_ARRIVALS`` (d = 2) arrivals stay on the loop,
+    which is faster there, as do windows the rounds would crawl through
+    (few distinct servers, long chains), which the route gives up on
+    before it changes the state.
 
 Queueing RNG-stream contract
 ----------------------------
@@ -199,18 +208,33 @@ def finalize_result_fields(state: QueueingState, until: float) -> dict[str, floa
 
 
 # --------------------------------------------------------------------- kernel
-#: Fewest arrivals for which :func:`commit_window` takes its forced route
-#: (read at call time, so tests patch it).  Below it the event loop is the
-#: faster of the two, e.g. on a server's 64-arrival flushes: on a 2-core
-#: Xeon guest the route overtook the loop between 1,024 and 2,048 arrivals,
+#: Fewest arrivals for which :func:`commit_window` takes its route (read at
+#: call time, so tests patch it).  Below it the event loop is the faster of
+#: the two, e.g. on a server's 64-arrival flushes: on a 2-core Xeon guest
+#: the route overtook the loop between 1,024 and 2,048 arrivals for d = 1,
 #: at n = 65536 with an empty heap and with a 90,000-event one.
 FORCED_MIN_ARRIVALS = 2048
+
+#: Fewest arrivals for which a window with two-server arrivals (d = 2) takes
+#: the route, which then decides in rounds (read at call time, so tests
+#: patch it).  On the same guest at n = 65536 the rounds' fixed cost lost to
+#: the loop at 2,048 arrivals (2.6 against 2.1 ms on an empty heap, 5.9
+#: against 4.3 ms against a 23,000-event one) and tied it from 3,072 to
+#: 6,144 (see CHANGES.md).
+ROUNDS_MIN_ARRIVALS = 4096
 
 #: Arrivals per forced-route chunk; bounds the route's temporaries.
 _FORCED_CHUNK = 1 << 16
 
 #: The forced route's rank rounds must average at least this many arrivals.
 _FORCED_ROUND_ARRIVALS = 32
+
+#: The decision rounds skip a window whose ``m`` arrivals touch fewer than
+#: ``m >> _PROGRESS_SHIFT`` servers (a round decides at most one arrival per
+#: server), and give up at the first round deciding fewer than
+#: ``undecided >> _PROGRESS_SHIFT`` arrivals: the progress rule of the
+#: static ``batch`` commits' repair rounds.
+_PROGRESS_SHIFT = 4
 
 
 def commit_window(
@@ -230,20 +254,31 @@ def commit_window(
     and the ``batch`` engine's event loop (re-exported as
     :func:`repro.kernels.batch_commit.commit_window`); compiled backends
     (:mod:`repro.backends.numba_backend`) provide bit-identical replacements
-    with the same signature.  A window of at least ``FORCED_MIN_ARRIVALS``
-    arrivals that each have one sampled server takes the forced route
-    (:func:`_commit_forced`) when :func:`_forced_applies`; its departure
-    heap then holds the same events in a possibly different layout.
+    with the same signature.
+
+    A window whose arrivals each sampled one or two servers (the paper's
+    d = 1 and d = 2) first tries the route when it holds at least
+    ``FORCED_MIN_ARRIVALS`` arrivals, or ``ROUNDS_MIN_ARRIVALS`` if any
+    arrival sampled two: decide every arrival's server in first-toucher
+    rounds (:func:`_decide_rounds`; d = 1 needs none), then replay the
+    decided window without the loop (:func:`_commit_forced`).  Its departure
+    heap then holds the same events in a possibly different layout.  A
+    window the route gives up on is committed by the loop from an untouched
+    state, through the d = 2 fast path when its widths are 1 and 2.
     """
     m = int(times.size)
-    if m >= FORCED_MIN_ARRIVALS and sample_nodes.size == m and int(sample_counts.min()) == 1:
-        # Every arrival has one sampled server: no decision reads a load.
-        picks = sample_indptr[:-1].astype(np.int64)
-        servers = sample_nodes[picks]
-        if _forced_applies(times, services, servers):
-            _commit_forced(state, times, services, servers)
+    if m >= FORCED_MIN_ARRIVALS and int(sample_counts.max()) <= 2 and int(sample_counts.min()) >= 1:
+        picks = _commit_routed(state, times, services, tie_uniforms, sample_nodes, sample_indptr)
+        if picks is not None:
             return picks
     out = [0] * m
+    pairwise = m > 0 and int(sample_counts.max()) == 2
+    spread = pairwise and sample_nodes.size < 2 * m
+    if spread:
+        # Candidate sets of one member: lay every arrival out as a pair, its
+        # only server twice, so the d = 2 fast path below serves the window.
+        first, last = sample_indptr[:-1], sample_indptr[1:] - 1
+        sample_nodes = np.column_stack((sample_nodes[first], sample_nodes[last])).ravel()
     times = times.tolist()
     services = services.tolist()
     tie_uniforms = tie_uniforms.tolist()
@@ -262,7 +297,6 @@ def commit_window(
     sum_sojourn = state.sum_sojourn
     push = heapq.heappush
     pop = heapq.heappop
-    pairwise = m > 0 and len(nodes) == 2 * m and int(sample_counts.min()) == 2
 
     for i in range(m):
         now = times[i]
@@ -277,7 +311,8 @@ def commit_window(
         clock = now
 
         if pairwise:
-            # Fast path: the paper's d = 2 with every candidate set >= 2.
+            # Fast path: the paper's d = 2 (a spread one-member set ties
+            # with itself and takes its only server either way).
             j = 2 * i
             a = nodes[j]
             b = nodes[j + 1]
@@ -341,7 +376,185 @@ def commit_window(
     state.sum_wait = sum_wait
     state.sum_sojourn = sum_sojourn
     state.num_arrivals += m
-    return np.asarray(out, dtype=np.int64)
+    picks = np.asarray(out, dtype=np.int64)
+    if spread:
+        return np.where(picks & 1, last, first).astype(np.int64)
+    return picks
+
+
+def _commit_routed(
+    state: QueueingState,
+    times: FloatArray,
+    services: FloatArray,
+    tie_uniforms: FloatArray,
+    nodes: IntArray,
+    indptr: IntArray,
+) -> IntArray | None:
+    """Commit a window whose arrivals sampled one or two servers each, or give up.
+
+    Decides every arrival's server (:func:`_decide_rounds`; with one sampled
+    server per arrival every arrival is decided before the first round) and
+    replays the decided window (:func:`_commit_forced`), returning the loop's
+    picks.  Returns ``None`` with ``state`` exactly as it was, heap layout
+    included, when the rounds give up or :func:`_forced_applies` fails.
+    """
+    m = int(times.size)
+    events = state.events
+    last = float(times[-1])
+    held = due = None
+    if nodes.size == m:
+        # One sampled server each: every arrival is decided before any round.
+        picks = indptr[:-1].astype(np.int64)
+    else:
+        if m < ROUNDS_MIN_ARRIVALS:
+            return None
+        slots = _server_slots(nodes)
+        if slots[0].size < m >> _PROGRESS_SHIFT:
+            return None
+        if events and events[0][0] <= last:
+            held = events.copy()  # restores the heap if the route gives up
+        due = _pop_due(events, last)
+        picks = _decide_rounds(state, times, services, tie_uniforms, indptr, *slots, due)
+    if picks is not None:
+        servers = nodes[picks]
+        if _forced_applies(times, services, servers):
+            _commit_forced(state, times, services, servers, _pop_due(events, last) if due is None else due)
+            return picks
+    if held is not None:
+        events[:] = held
+    return None
+
+
+def _pop_due(
+    events: list[tuple[float, int, int]], until: float
+) -> tuple[FloatArray, IntArray, IntArray]:
+    """Pop every departure due at or before ``until``, as ``(time, id, server)``
+    arrays in pop order, which is ``(time, id)`` order."""
+    due = []
+    pop = heapq.heappop
+    while events and events[0][0] <= until:
+        due.append(pop(events))
+    if not due:
+        return np.empty(0, dtype=np.float64), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    t, ids, servers = zip(*due)
+    return (
+        np.array(t, dtype=np.float64),
+        np.array(ids, dtype=np.int64),
+        np.array(servers, dtype=np.int64),
+    )
+
+
+def _server_slots(nodes: IntArray) -> tuple[IntArray, IntArray]:
+    """The distinct servers of ``nodes`` in ascending order, and each entry's
+    position among them."""
+    slot_of = np.zeros(int(nodes.max()) + 1, dtype=np.int64)
+    slot_of[nodes] = 1
+    servers = np.flatnonzero(slot_of)
+    slot_of[servers] = np.arange(servers.size, dtype=np.int64)
+    return servers, slot_of[nodes]
+
+
+def _decide_rounds(
+    state: QueueingState,
+    times: FloatArray,
+    services: FloatArray,
+    tie_uniforms: FloatArray,
+    indptr: IntArray,
+    servers: IntArray,
+    slots: IntArray,
+    due: tuple[FloatArray, IntArray, IntArray],
+) -> IntArray | None:
+    """The event loop's pick for every arrival of a window of widths 1 and 2.
+
+    ``servers`` are the window's distinct sampled servers and ``slots`` each
+    sampled entry's position among them; ``due`` holds the departures popped
+    off the heap that are due by the last arrival.  An undecided arrival is
+    decided in a round once it is the *first toucher* of each server it
+    sampled: no earlier undecided arrival sampled that server.  Every
+    earlier job that could sit on its servers is then known, and, since the
+    loop pops every departure at or before an arrival's time before it
+    decides, a job counts in an arrival's load iff it finishes after that
+    arrival.  The round's winners are distinct, so each server gains at most
+    one job per round, in arrival order, finishing at ``max(busy, t) +
+    service`` with the loop's comparison.  On equal loads ``tie_uniforms[i]
+    < 0.5`` takes the first sampled server, the loop's rule; an arrival of
+    one sampled server takes it.  Rounds stop once every arrival with two
+    sampled servers is decided.
+
+    Returns ``None`` at the first round that decides fewer than
+    ``undecided >> _PROGRESS_SHIFT`` arrivals; reads ``state`` only at
+    ``servers`` and writes nothing.
+    """
+    m = int(times.size)
+    lo, hi = indptr[:-1], indptr[1:] - 1
+    listed = servers.tolist()
+    free = np.fromiter(map(state.busy_until.__getitem__, listed), dtype=np.float64, count=len(listed))
+    base = np.fromiter(map(state.queue_lengths.__getitem__, listed), dtype=np.int64, count=len(listed))
+    # Each server's decided jobs' finish times, in FIFO order, in a segment
+    # with room for every arrival that sampled it.
+    seg_start = np.zeros(servers.size, dtype=np.int64)
+    np.cumsum(np.bincount(slots, minlength=servers.size)[:-1], out=seg_start[1:])
+    finish_of = np.empty(slots.size, dtype=np.float64)
+    filled = np.zeros(servers.size, dtype=np.int64)
+    # Due departures keyed ``slot * (m + 1) + arrival popped before``, so one
+    # sorted search counts a server's departures popped by an arrival.
+    due_t, _, due_s = due
+    due_keys = None
+    if due_t.size:
+        at = np.minimum(np.searchsorted(servers, due_s), servers.size - 1)
+        on = servers[at] == due_s
+        due_keys = np.sort(at[on] * (m + 1) + np.searchsorted(times, due_t[on], side="left"))
+        base += np.searchsorted(due_keys, np.arange(servers.size, dtype=np.int64) * (m + 1))
+
+    def loads(slot: IntArray, arrivals: IntArray) -> IntArray:
+        """Queue lengths at ``slot`` as ``arrivals`` see them: the decided
+        jobs there that finish after each arrival count."""
+        load = base[slot]
+        if due_keys is not None:
+            load -= np.searchsorted(due_keys, slot * (m + 1) + arrivals, side="right")
+        have = filled[slot]
+        t = times[arrivals]
+        live = np.flatnonzero(have)
+        rank = 0
+        while live.size:
+            load[live] += finish_of[seg_start[slot[live]] + rank] > t[live]
+            rank += 1
+            live = live[have[live] > rank]
+        return load
+
+    # Undecided arrivals with the slots of their first and last sampled entry.
+    undecided = np.arange(m, dtype=np.int64)
+    touch = np.column_stack((slots[lo], slots[hi]))
+    first = np.empty(servers.size, dtype=np.int64)
+    two = hi != lo
+    pairs_left = int(np.count_nonzero(two))
+    second = np.zeros(m, dtype=bool)
+    while pairs_left:
+        # Each touched slot's earliest undecided toucher.
+        first[touch] = m
+        np.minimum.at(first, touch.ravel(), np.repeat(undecided, 2))
+        safe = (first[touch[:, 0]] == undecided) & (first[touch[:, 1]] == undecided)
+        now, later = np.flatnonzero(safe), np.flatnonzero(~safe)
+        if now.size < undecided.size >> _PROGRESS_SHIFT:
+            return None
+        # ``take`` by position: much faster than a boolean mask here.
+        decided, pair = undecided.take(now), touch.take(now, axis=0)
+        undecided, touch = undecided.take(later), touch.take(later, axis=0)
+        pairs_left -= int(np.count_nonzero(two[decided]))
+        k = decided.size
+        load = loads(pair.ravel(), np.repeat(decided, 2)).reshape(k, 2)
+        takes_b = (load[:, 1] < load[:, 0]) | (
+            (load[:, 1] == load[:, 0]) & (tie_uniforms[decided] >= 0.5)
+        )
+        second[decided] = takes_b
+        won = np.where(takes_b, pair[:, 1], pair[:, 0])
+        t = times[decided]
+        busy = free[won]
+        finish = np.where(busy < t, t, busy) + services[decided]
+        free[won] = finish
+        finish_of[seg_start[won] + filled[won]] = finish
+        filled[won] += 1
+    return np.where(second, hi, lo).astype(np.int64)
 
 
 def _forced_applies(times: FloatArray, services: FloatArray, servers: IntArray) -> bool:
@@ -442,11 +655,17 @@ def _area_after(
 
 
 def _commit_forced(
-    state: QueueingState, times: FloatArray, services: FloatArray, servers: IntArray
+    state: QueueingState,
+    times: FloatArray,
+    services: FloatArray,
+    servers: IntArray,
+    due: tuple[FloatArray, IntArray, IntArray],
 ) -> None:
     """The event loop's effect on ``state`` when arrival ``i`` must go to ``servers[i]``.
 
-    No decision reads a load, so the window is replayed as whole-array
+    ``due`` holds the departures already popped off ``state.events`` that
+    are due by the last arrival (:func:`_pop_due`); the heap holds the rest.
+    No decision is left to make, so the window is replayed as whole-array
     passes, in chunks of at most ``_FORCED_CHUNK`` arrivals:
 
     * each server's FIFO start and finish times, ``max(busy, t) + service``
@@ -465,9 +684,9 @@ def _commit_forced(
     same events and keeps the ``heapq`` invariant.
     """
     queue, busy, events = state.queue_lengths, state.busy_until, state.events
-    # Departures pushed by earlier chunks and not yet popped, (time, id) order.
-    carry_t = np.empty(0, dtype=np.float64)
-    carry_id = carry_s = np.empty(0, dtype=np.int64)
+    # Departures not yet popped, (time, id) order: the due ones, then those
+    # pushed by earlier chunks.
+    carry_t, carry_id, carry_s = due
     for lo in range(0, int(times.size), _FORCED_CHUNK):
         hi = min(int(times.size), lo + _FORCED_CHUNK)
         t, s = times[lo:hi], servers[lo:hi].astype(np.int64)
@@ -503,14 +722,9 @@ def _commit_forced(
             dep_t = finish[dep_order]
         pending = (dep_t > last) | (dep_order == k - 1)
         popped = dep_order[~pending]
-        # Older departures due by the last arrival: the heap's, then the
-        # carry's (newer ids), each in (time, id) order.
-        due = []
-        while events and events[0][0] <= last:
-            due.append(heapq.heappop(events))
+        # Older departures due by the last arrival, in (time, id) order.
         due_carry = carry_t <= last
-        old_t = np.concatenate([np.array([e[0] for e in due], dtype=np.float64), carry_t[due_carry]])
-        old_s = np.concatenate([np.array([e[2] for e in due], dtype=np.int64), carry_s[due_carry]])
+        old_t, old_s = carry_t[due_carry], carry_s[due_carry]
         carry_t, carry_id, carry_s = carry_t[~due_carry], carry_id[~due_carry], carry_s[~due_carry]
 
         # Every popped departure in pop order, with the arrival it precedes.

@@ -138,7 +138,8 @@ class Torus2D(Topology):
         its L1 norm.  ``members`` is int32 while ``n < 2**31`` (int64
         beyond); ``dists`` is int64.  Other radii return ``None``: the
         offsets overlap through the wrap-around, or the ball is the whole
-        torus.
+        torus.  An empty ``origins`` (a caller asking only for ``|B_r|``)
+        is answered before any validation or gather.
         """
         if radius < 0 or np.isinf(radius) or radius >= self.diameter:
             return None
@@ -146,6 +147,9 @@ class Torus2D(Topology):
         if 2 * r >= self._side:
             return None
         dx, dy, norms = _lattice_ball_offsets(r)
+        if np.size(origins) == 0:
+            # Only the ball's shape is asked for: nothing to validate or gather.
+            return np.empty((0, norms.size), dtype=index_type(self._n)), norms
         origins = self.validate_nodes(origins)
         side = self._side
         # Wrap each origin's 2r + 1 columns and rows once, then gather them

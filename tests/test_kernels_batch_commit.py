@@ -10,8 +10,8 @@ Three layers of guarantees:
   every route (forced, pairs, CSR); its queueing ``commit_window`` — the
   event loop of :mod:`repro.kernels.queueing`, which ``batch`` runs — must
   match a per-arrival transcription of the reference dispatcher on each of
-  its routes (pairs, any widths, and the forced route of windows whose
-  arrivals have one sampled server), state included;
+  its routes (pairs, any widths, and the route of windows whose arrivals
+  sampled one or two servers, committed or given up), state included;
 * **the repair-round structure** — with the progress fallback disabled, the
   number of repair rounds on disjoint contention groups is exactly (and in
   general at most) the longest per-node collision chain;
@@ -415,9 +415,51 @@ def _single_csr(servers):
     return _uniform_csr(np.asarray(servers, dtype=np.int64)[:, None])
 
 
-#: ``FORCED_MIN_ARRIVALS`` for windows of ``smallest`` to ``largest``
-#: arrivals: every window below it (the event loop commits them), the
-#: smallest at it, or all above it (the forced route commits them).
+def _pairs_case(seed, n, m, rate_per_server, one_share=0.06):
+    """The paper's d = 2 shape: arrival ``i`` samples two distinct servers,
+    or, with probability ``one_share``, one (a one-member candidate set)."""
+    rng = np.random.default_rng(seed)
+    times = np.cumsum(rng.exponential(1.0 / (rate_per_server * n), size=m))
+    services = rng.exponential(1.0, size=m)
+    uniforms = rng.random(m)
+    counts = np.where(rng.random(m) < one_share, 1, 2).astype(np.int64)
+    first = rng.integers(0, n, size=m)
+    other = (first + rng.integers(1, max(n, 2), size=m)) % n
+    return (times, services, uniforms, *_pair_csr(first, other, counts))
+
+
+def _pair_csr(first, other, counts):
+    """CSR arrays of arrivals sampling ``first[i]``, then ``other[i]`` when
+    ``counts[i] == 2``."""
+    counts = np.asarray(counts, dtype=np.int64)
+    indptr = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    nodes = np.empty(int(indptr[-1]), dtype=np.int64)
+    nodes[indptr[:-1]] = first
+    two = counts == 2
+    nodes[indptr[1:][two] - 1] = np.asarray(other)[two]
+    return nodes, counts, indptr
+
+
+def _warm_states(n, seed, m=400, rate_per_server=0.9):
+    """Two identical states that carry a heap, and the time they reached.
+
+    The scalar dispatcher commits one width-2 window of ``m`` arrivals on
+    both, so a window starting after it finds departures due in it and
+    departures after it."""
+    rng = np.random.default_rng(seed)
+    times = np.cumsum(rng.exponential(1.0 / (rate_per_server * n), size=m))
+    case = (times, rng.exponential(1.0, size=m), rng.random(m), *_random_csr(rng, m, n, 2, 2))
+    states = _fresh_state(n), _fresh_state(n)
+    for state in states:
+        _scalar_window(state, *case)
+    return states, float(times[-1])
+
+
+#: ``FORCED_MIN_ARRIVALS`` and ``ROUNDS_MIN_ARRIVALS`` for windows of
+#: ``smallest`` to ``largest`` arrivals: every window below them (the event
+#: loop commits them), the smallest at them, or all above them (the route
+#: commits them).
 FORCED_SIZES = {
     "below": lambda smallest, largest: largest + 1,
     "at": lambda smallest, largest: smallest,
@@ -427,24 +469,26 @@ FORCED_SIZES = {
 
 @pytest.fixture(params=list(FORCED_SIZES))
 def forced_route(request, monkeypatch):
-    """Patch the forced route's minimum around the test's window size.
+    """Patch the route's two minimums around the test's window size.
 
     Returns ``(setup, calls)``: ``setup(smallest, largest=smallest)`` sets
-    the minimum for windows of that many arrivals and returns whether the
-    route must run; ``calls`` lists the window size of every forced commit.
+    the minimums for windows of that many arrivals and returns whether the
+    route must run; ``calls`` lists the window size of every commit the
+    route's replay made.
     """
     calls = []
     original = q._commit_forced
 
-    def spy(state, times, services, servers):
+    def spy(state, times, *rest):
         calls.append(int(times.size))
-        return original(state, times, services, servers)
+        return original(state, times, *rest)
 
     monkeypatch.setattr(q, "_commit_forced", spy)
 
     def setup(smallest, largest=None):
         minimum = FORCED_SIZES[request.param](smallest, largest or smallest)
         monkeypatch.setattr(q, "FORCED_MIN_ARRIVALS", minimum)
+        monkeypatch.setattr(q, "ROUNDS_MIN_ARRIVALS", minimum)
         return request.param != "below"
 
     return setup, calls
@@ -452,7 +496,7 @@ def forced_route(request, monkeypatch):
 
 class TestQueueingWindow:
     """``batch_commit.commit_window`` is the event loop ``batch`` runs, with
-    its forced route for windows whose arrivals have one sampled server."""
+    its route for windows whose arrivals sampled one or two servers."""
 
     @pytest.mark.parametrize("rate", [0.2, 0.95, 2.0])
     def test_window_identical_to_scalar(self, rate):
@@ -609,6 +653,200 @@ class TestQueueingWindow:
         for case in (shuffled, negative, crowded):
             _assert_window_identical(_fresh_state(256), _fresh_state(256), case)
         assert calls == []
+
+    # Decision rounds: arrivals of one or two sampled servers (the paper's
+    # d = 2) are decided in first-toucher rounds, then replayed as above.
+    @pytest.mark.parametrize("one_share", [0.06, 0.5])
+    @pytest.mark.parametrize("rate", [0.2, 0.95, 2.0])
+    def test_rounds_window_identical_to_scalar(self, rate, one_share, forced_route):
+        setup, calls = forced_route
+        n, m = 4096, 1500
+        routed = setup(m)
+        case = _pairs_case(30, n, m, rate, one_share)
+        _assert_forced_identical(_fresh_state(n), _fresh_state(n), case)
+        assert calls == ([m] if routed else [])
+
+    @pytest.mark.parametrize("chunk", [1 << 16, 97])
+    def test_rounds_carry_due_and_later_departures(self, chunk, forced_route, monkeypatch):
+        # The heap holds departures due inside the window and after it; a
+        # small chunk makes the replay carry both across its chunks.
+        setup, calls = forced_route
+        monkeypatch.setattr(q, "_FORCED_CHUNK", chunk)
+        n, m = 4096, 1500
+        routed = setup(m)
+        (sa, sb), start = _warm_states(n, 31, m=3000)
+        times, *rest = _pairs_case(32, n, m, 0.95)
+        case = (start + times, *rest)
+        departures = [event[0] for event in sb.events]
+        assert min(departures) <= case[0][-1] < max(departures)
+        _assert_forced_identical(sa, sb, case)
+        assert calls == ([m] if routed else [])
+
+    def test_rounds_arrivals_at_one_time(self, forced_route):
+        # The dispatch_batch(times=None) shape, against a carried heap.
+        setup, calls = forced_route
+        n, m = 4096, 1200
+        routed = setup(m)
+        (sa, sb), start = _warm_states(n, 33)
+        _, services, uniforms, *csr = _pairs_case(34, n, m, 0.95)
+        case = (np.full(m, start + 0.2), services, uniforms, *csr)
+        _assert_forced_identical(sa, sb, case)
+        assert calls == ([m] if routed else [])
+
+    @pytest.mark.parametrize("zero_share", [0.3, 1.0])
+    def test_rounds_zero_service(self, zero_share, forced_route):
+        # A zero service time on an idle server finishes at its own arrival,
+        # so the arrivals after it (four share each time) find it idle.
+        setup, calls = forced_route
+        n, m = 4096, 1200
+        routed = setup(m)
+        rng = np.random.default_rng(35)
+        times, services, uniforms, *csr = _pairs_case(36, n, m, 0.95)
+        services[rng.random(m) < zero_share] = 0.0
+        case = (np.repeat(times[::4], 4), services, uniforms, *csr)
+        sb = _fresh_state(n)
+        _assert_forced_identical(_fresh_state(n), sb, case)
+        assert sb.completed > 0
+        assert calls == ([m] if routed else [])
+
+    @pytest.mark.parametrize("tie", [0.5, float(np.nextafter(0.5, 0.0)), 0.0])
+    def test_rounds_tie_uniform_boundary(self, tie, forced_route):
+        # Idle servers tie: u < 0.5 takes the first sampled server, exactly
+        # 0.5 the second, as floor(u * 2) does in the loop.
+        setup, calls = forced_route
+        n, m = 4096, 1200
+        routed = setup(m)
+        times, services, _, *csr = _pairs_case(37, n, m, 2.0)
+        case = (times, services, np.full(m, tie), *csr)
+        _assert_forced_identical(_fresh_state(n), _fresh_state(n), case)
+        assert calls == ([m] if routed else [])
+
+    def test_rounds_departures_at_an_arrival_time(self, forced_route):
+        # The loop pops a departure at an arrival's own time before that
+        # arrival decides.  Servers 0-99 each hold a departure at 4.0 from
+        # before the window; arrivals at 3.5 start half-unit jobs on idle
+        # servers 200-599, which end at 4.0 too.  Arrivals at 4.0 then find
+        # every one of those servers empty, tie with an idle partner, and
+        # take the first sampled server (u = 0.25).
+        setup, calls = forced_route
+        n = 2048
+        states = _fresh_state(n), _fresh_state(n)
+        for state in states:
+            for server in range(100):
+                heapq.heappush(state.events, (4.0, state.next_event_id, server))
+                state.queue_lengths[server] = 1
+                state.busy_until[server] = 4.0
+                state.in_system += 1
+                state.next_event_id += 1
+        early = np.column_stack((200 + 2 * np.arange(200), 201 + 2 * np.arange(200)))
+        held = np.column_stack((np.arange(100), 100 + np.arange(100)))
+        after = np.column_stack((200 + 2 * np.arange(200), 1000 + np.arange(200)))
+        pairs = np.concatenate([early, held, after])
+        m = pairs.shape[0]
+        routed = setup(m)
+        times = np.repeat([3.5, 4.0], [200, 300])
+        case = (times, np.full(m, 0.5), np.full(m, 0.25), *_uniform_csr(pairs))
+        _assert_forced_identical(*states, case)
+        assert states[1].queue_lengths[:100] == [1] * 100  # each took its first server
+        assert calls == ([m] if routed else [])
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.sampled_from([8, 64, 1024]),
+        m=st.integers(1, 800),
+        warm=st.integers(0, 600),
+        rate=st.sampled_from([0.2, 0.95, 2.0]),
+        one_share=st.sampled_from([0.0, 0.06, 0.5, 1.0]),
+    )
+    def test_route_matches_scalar_property(self, seed, n, m, warm, rate, one_share):
+        # Every window may take the route; it commits or gives up, and
+        # either way the state equals the scalar dispatcher's.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(q, "FORCED_MIN_ARRIVALS", 1)
+            patch.setattr(q, "ROUNDS_MIN_ARRIVALS", 1)
+            if warm:
+                (sa, sb), start = _warm_states(n, seed, m=warm, rate_per_server=rate)
+            else:
+                (sa, sb), start = (_fresh_state(n), _fresh_state(n)), 0.0
+            times, *rest = _pairs_case(seed + 1, n, m, rate, one_share)
+            _assert_forced_identical(sa, sb, (start + times, *rest))
+
+    @staticmethod
+    def _assert_gives_up(monkeypatch, states, case, rounds_run):
+        """The route leaves ``states[1]`` untouched, heap layout included, and
+        the loop commits the window exactly as the scalar dispatcher."""
+        commits, rounds = [], []
+        commit, decide = q._commit_forced, q._decide_rounds
+        monkeypatch.setattr(q, "_commit_forced", lambda *args: commits.append(args) or commit(*args))
+        monkeypatch.setattr(q, "_decide_rounds", lambda *args: rounds.append(args) or decide(*args))
+        monkeypatch.setattr(q, "FORCED_MIN_ARRIVALS", 1)
+        monkeypatch.setattr(q, "ROUNDS_MIN_ARRIVALS", 1)
+        _assert_window_identical(*states, case)
+        assert commits == []
+        assert len(rounds) == rounds_run
+
+    @pytest.mark.parametrize("m,rounds_run", [(40, 1), (4096, 0)])
+    def test_rounds_give_up_on_one_pair(self, m, rounds_run, monkeypatch):
+        # Every arrival samples servers 2 and 5: a round decides one arrival,
+        # and 4,096 arrivals on two servers never start a round.
+        states, start = _warm_states(8, 40, m=60)
+        rng = np.random.default_rng(41)
+        times = start + np.cumsum(rng.exponential(0.01, size=m))
+        case = (times, rng.exponential(1.0, size=m), rng.random(m), *_uniform_csr([[2, 5]] * m))
+        assert states[1].events[0][0] <= times[-1]
+        self._assert_gives_up(monkeypatch, states, case, rounds_run)
+
+    def test_rounds_give_up_on_a_path(self, monkeypatch):
+        # Arrival i samples servers i and i + 1: only arrival 0 is a first
+        # toucher, so the first round gives up.
+        n, m = 1024, 1000
+        states, start = _warm_states(n, 42)
+        rng = np.random.default_rng(43)
+        times = start + np.cumsum(rng.exponential(1.0 / n, size=m))
+        pairs = np.column_stack((np.arange(m), np.arange(1, m + 1)))
+        case = (times, rng.exponential(1.0, size=m), rng.random(m), *_uniform_csr(pairs))
+        assert states[1].events[0][0] <= times[-1]
+        self._assert_gives_up(monkeypatch, states, case, rounds_run=1)
+
+    def test_rounds_skip_windows_on_few_servers(self, monkeypatch):
+        # 1,200 arrivals on 64 servers touch fewer than m / 16 of them.
+        n, m = 64, 1200
+        states, start = _warm_states(n, 44)
+        times, *rest = _pairs_case(45, n, m, 0.95)
+        self._assert_gives_up(monkeypatch, states, (start + times, *rest), rounds_run=0)
+
+    def test_rounds_decided_window_still_gated(self, monkeypatch):
+        # Arrival i < 200 samples servers 2i and 2i + 1, so one round decides
+        # every pair; unsorted times, a negative service time or a crowded
+        # one-server tail then fail the replay's gate, and the popped due
+        # departures go back onto the heap as they were.
+        n, m = 2048, 600
+        rng = np.random.default_rng(46)
+        evens = 2 * np.arange(m)
+        first = np.where(np.arange(m) < 200, evens, n - 1)
+        counts = np.where(np.arange(m) < 200, 2, 1)
+        csr = _pair_csr(first, evens + 1, counts)
+        spread = _pair_csr(evens % n, (evens + 1) % n, np.full(m, 2))
+        for seed, (order, services, nodes) in enumerate([
+            (rng.permutation(m), rng.exponential(1.0, size=m), spread),
+            (np.arange(m), np.where(np.arange(m) == 7, -0.5, 1.0), spread),
+            (np.arange(m), rng.exponential(1.0, size=m), csr),
+        ]):
+            states, start = _warm_states(n, 47 + seed)
+            times = (start + np.cumsum(rng.exponential(1.0 / n, size=m)))[order]
+            assert min(event[0] for event in states[1].events) <= times[-1]
+            with pytest.MonkeyPatch.context() as patch:
+                self._assert_gives_up(patch, states, (times, services, rng.random(m), *nodes), 1)
+
+    @pytest.mark.parametrize("one_share", [0.06, 0.5, 1.0])
+    def test_pairs_loop_takes_widths_one_and_two(self, one_share):
+        # Below the route's minimums the loop's d = 2 fast path serves
+        # one-member candidate sets too, against a carried heap.
+        n, m = 48, 600
+        (sa, sb), start = _warm_states(n, 48)
+        times, *rest = _pairs_case(49, n, m, 0.95, one_share)
+        _assert_window_identical(sa, sb, (start + times, *rest))
 
 
 # ---------------------------------------------------------- engine table/CLI

@@ -9,9 +9,9 @@ hop distance and fallback flag) from ``QueueingSession.dispatch_batch``.
 The engine list is every available engine of the engine table, ``numba``
 included where importable.  The ``batch`` row runs the pure-Python event
 loop :func:`~repro.kernels.queueing.commit_window`, the source of the numba
-transcription, and that loop's forced route for windows in which every
-arrival has one sampled server.  When engines disagree, the reference
-engine is authoritative.
+transcription, and that loop's route for windows in which every arrival
+sampled one or two servers.  When engines disagree, the reference engine is
+authoritative.
 """
 
 from __future__ import annotations
@@ -217,17 +217,19 @@ def test_single_replica_candidates_identical():
 def test_sweep_with_shared_store_identical(monkeypatch):
     """A rate x d sweep whose points share one ``ArtifactCache``: the first
     point fills the ``GroupStore`` and every later point reads all of its
-    groups from it, and the d = 1 points take the forced route (its minimum
-    lowered to fit the sweep's windows).  ``batch`` returns reference's rows."""
+    groups from it, and every point takes the route (its minimums lowered
+    to fit the sweep's windows): the d = 2 points decide in first-toucher
+    rounds, the d = 1 points in none.  ``batch`` returns reference's rows."""
     forced = []
     original = queueing._commit_forced
 
-    def spy(state, times, services, servers):
+    def spy(state, times, *rest):
         forced.append(int(times.size))
-        return original(state, times, services, servers)
+        return original(state, times, *rest)
 
     monkeypatch.setattr(queueing, "_commit_forced", spy)
     monkeypatch.setattr(queueing, "FORCED_MIN_ARRIVALS", 256)
+    monkeypatch.setattr(queueing, "ROUNDS_MIN_ARRIVALS", 256)
     sweep = dict(
         num_nodes=4096,
         num_files=128,
@@ -248,7 +250,7 @@ def test_sweep_with_shared_store_identical(monkeypatch):
             assert stats["stores"] == 1 and stats["group_misses"] == 0
             assert stats["group_hits"] > stats["group_rows"] > 0
     assert rows["batch"] == rows["reference"]
-    assert len(forced) == 2 and min(forced) >= 256
+    assert len(forced) == 4 and min(forced) >= 256
 
 
 class TestEdgeCases:

@@ -72,7 +72,7 @@ def _one_shot(radius=3.0, engine="batch", **kwargs):
 
 
 #: The built-in engines (``batch`` runs the pure-Python event loop, and its
-#: forced route for large windows whose arrivals have one sampled server).
+#: route for large windows whose arrivals sampled one or two servers).
 WINDOW_ENGINES = ["batch", "reference"]
 
 

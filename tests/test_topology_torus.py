@@ -177,6 +177,25 @@ class TestBalls:
         for radius in (5, 8, np.inf, -1):  # wraps onto itself, or everything
             assert torus.ball_matrix(np.array([0]), radius) is None
 
+    @pytest.mark.parametrize("n", [25, 81, 2025, 65536])
+    def test_ball_matrix_empty_origins_answers_the_shape(self, n):
+        """An empty ``origins`` asks only for ``|B_r|``: ``None`` wherever an
+        origin gets ``None``, else the same ``dists`` over no member rows."""
+        torus = Torus2D(n)
+        origin = np.array([n // 2])
+        for radius in (-1, 0, 1, 2.5, 4, 8, 40, torus.diameter, np.inf):
+            expected = torus.ball_matrix(origin, radius)
+            for empty in (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32), []):
+                answer = torus.ball_matrix(empty, radius)
+                if expected is None:
+                    assert answer is None
+                    continue
+                members, dists = answer
+                assert members.shape == (0, expected[0].shape[1])
+                assert members.dtype == expected[0].dtype
+                np.testing.assert_array_equal(dists, expected[1])
+                assert dists.dtype == expected[1].dtype
+
     def test_negative_radius_raises(self):
         with pytest.raises(TopologyError):
             Torus2D(25).ball(0, -1)
